@@ -1,4 +1,4 @@
-.PHONY: all check build test bench bench-smoke bench-compare bench-parallel bench-wcoj bench-ghd bench-enum bench-adaptive serve-soak fmt clean
+.PHONY: all check build test bench bench-smoke bench-parallel bench-wcoj bench-ghd bench-enum bench-adaptive serve-soak fmt clean
 
 all: check
 
@@ -17,18 +17,6 @@ bench:
 # machine-readable results in BENCH_results.json.
 bench-smoke:
 	dune exec bench/main.exe -- --figure 3 --scale 0.2 --seeds 1 --json BENCH_results.json
-
-# A/B gate for the storage backends: run the smoke benchmark under both,
-# then compare cell by cell. Fails if the columnar backend is slower than
-# the row backend overall; the verdict is appended to BENCH_results.json
-# under "backend_comparison". Scale 0.8 makes the cells join-dominated
-# (smoke scale is compile-dominated noise); three seeds stabilize medians.
-bench-compare:
-	dune exec bench/main.exe -- --figure 3 --scale 0.8 --seeds 3 \
-	  --backend row --json BENCH_results_row.json
-	dune exec bench/main.exe -- --figure 3 --scale 0.8 --seeds 3 \
-	  --backend columnar --json BENCH_results.json
-	dune exec bench/compare.exe BENCH_results_row.json BENCH_results.json
 
 # Parallel-execution gate: the figure-3 sweep at --jobs 1 vs --jobs 4,
 # then a 1M-tuple join microbench timed sequentially and through the

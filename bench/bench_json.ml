@@ -1,5 +1,5 @@
-(* Tiny JSON reader shared by the benchmark gate tools (compare.exe,
-   parallel.exe). Telemetry.Json only emits JSON, so the gates bring
+(* Tiny JSON reader shared by the benchmark gate tools (parallel_bench,
+   wcoj_bench, ...). Telemetry.Json only emits JSON, so the gates bring
    their own small recursive-descent parser — which also keeps them
    independent from the writer they check. *)
 

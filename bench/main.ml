@@ -29,7 +29,7 @@ let default_scale =
 let usage () =
   Printf.eprintf
     "usage: main.exe [--figure NAME] [--scale S] [--seeds N] [--jobs N] \
-     [--micro] [--backend row|columnar] [--csv FILE] [--json FILE]\n\
+     [--micro] [--csv FILE] [--json FILE]\n\
      figures: %s\n"
     (String.concat ", " Experiments.Figures.names);
   exit 2
@@ -40,7 +40,6 @@ type options = {
   mutable seeds : int;
   mutable jobs : int;
   mutable micro_only : bool;
-  mutable backend : Relalg.Relation.backend;
   mutable csv : string option;
   mutable json : string;
 }
@@ -48,8 +47,7 @@ type options = {
 let parse_args () =
   let opts =
     { figure = "all"; scale = default_scale; seeds = 3; jobs = 1;
-      micro_only = false; backend = Relalg.Relation.default_backend ();
-      csv = None; json = "BENCH_results.json" }
+      micro_only = false; csv = None; json = "BENCH_results.json" }
   in
   let rec go = function
     | [] -> ()
@@ -67,11 +65,6 @@ let parse_args () =
       go rest
     | "--micro" :: rest ->
       opts.micro_only <- true;
-      go rest
-    | "--backend" :: v :: rest ->
-      (match Relalg.Relation.backend_of_string v with
-      | Some b -> opts.backend <- b
-      | None -> usage ());
       go rest
     | "--csv" :: v :: rest ->
       opts.csv <- Some v;
@@ -221,7 +214,6 @@ let write_json ~opts ~wall_seconds ~rows ~micro =
           match git_rev () with Some r -> String r | None -> Null );
         ("figure", String opts.figure);
         ("scale", Float opts.scale);
-        ("backend", String (Relalg.Relation.backend_name opts.backend));
         ("seeds", Int opts.seeds);
         ("jobs", Int opts.jobs);
         ("wall_seconds", Float wall_seconds);
@@ -239,7 +231,6 @@ let write_json ~opts ~wall_seconds ~rows ~micro =
 
 let () =
   let opts = parse_args () in
-  Relalg.Relation.with_default_backend opts.backend @@ fun () ->
   Experiments.Sweep.set_pool
     (if opts.jobs > 1 then
        Some (Parallel.Pool.create ~num_domains:opts.jobs ())

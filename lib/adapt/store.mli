@@ -57,7 +57,7 @@ val save : t -> string -> int
     binary that wrote a snapshot trusts it. *)
 
 val load : t -> string -> int
-(** Merge a snapshot's entries into the store (snapshot factors seed
+(** Fold a snapshot's entries into the store (snapshot factors seed
     keys the store has not seen; keys already present keep their live
     value), returning the number of entries read. A missing file, a
     foreign or stale snapshot, or any decode error loads nothing and

@@ -126,9 +126,9 @@ val run :
     reported as [Aborted] (with the typed reason and the stats gathered up
     to that point) rather than raised. The execution context supplies
     limits (a fresh unlimited {!Relalg.Limits.t} is created when absent),
-    telemetry, backend and join algorithm; the context's stats field is
-    ignored — each run measures into its own private {!Relalg.Stats.t}
-    so outcomes never mix across runs. With telemetry, the two phases run
+    telemetry and pool; the context's stats field is ignored — each run
+    measures into its own private {!Relalg.Stats.t} so outcomes never mix
+    across runs. With telemetry, the two phases run
     in [compile:<method>] / [exec:<method>] spans, operators record their
     own [op.*] spans underneath, and the registry tallies [driver.runs]
     plus one [driver.aborts.<reason>] counter per typed abort.

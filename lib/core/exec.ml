@@ -11,8 +11,6 @@ module Yannakakis = Hypergraphs.Yannakakis
 module Jointree = Hypergraphs.Jointree
 module Hypergraph = Hypergraphs.Hypergraph
 
-type join_algorithm = Ctx.join_algorithm = Hash | Merge
-
 type compiled =
   | Plan of Plan.t
   | Generic_join of Wcoj.prep
@@ -30,9 +28,7 @@ let rec run ?(ctx = Ctx.null) ?observe db plan =
     | Plan.Join (l, r) ->
       let rl = run ~ctx ?observe db l in
       let rr = run ~ctx ?observe db r in
-      (match Ctx.join_algorithm ctx with
-      | Hash -> Ops.natural_join ~ctx rl rr
-      | Merge -> Ops.merge_join ~ctx rl rr)
+      Ops.natural_join ~ctx rl rr
     | Plan.Project (sub, kept) ->
       let rsub = run ~ctx ?observe db sub in
       (* Keep the input's column order for the retained variables; the

@@ -6,11 +6,6 @@
     answer set, so a consumer that wants ten tuples — or one — pays for
     ten, not for everything. *)
 
-type join_algorithm = Relalg.Ctx.join_algorithm = Hash | Merge
-(** Re-export of {!Relalg.Ctx.join_algorithm}: the algorithm choice is a
-    context field, set with [Ctx.create ~join_algorithm] or
-    [Ctx.with_join_algorithm]. *)
-
 type compiled =
   | Plan of Plan.t  (** a binary join/project tree from any compiler *)
   | Generic_join of Wcoj.prep  (** worst-case-optimal variable-at-a-time *)
@@ -24,18 +19,17 @@ val run :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
   Conjunctive.Database.t -> Plan.t -> Relalg.Relation.t
 (** Execute a plan under the given execution context (default
-    {!Relalg.Ctx.null}: no instrumentation, hash joins, default storage
-    backend), materializing every node bottom-up. [observe] is called
-    once per plan node as it completes — children before parents, left
-    subtree first, i.e. post-order — with the node and its measured
-    output cardinality; {!Driver.run} uses it to harvest cardinality
-    observations for the adaptive feedback store. The context's join
-    algorithm defaults to [Hash] (the paper forced hash joins in
-    PostgreSQL); [Merge] runs the same plans over sort-merge joins for
-    the join-algorithm ablation. With telemetry in the context, every
-    plan node opens a [plan.join]/[plan.project] span and every operator
-    a nested [op.*] span, so the resulting trace mirrors the plan tree
-    (see {!Telemetry}). Boolean plans (empty schema) evaluate to the
+    {!Relalg.Ctx.null}: no instrumentation), materializing every node
+    bottom-up over hash joins (the paper forced hash joins in
+    PostgreSQL). [observe] is called once per plan node as it completes
+    — children before parents, left subtree first, i.e. post-order —
+    with the node and its measured output cardinality; {!Driver.run}
+    uses it to harvest cardinality observations for the adaptive
+    feedback store, and {!Explain.analyze} rebuilds its annotated tree
+    from them. With telemetry in the context, every plan node opens a
+    [plan.join]/[plan.project] span and every operator a nested [op.*]
+    span, so the resulting trace mirrors the plan tree (see
+    {!Telemetry}). Boolean plans (empty schema) evaluate to the
     0-ary relation containing the empty tuple when the join is nonempty
     and to the empty relation otherwise.
     @raise Relalg.Limits.Abort when a resource guard trips.

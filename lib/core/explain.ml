@@ -1,6 +1,3 @@
-module Relation = Relalg.Relation
-module Schema = Relalg.Schema
-module Ops = Relalg.Ops
 module Cq = Conjunctive.Cq
 
 type node = {
@@ -27,43 +24,42 @@ let describe ~namer = function
          (fun ppf v -> Format.pp_print_string ppf (namer v)))
       (List.sort_uniq Stdlib.compare kept)
 
-let analyze ?(ctx = Relalg.Ctx.null) ?feedback db plan =
+let analyze ?ctx ?feedback db plan =
   let env =
     Cost.environment ?feedback db
       (Cq.make ~atoms:(Plan.atoms plan) ~free:(Plan.schema plan))
   in
   let default_namer v = Printf.sprintf "v%d" v in
-  let rec go plan =
-    let children, rel =
-      match plan with
-      | Plan.Atom atom -> ([], Conjunctive.Database.eval_atom ~ctx db atom)
-      | Plan.Join (l, r) ->
-        let nl, rl = go l in
-        let nr, rr = go r in
-        let join =
-          match Relalg.Ctx.join_algorithm ctx with
-          | Relalg.Ctx.Hash -> Ops.natural_join ~ctx
-          | Relalg.Ctx.Merge -> Ops.merge_join ~ctx
-        in
-        ([ nl; nr ], join rl rr)
-      | Plan.Project (sub, kept) ->
-        let nsub, rsub = go sub in
-        let target =
-          Schema.restrict (Relation.schema rsub) ~keep:(fun v -> List.mem v kept)
-        in
-        ([ nsub ], Ops.project ~ctx rsub target)
+  (* [Exec.run] observes nodes in post-order, so when a node completes
+     its children are the topmost finished nodes, rightmost first. *)
+  let finished = ref [] in
+  let observe plan actual_rows =
+    let rec pop n children stack =
+      if n = 0 then (children, stack)
+      else
+        match stack with
+        | node :: rest -> pop (n - 1) (node :: children) rest
+        | [] -> invalid_arg "Explain.analyze: observation out of post-order"
     in
-    ( {
+    let arity =
+      match plan with Plan.Atom _ -> 0 | Plan.Project _ -> 1 | Plan.Join _ -> 2
+    in
+    let children, rest = pop arity [] !finished in
+    finished :=
+      {
         plan;
         description = describe ~namer:default_namer plan;
         schema = Plan.schema plan;
         estimated_rows = Cost.estimate env plan;
-        actual_rows = Relation.cardinality rel;
+        actual_rows;
         children;
-      },
-      rel )
+      }
+      :: rest
   in
-  go plan
+  let rel = Exec.run ?ctx ~observe db plan in
+  match !finished with
+  | [ root ] -> (root, rel)
+  | _ -> invalid_arg "Explain.analyze: observation out of post-order"
 
 let render ?(namer = fun v -> Printf.sprintf "v%d" v) root =
   let buf = Buffer.create 256 in

@@ -18,11 +18,13 @@ type node = {
 val analyze :
   ?ctx:Relalg.Ctx.t -> ?feedback:Cost.feedback ->
   Conjunctive.Database.t -> Plan.t -> node * Relalg.Relation.t
-(** Execute the plan, collecting one annotated node per operator. The
-    context supplies the join algorithm, limits and backend; [feedback]
-    annotates with {e corrected} estimates (see {!Cost.environment}),
-    so the explain view shows what an adaptive planner would believe.
-    @raise Relalg.Limits.Exceeded as {!Exec.run} does (partial output is
+(** Execute the plan with {!Exec.run}, collecting one annotated node per
+    operator from its post-order observations; the relation returned is
+    exactly [Exec.run]'s. The context supplies limits, stats, telemetry
+    and pool; [feedback] annotates with {e corrected} estimates (see
+    {!Cost.environment}), so the explain view shows what an adaptive
+    planner would believe.
+    @raise Relalg.Limits.Abort as {!Exec.run} does (partial output is
     lost; use generous limits when explaining). *)
 
 val render : ?namer:(int -> string) -> node -> string

@@ -61,8 +61,8 @@ val run_cell :
     {!Supervise.Budget.default}), and rescues are counted; otherwise a
     single unsupervised run uses [limits_factory]. [ctx] is threaded into
     every run (telemetry spans for each compile/exec/operator, abort
-    tallies in the registry, storage backend, join algorithm); its limits
-    field is overridden per run by [limits_factory] or the budget.
+    tallies in the registry, domain pool); its limits field is
+    overridden per run by [limits_factory] or the budget.
     [feedback] and [observer] thread an adaptive feedback loop through
     every run (see {!Ppr_core.Driver.run}): corrections are applied at
     compile time, harvested observations are handed to [observer] — the

@@ -89,7 +89,7 @@ val evaluate :
     in a bag containing it, and the three sweeps assemble the projected
     answer. Everything flows through the context — [op.ghd.eval] span
     with per-bag [op.ghd.bag] spans, the [ops.ghd] counter, limits,
-    stats, backend and pool apply to every operator.
+    stats and pool apply to every operator.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Invalid_argument when [prep] does not match the query.
     @raise Not_found if an atom names an unregistered relation. *)

@@ -56,11 +56,7 @@ let eval_atom ?(ctx = Relalg.Ctx.null) t atom =
       positions;
     !ok
   in
-  let out =
-    Relation.create ~backend:(Relalg.Ctx.backend ctx)
-      ~size_hint:(Relation.cardinality base)
-      out_schema
-  in
+  let out = Relation.create ~size_hint:(Relation.cardinality base) out_schema in
   Relation.iter
     (fun tup -> if consistent tup then ignore (Relation.add out (Tuple.project tup keep)))
     base;

@@ -20,10 +20,10 @@ val mem : t -> string -> bool
 val names : t -> string list
 
 val eval_atom : ?ctx:Relalg.Ctx.t -> t -> Cq.atom -> Relalg.Relation.t
-(** Materialize one atom occurrence as a relation over its variables,
-    stored in the context's backend. With telemetry in the context, the
-    materialization runs in an [op.scan] span carrying the relation name
-    and base/output cardinalities.
+(** Materialize one atom occurrence as a relation over its variables.
+    With telemetry in the context, the materialization runs in an
+    [op.scan] span carrying the relation name and base/output
+    cardinalities.
     @raise Invalid_argument if the atom's arity does not match the base
     relation's. *)
 

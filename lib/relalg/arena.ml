@@ -20,7 +20,7 @@ let count t = t.count
 let data t = t.data
 
 (* Must agree with [Tuple.hash] (FNV-1a over the columns) so a tuple
-   hashes identically whether it lives in a row table or in an arena. *)
+   hashes identically in a [Tuple]-keyed table and in an arena. *)
 let fnv_seed = 0x1000193
 let fnv_prime = 0x100000001b3
 

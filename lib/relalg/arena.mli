@@ -1,5 +1,4 @@
-(** Columnar tuple arena: the storage behind {!Relation}'s [Columnar]
-    backend.
+(** Columnar tuple arena: the storage behind every {!Relation}.
 
     All tuples of a relation are stored contiguously in one flat
     [int array] (row-major: row [i] occupies cells [i*arity] through
@@ -10,7 +9,7 @@
     candidate tuple exactly once and allocates nothing.
 
     The hash function is FNV-1a over the columns, identical to
-    {!Tuple.hash}, so a tuple hashes the same in either backend. The
+    {!Tuple.hash}, so a tuple hashes the same in and out of an arena. The
     index doubles (rehashing from the arena) at 50% load; the data array
     doubles when full. Zero-arity relations work: the data array stays
     empty and the index holds at most the single empty tuple. *)

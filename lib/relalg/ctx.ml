@@ -1,44 +1,19 @@
-type join_algorithm = Hash | Merge
-
 type t = {
   stats : Stats.t option;
   limits : Limits.t option;
   telemetry : Telemetry.t option;
-  backend : Relation.backend option;
-  join_algorithm : join_algorithm;
   pool : Parallel.Pool.t option;
 }
 
-let null =
-  {
-    stats = None;
-    limits = None;
-    telemetry = None;
-    backend = None;
-    join_algorithm = Hash;
-    pool = None;
-  }
-
-let create ?stats ?limits ?telemetry ?backend ?(join_algorithm = Hash) ?pool ()
-    =
-  { stats; limits; telemetry; backend; join_algorithm; pool }
-
+let null = { stats = None; limits = None; telemetry = None; pool = None }
+let create ?stats ?limits ?telemetry ?pool () =
+  { stats; limits; telemetry; pool }
 let stats t = t.stats
 let limits t = t.limits
 let telemetry t = t.telemetry
-let join_algorithm t = t.join_algorithm
 let pool t = t.pool
-
-(* The backend is resolved lazily against the process-wide default so
-   that [null] (a constant) still tracks a [Relation.with_default_backend]
-   bracket an entry point may have installed. *)
-let backend t =
-  match t.backend with Some b -> b | None -> Relation.default_backend ()
-
 let with_stats t stats = { t with stats = Some stats }
 let with_limits t limits = { t with limits = Some limits }
 let with_telemetry t telemetry = { t with telemetry = Some telemetry }
-let with_backend t backend = { t with backend = Some backend }
-let with_join_algorithm t join_algorithm = { t with join_algorithm }
 let with_pool t pool = { t with pool = Some pool }
 let without_pool t = { t with pool = None }

@@ -1,26 +1,20 @@
 (** Unified execution context.
 
     Everything cross-cutting that used to travel through separate
-    [?stats ?limits ?telemetry] optionals — plus the relation storage
-    backend and the join-algorithm choice — bundled into one value that
-    every operator, {!Exec.run}, [Driver.run] and [Supervise.run] accept
-    as a single [?ctx]. [Ctx.null] (the default everywhere) disables all
-    instrumentation and uses the process-wide default backend. *)
-
-type join_algorithm = Hash | Merge
+    [?stats ?limits ?telemetry] optionals — plus the domain pool —
+    bundled into one value that every operator, {!Exec.run},
+    [Driver.run] and [Supervise.run] accept as a single [?ctx].
+    [Ctx.null] (the default everywhere) disables all instrumentation. *)
 
 type t
 
 val null : t
-(** No stats, no limits, no telemetry; backend falls back to
-    {!Relation.default_backend}; hash joins. *)
+(** No stats, no limits, no telemetry, no pool. *)
 
 val create :
   ?stats:Stats.t ->
   ?limits:Limits.t ->
   ?telemetry:Telemetry.t ->
-  ?backend:Relation.backend ->
-  ?join_algorithm:join_algorithm ->
   ?pool:Parallel.Pool.t ->
   unit ->
   t
@@ -28,23 +22,15 @@ val create :
 val stats : t -> Stats.t option
 val limits : t -> Limits.t option
 val telemetry : t -> Telemetry.t option
-val join_algorithm : t -> join_algorithm
 
 val pool : t -> Parallel.Pool.t option
 (** The domain pool operators may fan work out on. [None] (the default)
     means strictly sequential execution. Carried in the context so one
     [--jobs N] at the entry point reaches every join and sweep. *)
 
-val backend : t -> Relation.backend
-(** The backend operators should materialize results in: the context's,
-    if set, otherwise the process-wide {!Relation.default_backend} at the
-    time of the call. *)
-
 val with_stats : t -> Stats.t -> t
 val with_limits : t -> Limits.t -> t
 val with_telemetry : t -> Telemetry.t -> t
-val with_backend : t -> Relation.backend -> t
-val with_join_algorithm : t -> join_algorithm -> t
 val with_pool : t -> Parallel.Pool.t -> t
 
 val without_pool : t -> t

@@ -64,7 +64,7 @@ val take : t -> int -> Tuple.t list
     (unless the stream ended) so a later {!take} continues where this
     one stopped — the pagination primitive. *)
 
-val to_relation : ?backend:Relation.backend -> t -> Relation.t
+val to_relation : t -> Relation.t
 (** Drain the whole stream into a materialized relation over the
     cursor's schema. *)
 

@@ -1,55 +1,12 @@
-module Table = Hashtbl.Make (struct
-  type t = Tuple.t
+type t = { schema : Schema.t; arena : Arena.t }
 
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
+let create ?(size_hint = 64) schema =
+  { schema; arena = Arena.create ~size_hint (Schema.arity schema) }
 
-type backend = Row | Columnar
-
-(* Process-wide default, consulted when [create] gets no explicit backend.
-   Columnar is the fast path; Row is kept for A/B benchmarking and as the
-   reference implementation in the backend-equivalence tests. An [Atomic]
-   rather than a [ref]: worker domains allocate relations while the main
-   domain may still be inside a [with_default_backend] bracket, and a
-   plain ref has no inter-domain visibility guarantee. Operator code must
-   carry the backend in [Relalg.Ctx.t]; the scoped bracket below exists
-   only for entry points that load base data before any context exists. *)
-let default = Atomic.make Columnar
-let default_backend () = Atomic.get default
-
-let with_default_backend b f =
-  let prev = Atomic.get default in
-  Atomic.set default b;
-  Fun.protect ~finally:(fun () -> Atomic.set default prev) f
-
-let backend_name = function Row -> "row" | Columnar -> "columnar"
-
-let backend_of_string = function
-  | "row" -> Some Row
-  | "columnar" -> Some Columnar
-  | _ -> None
-
-type store = Rows of unit Table.t | Cols of Arena.t
-type t = { schema : Schema.t; store : store }
-
-let create ?backend ?(size_hint = 64) schema =
-  let b = match backend with Some b -> b | None -> Atomic.get default in
-  let store =
-    match b with
-    | Row -> Rows (Table.create size_hint)
-    | Columnar -> Cols (Arena.create ~size_hint (Schema.arity schema))
-  in
-  { schema; store }
-
-let backend t = match t.store with Rows _ -> Row | Cols _ -> Columnar
-let arena t = match t.store with Cols a -> Some a | Rows _ -> None
+let arena t = t.arena
 let schema t = t.schema
 let arity t = Schema.arity t.schema
-
-let cardinality t =
-  match t.store with Rows tbl -> Table.length tbl | Cols a -> Arena.count a
-
+let cardinality t = Arena.count t.arena
 let is_empty t = cardinality t = 0
 
 let add t tup =
@@ -57,59 +14,31 @@ let add t tup =
     invalid_arg
       (Printf.sprintf "Relation.add: tuple arity %d, schema arity %d"
          (Tuple.arity tup) (Schema.arity t.schema));
-  match t.store with
-  | Rows tbl ->
-    (* Single-hash add-if-absent: [replace] probes once; comparing the
-       table length before and after tells us whether the tuple was new,
-       without a separate [mem] that would hash the tuple again. *)
-    let before = Table.length tbl in
-    Table.replace tbl tup ();
-    Table.length tbl > before
-  | Cols a -> Arena.add a tup
+  Arena.add t.arena tup
 
 let mem t tup =
-  Tuple.arity tup = Schema.arity t.schema
-  && match t.store with Rows tbl -> Table.mem tbl tup | Cols a -> Arena.mem a tup
+  Tuple.arity tup = Schema.arity t.schema && Arena.mem t.arena tup
 
-let iter f t =
-  match t.store with
-  | Rows tbl -> Table.iter (fun tup () -> f tup) tbl
-  | Cols a -> Arena.iter f a
-
-let fold f t init =
-  match t.store with
-  | Rows tbl -> Table.fold (fun tup () acc -> f tup acc) tbl init
-  | Cols a -> Arena.fold f a init
-
+let iter f t = Arena.iter f t.arena
+let fold f t init = Arena.fold f t.arena init
 let to_list t = fold List.cons t []
 let to_sorted_list t = List.sort Tuple.compare (to_list t)
 
 let to_seq t =
-  match t.store with
-  | Rows tbl -> Table.to_seq_keys tbl
-  | Cols a ->
-    let rec rows i () =
-      if i >= Arena.count a then Seq.Nil
-      else Seq.Cons (Arena.read a i, rows (i + 1))
-    in
-    rows 0
+  let a = t.arena in
+  let rec rows i () =
+    if i >= Arena.count a then Seq.Nil
+    else Seq.Cons (Arena.read a i, rows (i + 1))
+  in
+  rows 0
 
-let of_tuples ?backend schema tuples =
-  let t = create ?backend ~size_hint:(max 16 (List.length tuples)) schema in
+let of_tuples schema tuples =
+  let t = create ~size_hint:(max 16 (List.length tuples)) schema in
   List.iter (fun tup -> ignore (add t tup)) tuples;
   t
 
-let of_list ?backend schema rows =
-  of_tuples ?backend schema (List.map Tuple.of_list rows)
-
-let copy t =
-  {
-    schema = t.schema;
-    store =
-      (match t.store with
-      | Rows tbl -> Rows (Table.copy tbl)
-      | Cols a -> Cols (Arena.copy a));
-  }
+let of_list schema rows = of_tuples schema (List.map Tuple.of_list rows)
+let copy t = { schema = t.schema; arena = Arena.copy t.arena }
 
 let equal a b =
   Schema.equal a.schema b.schema
@@ -122,7 +51,7 @@ let reorder t target =
   if Schema.equal t.schema target then copy t
   else
     let positions = Schema.positions target t.schema in
-    let out = create ~backend:(backend t) ~size_hint:(cardinality t) target in
+    let out = create ~size_hint:(cardinality t) target in
     iter (fun tup -> ignore (add out (Tuple.project tup positions))) t;
     out
 

@@ -3,44 +3,16 @@
     Relations follow set semantics ([SELECT DISTINCT] throughout, as in the
     paper); inserting a tuple twice is a no-op.
 
-    Two interchangeable storage backends sit behind the abstract type:
-    [Row] keeps boxed tuples in a hashtable (the reference
-    implementation), [Columnar] packs all tuples into a flat {!Arena}
-    with open-addressing dedup — the same tuple set, bit-identical
-    results, but cache-friendly scans and allocation-free join kernels
-    (see {!Ops}). The process-wide default is [Columnar]. The blessed
-    spelling for choosing a backend is [Relalg.Ctx.t]'s backend field
-    ([Ctx.create ~backend] / [Ctx.with_backend]), which every operator
-    threads; {!with_default_backend} is the scoped bracket entry points
-    use while loading base data before any context exists. *)
+    Tuples live in a flat columnar {!Arena} with open-addressing dedup:
+    cache-friendly scans and allocation-free join kernels (see {!Ops}). *)
 
 type t
 
-type backend = Row | Columnar
+val create : ?size_hint:int -> Schema.t -> t
+(** An empty relation over the given schema. *)
 
-val with_default_backend : backend -> (unit -> 'a) -> 'a
-(** [with_default_backend b f] runs [f] with [b] as the backend {!create}
-    uses when none is given, restoring the previous default on exit
-    (normal or exceptional). The cell is an [Atomic], so reads from
-    worker domains are well-defined. This replaces the unscoped
-    [set_default_backend] setter: operator code must take the backend
-    from its context; only entry points (CLI, bench, the test backend
-    matrix) bracket base-data loading with this. *)
-
-val default_backend : unit -> backend
-val backend_name : backend -> string
-val backend_of_string : string -> backend option
-(** Parses ["row"] / ["columnar"]. *)
-
-val create : ?backend:backend -> ?size_hint:int -> Schema.t -> t
-(** An empty relation over the given schema, stored in [backend]
-    (default: the process-wide default backend). *)
-
-val backend : t -> backend
-
-val arena : t -> Arena.t option
-(** The underlying arena when the relation is columnar; [None] for the
-    row backend. Used by the specialized kernels in {!Ops}. *)
+val arena : t -> Arena.t
+(** The underlying arena, read by the specialized kernels in {!Ops}. *)
 
 val schema : t -> Schema.t
 val arity : t -> int
@@ -60,25 +32,23 @@ val to_list : t -> Tuple.t list
 (** Tuples in an unspecified order. *)
 
 val to_sorted_list : t -> Tuple.t list
-(** Tuples in lexicographic order — stable across hash layouts and
-    backends, for tests and golden output. *)
+(** Tuples in lexicographic order — stable across hash layouts, for
+    tests and golden output. *)
 
 val to_seq : t -> Tuple.t Seq.t
 (** Lazily stream the tuples in an unspecified order. The relation must
     not be mutated while the sequence is being consumed. *)
 
-val of_list : ?backend:backend -> Schema.t -> int list list -> t
+val of_list : Schema.t -> int list list -> t
 (** Build a relation from row lists. Duplicates are merged.
     @raise Invalid_argument on an arity mismatch. *)
 
-val of_tuples : ?backend:backend -> Schema.t -> Tuple.t list -> t
+val of_tuples : Schema.t -> Tuple.t list -> t
 
 val copy : t -> t
-(** A copy in the same backend as the original. *)
 
 val equal : t -> t -> bool
-(** Same schema (ordered) and same tuple set; the backends need not
-    match. *)
+(** Same schema (ordered) and same tuple set. *)
 
 val equal_modulo_order : t -> t -> bool
 (** Equal after aligning both relations on a canonical column order; the
@@ -86,8 +56,8 @@ val equal_modulo_order : t -> t -> bool
     which may emit columns in different orders. *)
 
 val reorder : t -> Schema.t -> t
-(** [reorder r s] is [r] with columns permuted to schema [s], in [r]'s
-    backend. @raise Invalid_argument if [s] is not a permutation of [r]'s
+(** [reorder r s] is [r] with columns permuted to schema [s].
+    @raise Invalid_argument if [s] is not a permutation of [r]'s
     schema. *)
 
 val pp : ?namer:(Schema.attr -> string) -> ?max_rows:int -> unit ->

@@ -300,7 +300,7 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
       (Telemetry.Metrics.counter (Telemetry.metrics t) "ops.wcoj")
   | None -> ());
   let rels = List.map (fun a -> Database.eval_atom ~ctx db a) cq.Cq.atoms in
-  let out = Relation.create ~backend:(Ctx.backend ctx) (Schema.of_list cq.Cq.free) in
+  let out = Relation.create (Schema.of_list cq.Cq.free) in
   if not (List.exists Relation.is_empty rels) then begin
     let tries, parts = build_index ~span ~order ~k rels in
     let make_engine = make_engine ~tries ~parts ~k ~n_free in
@@ -339,13 +339,10 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
           | Some g -> Limits.Shared.check_interval g
           | None -> max_int
         in
-        let backend = Ctx.backend ctx in
         let tasks =
           List.map
             (fun chunk () ->
-              let local =
-                Relation.create ~backend (Schema.of_list cq.Cq.free)
-              in
+              let local = Relation.create (Schema.of_list cq.Cq.free) in
               let unflushed = ref 0 in
               let flush () =
                 match guard with

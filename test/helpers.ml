@@ -107,27 +107,57 @@ let qtest ?(count = 100) name arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary prop)
 
 (* ------------------------------------------------------------------ *)
-(* Storage-backend matrix.                                             *)
+(* Nested-loop relational oracle.                                      *)
 
-(* Run [f] with the process-wide default backend set to [b]; the
-   scoped bracket restores the previous default even when [f] raises
-   (Alcotest failures unwind through here). *)
-let with_backend b f = Relalg.Relation.with_default_backend b f
+(* A relation as plain lists — attribute names and sorted distinct rows —
+   evaluated by nested loops over association lists. Only [of_relation]
+   touches the engine, to read a kernel's result; the evaluation shares
+   no code with [Ops], [Relation] or [Arena]. *)
+module Oracle = struct
+  type t = { attrs : int list; rows : int list list }
 
-(* Alcotest's test_case is a public triple, so a finished suite can be
-   re-run under each backend by wrapping every body (QCheck properties
-   included — their generators and assertions all run inside [f]). *)
-let under_backend b (name, speed, f) =
-  (name, speed, fun x -> with_backend b (fun () -> f x))
+  let make attrs rows = { attrs; rows = List.sort_uniq compare rows }
 
-(* Duplicate every suite once per storage backend, prefixing the suite
-   names, so the whole test file becomes a backend-equivalence matrix. *)
-let backend_matrix suites =
-  List.concat_map
-    (fun b ->
-      let prefix = Relalg.Relation.backend_name b in
-      List.map
-        (fun (suite, tests) ->
-          (prefix ^ ":" ^ suite, List.map (under_backend b) tests))
-        suites)
-    [ Relalg.Relation.Row; Relalg.Relation.Columnar ]
+  let of_relation rel =
+    make
+      (Relalg.Schema.attrs (Relalg.Relation.schema rel))
+      (List.map Relalg.Tuple.to_list (Relalg.Relation.to_list rel))
+
+  let value attrs row a = List.assoc a (List.combine attrs row)
+
+  (* Rows [x] of [r] and [y] of [s] agree on every shared attribute. *)
+  let agree r s x y =
+    List.for_all
+      (fun a ->
+        (not (List.mem a s.attrs)) || value r.attrs x a = value s.attrs y a)
+      r.attrs
+
+  let join r s =
+    let rest = List.filter (fun a -> not (List.mem a r.attrs)) s.attrs in
+    make (r.attrs @ rest)
+      (List.concat_map
+         (fun x ->
+           List.filter_map
+             (fun y ->
+               if agree r s x y then Some (x @ List.map (value s.attrs y) rest)
+               else None)
+             s.rows)
+         r.rows)
+
+  let project r attrs =
+    make attrs (List.map (fun x -> List.map (value r.attrs x) attrs) r.rows)
+
+  let semijoin r s =
+    make r.attrs
+      (List.filter (fun x -> List.exists (agree r s x) s.rows) r.rows)
+
+  let antijoin r s =
+    make r.attrs
+      (List.filter (fun x -> not (List.exists (agree r s x) s.rows)) r.rows)
+
+  let rename r mapping =
+    let fresh a = Option.value ~default:a (List.assoc_opt a mapping) in
+    { r with attrs = List.map fresh r.attrs }
+
+  let union r s = make r.attrs (r.rows @ (project s r.attrs).rows)
+end

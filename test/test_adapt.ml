@@ -430,6 +430,5 @@ let () =
            Alcotest.test_case "feedback file round trip" `Quick
              test_engine_feedback_file_round_trips;
          ] );
-     ]
-    @ backend_matrix
-        [ ( "identity", [ prop_feedback_preserves_answers ] ) ])
+       ("identity", [ prop_feedback_preserves_answers ]);
+     ])

@@ -332,45 +332,44 @@ let test_prep_mismatch_rejected () =
 
 let () =
   Alcotest.run "ghd"
-    (backend_matrix
-       [
-         ( "search",
-           [
-             Alcotest.test_case "fixed families" `Quick test_search_fixed;
-             prop_search_valid;
-           ] );
-         ( "gate",
-           [
-             Alcotest.test_case "routes" `Quick test_gate_routes;
-             Alcotest.test_case "env override" `Quick test_gate_env_override;
-             Alcotest.test_case "cyclic low-htw panel" `Quick
-               test_gate_low_htw_panel;
-           ] );
-         ( "identity",
-           [
-             Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
-             Alcotest.test_case "oracle agreement" `Quick
-               test_oracle_agreement;
-             prop_matches_bucket;
-           ] );
-         ( "parallel",
-           [
-             Alcotest.test_case "pool identity" `Quick test_parallel_identity;
-             prop_parallel_matches_sequential;
-           ] );
-         ( "driver",
-           [
-             Alcotest.test_case "prepared replay" `Quick test_prepared_replay;
-             Alcotest.test_case "forced routes agree" `Quick
-               test_forced_routes_agree;
-             Alcotest.test_case "supervised ladder" `Quick
-               test_supervised_ladder;
-           ] );
-         ( "guards",
-           [
-             Alcotest.test_case "aborts propagate" `Quick
-               test_abort_propagates;
-             Alcotest.test_case "prep mismatch rejected" `Quick
-               test_prep_mismatch_rejected;
-           ] );
-       ])
+    [
+      ( "search",
+        [
+          Alcotest.test_case "fixed families" `Quick test_search_fixed;
+          prop_search_valid;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "routes" `Quick test_gate_routes;
+          Alcotest.test_case "env override" `Quick test_gate_env_override;
+          Alcotest.test_case "cyclic low-htw panel" `Quick
+            test_gate_low_htw_panel;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
+          Alcotest.test_case "oracle agreement" `Quick
+            test_oracle_agreement;
+          prop_matches_bucket;
+        ] );
+      ( "parallel",
+        [
+          Alcotest.test_case "pool identity" `Quick test_parallel_identity;
+          prop_parallel_matches_sequential;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "prepared replay" `Quick test_prepared_replay;
+          Alcotest.test_case "forced routes agree" `Quick
+            test_forced_routes_agree;
+          Alcotest.test_case "supervised ladder" `Quick
+            test_supervised_ladder;
+        ] );
+      ( "guards",
+        [
+          Alcotest.test_case "aborts propagate" `Quick
+            test_abort_propagates;
+          Alcotest.test_case "prep mismatch rejected" `Quick
+            test_prep_mismatch_rejected;
+        ] );
+    ]

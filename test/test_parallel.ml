@@ -1,6 +1,6 @@
 (* Tests for the multicore execution subsystem: the domain pool itself,
    and the hash-partitioned parallel join producing exactly the same
-   tuple sets as sequential execution, on both storage backends.
+   tuple sets as sequential execution.
 
    PPR_JOBS sets the pool width (default 4); CI runs the suite at 1 and
    at 4, so every property here is checked both with a degenerate
@@ -99,12 +99,7 @@ let test_pool_not_worker_outside () =
   check_bool "tasks run as workers" true (List.for_all Fun.id inside)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel join = sequential join, property-checked per backend.      *)
-
-let make_rel backend attrs rows =
-  let r = Relation.create ~backend (Schema.of_list attrs) in
-  List.iter (fun row -> ignore (Relation.add r (Tuple.of_list row))) rows;
-  r
+(* Parallel join = sequential join, property-checked.                  *)
 
 (* Two relations sharing attribute 1: R(0,1) and S(1,2), with values in
    a small domain so joins actually match. *)
@@ -114,13 +109,11 @@ let join_input_arbitrary =
       (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12)))
       (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12))))
 
-let equiv_props backend =
-  let name op = Printf.sprintf "%s: jobs=1 = jobs=%d (%s)"
-      (Relation.backend_name backend) jobs op
-  in
+let equiv_props =
+  let name op = Printf.sprintf "jobs=1 = jobs=%d (%s)" jobs op in
   let inputs (rs, ss) =
-    ( make_rel backend [ 0; 1 ] (List.map (fun (a, b) -> [ a; b ]) rs),
-      make_rel backend [ 1; 2 ] (List.map (fun (b, c) -> [ b; c ]) ss) )
+    ( relation [ 0; 1 ] (List.map (fun (a, b) -> [ a; b ]) rs),
+      relation [ 1; 2 ] (List.map (fun (b, c) -> [ b; c ]) ss) )
   in
   [
     qtest (name "join") join_input_arbitrary (fun input ->
@@ -144,13 +137,8 @@ let equiv_props backend =
 let test_big_join_identical () =
   let n = 20_000 in
   let key i = i * i mod 4096 in
-  let r =
-    make_rel Relation.Columnar [ 0; 1 ]
-      (List.init n (fun i -> [ i; key i ]))
-  and s =
-    make_rel Relation.Columnar [ 1; 2 ]
-      (List.init n (fun i -> [ key (i + 17); i ]))
-  in
+  let r = relation [ 0; 1 ] (List.init n (fun i -> [ i; key i ]))
+  and s = relation [ 1; 2 ] (List.init n (fun i -> [ key (i + 17); i ])) in
   let seq = Ops.natural_join r s in
   let par = Ops.natural_join ~ctx:par_ctx r s in
   check_bool "nonempty" true (Relation.cardinality seq > 0);
@@ -163,8 +151,8 @@ let test_big_join_identical () =
 
 let test_parallel_join_respects_budget () =
   let n = 5_000 in
-  let r = make_rel Relation.Columnar [ 0; 1 ] (List.init n (fun i -> [ i; i mod 50 ]))
-  and s = make_rel Relation.Columnar [ 1; 2 ] (List.init n (fun i -> [ i mod 50; i ])) in
+  let r = relation [ 0; 1 ] (List.init n (fun i -> [ i; i mod 50 ]))
+  and s = relation [ 1; 2 ] (List.init n (fun i -> [ i mod 50; i ])) in
   (* ~100 matches per probe row: the full output (~500k) dwarfs the
      budget, so the guard must trip from a worker domain. *)
   let limits = Limits.create ~max_total:10_000 ~max_tuples:max_int () in
@@ -225,8 +213,7 @@ let () =
            Alcotest.test_case "worker flag" `Quick test_pool_not_worker_outside;
          ] );
        ( "join",
-         equiv_props Relation.Row
-         @ equiv_props Relation.Columnar
+         equiv_props
          @ [
              Alcotest.test_case "big skewed join identical" `Quick
                test_big_join_identical;

@@ -309,33 +309,6 @@ let prop_project_composition =
         (Ops.project r (Schema.of_list [ 0 ])))
 
 (* ------------------------------------------------------------------ *)
-(* Merge join                                                          *)
-
-let test_merge_join_matches_hash_join () =
-  let r = relation [ 0; 1 ] [ [ 1; 2 ]; [ 2; 3 ]; [ 2; 4 ] ] in
-  let s = relation [ 1; 2 ] [ [ 2; 9 ]; [ 3; 8 ]; [ 3; 7 ] ] in
-  check_bool "same result" true
-    (Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let prop_merge_join_equals_hash_join =
-  qtest "merge join = hash join"
-    (QCheck.pair (small_relation_arbitrary [ 0; 1 ]) (small_relation_arbitrary [ 1; 2 ]))
-    (fun (r, s) -> Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let prop_merge_join_disjoint_product =
-  qtest "merge join handles disjoint schemas"
-    (QCheck.pair (small_relation_arbitrary [ 0 ]) (small_relation_arbitrary [ 1 ]))
-    (fun (r, s) -> Relation.equal (Ops.natural_join r s) (Ops.merge_join r s))
-
-let test_merge_join_respects_limits () =
-  let r = relation [ 0 ] [ [ 1 ]; [ 2 ]; [ 3 ] ] in
-  let s = relation [ 1 ] [ [ 1 ]; [ 2 ] ] in
-  let limits = Relalg.Limits.create ~max_tuples:3 () in
-  Alcotest.check_raises "cap applies"
-    (Relalg.Limits.Abort (Relalg.Limits.Cardinality 4)) (fun () ->
-      ignore (Ops.merge_join ~ctx:(Relalg.Ctx.create ~limits ()) r s))
-
-(* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
 
 let test_aggregate_counts () =
@@ -656,46 +629,142 @@ let cursor_suite =
     ] )
 
 (* ------------------------------------------------------------------ *)
-(* Backend equivalence: the same operator pipeline evaluated under both
-   storage backends must produce bit-identical sorted tuple lists.      *)
+(* Kernel = oracle: each operator pipeline, run through the arena
+   kernels, yields exactly what the nested-loop list evaluator in
+   [Helpers.Oracle] computes from the same raw rows.                   *)
 
-let eval_under backend rows_r rows_s op =
-  let r = Relation.of_list ~backend (Schema.of_list [ 0; 1 ]) rows_r in
-  let s = Relation.of_list ~backend (Schema.of_list [ 1; 2 ]) rows_s in
-  let ctx = Relalg.Ctx.create ~backend () in
-  List.map Relalg.Tuple.to_list (Relation.to_sorted_list (op ctx r s))
+let rows_arbitrary =
+  QCheck.make
+    ~print:QCheck.Print.(list (list int))
+    QCheck.Gen.(list_size (int_range 0 30) (list_repeat 2 (int_range 0 5)))
 
-let prop_backends_agree name op =
-  qtest ("row = columnar: " ^ name)
-    (QCheck.pair
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-          (QCheck.pair QCheck.small_int QCheck.small_int))
-       (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-          (QCheck.pair QCheck.small_int QCheck.small_int)))
-    (fun (pr, ps) ->
-      let rows_r = List.map (fun (a, b) -> [ a; b ]) pr in
-      let rows_s = List.map (fun (a, b) -> [ a; b ]) ps in
-      eval_under Relation.Row rows_r rows_s op
-      = eval_under Relation.Columnar rows_r rows_s op)
+let prop_kernel_matches_oracle name ~r_attrs ~s_attrs kernel oracle =
+  qtest ("kernel = oracle: " ^ name) (QCheck.pair rows_arbitrary rows_arbitrary)
+    (fun (rows_r, rows_s) ->
+      let r = relation r_attrs rows_r and s = relation s_attrs rows_s in
+      Oracle.of_relation (kernel r s)
+      = oracle (Oracle.make r_attrs rows_r) (Oracle.make s_attrs rows_s))
 
-let backend_equivalence_suite =
-  ( "backend equivalence",
+let oracle_suite =
+  let r_attrs = [ 0; 1 ] and s_attrs = [ 1; 2 ] in
+  ( "kernel = oracle",
     [
-      prop_backends_agree "natural join" (fun ctx r s ->
-          Ops.natural_join ~ctx r s);
-      prop_backends_agree "join then project" (fun ctx r s ->
-          Ops.project ~ctx (Ops.natural_join ~ctx r s) (Schema.of_list [ 0; 2 ]));
-      prop_backends_agree "semijoin" (fun ctx r s -> Ops.semijoin ~ctx r s);
-      prop_backends_agree "antijoin" (fun ctx r s -> Ops.antijoin ~ctx r s);
-      prop_backends_agree "union (renamed)" (fun ctx r s ->
-          Ops.union ~ctx r (Ops.rename s [ (1, 0); (2, 1) ]));
-      prop_backends_agree "merge join = hash join" (fun ctx r s ->
-          Ops.merge_join ~ctx r s);
+      prop_kernel_matches_oracle "natural join" ~r_attrs ~s_attrs
+        (fun r s -> Ops.natural_join r s)
+        Oracle.join;
+      prop_kernel_matches_oracle "two-attribute key" ~r_attrs ~s_attrs:[ 1; 0 ]
+        (fun r s -> Ops.natural_join r s)
+        Oracle.join;
+      prop_kernel_matches_oracle "disjoint schemas (product)" ~r_attrs
+        ~s_attrs:[ 2; 3 ]
+        (fun r s -> Ops.natural_join r s)
+        Oracle.join;
+      prop_kernel_matches_oracle "join then project" ~r_attrs ~s_attrs
+        (fun r s ->
+          Ops.project (Ops.natural_join r s) (Schema.of_list [ 0; 2 ]))
+        (fun r s -> Oracle.project (Oracle.join r s) [ 0; 2 ]);
+      prop_kernel_matches_oracle "semijoin" ~r_attrs ~s_attrs
+        (fun r s -> Ops.semijoin r s)
+        Oracle.semijoin;
+      prop_kernel_matches_oracle "antijoin" ~r_attrs ~s_attrs
+        (fun r s -> Ops.antijoin r s)
+        Oracle.antijoin;
+      prop_kernel_matches_oracle "union (renamed, permuted)" ~r_attrs ~s_attrs
+        (fun r s -> Ops.union r (Ops.rename s [ (2, 0) ]))
+        (fun r s -> Oracle.union r (Oracle.rename s [ (2, 0) ]));
     ] )
+
+(* Fixed shapes the random pairs above rarely or never produce: empty
+   and 0-ary inputs, identical and nested schemas, a heavy-hitter key,
+   wide rows, and values outside the small non-negative range. Every
+   operator pipeline runs on every shape, one case each. *)
+
+let seeded_rows ~seed ~n ~arity ~range =
+  let st = Random.State.make [| seed |] in
+  List.init n (fun _ -> List.init arity (fun _ -> Random.State.int st range))
+
+let fixtures =
+  [
+    ("both empty", ([ 0; 1 ], []), ([ 1; 2 ], []));
+    ("empty right", ([ 0; 1 ], [ [ 1; 2 ]; [ 3; 4 ] ]), ([ 1; 2 ], []));
+    ( "one shared attribute",
+      ([ 0; 1 ], [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ]; [ 4; 5 ] ]),
+      ([ 1; 2 ], [ [ 2; 7 ]; [ 3; 8 ]; [ 3; 9 ]; [ 6; 6 ] ]) );
+    ( "same schema",
+      ([ 0; 1 ], [ [ 1; 1 ]; [ 1; 2 ]; [ 2; 1 ] ]),
+      ([ 0; 1 ], [ [ 1; 2 ]; [ 2; 1 ]; [ 3; 3 ] ]) );
+    ( "same attributes, permuted",
+      ([ 0; 1 ], [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 3 ] ]),
+      ([ 1; 0 ], [ [ 2; 1 ]; [ 2; 3 ]; [ 3; 3 ] ]) );
+    ( "nested schema",
+      ([ 0; 1; 2 ], seeded_rows ~seed:1 ~n:40 ~arity:3 ~range:4),
+      ([ 2; 0 ], seeded_rows ~seed:2 ~n:8 ~arity:2 ~range:4) );
+    ( "disjoint schemas",
+      ([ 0; 1 ], [ [ 1; 2 ]; [ 3; 4 ]; [ 5; 6 ] ]),
+      ([ 2; 3 ], [ [ 7; 8 ]; [ 9; 9 ] ]) );
+    ( "heavy-hitter key",
+      ([ 0; 1 ], List.init 50 (fun i -> [ i; 0 ]) @ [ [ 0; 1 ]; [ 1; 2 ] ]),
+      ([ 1; 2 ], List.init 20 (fun j -> [ 0; j ]) @ [ [ 2; 5 ]; [ 9; 9 ] ]) );
+    ("0-ary true", ([], [ [] ]), ([ 0; 1 ], [ [ 1; 2 ]; [ 2; 2 ] ]));
+    ("0-ary false", ([], []), ([ 0; 1 ], [ [ 1; 2 ]; [ 2; 2 ] ]));
+    ( "wide rows",
+      ([ 0; 1; 2; 3; 4; 5 ], seeded_rows ~seed:3 ~n:60 ~arity:6 ~range:3),
+      ([ 3; 4; 5; 6; 7; 8 ], seeded_rows ~seed:4 ~n:60 ~arity:6 ~range:3) );
+    ( "negative and large values",
+      ([ 0; 1 ], [ [ -1; max_int ]; [ min_int; -7 ]; [ 0; 0 ]; [ -1; 0 ] ]),
+      ([ 1; 2 ], [ [ max_int; min_int ]; [ -7; -1 ]; [ 0; max_int ] ]) );
+  ]
+
+(* Every other attribute of the join's schema — a projection that is
+   neither the identity nor either input's schema on most shapes. *)
+let alternate attrs = List.filteri (fun i _ -> i mod 2 = 0) attrs
+
+let pipelines =
+  [
+    ("join", (fun r s -> Ops.natural_join r s), Oracle.join);
+    ("join (swapped)", (fun r s -> Ops.natural_join s r), fun r s -> Oracle.join s r);
+    ("semijoin", (fun r s -> Ops.semijoin r s), Oracle.semijoin);
+    ( "semijoin (swapped)",
+      (fun r s -> Ops.semijoin s r),
+      fun r s -> Oracle.semijoin s r );
+    ("antijoin", (fun r s -> Ops.antijoin r s), Oracle.antijoin);
+    ( "antijoin (swapped)",
+      (fun r s -> Ops.antijoin s r),
+      fun r s -> Oracle.antijoin s r );
+    ( "join then project",
+      (fun r s ->
+        let j = Ops.natural_join r s in
+        Ops.project j
+          (Schema.of_list (alternate (Schema.attrs (Relation.schema j))))),
+      fun r s ->
+        let j = Oracle.join r s in
+        Oracle.project j (alternate j.attrs) );
+    ( "product after renaming apart",
+      (fun r s ->
+        let apart = List.map (fun a -> (a, a + 100)) (Schema.attrs (Relation.schema s)) in
+        Ops.natural_join r (Ops.rename s apart)),
+      fun r s ->
+        Oracle.join r (Oracle.rename s (List.map (fun a -> (a, a + 100)) s.attrs)) );
+  ]
+
+let fixture_case (pname, kernel, oracle)
+    (fname, (r_attrs, rows_r), (s_attrs, rows_s)) =
+  Alcotest.test_case (pname ^ ": " ^ fname) `Quick (fun () ->
+      let expected = oracle (Oracle.make r_attrs rows_r) (Oracle.make s_attrs rows_s) in
+      let got =
+        Oracle.of_relation (kernel (relation r_attrs rows_r) (relation s_attrs rows_s))
+      in
+      Alcotest.(check (list int)) "schema" expected.Oracle.attrs got.Oracle.attrs;
+      Alcotest.(check (list (list int))) "rows" expected.rows got.rows)
+
+let fixture_suite =
+  ( "kernel = oracle (fixtures)",
+    List.concat_map
+      (fun pipeline -> List.map (fixture_case pipeline) fixtures)
+      pipelines )
 
 let () =
   Alcotest.run "relalg"
-    (backend_matrix
     [
       ( "symbol",
         [
@@ -753,15 +822,6 @@ let () =
           prop_inter_via_diff;
           prop_project_composition;
         ] );
-      ( "merge join",
-        [
-          Alcotest.test_case "matches hash join" `Quick
-            test_merge_join_matches_hash_join;
-          prop_merge_join_equals_hash_join;
-          prop_merge_join_disjoint_product;
-          Alcotest.test_case "respects limits" `Quick
-            test_merge_join_respects_limits;
-        ] );
       ( "aggregation",
         [
           Alcotest.test_case "counts" `Quick test_aggregate_counts;
@@ -782,17 +842,16 @@ let () =
           Alcotest.test_case "total budget" `Quick test_limits_total;
           Alcotest.test_case "stats recording" `Quick test_stats_recording;
         ] );
+      ( "arena",
+        [
+          Alcotest.test_case "0-ary tuples" `Quick test_arena_zero_ary;
+          Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
+          Alcotest.test_case "growth and rehash (70k rows)" `Quick
+            test_arena_many_rows;
+          Alcotest.test_case "staged commit dedup" `Quick
+            test_arena_staged_commit;
+        ] );
+      cursor_suite;
+      oracle_suite;
+      fixture_suite;
     ]
-    @ [
-        ( "arena",
-          [
-            Alcotest.test_case "0-ary tuples" `Quick test_arena_zero_ary;
-            Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
-            Alcotest.test_case "growth and rehash (70k rows)" `Quick
-              test_arena_many_rows;
-            Alcotest.test_case "staged commit dedup" `Quick
-              test_arena_staged_commit;
-          ] );
-        cursor_suite;
-        backend_equivalence_suite;
-      ])

@@ -69,6 +69,25 @@ let test_jsonl_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "tru"; "1 2"; "[1,]"; "{\"a\":}"; "\"unterminated"; "nullx" ]
 
+let test_jsonl_nesting_limit () =
+  let nested depth = String.make depth '[' ^ "1" ^ String.make depth ']' in
+  (match Jsonl.parse (nested Jsonl.max_depth) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "rejected nesting at the limit: %s" msg);
+  (match Jsonl.parse (nested (Jsonl.max_depth + 1)) with
+  | Ok _ -> Alcotest.fail "accepted nesting past the limit"
+  | Error _ -> ());
+  (* A line of a million brackets stops at the first level past the
+     limit, and the wire layer reports it as malformed JSON. *)
+  match Wire.parse_request (String.make 1_000_000 '[') with
+  | Error (msg, Json.Null) ->
+    Alcotest.(check string) "fails at the limit"
+      (Printf.sprintf "malformed JSON: at offset %d: nesting deeper than %d"
+         Jsonl.max_depth Jsonl.max_depth)
+      msg
+  | Error _ -> Alcotest.fail "lost the null id"
+  | Ok _ -> Alcotest.fail "accepted a bracket flood"
+
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
 
@@ -1226,6 +1245,7 @@ let () =
           Alcotest.test_case "escapes and numbers" `Quick
             test_jsonl_escapes_and_numbers;
           Alcotest.test_case "rejects garbage" `Quick test_jsonl_rejects_garbage;
+          Alcotest.test_case "nesting limit" `Quick test_jsonl_nesting_limit;
         ] );
       ( "wire",
         [

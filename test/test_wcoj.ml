@@ -251,31 +251,30 @@ let test_order_validation () =
 
 let () =
   Alcotest.run "wcoj"
-    (backend_matrix
-       [
-         ( "agm",
-           [
-             Alcotest.test_case "feasible and sound" `Quick
-               test_agm_feasible_and_sound;
-             Alcotest.test_case "gate sanity" `Quick test_gate_sanity;
-           ] );
-         ( "identity",
-           [
-             Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
-             Alcotest.test_case "oracle agreement" `Quick
-               test_oracle_agreement;
-             prop_matches_bucket;
-           ] );
-         ( "parallel",
-           [
-             Alcotest.test_case "pool identity" `Quick test_parallel_identity;
-             prop_parallel_matches_sequential;
-           ] );
-         ( "guards",
-           [
-             Alcotest.test_case "aborts propagate" `Quick
-               test_abort_propagates;
-             Alcotest.test_case "order validation" `Quick
-               test_order_validation;
-           ] );
-       ])
+    [
+      ( "agm",
+        [
+          Alcotest.test_case "feasible and sound" `Quick
+            test_agm_feasible_and_sound;
+          Alcotest.test_case "gate sanity" `Quick test_gate_sanity;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "fixed instances" `Quick test_fixed_instances;
+          Alcotest.test_case "oracle agreement" `Quick
+            test_oracle_agreement;
+          prop_matches_bucket;
+        ] );
+      ( "parallel",
+        [
+          Alcotest.test_case "pool identity" `Quick test_parallel_identity;
+          prop_parallel_matches_sequential;
+        ] );
+      ( "guards",
+        [
+          Alcotest.test_case "aborts propagate" `Quick
+            test_abort_propagates;
+          Alcotest.test_case "order validation" `Quick
+            test_order_validation;
+        ] );
+    ]
