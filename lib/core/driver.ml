@@ -277,6 +277,33 @@ let collect_stream ~clock ~limit ~rank cur =
   List.iter (fun t -> ignore (Relalg.Relation.add rel t)) tuples;
   (rel, complete, !first_at, Some time_to_k)
 
+(* The widest relation the GHD-Yannakakis route materializes. It is wider
+   than the widest bag: a bag is the join of its cover atoms projected
+   down to the bag, and the join-project pass joins a parent bag with a
+   child, each carrying the free variables merged into it so far. *)
+let ghd_route_width cq prep =
+  let module Iset = Hypergraphs.Hypertree.Iset in
+  let htd = prep.Ghd.decomposition in
+  let atoms = Array.of_list cq.Conjunctive.Cq.atoms in
+  let free = Iset.of_list cq.Conjunctive.Cq.free in
+  let cover b =
+    List.fold_left
+      (fun acc e ->
+        Iset.union acc (Iset.of_list (Conjunctive.Cq.atom_vars atoms.(e))))
+      Iset.empty htd.Hypergraphs.Hypertree.lambda.(b)
+  in
+  let chi = htd.Hypergraphs.Hypertree.chi in
+  let widest = ref (Iset.cardinal free) in
+  Array.iteri
+    (fun b p ->
+      widest := max !widest (Iset.cardinal (cover b));
+      if p >= 0 then
+        widest :=
+          max !widest
+            (Iset.cardinal (Iset.union free (Iset.union chi.(b) chi.(p)))))
+    prep.Ghd.parent;
+  !widest
+
 (* Driver-level spans ([compile:<method>], [exec:<method>]) and counters
    ([driver.runs], [driver.aborts.<reason>]) land in the caller's telemetry
    registry; the per-run [Stats.t] keeps its own private registry so the
@@ -308,8 +335,8 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let t1 = clock () in
   (* Analytic width: for a binary plan, its largest node schema; for the
      generic join, the widest unit it ever materializes — an atom or the
-     output; for a decomposition, its largest bag (the bucket fallback's
-     plan width when the gate picked bucket). *)
+     output; for a decomposition, the widest relation its route joins
+     (the bucket fallback's plan width when the gate picked bucket). *)
   let generic_width () =
     List.fold_left
       (fun acc a -> max acc (List.length (Conjunctive.Cq.atom_vars a)))
@@ -324,11 +351,7 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
       match (prep.Ghd.decision, plan) with
       | Ghd.Bucket, Some plan -> Plan.width plan
       | Ghd.Generic, _ -> generic_width ()
-      | _ ->
-        Array.fold_left
-          (fun acc bag -> max acc (Hypergraphs.Hypertree.Iset.cardinal bag))
-          (List.length cq.Conjunctive.Cq.free)
-          prep.Ghd.decomposition.Hypergraphs.Hypertree.chi)
+      | _ -> ghd_route_width cq prep)
   in
   (match planned with
   | Plan plan ->

@@ -46,7 +46,10 @@ type outcome = {
   meth : meth;
   compile_seconds : float;
   exec_seconds : float;
-  plan_width : int;      (** analytic: largest node schema in the plan *)
+  plan_width : int;
+      (** analytic: largest node schema in the plan; on the
+          GHD-Yannakakis route, the widest cover-atom join or
+          parent-child bag join, free variables included *)
   max_arity : int;       (** measured: widest intermediate relation *)
   max_cardinality : int; (** measured: largest intermediate relation *)
   tuples_produced : int;

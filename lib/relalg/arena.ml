@@ -5,14 +5,20 @@
    array. Dedup is an open-addressing (linear-probing) index whose slots
    hold [row + 1] (0 = empty); keys are re-read from the arena itself, so
    inserting hashes a candidate exactly once and stores nothing but the
-   row number. *)
+   row number.
+
+   The index is lazy. Operators that cannot produce a duplicate (join,
+   semijoin, selection) append rows without hashing them; the index is
+   allocated on the first [add], [mem] or [commit_staged] and caught up
+   incrementally from row [indexed] on every later one. *)
 
 type t = {
   arity : int;
   mutable data : int array; (* row-major tuple storage, capacity*arity cells *)
   mutable count : int; (* rows in use *)
-  mutable slots : int array; (* row + 1, 0 = empty; power-of-two length *)
+  mutable slots : int array; (* row + 1, 0 = empty; [||] until first needed *)
   mutable mask : int; (* Array.length slots - 1 *)
+  mutable indexed : int; (* rows [0 .. indexed - 1] are in [slots] *)
 }
 
 let arity t = t.arity
@@ -44,14 +50,18 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 let create ?(size_hint = 16) arity =
   if arity < 0 then invalid_arg "Arena.create: negative arity";
   let cap = max 8 size_hint in
-  let slot_len = pow2_at_least (2 * cap) 16 in
   {
     arity;
     data = Array.make (cap * arity) 0;
     count = 0;
-    slots = Array.make slot_len 0;
-    mask = slot_len - 1;
+    slots = [||];
+    mask = -1;
+    indexed = 0;
   }
+
+(* Rows the data array holds without growing; a zero-arity arena stores
+   at most the empty tuple. *)
+let capacity t = if t.arity = 0 then 1 else Array.length t.data / t.arity
 
 let row_equals_tuple t row (tup : int array) =
   let base = row * t.arity in
@@ -60,6 +70,34 @@ let row_equals_tuple t row (tup : int array) =
     || Array.unsafe_get t.data (base + j) = Array.unsafe_get tup j && go (j + 1)
   in
   go 0
+
+(* Put rows [from .. count - 1] into the index. Stored rows are pairwise
+   distinct, so each only needs the first empty slot on its probe
+   sequence. *)
+let place_rows t from =
+  for row = from to t.count - 1 do
+    let rec place i =
+      if Array.unsafe_get t.slots i = 0 then t.slots.(i) <- row + 1
+      else place ((i + 1) land t.mask)
+    in
+    place (hash_row t row land t.mask)
+  done;
+  t.indexed <- t.count
+
+(* Make the index cover every stored row with room for [rows] at 50%
+   load. The first index is sized from the data capacity, so an arena
+   filled through [add] rehashes no more often than its data grows. *)
+let sync_index t rows =
+  if Array.length t.slots = 0 || 2 * rows > t.mask + 1 then begin
+    let wanted =
+      if Array.length t.slots = 0 then max rows (capacity t) else rows
+    in
+    let slot_len = pow2_at_least (2 * wanted) (max 16 (2 * (t.mask + 1))) in
+    t.slots <- Array.make slot_len 0;
+    t.mask <- slot_len - 1;
+    place_rows t 0
+  end
+  else if t.indexed < t.count then place_rows t t.indexed
 
 (* Slot where [tup] lives, or the empty slot where it would be inserted. *)
 let find_slot t tup h =
@@ -72,36 +110,28 @@ let find_slot t tup h =
 
 let mem t tup =
   Array.length tup = t.arity
-  && t.slots.(find_slot t tup (hash_tuple tup)) <> 0
+  && begin
+    sync_index t t.count;
+    t.slots.(find_slot t tup (hash_tuple tup)) <> 0
+  end
 
-(* Grow the index at 50% load. Rows are pairwise distinct, so rehashing
-   only needs the first empty slot per row. *)
-let rehash t =
-  let slot_len = 2 * (t.mask + 1) in
-  t.slots <- Array.make slot_len 0;
-  t.mask <- slot_len - 1;
-  for row = 0 to t.count - 1 do
-    let rec place i =
-      if Array.unsafe_get t.slots i = 0 then t.slots.(i) <- row + 1
-      else place ((i + 1) land t.mask)
+(* Make room in [data] for [rows] rows. *)
+let grow_data t rows =
+  if t.arity > 0 && rows * t.arity > Array.length t.data then begin
+    let data =
+      Array.make (max (rows * t.arity) (2 * Array.length t.data)) 0
     in
-    place (hash_row t row land t.mask)
-  done
-
-let reserve t =
-  if t.arity > 0 && (t.count + 1) * t.arity > Array.length t.data then begin
-    let data = Array.make (2 * Array.length t.data) 0 in
     Array.blit t.data 0 data 0 (t.count * t.arity);
     t.data <- data
-  end;
-  if 2 * (t.count + 1) > t.mask + 1 then rehash t
+  end
 
 let add t (tup : int array) =
   if Array.length tup <> t.arity then
     invalid_arg
       (Printf.sprintf "Arena.add: tuple arity %d, arena arity %d"
          (Array.length tup) t.arity);
-  reserve t;
+  grow_data t (t.count + 1);
+  sync_index t (t.count + 1);
   let i = find_slot t tup (hash_tuple tup) in
   if t.slots.(i) <> 0 then false
   else begin
@@ -109,31 +139,30 @@ let add t (tup : int array) =
     Array.blit tup 0 t.data (row * t.arity) t.arity;
     t.count <- row + 1;
     t.slots.(i) <- row + 1;
+    t.indexed <- t.count;
     true
   end
 
 (* Reserve room for one row and return its base offset; the caller fills
-   data.(base..base+arity-1) then calls [commit_staged]. Lets join/project
-   kernels build candidate tuples in place with zero scratch copies. *)
+   data.(base..base+arity-1) then calls [commit_staged] or
+   [append_staged]. Lets join/project kernels build candidate tuples in
+   place with zero scratch copies. *)
 let stage t =
-  reserve t;
+  grow_data t (t.count + 1);
   t.count * t.arity
 
+let append_staged t = t.count <- t.count + 1
+
 let commit_staged t =
+  sync_index t (t.count + 1);
   let row = t.count in
   let base = row * t.arity in
-  let h =
-    let h = ref fnv_seed in
-    for j = 0 to t.arity - 1 do
-      h := (!h lxor Array.unsafe_get t.data (base + j)) * fnv_prime
-    done;
-    !h land max_int
-  in
   let rec go i =
     let s = Array.unsafe_get t.slots i in
     if s = 0 then begin
       t.slots.(i) <- row + 1;
       t.count <- row + 1;
+      t.indexed <- t.count;
       true
     end
     else if
@@ -149,24 +178,19 @@ let commit_staged t =
     then false
     else go ((i + 1) land t.mask)
   in
-  go (h land t.mask)
+  go (hash_row t row land t.mask)
 
-(* Fold every row of [src] into [dst], keeping [dst]'s dedup index
-   consistent: one blit plus one [commit_staged] per row, no boxed tuple.
-   The parallel join kernel merges its per-shard staging arenas through
-   this; shards are disjoint by construction there, so the dedup probe
-   always lands on an empty slot, but the check keeps [absorb] correct
-   for arbitrary inputs. *)
-let absorb dst src =
+(* One blit and a count bump: the fan-in of the partitioned join, whose
+   shards hold disjoint row sets by construction. *)
+let append dst src =
   if src.arity <> dst.arity then
     invalid_arg
-      (Printf.sprintf "Arena.absorb: source arity %d, destination arity %d"
+      (Printf.sprintf "Arena.append: source arity %d, destination arity %d"
          src.arity dst.arity);
-  for row = 0 to src.count - 1 do
-    let base = stage dst in
-    Array.blit src.data (row * src.arity) dst.data base dst.arity;
-    ignore (commit_staged dst)
-  done
+  grow_data dst (dst.count + src.count);
+  Array.blit src.data 0 dst.data (dst.count * dst.arity)
+    (src.count * src.arity);
+  dst.count <- dst.count + src.count
 
 let get t row j = t.data.((row * t.arity) + j)
 let read t row = Array.sub t.data (row * t.arity) t.arity
@@ -190,4 +214,5 @@ let copy t =
     count = t.count;
     slots = Array.copy t.slots;
     mask = t.mask;
+    indexed = t.indexed;
   }

@@ -8,11 +8,21 @@
     slot — whose keys are re-read from the arena, so an insert hashes its
     candidate tuple exactly once and allocates nothing.
 
+    The index is built lazily. Rows appended without a probe
+    ({!append_staged}, {!append}) are not hashed at all; the first
+    {!add}, {!mem} or {!commit_staged} allocates the index (sized from
+    the data capacity, so filling an arena through {!add} rehashes no
+    more often than its data grows), and every later one first indexes
+    the rows appended since. An arena that is only ever appended to never
+    pays for an index. Because of this catch-up, {!mem} may write to the
+    arena: concurrent readers on several domains must not call it on an
+    arena that has unindexed rows.
+
     The hash function is FNV-1a over the columns, identical to
     {!Tuple.hash}, so a tuple hashes the same in and out of an arena. The
     index doubles (rehashing from the arena) at 50% load; the data array
     doubles when full. Zero-arity relations work: the data array stays
-    empty and the index holds at most the single empty tuple. *)
+    empty and the arena holds at most the single empty tuple. *)
 
 type t
 
@@ -44,9 +54,19 @@ val copy : t -> t
 
 (** {2 Kernel interface}
 
-    Join and projection kernels read columns straight out of {!data} and
-    build candidate output rows in place with {!stage}/{!commit_staged},
-    avoiding any per-tuple allocation. *)
+    Join, semijoin, selection and projection kernels read columns
+    straight out of {!data} and build output rows in place with {!stage},
+    avoiding any per-tuple allocation. A staged row is then kept either
+    by {!commit_staged}, which probes the dedup index, or by
+    {!append_staged}, which does not.
+
+    Appending is for operators that cannot produce a duplicate from
+    duplicate-free inputs. A natural join emits each matching pair of an
+    [r] row and an [s] row once; two different pairs differ in their [r]
+    columns or, agreeing on the shared columns, in [s]'s remaining ones.
+    A semijoin, an antijoin and a selection each keep a subset of the
+    rows of one relation. Projection and union can collapse rows, so
+    they commit. *)
 
 val data : t -> int array
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
@@ -56,17 +76,26 @@ val data : t -> int array
 val stage : t -> int
 (** Reserve space for one candidate row and return its base offset into
     {!data}. The caller writes the [arity] cells at that offset, then
-    calls {!commit_staged}. Staging again without committing simply
-    overwrites the candidate. *)
+    calls {!commit_staged} or {!append_staged}. Staging again without
+    keeping the row simply overwrites the candidate. *)
 
 val commit_staged : t -> bool
 (** Dedup-insert the staged row: hashes it in place, returns [true] (and
     keeps the row) if it was new, [false] (row space is reused) if an
     equal row already exists. *)
 
-val absorb : t -> t -> unit
-(** [absorb dst src] adds every row of [src] to [dst] (deduplicating, in
-    [src]'s row order) without materializing tuples: the merge step of
-    the hash-partitioned parallel join, which joins each shard into a
-    private arena and folds the shards back in shard order.
+val append_staged : t -> unit
+(** Keep the staged row without hashing or probing it.
+
+    Precondition: the staged row equals no row already stored. Nothing
+    checks this; breaking it leaves a duplicate row that {!count},
+    {!iter} and every later operator will see. *)
+
+val append : t -> t -> unit
+(** [append dst src] copies every row of [src] to the end of [dst], in
+    [src]'s row order, with one blit: the fan-in of the hash-partitioned
+    parallel join, which joins each shard into a private arena.
+
+    Precondition: no row of [src] equals a row of [dst] (shards of a
+    partitioned join are disjoint by construction).
     @raise Invalid_argument on an arity mismatch. *)

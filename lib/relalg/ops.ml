@@ -31,6 +31,16 @@ let charge_new limits rel =
 let guarded_add limits rel tup =
   if Relation.add rel tup then charge_new limits rel
 
+(* Copy row [row] of [src] to the end of [rel] without a dedup probe: for
+   operators whose output is a subset of one duplicate-free input. *)
+let append_row limits rel src row =
+  let aout = Relation.arena rel in
+  let w = Arena.arity src in
+  let base = Arena.stage aout in
+  Array.blit (Arena.data src) (row * w) (Arena.data aout) base w;
+  Arena.append_staged aout;
+  charge_new limits rel
+
 (* Telemetry is threaded as an option so the disabled path is one match
    on [None]: no span, no attribute list, no clock read. An operator
    that aborts mid-loop leaves its span open; the enclosing span's stop
@@ -81,16 +91,88 @@ let finish_unary sp r out =
    columns straight out of the build arena (slots hold [row + 1]; rows
    with equal keys are chained through [next]), probes hash the probe
    arena's key columns in place, and matches are written cell-by-cell
-   into staged rows of the output arena, committed with a single dedup
-   hash. The single-attribute
-   key case — the common one for the paper's coloring queries — gets its
-   own loops with the FNV step inlined on one value. *)
+   into staged rows of the output arena and appended without a dedup
+   probe: a join of two sets cannot produce the same row twice. The
+   single-attribute key case — the common one for the paper's coloring
+   queries — gets its own loops with the FNV step inlined on one
+   value. *)
 
 let fnv_seed = 0x1000193
 let fnv_prime = 0x100000001b3
 let hash1 v = ((fnv_seed lxor v) * fnv_prime) land max_int
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
+(* FNV-1a over the key columns [cols] of the row at [base] in [d]. *)
+let hash_key d base cols =
+  let h = ref fnv_seed in
+  for k = 0 to Array.length cols - 1 do
+    h :=
+      (!h lxor Array.unsafe_get d (base + Array.unsafe_get cols k)) * fnv_prime
+  done;
+  !h land max_int
+
+(* The rows at [b1] in [d1] and [b2] in [d2] agree on the key columns
+   [k1] and [k2] respectively. *)
+let rec keys_equal_from k d1 b1 k1 d2 b2 k2 =
+  k >= Array.length k1
+  || Array.unsafe_get d1 (b1 + Array.unsafe_get k1 k)
+     = Array.unsafe_get d2 (b2 + Array.unsafe_get k2 k)
+     && keys_equal_from (k + 1) d1 b1 k1 d2 b2 k2
+
+let keys_equal d1 b1 k1 d2 b2 k2 = keys_equal_from 0 d1 b1 k1 d2 b2 k2
+
+(* Open-addressing index over the key columns [key] of rows [0 .. n - 1]
+   of the row-major array [d] (row width [w]): a slot holds [row + 1] of
+   the latest row of one distinct key, and [next] chains each row to the
+   previous row with the same key ([-1] ends a chain). Returns
+   [(slots, mask, next)]. *)
+let build_key_index d w key n =
+  let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
+  let mask = slot_len - 1 in
+  let slots = Array.make slot_len 0 in
+  let next = Array.make (max 1 n) (-1) in
+  if Array.length key = 1 then begin
+    let k0 = key.(0) in
+    for row = 0 to n - 1 do
+      let v = Array.unsafe_get d ((row * w) + k0) in
+      let i = ref (hash1 v land mask) in
+      let placing = ref true in
+      while !placing do
+        let s = Array.unsafe_get slots !i in
+        if s = 0 then begin
+          Array.unsafe_set slots !i (row + 1);
+          placing := false
+        end
+        else if Array.unsafe_get d (((s - 1) * w) + k0) = v then begin
+          Array.unsafe_set next row (s - 1);
+          Array.unsafe_set slots !i (row + 1);
+          placing := false
+        end
+        else i := (!i + 1) land mask
+      done
+    done
+  end
+  else
+    for row = 0 to n - 1 do
+      let base = row * w in
+      let i = ref (hash_key d base key land mask) in
+      let placing = ref true in
+      while !placing do
+        let s = Array.unsafe_get slots !i in
+        if s = 0 then begin
+          Array.unsafe_set slots !i (row + 1);
+          placing := false
+        end
+        else if keys_equal d ((s - 1) * w) key d base key then begin
+          Array.unsafe_set next row (s - 1);
+          Array.unsafe_set slots !i (row + 1);
+          placing := false
+        end
+        else i := (!i + 1) land mask
+      done
+    done;
+  (slots, mask, next)
 
 let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
@@ -101,12 +183,8 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let wb = Arena.arity ab and wp = Arena.arity ap in
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
-  let klen = Array.length key_b in
   let nrest = Array.length rest_s in
-  let slot_len = pow2_at_least (max 16 (2 * nb)) 16 in
-  let mask = slot_len - 1 in
-  let slots = Array.make slot_len 0 in
-  let next = Array.make (max 1 nb) (-1) in
+  let slots, mask, next = build_key_index db wb key_b nb in
   let emit r_row s_row =
     let base = Arena.stage aout in
     let od = Arena.data aout in
@@ -115,7 +193,8 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       Array.unsafe_set od (base + wr + k)
         (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
     done;
-    if Arena.commit_staged aout then charge_new limits out
+    Arena.append_staged aout;
+    charge_new limits out
   in
   let rec emit_chain brow prow =
     if brow >= 0 then begin
@@ -123,26 +202,8 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       emit_chain (Array.unsafe_get next brow) prow
     end
   in
-  if klen = 1 then begin
+  if Array.length key_b = 1 then begin
     let kb0 = key_b.(0) and kp0 = key_p.(0) in
-    for row = 0 to nb - 1 do
-      let v = Array.unsafe_get db ((row * wb) + kb0) in
-      let i = ref (hash1 v land mask) in
-      let placing = ref true in
-      while !placing do
-        let s = Array.unsafe_get slots !i in
-        if s = 0 then begin
-          Array.unsafe_set slots !i (row + 1);
-          placing := false
-        end
-        else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
-          Array.unsafe_set next row (s - 1);
-          Array.unsafe_set slots !i (row + 1);
-          placing := false
-        end
-        else i := (!i + 1) land mask
-      done
-    done;
     for prow = 0 to np - 1 do
       let v = Array.unsafe_get dp ((prow * wp) + kp0) in
       let i = ref (hash1 v land mask) in
@@ -158,51 +219,7 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       done
     done
   end
-  else begin
-    let hash_key d base cols =
-      let h = ref fnv_seed in
-      for k = 0 to klen - 1 do
-        h := (!h lxor Array.unsafe_get d (base + Array.unsafe_get cols k))
-             * fnv_prime
-      done;
-      !h land max_int
-    in
-    let keys_equal_bb b1 b2 =
-      let rec go k =
-        k >= klen
-        || Array.unsafe_get db (b1 + Array.unsafe_get key_b k)
-           = Array.unsafe_get db (b2 + Array.unsafe_get key_b k)
-           && go (k + 1)
-      in
-      go 0
-    in
-    let keys_equal_bp bbase pbase =
-      let rec go k =
-        k >= klen
-        || Array.unsafe_get db (bbase + Array.unsafe_get key_b k)
-           = Array.unsafe_get dp (pbase + Array.unsafe_get key_p k)
-           && go (k + 1)
-      in
-      go 0
-    in
-    for row = 0 to nb - 1 do
-      let base = row * wb in
-      let i = ref (hash_key db base key_b land mask) in
-      let placing = ref true in
-      while !placing do
-        let s = Array.unsafe_get slots !i in
-        if s = 0 then begin
-          Array.unsafe_set slots !i (row + 1);
-          placing := false
-        end
-        else if keys_equal_bb ((s - 1) * wb) base then begin
-          Array.unsafe_set next row (s - 1);
-          Array.unsafe_set slots !i (row + 1);
-          placing := false
-        end
-        else i := (!i + 1) land mask
-      done
-    done;
+  else
     for prow = 0 to np - 1 do
       let pbase = prow * wp in
       let i = ref (hash_key dp pbase key_p land mask) in
@@ -210,21 +227,20 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       while !probing do
         let s = Array.unsafe_get slots !i in
         if s = 0 then probing := false
-        else if keys_equal_bp ((s - 1) * wb) pbase then begin
+        else if keys_equal db ((s - 1) * wb) key_b dp pbase key_p then begin
           emit_chain (s - 1) prow;
           probing := false
         end
         else i := (!i + 1) land mask
       done
     done
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Hash-partitioned parallel join.
 
    Radix-partition both sides by join-key hash into one shard per pool
    domain, join each shard independently into a private staging arena,
-   then fold the shards back into the output arena in shard order.
+   then append the shards to the output arena in shard order.
    Equal keys hash equally, so matching rows always land in the same
    shard and the union of the shard joins is exactly the sequential
    join's tuple set; within a shard the kernel is the same
@@ -275,14 +291,7 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
     end
     else
       for row = lo to hi - 1 do
-        let base = row * w in
-        let h = ref fnv_seed in
-        for k = 0 to klen - 1 do
-          h :=
-            (!h lxor Array.unsafe_get d (base + Array.unsafe_get key k))
-            * fnv_prime
-        done;
-        Array.unsafe_set target row (!h land max_int)
+        Array.unsafe_set target row (hash_key d (row * w) key)
       done
   in
   let ranges n =
@@ -333,24 +342,6 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       let mask = slot_len - 1 in
       let slots = Array.make slot_len 0 in
       let next = Array.make nb (-1) in
-      let keys_equal_bb b1 b2 =
-        let rec go k =
-          k >= klen
-          || Array.unsafe_get db (b1 + Array.unsafe_get key_b k)
-             = Array.unsafe_get db (b2 + Array.unsafe_get key_b k)
-             && go (k + 1)
-        in
-        go 0
-      in
-      let keys_equal_bp bbase pbase =
-        let rec go k =
-          k >= klen
-          || Array.unsafe_get db (bbase + Array.unsafe_get key_b k)
-             = Array.unsafe_get dp (pbase + Array.unsafe_get key_p k)
-             && go (k + 1)
-        in
-        go 0
-      in
       for i = 0 to nb - 1 do
         let row = Array.unsafe_get brows i in
         let base = row * wb in
@@ -362,7 +353,10 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
             Array.unsafe_set slots !j (i + 1);
             placing := false
           end
-          else if keys_equal_bb (Array.unsafe_get brows (s - 1) * wb) base
+          else if
+            keys_equal db
+              (Array.unsafe_get brows (s - 1) * wb)
+              key_b db base key_b
           then begin
             Array.unsafe_set next i (s - 1);
             Array.unsafe_set slots !j (i + 1);
@@ -371,7 +365,7 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
           else j := (!j + 1) land mask
         done
       done;
-      (* Staged commits since the last guard charge; also used as the
+      (* Rows appended since the last guard charge; also used as the
          cadence for noticing that another domain already failed. *)
       let unflushed = ref 0 in
       let flush () =
@@ -389,10 +383,9 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
           Array.unsafe_set od (base + wr + k)
             (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
         done;
-        if Arena.commit_staged ao then begin
-          incr unflushed;
-          if !unflushed >= interval then flush ()
-        end
+        Arena.append_staged ao;
+        incr unflushed;
+        if !unflushed >= interval then flush ()
       in
       let rec emit_chain i prow =
         if i >= 0 then begin
@@ -411,7 +404,9 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
              let s = Array.unsafe_get slots !j in
              if s = 0 then probing := false
              else if
-               keys_equal_bp (Array.unsafe_get brows (s - 1) * wb) pbase
+               keys_equal db
+                 (Array.unsafe_get brows (s - 1) * wb)
+                 key_b dp pbase key_p
              then begin
                emit_chain (s - 1) prow;
                probing := false
@@ -432,11 +427,11 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   in
   let shard_arenas = Pool.run pool (List.init p (fun i () -> join_shard i)) in
   (* Fan-in on the submitting domain: first surface any typed abort, then
-     fold the shards into the output in shard order — deterministic, and
-     duplicate-free by construction since a tuple's shard is a function
-     of its key. *)
+     append the shards to the output in shard order, one blit each —
+     deterministic, and duplicate-free by construction since a tuple's
+     shard is a function of its key. *)
   (match guard with Some g -> Limits.Shared.settle g | None -> ());
-  List.iter (fun a -> Arena.absorb aout a) shard_arenas
+  List.iter (fun a -> Arena.append aout a) shard_arenas
 
 (* Hash join. The build side is the smaller input; the probe side streams.
    Output columns are always [r] then [s \ r], regardless of which side was
@@ -552,7 +547,10 @@ let select_named name ?(ctx = Ctx.null) r pred =
     Relation.create ~size_hint:(max 16 (Relation.cardinality r))
       (Relation.schema r)
   in
-  Relation.iter (fun tup -> if pred tup then guarded_add limits out tup) r;
+  let ain = Relation.arena r in
+  for row = 0 to Arena.count ain - 1 do
+    if pred (Arena.read ain row) then append_row limits out ain row
+  done;
   note_result stats limits out;
   finish_unary sp r out;
   out
@@ -604,26 +602,44 @@ let diff ?ctx r s =
   let s = aligned "Ops.diff" r s in
   select_named "op.diff" ?ctx r (fun tup -> not (Relation.mem s tup))
 
-(* Semi/antijoin: hash the join-key projection of [s], filter [r]. *)
-let key_set s key_positions =
-  let keys = Key_table.create (max 16 (Relation.cardinality s)) in
-  Relation.iter
-    (fun tup -> Key_table.replace keys (Tuple.project tup key_positions) ())
-    s;
-  keys
+(* Semi/antijoin kernel: index [s]'s join-key columns in place with the
+   join's build-side loop, probe it with each row of [r]'s key columns,
+   and append the rows of [r] whose probe outcome is [keep_matches]. *)
+let filter_by_keys name ~keep_matches ?(ctx = Ctx.null) r s =
+  let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
+  let sp = span (Ctx.telemetry ctx) name in
+  tick limits;
+  Option.iter Stats.record_selection stats;
+  let sr = Relation.schema r and ss = Relation.schema s in
+  let common = Schema.inter sr ss in
+  let key_r = Schema.positions common sr in
+  let key_s = Schema.positions common ss in
+  let ar = Relation.arena r and as_ = Relation.arena s in
+  let dr = Arena.data ar and wr = Arena.arity ar in
+  let ds = Arena.data as_ and ws = Arena.arity as_ in
+  let slots, mask, _ = build_key_index ds ws key_s (Arena.count as_) in
+  let out = Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sr in
+  for row = 0 to Arena.count ar - 1 do
+    let base = row * wr in
+    let i = ref (hash_key dr base key_r land mask) in
+    let probing = ref true and found = ref false in
+    while !probing do
+      let s = Array.unsafe_get slots !i in
+      if s = 0 then probing := false
+      else if keys_equal ds ((s - 1) * ws) key_s dr base key_r then begin
+        found := true;
+        probing := false
+      end
+      else i := (!i + 1) land mask
+    done;
+    if !found = keep_matches then append_row limits out ar row
+  done;
+  note_result stats limits out;
+  finish_unary sp r out;
+  out
 
 let semijoin ?ctx r s =
-  let common = Schema.inter (Relation.schema r) (Relation.schema s) in
-  let key_r = Schema.positions common (Relation.schema r) in
-  let key_s = Schema.positions common (Relation.schema s) in
-  let keys = key_set s key_s in
-  select_named "op.semijoin" ?ctx r (fun tup ->
-      Key_table.mem keys (Tuple.project tup key_r))
+  filter_by_keys "op.semijoin" ~keep_matches:true ?ctx r s
 
 let antijoin ?ctx r s =
-  let common = Schema.inter (Relation.schema r) (Relation.schema s) in
-  let key_r = Schema.positions common (Relation.schema r) in
-  let key_s = Schema.positions common (Relation.schema s) in
-  let keys = key_set s key_s in
-  select_named "op.antijoin" ?ctx r (fun tup ->
-      not (Key_table.mem keys (Tuple.project tup key_r)))
+  filter_by_keys "op.antijoin" ~keep_matches:false ?ctx r s

@@ -14,9 +14,13 @@
     Each operator spends one unit of {!Limits} fuel on entry and charges
     per materialized tuple, so deadlines and budgets fire mid-operator.
 
-    The natural join and projection run specialized kernels that read
-    columns directly out of the tuple arenas and never allocate per
-    probe.
+    The natural join, semijoin, antijoin and projection run specialized
+    kernels that read columns directly out of the tuple arenas and never
+    allocate per probe. Operators that cannot produce a duplicate — the
+    natural join, semijoin, antijoin and every selection ([select],
+    [inter], [diff]) — append their output rows without a dedup probe
+    (see {!Arena.append_staged}); projection, union and rename
+    deduplicate.
 
     @raise Limits.Abort when a guard trips (see {!Limits.reason}). *)
 
@@ -32,9 +36,9 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     [Pool.grain] rows big, the join runs hash-partitioned across the
     pool's domains: both sides are radix-split on the join-key hash
     into one shard per domain, shards join independently into private
-    arenas, and the results merge back in shard order — the same tuple
-    set as the sequential kernel, with typed aborts still firing via
-    {!Limits.Shared}. *)
+    arenas, and the shards are appended to the result in shard order,
+    one blit each — the same tuple set as the sequential kernel, with
+    typed aborts still firing via {!Limits.Shared}. *)
 
 val product : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product. @raise Invalid_argument if schemas intersect. *)
@@ -80,7 +84,13 @@ val diff : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 
 val semijoin : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** [semijoin r s] keeps the rows of [r] that join with some row of [s]
-    (the Wong–Youssefi reducer; see also {!antijoin}). *)
+    (the Wong–Youssefi reducer; see also {!antijoin}). The kernel indexes
+    [s]'s join-key columns in place with the hash join's build loop,
+    probes it with each row of [r]'s key columns, and copies the kept
+    rows of [r] into the result: no per-row key tuple is allocated. With
+    no shared attributes it keeps all of [r] when [s] is nonempty and
+    nothing otherwise. Traced as [op.semijoin]. *)
 
 val antijoin : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
-(** Rows of [r] that join with no row of [s]. *)
+(** Rows of [r] that join with no row of [s]: the same kernel as
+    {!semijoin} with the test inverted. Traced as [op.antijoin]. *)

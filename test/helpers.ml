@@ -109,7 +109,8 @@ let qtest ?(count = 100) name arbitrary prop =
 (* ------------------------------------------------------------------ *)
 (* Nested-loop relational oracle.                                      *)
 
-(* A relation as plain lists — attribute names and sorted distinct rows —
+(* A relation as plain lists — attribute names and sorted rows, distinct
+   except in a kernel's result read by [of_relation] —
    evaluated by nested loops over association lists. Only [of_relation]
    touches the engine, to read a kernel's result; the evaluation shares
    no code with [Ops], [Relation] or [Arena]. *)
@@ -118,10 +119,16 @@ module Oracle = struct
 
   let make attrs rows = { attrs; rows = List.sort_uniq compare rows }
 
+  (* A kernel's result read with its multiplicity: rows are sorted but
+     not deduplicated, so a kernel that stores a row twice cannot equal
+     an oracle result, whose rows [make] keeps distinct. *)
   let of_relation rel =
-    make
-      (Relalg.Schema.attrs (Relalg.Relation.schema rel))
-      (List.map Relalg.Tuple.to_list (Relalg.Relation.to_list rel))
+    {
+      attrs = Relalg.Schema.attrs (Relalg.Relation.schema rel);
+      rows =
+        List.sort compare
+          (List.map Relalg.Tuple.to_list (Relalg.Relation.to_list rel));
+    }
 
   let value attrs row a = List.assoc a (List.combine attrs row)
 

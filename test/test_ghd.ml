@@ -304,6 +304,38 @@ let test_supervised_ladder () =
   check_bool "ladder rescued the query" true
     (Option.is_some report.Supervise.result)
 
+(* On the forced GHD route the run never materializes a relation wider
+   than the predicted plan width. The route joins a bag's cover atoms
+   before projecting, and joins a parent bag with a child in the
+   join-project pass, so a prediction of the widest bag falls short. *)
+let ghd_width_holds ?(seed = 3) db cq =
+  let o =
+    with_gate "ghd" (fun () ->
+        Ppr_core.Driver.run ~rng:(rng seed) Ppr_core.Driver.Ghd db cq)
+  in
+  o.Ppr_core.Driver.max_arity <= o.Ppr_core.Driver.plan_width
+
+let prop_width_within_plan =
+  qtest ~count:60 "forced ghd route: measured width <= plan width"
+    graph_arbitrary (fun g ->
+      List.for_all
+        (fun mode ->
+          let db, cq = coloring ~mode g in
+          ghd_width_holds db cq)
+        [ Encode.Boolean; Encode.Fraction 0.4 ])
+
+let test_width_cli_instance () =
+  (* The instance of [ppr run -f random -n 20 -d 3 --free 0.2 -m ghd -s 1],
+     built as the CLI builds it: a bag-only prediction says 9 there while
+     the route materializes arity 11. *)
+  let g = Gen.random ~rng:(rng 1) ~n:20 ~m:60 in
+  let cq =
+    Encode.coloring_query_of_graph ~mode:(Encode.Fraction 0.2)
+      ~rng:(rng (1 + 104729)) g
+  in
+  check_bool "measured width within plan width" true
+    (ghd_width_holds ~seed:32 coloring_db cq)
+
 (* ------------------------------------------------------------------ *)
 (* Guards and validation                                                *)
 
@@ -364,6 +396,9 @@ let () =
             test_forced_routes_agree;
           Alcotest.test_case "supervised ladder" `Quick
             test_supervised_ladder;
+          Alcotest.test_case "width of the CLI instance" `Quick
+            test_width_cli_instance;
+          prop_width_within_plan;
         ] );
       ( "guards",
         [

@@ -484,6 +484,90 @@ let test_arena_staged_commit () =
   check_int "count" 1 (Arena.count a);
   check_bool "mem" true (Arena.mem a [| 1; 2; 3 |])
 
+(* Model test for the lazy dedup index: random sequences of inserts,
+   appends (which skip the index), membership probes and copies against
+   a plain list of rows. Appends between probes leave rows unindexed, so
+   every [add], [commit_staged] and [mem] after one exercises the
+   incremental catch-up; small arenas grow and rehash on the way. *)
+
+type arena_op =
+  | Op_add of int array
+  | Op_commit of int array
+  | Op_append of int array
+  | Op_mem of int array
+  | Op_copy
+
+let print_arena_op =
+  let row r = QCheck.Print.(array int) r in
+  function
+  | Op_add r -> "add " ^ row r
+  | Op_commit r -> "commit " ^ row r
+  | Op_append r -> "append " ^ row r
+  | Op_mem r -> "mem " ^ row r
+  | Op_copy -> "copy"
+
+let arena_ops_arbitrary arity =
+  (* Arity 1 draws from 41 values, so its arenas outgrow the first
+     index; wider rows draw from 4 values per column. *)
+  let hi = if arity = 1 then 40 else 3 in
+  let row = QCheck.Gen.(array_repeat arity (int_range 0 hi)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun r -> Op_add r) row);
+          (3, map (fun r -> Op_commit r) row);
+          (4, map (fun r -> Op_append r) row);
+          (3, map (fun r -> Op_mem r) row);
+          (1, return Op_copy);
+        ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print_arena_op)
+    QCheck.Gen.(list_size (int_range 0 200) op)
+
+let stage_row a r =
+  let base = Arena.stage a in
+  Array.blit r 0 (Arena.data a) base (Array.length r)
+
+let run_arena_model arity ops =
+  let a = ref (Arena.create ~size_hint:1 arity) in
+  let model = ref [] and appended = ref [] in
+  let present r = List.mem r !model in
+  let step = function
+    | Op_add r ->
+      let fresh = not (present r) in
+      if fresh then model := r :: !model;
+      Arena.add !a r = fresh
+    | Op_commit r ->
+      let fresh = not (present r) in
+      if fresh then model := r :: !model;
+      stage_row !a r;
+      Arena.commit_staged !a = fresh
+    | Op_append r ->
+      (* [append_staged] requires a row not yet present. *)
+      if not (present r) then begin
+        model := r :: !model;
+        appended := r :: !appended;
+        stage_row !a r;
+        Arena.append_staged !a
+      end;
+      true
+    | Op_mem r -> Arena.mem !a r = present r
+    | Op_copy ->
+      a := Arena.copy !a;
+      true
+  in
+  List.for_all (fun op -> step op && Arena.count !a = List.length !model) ops
+  && List.for_all (fun r -> Arena.mem !a r) !model
+  && List.for_all (fun r -> not (Arena.add !a r)) !appended
+  && Arena.count !a = List.length !model
+
+let prop_arena_lazy_index arity =
+  qtest ~count:200
+    (Printf.sprintf "lazy index = list model (arity %d)" arity)
+    (arena_ops_arbitrary arity) (run_arena_model arity)
+
 (* ------------------------------------------------------------------ *)
 (* Cursor: the pull-based answer stream                                *)
 
@@ -850,6 +934,9 @@ let () =
             test_arena_many_rows;
           Alcotest.test_case "staged commit dedup" `Quick
             test_arena_staged_commit;
+          prop_arena_lazy_index 0;
+          prop_arena_lazy_index 1;
+          prop_arena_lazy_index 5;
         ] );
       cursor_suite;
       oracle_suite;
