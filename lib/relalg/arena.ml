@@ -8,9 +8,9 @@
    row number.
 
    The index is lazy. Operators that cannot produce a duplicate (join,
-   semijoin, selection) append rows without hashing them; the index is
-   allocated on the first [add], [mem] or [commit_staged] and caught up
-   incrementally from row [indexed] on every later one. *)
+   semijoin, selection) append or fill rows without hashing them; the
+   index is allocated on the first [add], [mem] or [commit_staged] and
+   caught up incrementally from row [indexed] on every later one. *)
 
 type t = {
   arity : int;
@@ -180,17 +180,26 @@ let commit_staged t =
   in
   go (hash_row t row land t.mask)
 
-(* One blit and a count bump: the fan-in of the partitioned join, whose
-   shards hold disjoint row sets by construction. *)
-let append dst src =
-  if src.arity <> dst.arity then
-    invalid_arg
-      (Printf.sprintf "Arena.append: source arity %d, destination arity %d"
-         src.arity dst.arity);
-  grow_data dst (dst.count + src.count);
-  Array.blit src.data 0 dst.data (dst.count * dst.arity)
-    (src.count * src.arity);
-  dst.count <- dst.count + src.count
+(* Resize [data] to hold exactly [count + n] rows when it holds fewer:
+   the exact-size counterpart of [grow_data]'s doubling, for callers
+   that know how many rows are coming. *)
+let reserve t n =
+  if n < 0 then invalid_arg "Arena.reserve: negative row count";
+  let rows = t.count + n in
+  if t.arity > 0 && rows * t.arity > Array.length t.data then begin
+    let data = Array.make (rows * t.arity) 0 in
+    Array.blit t.data 0 data 0 (t.count * t.arity);
+    t.data <- data
+  end
+
+(* Claim [n] rows at once for the caller to fill in place; they stay
+   unindexed, like [append_staged] rows, until the next probe catches
+   the index up. *)
+let extend t n =
+  reserve t n;
+  let base = t.count * t.arity in
+  t.count <- t.count + n;
+  base
 
 let get t row j = t.data.((row * t.arity) + j)
 let read t row = Array.sub t.data (row * t.arity) t.arity

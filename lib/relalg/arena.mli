@@ -8,8 +8,8 @@
     slot — whose keys are re-read from the arena, so an insert hashes its
     candidate tuple exactly once and allocates nothing.
 
-    The index is built lazily. Rows appended without a probe
-    ({!append_staged}, {!append}) are not hashed at all; the first
+    The index is built lazily. Rows kept without a probe
+    ({!append_staged}, {!extend}) are not hashed at all; the first
     {!add}, {!mem} or {!commit_staged} allocates the index (sized from
     the data capacity, so filling an arena through {!add} rehashes no
     more often than its data grows), and every later one first indexes
@@ -66,7 +66,11 @@ val copy : t -> t
     columns or, agreeing on the shared columns, in [s]'s remaining ones.
     A semijoin, an antijoin and a selection each keep a subset of the
     rows of one relation. Projection and union can collapse rows, so
-    they commit. *)
+    they commit.
+
+    A kernel that knows its output size before writing it sizes the
+    arena once: {!reserve} allocates exactly, and {!extend} also claims
+    the rows at once so they can be filled in place, range by range. *)
 
 val data : t -> int array
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
@@ -91,11 +95,28 @@ val append_staged : t -> unit
     checks this; breaking it leaves a duplicate row that {!count},
     {!iter} and every later operator will see. *)
 
-val append : t -> t -> unit
-(** [append dst src] copies every row of [src] to the end of [dst], in
-    [src]'s row order, with one blit: the fan-in of the hash-partitioned
-    parallel join, which joins each shard into a private arena.
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for exactly [n] more rows: when the data
+    array holds fewer than [count t + n] rows it is replaced by one of
+    exactly that size, with no doubling slack. Never changes {!count} or
+    any stored row; a later {!stage} past the reservation grows by
+    doubling as usual. For kernels that know their output size before
+    writing it (the natural join counts its output from the build index
+    first). @raise Invalid_argument on a negative [n]. *)
 
-    Precondition: no row of [src] equals a row of [dst] (shards of a
-    partitioned join are disjoint by construction).
-    @raise Invalid_argument on an arity mismatch. *)
+val extend : t -> int -> int
+(** [extend t n] reserves [n] rows (as {!reserve}), adds them to
+    {!count} at once and returns the base offset into {!data} of the
+    first; row [count t - n + i] starts at [base + i * arity t]. The
+    caller must fill every cell of those rows before anything reads
+    them — until then they hold stale or zero cells. The data array is
+    not replaced again until the arena next grows, so disjoint row
+    ranges of the new rows may be filled concurrently from several
+    domains: the partitioned join fills one shard's output per range.
+    Like {!append_staged} rows, the new rows are left out of the dedup
+    index until the next {!add}, {!mem} or {!commit_staged} catches it
+    up.
+
+    Precondition: the filled rows are pairwise distinct and equal no row
+    already stored. Nothing checks this.
+    @raise Invalid_argument on a negative [n]. *)

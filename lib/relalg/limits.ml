@@ -77,6 +77,14 @@ let tick_operator t =
 
 let total_charged t = t.total
 let remaining t = t.max_total - t.total
+
+(* Row [k] of a fresh operator output trips [charge] at [k = remaining
+   + 1] and [check_cardinality] at [k = max_tuples + 1]; saturating so
+   [unlimited] stays at [max_int]. *)
+let headroom t =
+  let succ n = if n = max_int then n else n + 1 in
+  min (succ t.max_tuples) (succ (remaining t))
+
 let operators_run t = t.ops
 let remaining_fuel t = t.max_fuel - t.ops
 

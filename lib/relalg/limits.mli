@@ -81,6 +81,14 @@ val total_charged : t -> int
 val remaining : t -> int
 (** Tuple budget left: [max_total - total_charged]. *)
 
+val headroom : t -> int
+(** The most rows one operator can keep in a fresh output, charging
+    each with {!charge} and checking the output with
+    {!check_cardinality} as it grows, before a guard trips:
+    [min (max_tuples + 1) (remaining + 1)] (the row that trips a guard
+    is kept before it trips; [max_int] when both are unlimited). Kernels
+    that know their output size reserve [min size (headroom t)] rows. *)
+
 val operators_run : t -> int
 val remaining_fuel : t -> int
 
@@ -106,9 +114,6 @@ module Shared : sig
       every [check_interval] tuples, not per tuple): the caller should
       stop producing and return. Never raises; the typed abort is
       delivered by {!settle} on the owning domain. *)
-
-  val should_stop : guard -> bool
-  (** Poll without charging. *)
 
   val fail : guard -> reason -> unit
   (** Record a failure observed outside {!charge} (first one wins). *)

@@ -85,17 +85,21 @@ let finish_unary sp r out =
     Telemetry.stop t sp
 
 (* ------------------------------------------------------------------ *)
-(* Columnar hash-join kernel.
+(* Columnar hash-join kernel: count, then fill.
 
    The join never materializes a tuple: the build index hashes the key
    columns straight out of the build arena (slots hold [row + 1]; rows
-   with equal keys are chained through [next]), probes hash the probe
-   arena's key columns in place, and matches are written cell-by-cell
-   into staged rows of the output arena and appended without a dedup
-   probe: a join of two sets cannot produce the same row twice. The
-   single-attribute key case — the common one for the paper's coloring
-   queries — gets its own loops with the FNV step inlined on one
-   value. *)
+   with equal keys are chained through [next]), and probes hash the
+   probe arena's key columns in place. The build loop also keeps, at
+   the head of each chain, its key's row count, so one count pass over
+   the probe side records every probe row's chain head and sums the
+   exact output size without walking a chain. The output is reserved
+   once at that size, and the fill pass follows the recorded heads —
+   no second hash or probe — writing matches cell-by-cell into staged
+   rows appended without a dedup probe: a join of two sets cannot
+   produce the same row twice. The single-attribute key case — the
+   common one for the paper's coloring queries — gets its own loops
+   with the FNV step inlined on one value. *)
 
 let fnv_seed = 0x1000193
 let fnv_prime = 0x100000001b3
@@ -125,13 +129,16 @@ let keys_equal d1 b1 k1 d2 b2 k2 = keys_equal_from 0 d1 b1 k1 d2 b2 k2
 (* Open-addressing index over the key columns [key] of rows [0 .. n - 1]
    of the row-major array [d] (row width [w]): a slot holds [row + 1] of
    the latest row of one distinct key, and [next] chains each row to the
-   previous row with the same key ([-1] ends a chain). Returns
-   [(slots, mask, next)]. *)
-let build_key_index d w key n =
+   previous row with the same key ([-1] ends a chain). With
+   [~chain_lengths:true], [lens.(row)] is the length of the chain from
+   [row] down — at a chain head, its key's row count; otherwise [lens]
+   is empty. Returns [(slots, mask, next, lens)]. *)
+let build_key_index ?(chain_lengths = false) d w key n =
   let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
   let mask = slot_len - 1 in
   let slots = Array.make slot_len 0 in
   let next = Array.make (max 1 n) (-1) in
+  let lens = if chain_lengths then Array.make (max 1 n) 1 else [||] in
   if Array.length key = 1 then begin
     let k0 = key.(0) in
     for row = 0 to n - 1 do
@@ -146,6 +153,8 @@ let build_key_index d w key n =
         end
         else if Array.unsafe_get d (((s - 1) * w) + k0) = v then begin
           Array.unsafe_set next row (s - 1);
+          if chain_lengths then
+            Array.unsafe_set lens row (Array.unsafe_get lens (s - 1) + 1);
           Array.unsafe_set slots !i (row + 1);
           placing := false
         end
@@ -166,13 +175,15 @@ let build_key_index d w key n =
         end
         else if keys_equal d ((s - 1) * w) key d base key then begin
           Array.unsafe_set next row (s - 1);
+          if chain_lengths then
+            Array.unsafe_set lens row (Array.unsafe_get lens (s - 1) + 1);
           Array.unsafe_set slots !i (row + 1);
           placing := false
         end
         else i := (!i + 1) land mask
       done
     done;
-  (slots, mask, next)
+  (slots, mask, next, lens)
 
 let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
@@ -184,7 +195,57 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
   let nrest = Array.length rest_s in
-  let slots, mask, next = build_key_index db wb key_b nb in
+  let slots, mask, next, lens =
+    build_key_index ~chain_lengths:true db wb key_b nb
+  in
+  (* Count pass: each probe row's chain head ([-1]: no match), and the
+     output size as the sum of the matched keys' row counts. *)
+  let heads = Array.make (max 1 np) (-1) in
+  let size = ref 0 in
+  let matched prow head =
+    Array.unsafe_set heads prow head;
+    size := !size + Array.unsafe_get lens head
+  in
+  if Array.length key_b = 1 then begin
+    let kb0 = key_b.(0) and kp0 = key_p.(0) in
+    for prow = 0 to np - 1 do
+      let v = Array.unsafe_get dp ((prow * wp) + kp0) in
+      let i = ref (hash1 v land mask) in
+      let probing = ref true in
+      while !probing do
+        let s = Array.unsafe_get slots !i in
+        if s = 0 then probing := false
+        else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
+          matched prow (s - 1);
+          probing := false
+        end
+        else i := (!i + 1) land mask
+      done
+    done
+  end
+  else
+    for prow = 0 to np - 1 do
+      let pbase = prow * wp in
+      let i = ref (hash_key dp pbase key_p land mask) in
+      let probing = ref true in
+      while !probing do
+        let s = Array.unsafe_get slots !i in
+        if s = 0 then probing := false
+        else if keys_equal db ((s - 1) * wb) key_b dp pbase key_p then begin
+          matched prow (s - 1);
+          probing := false
+        end
+        else i := (!i + 1) land mask
+      done
+    done;
+  (* One allocation at the exact size, or at the guards' headroom when
+     the output will trip one: a doomed join never allocates rows it
+     cannot keep. Emission still charges row by row, so hooks, deadline
+     polls and the abort point are those of an unreserved join. *)
+  Arena.reserve aout
+    (match limits with
+    | Some l -> min !size (Limits.headroom l)
+    | None -> !size);
   let emit r_row s_row =
     let base = Arena.stage aout in
     let od = Arena.data aout in
@@ -202,65 +263,80 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       emit_chain (Array.unsafe_get next brow) prow
     end
   in
-  if Array.length key_b = 1 then begin
-    let kb0 = key_b.(0) and kp0 = key_p.(0) in
-    for prow = 0 to np - 1 do
-      let v = Array.unsafe_get dp ((prow * wp) + kp0) in
-      let i = ref (hash1 v land mask) in
-      let probing = ref true in
-      while !probing do
-        let s = Array.unsafe_get slots !i in
-        if s = 0 then probing := false
-        else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
-          emit_chain (s - 1) prow;
-          probing := false
-        end
-        else i := (!i + 1) land mask
-      done
-    done
-  end
-  else
-    for prow = 0 to np - 1 do
-      let pbase = prow * wp in
-      let i = ref (hash_key dp pbase key_p land mask) in
-      let probing = ref true in
-      while !probing do
-        let s = Array.unsafe_get slots !i in
-        if s = 0 then probing := false
-        else if keys_equal db ((s - 1) * wb) key_b dp pbase key_p then begin
-          emit_chain (s - 1) prow;
-          probing := false
-        end
-        else i := (!i + 1) land mask
-      done
-    done
+  (* Fill pass: follow the recorded heads. *)
+  for prow = 0 to np - 1 do
+    emit_chain (Array.unsafe_get heads prow) prow
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Hash-partitioned parallel join.
+(* Hash-partitioned parallel join: count, settle, fill in place.
 
    Radix-partition both sides by join-key hash into one shard per pool
-   domain, join each shard independently into a private staging arena,
-   then append the shards to the output arena in shard order.
-   Equal keys hash equally, so matching rows always land in the same
-   shard and the union of the shard joins is exactly the sequential
-   join's tuple set; within a shard the kernel is the same
-   build-on-smaller chained-bucket hash join as [columnar_join].
+   domain. Pass 1 hashes every key once, in parallel by row range. Pass
+   2, one task per shard, gathers the shard's rows, indexes its smaller
+   side and counts its output exactly, as [columnar_join]'s count pass
+   does. The submitting domain sums the counts, settles the budget once
+   and extends the output by exactly that many rows. Pass 3 fills them
+   in place: shard [i] writes the row range right after shards
+   [0 .. i - 1]'s, so the output is the shard joins in shard order,
+   with no staging arena and no fan-in copy. Equal keys hash equally,
+   so matching rows always land in the same shard and the union of the
+   shard joins is exactly the sequential join's tuple set.
 
    Sharding uses a Fibonacci remix of the key hash's high bits while the
    in-shard table indexes with the low bits ([land mask]), so the two
    hash uses stay independent and shard tables don't degenerate.
 
-   Budget cooperation: workers never touch the caller's [Limits.t];
-   they charge a [Limits.Shared] guard (atomic counter + write-once
-   failure cell) every [check_interval] tuples and bail out as soon as
-   any domain trips it. The submitting domain settles the guard after
-   the fan-in, re-raising the first failure as the usual typed abort. *)
+   Guards: the budget and cardinality cap are settled from the exact
+   count before any row is written ([charge_rows]), so the partitioned
+   join trips the same guard, with the same [Limits.reason], as the
+   sequential kernel on the same inputs. Workers never write the
+   caller's [Limits.t]; while filling they only poll its deadline
+   ([Limits.check_deadline] reads no mutable state), and [Pool.run]
+   re-raises the abort on the submitting domain. *)
 
 module Pool = Parallel.Pool
 
 let shard_of h p = ((h * 0x9e3779b97f4a7c1) land max_int) lsr 30 mod p
 
-exception Shard_cut
+(* Charge [n] rows kept in one fresh output at once, exactly as
+   [charge_new] row by row would: the same total is committed and the
+   same guard trips — the run budget at row [remaining + 1], else the
+   cardinality cap at row [max_tuples + 1], the budget winning a tie. *)
+let charge_rows limits n =
+  match limits with
+  | None -> ()
+  | Some l ->
+    let kept = min n (Limits.headroom l) in
+    if kept > 0 then begin
+      Limits.charge l (kept - 1);
+      Limits.charge l 1;
+      Limits.check_cardinality l kept
+    end
+
+(* One shard between its count and fill passes. Build and probe rows
+   are named by their index into [brows] and [prows]. *)
+type shard = {
+  build_on_r : bool;
+  brows : int array; (* the shard's build-side row ids *)
+  prows : int array; (* the shard's probe-side row ids *)
+  next : int array; (* previous build index with the same key, or -1 *)
+  heads : int array; (* per probe index: its chain head, or -1 *)
+  rows : int; (* exact output rows *)
+}
+
+let empty_shard =
+  {
+    build_on_r = true;
+    brows = [||];
+    prows = [||];
+    next = [||];
+    heads = [||];
+    rows = 0;
+  }
+
+(* Rows a shard fills between deadline polls. *)
+let fill_poll_rows = 1024
 
 let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let nr = Arena.count ar and ns = Arena.count as_ in
@@ -269,12 +345,6 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let klen = Array.length key_r in
   let nrest = Array.length rest_s in
   let p = Pool.size pool in
-  let guard = Option.map Limits.Shared.make limits in
-  let interval =
-    match guard with
-    | Some g -> Limits.Shared.check_interval g
-    | None -> max_int
-  in
   (* Pass 1: key hash of every row of both sides, in parallel by range.
      The hashes drive the shard split and are reused by the in-shard
      tables, so each key is hashed exactly once, as in the sequential
@@ -308,13 +378,13 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
            (fun (lo, hi) () -> hash_range ds ws key_s hash_s lo hi)
            (ranges ns)));
   (* Pass 2: one task per shard — gather the shard's row ids on both
-     sides, hash-join them, stage matches into a private arena. *)
+     sides, index the smaller side, count the shard's output. *)
   let gather hashes n shard =
     let count = ref 0 in
     for row = 0 to n - 1 do
       if shard_of (Array.unsafe_get hashes row) p = shard then incr count
     done;
-    let rows = Array.make (max 1 !count) 0 in
+    let rows = Array.make !count 0 in
     let fill = ref 0 in
     for row = 0 to n - 1 do
       if shard_of (Array.unsafe_get hashes row) p = shard then begin
@@ -322,26 +392,29 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
         incr fill
       end
     done;
-    (rows, !count)
+    rows
   in
-  let join_shard shard =
-    let rrows, crp = gather hash_r nr shard in
-    let srows, csp = gather hash_s ns shard in
-    let ao = Arena.create ~size_hint:(max 16 (max crp csp)) (Arena.arity aout) in
-    if crp > 0 && csp > 0 then begin
+  let count_shard shard =
+    let rrows = gather hash_r nr shard in
+    let srows = gather hash_s ns shard in
+    let crp = Array.length rrows and csp = Array.length srows in
+    if crp = 0 || csp = 0 then empty_shard
+    else begin
       let build_on_r = crp <= csp in
-      let brows, nb, bhash, db, wb, key_b =
-        if build_on_r then (rrows, crp, hash_r, dr, wr, key_r)
-        else (srows, csp, hash_s, ds, ws, key_s)
+      let brows, bhash, db, wb, key_b =
+        if build_on_r then (rrows, hash_r, dr, wr, key_r)
+        else (srows, hash_s, ds, ws, key_s)
       in
-      let prows, np, phash, dp, wp, key_p =
-        if build_on_r then (srows, csp, hash_s, ds, ws, key_s)
-        else (rrows, crp, hash_r, dr, wr, key_r)
+      let prows, phash, dp, wp, key_p =
+        if build_on_r then (srows, hash_s, ds, ws, key_s)
+        else (rrows, hash_r, dr, wr, key_r)
       in
+      let nb = Array.length brows and np = Array.length prows in
       let slot_len = pow2_at_least (max 16 (2 * nb)) 16 in
       let mask = slot_len - 1 in
       let slots = Array.make slot_len 0 in
       let next = Array.make nb (-1) in
+      let lens = Array.make nb 1 in
       for i = 0 to nb - 1 do
         let row = Array.unsafe_get brows i in
         let base = row * wb in
@@ -359,79 +432,78 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
               key_b db base key_b
           then begin
             Array.unsafe_set next i (s - 1);
+            Array.unsafe_set lens i (Array.unsafe_get lens (s - 1) + 1);
             Array.unsafe_set slots !j (i + 1);
             placing := false
           end
           else j := (!j + 1) land mask
         done
       done;
-      (* Rows appended since the last guard charge; also used as the
-         cadence for noticing that another domain already failed. *)
-      let unflushed = ref 0 in
-      let flush () =
-        match guard with
-        | Some g ->
-          if not (Limits.Shared.charge g !unflushed) then raise Shard_cut;
-          unflushed := 0
-        | None -> unflushed := 0
-      in
-      let emit r_row s_row =
-        let base = Arena.stage ao in
-        let od = Arena.data ao in
-        Array.blit dr (r_row * wr) od base wr;
-        for k = 0 to nrest - 1 do
-          Array.unsafe_set od (base + wr + k)
-            (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
-        done;
-        Arena.append_staged ao;
-        incr unflushed;
-        if !unflushed >= interval then flush ()
-      in
-      let rec emit_chain i prow =
-        if i >= 0 then begin
-          let brow = Array.unsafe_get brows i in
-          if build_on_r then emit brow prow else emit prow brow;
-          emit_chain (Array.unsafe_get next i) prow
-        end
-      in
-      (try
-         for i = 0 to np - 1 do
-           let prow = Array.unsafe_get prows i in
-           let pbase = prow * wp in
-           let j = ref (Array.unsafe_get phash prow land mask) in
-           let probing = ref true in
-           while !probing do
-             let s = Array.unsafe_get slots !j in
-             if s = 0 then probing := false
-             else if
-               keys_equal db
-                 (Array.unsafe_get brows (s - 1) * wb)
-                 key_b dp pbase key_p
-             then begin
-               emit_chain (s - 1) prow;
-               probing := false
-             end
-             else j := (!j + 1) land mask
-           done;
-           if
-             i land 1023 = 1023
-             && (match guard with
-                | Some g -> Limits.Shared.should_stop g
-                | None -> false)
-           then raise Shard_cut
-         done;
-         flush ()
-       with Shard_cut -> ())
-    end;
-    ao
+      let heads = Array.make np (-1) in
+      let rows = ref 0 in
+      for i = 0 to np - 1 do
+        let prow = Array.unsafe_get prows i in
+        let pbase = prow * wp in
+        let j = ref (Array.unsafe_get phash prow land mask) in
+        let probing = ref true in
+        while !probing do
+          let s = Array.unsafe_get slots !j in
+          if s = 0 then probing := false
+          else if
+            keys_equal db
+              (Array.unsafe_get brows (s - 1) * wb)
+              key_b dp pbase key_p
+          then begin
+            Array.unsafe_set heads i (s - 1);
+            rows := !rows + Array.unsafe_get lens (s - 1);
+            probing := false
+          end
+          else j := (!j + 1) land mask
+        done
+      done;
+      { build_on_r; brows; prows; next; heads; rows = !rows }
+    end
   in
-  let shard_arenas = Pool.run pool (List.init p (fun i () -> join_shard i)) in
-  (* Fan-in on the submitting domain: first surface any typed abort, then
-     append the shards to the output in shard order, one blit each —
-     deterministic, and duplicate-free by construction since a tuple's
-     shard is a function of its key. *)
-  (match guard with Some g -> Limits.Shared.settle g | None -> ());
-  List.iter (fun a -> Arena.append aout a) shard_arenas
+  let shards = Pool.run pool (List.init p (fun i () -> count_shard i)) in
+  let size = List.fold_left (fun acc sh -> acc + sh.rows) 0 shards in
+  charge_rows limits size;
+  let base = Arena.extend aout size in
+  let od = Arena.data aout and wout = Arena.arity aout in
+  (* Pass 3: shard [sh] fills output rows [first .. first + sh.rows - 1]
+     (counted from [base]) and nothing else. *)
+  let fill_shard sh first () =
+    let stop = first + sh.rows in
+    let row = ref first in
+    let emit r_row s_row =
+      if !row >= stop then failwith "Ops.natural_join: shard overran its rows";
+      let cell = base + (!row * wout) in
+      Array.blit dr (r_row * wr) od cell wr;
+      for k = 0 to nrest - 1 do
+        Array.unsafe_set od (cell + wr + k)
+          (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
+      done;
+      incr row;
+      if (!row - first) mod fill_poll_rows = 0 then
+        Option.iter Limits.check_deadline limits
+    in
+    let rec emit_chain i prow =
+      if i >= 0 then begin
+        let brow = Array.unsafe_get sh.brows i in
+        if sh.build_on_r then emit brow prow else emit prow brow;
+        emit_chain (Array.unsafe_get sh.next i) prow
+      end
+    in
+    Array.iteri
+      (fun i head -> emit_chain head (Array.unsafe_get sh.prows i))
+      sh.heads;
+    if !row <> stop then failwith "Ops.natural_join: shard left rows unfilled"
+  in
+  let _, fills =
+    List.fold_left_map
+      (fun first sh -> (first + sh.rows, fill_shard sh first))
+      0 shards
+  in
+  ignore (Pool.run pool fills)
 
 (* Hash join. The build side is the smaller input; the probe side streams.
    Output columns are always [r] then [s \ r], regardless of which side was
@@ -447,11 +519,8 @@ let natural_join ?(ctx = Ctx.null) r s =
   let key_r = Schema.positions common sr in
   let key_s = Schema.positions common ss in
   let rest_s = Schema.positions (Schema.diff ss sr) ss in
-  let out =
-    Relation.create
-      ~size_hint:(max 16 (max (Relation.cardinality r) (Relation.cardinality s)))
-      out_schema
-  in
+  (* No size hint: both kernels size the output exactly once counted. *)
+  let out = Relation.create ~size_hint:0 out_schema in
   let ar = Relation.arena r and as_ = Relation.arena s in
   let aout = Relation.arena out in
   (match Ctx.pool ctx with
@@ -617,7 +686,7 @@ let filter_by_keys name ~keep_matches ?(ctx = Ctx.null) r s =
   let ar = Relation.arena r and as_ = Relation.arena s in
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
-  let slots, mask, _ = build_key_index ds ws key_s (Arena.count as_) in
+  let slots, mask, _, _ = build_key_index ds ws key_s (Arena.count as_) in
   let out = Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sr in
   for row = 0 to Arena.count ar - 1 do
     let base = row * wr in

@@ -32,13 +32,23 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     (single-attribute keys take a further specialized path). Degenerates
     to the cartesian product when the schemas are disjoint.
 
+    The join counts, then fills: a count pass over the probe side sums
+    the exact output size from per-key row counts kept by the build
+    loop, the result is allocated once at that size (capped by
+    {!Limits.headroom}), and a fill pass writes the matches. Rows are
+    still charged one at a time, so abort points, hooks and
+    [tuples_produced] do not depend on the reservation.
+
     With a pool in the context ([Ctx.with_pool]) and operands at least
     [Pool.grain] rows big, the join runs hash-partitioned across the
     pool's domains: both sides are radix-split on the join-key hash
-    into one shard per domain, shards join independently into private
-    arenas, and the shards are appended to the result in shard order,
-    one blit each — the same tuple set as the sequential kernel, with
-    typed aborts still firing via {!Limits.Shared}. *)
+    into one shard per domain, each shard counts its output, the
+    submitting domain charges the total once and extends the result by
+    exactly that many rows ({!Arena.extend}), and each shard fills its
+    own disjoint row range in place, in shard order. The tuple set is
+    the sequential kernel's, and a guard trips with the same
+    {!Limits.reason}: [Tuple_budget] when the run budget is the lower
+    threshold, else [Cardinality (max_tuples + 1)]. *)
 
 val product : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product. @raise Invalid_argument if schemas intersect. *)

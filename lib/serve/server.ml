@@ -74,11 +74,77 @@ let close_conn t conn =
   Hashtbl.remove t.conns conn.cid;
   Mutex.unlock t.conns_lock
 
+(* Longest request line a connection buffers. A longer line is answered
+   with a [parse] error and discarded up to its newline, and the
+   connection keeps serving: one client cannot make the daemon hold an
+   unbounded line in memory. *)
+let max_line_bytes = 1 lsl 20
+
+type line = Line of string | Too_long
+
+(* A connection's input: [input_line] with the buffered length capped
+   at [max_line_bytes]. [chunk.[pos .. len - 1]] is read but not yet
+   consumed. *)
+type reader = {
+  ic : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let reader ic =
+  { ic; chunk = Bytes.create 4096; pos = 0; len = 0; line = Buffer.create 256 }
+
+(* Like [input_line], a final line that lacks its newline is returned
+   and [End_of_file] is raised only when nothing is left. *)
+let read_line r =
+  Buffer.clear r.line;
+  let rec newline i =
+    if i < r.len && Bytes.unsafe_get r.chunk i <> '\n' then newline (i + 1)
+    else i
+  in
+  let rec go overflow =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then
+      if overflow then Too_long
+      else if Buffer.length r.line = 0 then raise End_of_file
+      else Line (Buffer.contents r.line)
+    else begin
+      let stop = newline r.pos in
+      let piece = stop - r.pos in
+      let overflow =
+        overflow || Buffer.length r.line + piece > max_line_bytes
+      in
+      if overflow then Buffer.reset r.line
+      else Buffer.add_subbytes r.line r.chunk r.pos piece;
+      if stop < r.len then begin
+        r.pos <- stop + 1;
+        if overflow then Too_long else Line (Buffer.contents r.line)
+      end
+      else begin
+        r.pos <- r.len;
+        go overflow
+      end
+    end
+  in
+  go false
+
 let serve_conn t conn =
-  let ic = Unix.in_channel_of_descr conn.fd in
+  let r = reader (Unix.in_channel_of_descr conn.fd) in
   let rec loop () =
-    match input_line ic with
-    | line ->
+    match read_line r with
+    | Too_long ->
+      send conn
+        (Wire.Failed
+           ( Wire.Json.Null,
+             Wire.Parse_error,
+             Printf.sprintf "request line exceeds %d bytes" max_line_bytes ));
+      loop ()
+    | Line line ->
       let line = String.trim line in
       if line <> "" then begin
         match Wire.parse_request line with

@@ -4,7 +4,9 @@
     [select] waits, so {!request_stop} is honored within ~200ms); each
     connection gets a reader thread parsing line-delimited JSON requests
     ({!Wire}) and an exclusive write lock serializing responses from the
-    worker domains. Responses may arrive out of request order — clients
+    worker domains. A request line may be at most 1 MiB: a longer one is
+    answered with a typed [parse] error and discarded up to its newline,
+    and the connection keeps serving. Responses may arrive out of request order — clients
     correlate by the echoed ["id"].
 
     Shutdown ({!stop}, or {!request_stop} from a signal handler followed

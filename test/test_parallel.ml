@@ -109,15 +109,105 @@ let join_input_arbitrary =
       (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12)))
       (list_of_size (Gen.int_range 0 40) (pair (int_bound 12) (int_bound 12))))
 
+let inputs (rs, ss) =
+  ( relation [ 0; 1 ] (List.map (fun (a, b) -> [ a; b ]) rs),
+    relation [ 1; 2 ] (List.map (fun (b, c) -> [ b; c ]) ss) )
+
+(* Join inputs as (schema, rows) pairs: the random case above, plus the
+   shapes that stress the shard split — every key in one shard (the
+   other shards empty), an empty side, no matching keys, two-column keys
+   and wide output rows. *)
+type join_case = {
+  shape : string;
+  r_attrs : int list;
+  r_rows : int list list;
+  s_attrs : int list;
+  s_rows : int list list;
+}
+
+let join_case_arbitrary =
+  let open QCheck.Gen in
+  let rows width cell = list_size (int_range 0 40) (list_repeat width cell) in
+  let small = int_bound 12 in
+  let case shape r_attrs r_rows s_attrs s_rows =
+    { shape; r_attrs; r_rows; s_attrs; s_rows }
+  in
+  let random =
+    map
+      (fun (rs, ss) ->
+        case "random" [ 0; 1 ]
+          (List.map (fun (a, b) -> [ a; b ]) rs)
+          [ 1; 2 ]
+          (List.map (fun (b, c) -> [ b; c ]) ss))
+      (QCheck.gen join_input_arbitrary)
+  in
+  let one_key =
+    map3
+      (fun k rs ss ->
+        case "one key" [ 0; 1 ]
+          (List.map (fun a -> [ a; k ]) rs)
+          [ 1; 2 ]
+          (List.map (fun c -> [ k; c ]) ss))
+      small (list_size (int_range 1 40) small)
+      (list_size (int_range 1 40) small)
+  in
+  let empty_side =
+    map2
+      (fun left rs ->
+        if left then case "empty left" [ 0; 1 ] [] [ 1; 2 ] rs
+        else case "empty right" [ 0; 1 ] rs [ 1; 2 ] [])
+      bool (rows 2 small)
+  in
+  let no_match =
+    map2
+      (fun rs ss ->
+        case "no match" [ 0; 1 ]
+          (List.map (fun (a, b) -> [ a; b ]) rs)
+          [ 1; 2 ]
+          (List.map (fun (b, c) -> [ b + 13; c ]) ss))
+      (list_size (int_range 1 40) (pair small small))
+      (list_size (int_range 1 40) (pair small small))
+  in
+  let two_col_keys =
+    map2
+      (fun rs ss -> case "two-column key" [ 0; 1; 2 ] rs [ 1; 2; 3 ] ss)
+      (rows 3 (int_bound 3))
+      (rows 3 (int_bound 3))
+  in
+  let wide =
+    map2
+      (fun rs ss ->
+        case "wide" (List.init 8 Fun.id) rs (List.init 9 (fun i -> i + 7)) ss)
+      (rows 8 (int_bound 3))
+      (rows 9 (int_bound 3))
+  in
+  let print c =
+    let rows rs =
+      String.concat "; "
+        (List.map
+           (fun r -> "[" ^ String.concat "," (List.map string_of_int r) ^ "]")
+           rs)
+    in
+    Printf.sprintf "%s: R = {%s}, S = {%s}" c.shape (rows c.r_rows)
+      (rows c.s_rows)
+  in
+  QCheck.make ~print
+    (frequency
+       [
+         (4, random);
+         (1, one_key);
+         (1, empty_side);
+         (1, no_match);
+         (1, two_col_keys);
+         (1, wide);
+       ])
+
 let equiv_props =
   let name op = Printf.sprintf "jobs=1 = jobs=%d (%s)" jobs op in
-  let inputs (rs, ss) =
-    ( relation [ 0; 1 ] (List.map (fun (a, b) -> [ a; b ]) rs),
-      relation [ 1; 2 ] (List.map (fun (b, c) -> [ b; c ]) ss) )
-  in
   [
-    qtest (name "join") join_input_arbitrary (fun input ->
-        let r, s = inputs input in
+    qtest ~count:300 (name "join") join_case_arbitrary (fun c ->
+        let r = relation c.r_attrs c.r_rows
+        and s = relation c.s_attrs c.s_rows in
         sorted_rows (Ops.natural_join r s)
         = sorted_rows (Ops.natural_join ~ctx:par_ctx r s));
     qtest (name "project of join") join_input_arbitrary (fun input ->
@@ -131,6 +221,33 @@ let equiv_props =
         sorted_rows (Ops.semijoin r s)
         = sorted_rows (Ops.semijoin ~ctx:par_ctx r s));
   ]
+
+(* The partitioned join settles its guards from the exact output count,
+   so under any limits it trips the same guard, with the same reason,
+   and leaves the same total charged as the sequential kernel. Part of
+   the budget is spent before the join so [remaining] and [max_total]
+   differ. *)
+let prop_abort_deterministic =
+  let limits_arbitrary =
+    QCheck.(
+      quad join_input_arbitrary (int_bound 150) (int_bound 150) (int_bound 60))
+  in
+  qtest ~count:300
+    (Printf.sprintf "jobs=1 = jobs=%d (abort reason)" jobs)
+    limits_arbitrary
+    (fun (input, max_tuples, max_total, spent) ->
+      let r, s = inputs input in
+      let run pool =
+        let limits = Limits.create ~max_tuples ~max_total () in
+        Limits.charge limits (min spent max_total);
+        let result =
+          match Ops.natural_join ~ctx:(Ctx.create ~limits ?pool ()) r s with
+          | out -> Ok (sorted_rows out)
+          | exception Limits.Abort reason -> Error reason
+        in
+        (result, Limits.total_charged limits)
+      in
+      run None = run (Some pool))
 
 (* A join big enough to split into genuinely non-trivial shards, with a
    skewed key distribution (powers concentrate mass on few keys). *)
@@ -154,7 +271,8 @@ let test_parallel_join_respects_budget () =
   let r = relation [ 0; 1 ] (List.init n (fun i -> [ i; i mod 50 ]))
   and s = relation [ 1; 2 ] (List.init n (fun i -> [ i mod 50; i ])) in
   (* ~100 matches per probe row: the full output (~500k) dwarfs the
-     budget, so the guard must trip from a worker domain. *)
+     budget, so the shards' summed count must trip it before any row is
+     written. *)
   let limits = Limits.create ~max_total:10_000 ~max_tuples:max_int () in
   let ctx = Ctx.create ~limits ~pool () in
   match Ops.natural_join ~ctx r s with
@@ -219,6 +337,7 @@ let () =
                test_big_join_identical;
              Alcotest.test_case "budget abort from workers" `Quick
                test_parallel_join_respects_budget;
+             prop_abort_deterministic;
            ] );
        ( "telemetry",
          [

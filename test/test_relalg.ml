@@ -485,16 +485,19 @@ let test_arena_staged_commit () =
   check_bool "mem" true (Arena.mem a [| 1; 2; 3 |])
 
 (* Model test for the lazy dedup index: random sequences of inserts,
-   appends (which skip the index), membership probes and copies against
-   a plain list of rows. Appends between probes leave rows unindexed, so
-   every [add], [commit_staged] and [mem] after one exercises the
-   incremental catch-up; small arenas grow and rehash on the way. *)
+   appends and in-place fills (both skip the index), exact reserves,
+   membership probes and copies against a plain list of rows. Appends
+   and fills between probes leave rows unindexed, so every [add],
+   [commit_staged] and [mem] after one exercises the incremental
+   catch-up; small arenas grow and rehash on the way. *)
 
 type arena_op =
   | Op_add of int array
   | Op_commit of int array
   | Op_append of int array
   | Op_mem of int array
+  | Op_reserve of int
+  | Op_extend of int array list
   | Op_copy
 
 let print_arena_op =
@@ -504,6 +507,8 @@ let print_arena_op =
   | Op_commit r -> "commit " ^ row r
   | Op_append r -> "append " ^ row r
   | Op_mem r -> "mem " ^ row r
+  | Op_reserve n -> Printf.sprintf "reserve %d" n
+  | Op_extend rs -> "extend " ^ QCheck.Print.list row rs
   | Op_copy -> "copy"
 
 let arena_ops_arbitrary arity =
@@ -519,6 +524,8 @@ let arena_ops_arbitrary arity =
           (3, map (fun r -> Op_commit r) row);
           (4, map (fun r -> Op_append r) row);
           (3, map (fun r -> Op_mem r) row);
+          (1, map (fun n -> Op_reserve n) (int_range 0 40));
+          (2, map (fun rs -> Op_extend rs) (list_size (int_range 0 6) row));
           (1, return Op_copy);
         ])
   in
@@ -554,6 +561,32 @@ let run_arena_model arity ops =
       end;
       true
     | Op_mem r -> Arena.mem !a r = present r
+    | Op_reserve n ->
+      (* An exact reserve changes neither the count nor any row. *)
+      let rows a = List.init (Arena.count a) (Arena.read a) in
+      let before = rows !a in
+      Arena.reserve !a n;
+      rows !a = before
+    | Op_extend rs ->
+      (* [extend] requires rows pairwise distinct and not yet present;
+         they are filled in place after the count has moved. *)
+      let fresh =
+        List.fold_left
+          (fun acc r -> if present r || List.mem r acc then acc else r :: acc)
+          [] rs
+      in
+      let n = List.length fresh in
+      let first = Arena.count !a in
+      let base = Arena.extend !a n in
+      List.iteri
+        (fun i r -> Array.blit r 0 (Arena.data !a) (base + (i * arity)) arity)
+        fresh;
+      model := fresh @ !model;
+      appended := fresh @ !appended;
+      Arena.count !a = first + n
+      && base = first * arity
+      && List.for_all2 (fun i r -> Arena.read !a (first + i) = r)
+           (List.init n Fun.id) fresh
     | Op_copy ->
       a := Arena.copy !a;
       true

@@ -1163,6 +1163,30 @@ let test_server_end_to_end () =
     | Some (Json.String text) -> contains text "serve.requests"
     | _ -> false)
 
+let test_server_bounds_line_length () =
+  (* A 2 MiB line, itself a well-formed ping, passes the reader's 1 MiB
+     cap: it is refused with a typed parse error, the rest of it is
+     discarded, and the next request on the connection is answered. *)
+  with_server @@ fun _server port ->
+  let fd, ic, oc = connect_tcp port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let pad = String.make (2 * 1024 * 1024) 'x' in
+  send_line oc (Printf.sprintf {|{"op":"ping","id":1,"pad":"%s"}|} pad);
+  send_line oc {|{"op":"ping","id":2}|};
+  let next () =
+    match Jsonl.parse (input_line ic) with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "bad response: %s" msg
+  in
+  let first = next () in
+  check_bool "over-long line gets a typed parse error" true
+    (Wire.field first "kind" = Some (Json.String "parse"));
+  let second = next () in
+  check_bool "the connection keeps serving" true
+    (Wire.field second "id" = Some (Json.Int 2)
+    && Wire.field second "pong" = Some (Json.Bool true))
+
 let test_server_concurrent_clients () =
   with_server @@ fun _server port ->
   let clients = 6 and per_client = 4 in
@@ -1330,6 +1354,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+          Alcotest.test_case "line length bound" `Quick
+            test_server_bounds_line_length;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
           Alcotest.test_case "unix socket and drain" `Quick
