@@ -8,9 +8,15 @@
    row number.
 
    The index is lazy. Operators that cannot produce a duplicate (join,
-   semijoin, selection) append or fill rows without hashing them; the
-   index is allocated on the first [add], [mem] or [commit_staged] and
-   caught up incrementally from row [indexed] on every later one. *)
+   semijoin, selection) [extend] the arena and fill rows without hashing
+   them; the index is allocated on the first [add], [mem] or
+   [commit_staged] and caught up incrementally from row [indexed] on
+   every later one.
+
+   Cells are copied with plain [int array] loops, never blits: on OCaml 5
+   a blit into a major-heap array runs the write barrier on every cell,
+   while a loop over an array the compiler knows holds ints is a plain
+   store (docs/INTERNALS.md, "Storage layer"). *)
 
 type t = {
   arity : int;
@@ -115,15 +121,19 @@ let mem t tup =
     t.slots.(find_slot t tup (hash_tuple tup)) <> 0
   end
 
-(* Make room in [data] for [rows] rows. *)
+(* Replace [data] by a zeroed array of [cells] cells holding the stored
+   rows. *)
+let resize t cells =
+  let old = t.data and data = Array.make cells 0 in
+  for i = 0 to (t.count * t.arity) - 1 do
+    Array.unsafe_set data i (Array.unsafe_get old i)
+  done;
+  t.data <- data
+
+(* Make room in [data] for [rows] rows, at least doubling it. *)
 let grow_data t rows =
-  if t.arity > 0 && rows * t.arity > Array.length t.data then begin
-    let data =
-      Array.make (max (rows * t.arity) (2 * Array.length t.data)) 0
-    in
-    Array.blit t.data 0 data 0 (t.count * t.arity);
-    t.data <- data
-  end
+  if t.arity > 0 && rows * t.arity > Array.length t.data then
+    resize t (max (rows * t.arity) (2 * Array.length t.data))
 
 let add t (tup : int array) =
   if Array.length tup <> t.arity then
@@ -136,7 +146,10 @@ let add t (tup : int array) =
   if t.slots.(i) <> 0 then false
   else begin
     let row = t.count in
-    Array.blit tup 0 t.data (row * t.arity) t.arity;
+    let data = t.data and base = row * t.arity in
+    for j = 0 to t.arity - 1 do
+      Array.unsafe_set data (base + j) (Array.unsafe_get tup j)
+    done;
     t.count <- row + 1;
     t.slots.(i) <- row + 1;
     t.indexed <- t.count;
@@ -144,14 +157,12 @@ let add t (tup : int array) =
   end
 
 (* Reserve room for one row and return its base offset; the caller fills
-   data.(base..base+arity-1) then calls [commit_staged] or
-   [append_staged]. Lets join/project kernels build candidate tuples in
-   place with zero scratch copies. *)
+   data.(base..base+arity-1) then calls [commit_staged]. Lets the
+   projection kernel build candidate tuples in place with zero scratch
+   copies. *)
 let stage t =
   grow_data t (t.count + 1);
   t.count * t.arity
-
-let append_staged t = t.count <- t.count + 1
 
 let commit_staged t =
   sync_index t (t.count + 1);
@@ -180,23 +191,15 @@ let commit_staged t =
   in
   go (hash_row t row land t.mask)
 
-(* Resize [data] to hold exactly [count + n] rows when it holds fewer:
-   the exact-size counterpart of [grow_data]'s doubling, for callers
-   that know how many rows are coming. *)
-let reserve t n =
-  if n < 0 then invalid_arg "Arena.reserve: negative row count";
-  let rows = t.count + n in
-  if t.arity > 0 && rows * t.arity > Array.length t.data then begin
-    let data = Array.make (rows * t.arity) 0 in
-    Array.blit t.data 0 data 0 (t.count * t.arity);
-    t.data <- data
-  end
-
-(* Claim [n] rows at once for the caller to fill in place; they stay
-   unindexed, like [append_staged] rows, until the next probe catches
-   the index up. *)
+(* Claim [n] rows at once for the caller to fill in place, resizing
+   [data] to exactly [count + n] rows when it holds fewer (no doubling
+   slack: the caller knows how many rows are coming). The rows stay
+   unindexed until the next probe catches the index up. *)
 let extend t n =
-  reserve t n;
+  if n < 0 then invalid_arg "Arena.extend: negative row count";
+  let rows = t.count + n in
+  if t.arity > 0 && rows * t.arity > Array.length t.data then
+    resize t (rows * t.arity);
   let base = t.count * t.arity in
   t.count <- t.count + n;
   base

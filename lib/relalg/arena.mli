@@ -8,13 +8,13 @@
     slot — whose keys are re-read from the arena, so an insert hashes its
     candidate tuple exactly once and allocates nothing.
 
-    The index is built lazily. Rows kept without a probe
-    ({!append_staged}, {!extend}) are not hashed at all; the first
-    {!add}, {!mem} or {!commit_staged} allocates the index (sized from
-    the data capacity, so filling an arena through {!add} rehashes no
-    more often than its data grows), and every later one first indexes
-    the rows appended since. An arena that is only ever appended to never
-    pays for an index. Because of this catch-up, {!mem} may write to the
+    The index is built lazily. Rows claimed with {!extend} and filled in
+    place are not hashed at all; the first {!add}, {!mem} or
+    {!commit_staged} allocates the index (sized from the data capacity,
+    so filling an arena through {!add} rehashes no more often than its
+    data grows), and every later one first indexes the rows filled
+    since. An arena that is only ever extended and filled never pays
+    for an index. Because of this catch-up, {!mem} may write to the
     arena: concurrent readers on several domains must not call it on an
     arena that has unindexed rows.
 
@@ -55,22 +55,21 @@ val copy : t -> t
 (** {2 Kernel interface}
 
     Join, semijoin, selection and projection kernels read columns
-    straight out of {!data} and build output rows in place with {!stage},
-    avoiding any per-tuple allocation. A staged row is then kept either
-    by {!commit_staged}, which probes the dedup index, or by
-    {!append_staged}, which does not.
+    straight out of {!data} and write output rows in place, avoiding any
+    per-tuple allocation. Cells are copied with plain [int array] loops:
+    on OCaml 5, [Array.blit] into an array on the major heap runs the
+    write barrier ([caml_modify]) on every cell, while a loop over an
+    array the compiler knows holds ints is a plain store.
 
-    Appending is for operators that cannot produce a duplicate from
-    duplicate-free inputs. A natural join emits each matching pair of an
-    [r] row and an [s] row once; two different pairs differ in their [r]
-    columns or, agreeing on the shared columns, in [s]'s remaining ones.
-    A semijoin, an antijoin and a selection each keep a subset of the
-    rows of one relation. Projection and union can collapse rows, so
-    they commit.
-
-    A kernel that knows its output size before writing it sizes the
-    arena once: {!reserve} allocates exactly, and {!extend} also claims
-    the rows at once so they can be filled in place, range by range. *)
+    Operators that cannot produce a duplicate from duplicate-free inputs
+    count their output first, claim it with {!extend} and fill it. A
+    natural join emits each matching pair of an [r] row and an [s] row
+    once; two different pairs differ in their [r] columns or, agreeing
+    on the shared columns, in [s]'s remaining ones. A semijoin, an
+    antijoin and a selection each keep a subset of the rows of one
+    relation. Projection and union can collapse rows, so they build each
+    candidate with {!stage} and keep it with {!commit_staged}, which
+    probes the dedup index. *)
 
 val data : t -> int array
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
@@ -80,43 +79,29 @@ val data : t -> int array
 val stage : t -> int
 (** Reserve space for one candidate row and return its base offset into
     {!data}. The caller writes the [arity] cells at that offset, then
-    calls {!commit_staged} or {!append_staged}. Staging again without
-    keeping the row simply overwrites the candidate. *)
+    calls {!commit_staged}. Staging again without committing simply
+    overwrites the candidate. *)
 
 val commit_staged : t -> bool
 (** Dedup-insert the staged row: hashes it in place, returns [true] (and
     keeps the row) if it was new, [false] (row space is reused) if an
     equal row already exists. *)
 
-val append_staged : t -> unit
-(** Keep the staged row without hashing or probing it.
-
-    Precondition: the staged row equals no row already stored. Nothing
-    checks this; breaking it leaves a duplicate row that {!count},
-    {!iter} and every later operator will see. *)
-
-val reserve : t -> int -> unit
-(** [reserve t n] makes room for exactly [n] more rows: when the data
-    array holds fewer than [count t + n] rows it is replaced by one of
-    exactly that size, with no doubling slack. Never changes {!count} or
-    any stored row; a later {!stage} past the reservation grows by
-    doubling as usual. For kernels that know their output size before
-    writing it (the natural join counts its output from the build index
-    first). @raise Invalid_argument on a negative [n]. *)
-
 val extend : t -> int -> int
-(** [extend t n] reserves [n] rows (as {!reserve}), adds them to
-    {!count} at once and returns the base offset into {!data} of the
-    first; row [count t - n + i] starts at [base + i * arity t]. The
-    caller must fill every cell of those rows before anything reads
-    them — until then they hold stale or zero cells. The data array is
-    not replaced again until the arena next grows, so disjoint row
-    ranges of the new rows may be filled concurrently from several
+(** [extend t n] adds [n] rows to {!count} at once and returns the base
+    offset into {!data} of the first; row [count t - n + i] starts at
+    [base + i * arity t]. When the data array holds fewer than
+    [count t + n] rows it is first replaced by one of exactly that size,
+    with no doubling slack: the caller knows how many rows are coming.
+    The caller must fill every cell of the new rows before anything
+    reads them — until then they hold stale or zero cells. The data
+    array is not replaced again until the arena next grows, so disjoint
+    row ranges of the new rows may be filled concurrently from several
     domains: the partitioned join fills one shard's output per range.
-    Like {!append_staged} rows, the new rows are left out of the dedup
-    index until the next {!add}, {!mem} or {!commit_staged} catches it
-    up.
+    The new rows are left out of the dedup index until the next {!add},
+    {!mem} or {!commit_staged} catches it up.
 
     Precondition: the filled rows are pairwise distinct and equal no row
-    already stored. Nothing checks this.
+    already stored. Nothing checks this; breaking it leaves a duplicate
+    row that {!count}, {!iter} and every later operator will see.
     @raise Invalid_argument on a negative [n]. *)

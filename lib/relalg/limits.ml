@@ -85,6 +85,18 @@ let headroom t =
   let succ n = if n = max_int then n else n + 1 in
   min (succ t.max_tuples) (succ (remaining t))
 
+(* [n] rounds of [charge t 1; check_cardinality t i] on a fresh output
+   trip at row [headroom t], the budget winning a tie because [charge]
+   runs first. Charging the rows before that one, then that one, commits
+   the same total and raises the same reason in two calls. *)
+let charge_rows t n =
+  let kept = min n (headroom t) in
+  if kept > 0 then begin
+    charge t (kept - 1);
+    charge t 1;
+    check_cardinality t kept
+  end
+
 let operators_run t = t.ops
 let remaining_fuel t = t.max_fuel - t.ops
 

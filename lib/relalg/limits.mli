@@ -9,8 +9,10 @@
     ladder on a deadline, but not on an injected fault, say.
 
     Deadlines are polled inside operator inner loops (every
-    [check_interval] charged tuples) and at every operator boundary, so
-    they fire mid-join rather than only between operators. *)
+    [check_interval] charged tuples, and every 1024 rows while a kernel
+    fills an output it settled with {!charge_rows}) and at every
+    operator boundary, so they fire mid-join rather than only between
+    operators. *)
 
 type reason =
   | Deadline  (** the wall-clock deadline passed *)
@@ -26,9 +28,9 @@ exception Abort of reason
 type t
 
 type hook = ops:int -> total:int -> unit
-(** Called with the running operator count and charged-tuple total at
-    every charge and operator boundary; may raise {!Abort} to inject a
-    fault (see [Supervise.Chaos]). *)
+(** Called with the running operator count and charged-tuple total after
+    every {!charge} call and at every operator boundary; may raise
+    {!Abort} to inject a fault (see [Supervise.Chaos]). *)
 
 val create :
   ?max_tuples:int ->
@@ -73,7 +75,14 @@ val check_deadline : t -> unit
     @raise Abort with [Deadline] when the deadline has passed. *)
 
 val set_hook : t -> hook option -> unit
-(** Install (or clear) the fault-injection hook. *)
+(** Install (or clear) the fault-injection hook. The hook runs after
+    each {!charge} call, not after each tuple. The natural join,
+    semijoin, antijoin and selections settle their whole output with
+    {!charge_rows}, in at most two calls, before writing a row; so a
+    hook that fires once [k] tuples are charged, with [k] inside one such
+    operator's output, fires before that operator writes a row, and
+    {!total_charged} may then exceed [k]. Projection, union and the
+    explicit equijoin still charge each kept row in its own call. *)
 
 val total_charged : t -> int
 (** Tuples charged so far (never exceeds the budget, even after a trip). *)
@@ -81,13 +90,16 @@ val total_charged : t -> int
 val remaining : t -> int
 (** Tuple budget left: [max_total - total_charged]. *)
 
-val headroom : t -> int
-(** The most rows one operator can keep in a fresh output, charging
-    each with {!charge} and checking the output with
-    {!check_cardinality} as it grows, before a guard trips:
-    [min (max_tuples + 1) (remaining + 1)] (the row that trips a guard
-    is kept before it trips; [max_int] when both are unlimited). Kernels
-    that know their output size reserve [min size (headroom t)] rows. *)
+val charge_rows : t -> int -> unit
+(** [charge_rows t n] settles [n] rows kept in one fresh operator output
+    at once, before any of them is written. It commits the same
+    {!total_charged} and raises the same reason as [n] rounds of
+    [charge t 1; check_cardinality t i] for [i = 1 .. n]: [Tuple_budget]
+    at row [remaining t + 1], else [Cardinality (max_tuples + 1)] at row
+    [max_tuples + 1], the budget winning a tie; nothing when all [n] fit.
+    It does so in at most two {!charge} calls, so the hook runs (and the
+    deadline may be polled) after each of those, not once per row.
+    @raise Abort as {!charge} and {!check_cardinality}. *)
 
 val operators_run : t -> int
 val remaining_fuel : t -> int

@@ -31,15 +31,42 @@ let charge_new limits rel =
 let guarded_add limits rel tup =
   if Relation.add rel tup then charge_new limits rel
 
-(* Copy row [row] of [src] to the end of [rel] without a dedup probe: for
-   operators whose output is a subset of one duplicate-free input. *)
-let append_row limits rel src row =
-  let aout = Relation.arena rel in
-  let w = Arena.arity src in
-  let base = Arena.stage aout in
-  Array.blit (Arena.data src) (row * w) (Arena.data aout) base w;
-  Arena.append_staged aout;
-  charge_new limits rel
+(* Kernels whose output rows are copies of input rows (joins, semijoins,
+   selections) count what they keep, then settle and fill it: one
+   [Limits.charge_rows] for the whole output, one [Arena.extend], and
+   plain [int array] copy loops — on OCaml 5, a blit into a major-heap
+   array runs the write barrier on every cell. The settle commits the
+   same total and raises the same reason as charging row by row, and
+   raises before the output is sized or written, so a doomed output
+   costs nothing. Fills poll the deadline every [fill_poll_rows] rows. *)
+
+(* Rows a fill writes between deadline polls; a power of two. *)
+let fill_poll_rows = 1024
+
+(* Poll after filling output row [row] (counted from the fill's first). *)
+let poll_fill limits row =
+  if (row + 1) land (fill_poll_rows - 1) = 0 then
+    Option.iter Limits.check_deadline limits
+
+(* Settle [n] rows kept in the fresh output [aout] and claim them;
+   returns the first one's base cell. *)
+let settle limits aout n =
+  Option.iter (fun l -> Limits.charge_rows l n) limits;
+  Arena.extend aout n
+
+(* Keep rows [ids.(0 .. n - 1)] of [src], in that order, in the fresh
+   output [aout] of the same arity: for operators whose output is a
+   subset of one duplicate-free input. *)
+let keep_rows limits aout src ids n =
+  let base = settle limits aout n in
+  let od = Arena.data aout and d = Arena.data src and w = Arena.arity src in
+  for i = 0 to n - 1 do
+    let cell = base + (i * w) and sbase = Array.unsafe_get ids i * w in
+    for k = 0 to w - 1 do
+      Array.unsafe_set od (cell + k) (Array.unsafe_get d (sbase + k))
+    done;
+    poll_fill limits i
+  done
 
 (* Telemetry is threaded as an option so the disabled path is one match
    on [None]: no span, no attribute list, no clock read. An operator
@@ -93,10 +120,10 @@ let finish_unary sp r out =
    probe arena's key columns in place. The build loop also keeps, at
    the head of each chain, its key's row count, so one count pass over
    the probe side records every probe row's chain head and sums the
-   exact output size without walking a chain. The output is reserved
-   once at that size, and the fill pass follows the recorded heads —
-   no second hash or probe — writing matches cell-by-cell into staged
-   rows appended without a dedup probe: a join of two sets cannot
+   exact output size without walking a chain. The output is settled
+   and extended once at that size, and the fill pass follows the
+   recorded heads — no second hash or probe — writing each match in
+   place with [fill_row], with no dedup probe: a join of two sets cannot
    produce the same row twice. The single-attribute key case — the
    common one for the paper's coloring queries — gets its own loops
    with the FNV step inlined on one value. *)
@@ -185,16 +212,59 @@ let build_key_index ?(chain_lengths = false) d w key n =
     done;
   (slots, mask, next, lens)
 
-let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+(* Where a join fill writes — output row [i] starts at cell
+   [base + i * wout] of [od] — and what it copies: all of an [r] row,
+   then the [rest_s] columns of an [s] row. *)
+type join_fill = {
+  od : int array;
+  base : int;
+  wout : int;
+  dr : int array;
+  wr : int;
+  ds : int array;
+  ws : int;
+  rest_s : int array;
+  limits : Limits.t option;
+}
+
+(* Settle [n] join rows into the fresh output [aout] and describe their
+   fill. *)
+let join_fill limits aout ~ar ~as_ ~rest_s n =
+  let base = settle limits aout n in
+  {
+    od = Arena.data aout;
+    base;
+    wout = Arena.arity aout;
+    dr = Arena.data ar;
+    wr = Arena.arity ar;
+    ds = Arena.data as_;
+    ws = Arena.arity as_;
+    rest_s;
+    limits;
+  }
+
+(* The one row-copy helper of both join fills: write the match of
+   [r_row] and [s_row] as output row [row]. *)
+let fill_row f row r_row s_row =
+  let od = f.od and dr = f.dr and ds = f.ds and rest_s = f.rest_s in
+  let cell = f.base + (row * f.wout) and rbase = r_row * f.wr in
+  for k = 0 to f.wr - 1 do
+    Array.unsafe_set od (cell + k) (Array.unsafe_get dr (rbase + k))
+  done;
+  let cell = cell + f.wr and sbase = s_row * f.ws in
+  for k = 0 to Array.length rest_s - 1 do
+    Array.unsafe_set od (cell + k)
+      (Array.unsafe_get ds (sbase + Array.unsafe_get rest_s k))
+  done;
+  poll_fill f.limits row
+
+let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
   let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
   let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
   let nb = Arena.count ab and np = Arena.count ap in
   let db = Arena.data ab and dp = Arena.data ap in
   let wb = Arena.arity ab and wp = Arena.arity ap in
-  let dr = Arena.data ar and wr = Arena.arity ar in
-  let ds = Arena.data as_ and ws = Arena.arity as_ in
-  let nrest = Array.length rest_s in
   let slots, mask, next, lens =
     build_key_index ~chain_lengths:true db wb key_b nb
   in
@@ -238,34 +308,19 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
         else i := (!i + 1) land mask
       done
     done;
-  (* One allocation at the exact size, or at the guards' headroom when
-     the output will trip one: a doomed join never allocates rows it
-     cannot keep. Emission still charges row by row, so hooks, deadline
-     polls and the abort point are those of an unreserved join. *)
-  Arena.reserve aout
-    (match limits with
-    | Some l -> min !size (Limits.headroom l)
-    | None -> !size);
-  let emit r_row s_row =
-    let base = Arena.stage aout in
-    let od = Arena.data aout in
-    Array.blit dr (r_row * wr) od base wr;
-    for k = 0 to nrest - 1 do
-      Array.unsafe_set od (base + wr + k)
-        (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
-    done;
-    Arena.append_staged aout;
-    charge_new limits out
-  in
-  let rec emit_chain brow prow =
+  (* Fill pass: follow the recorded heads. *)
+  let f = join_fill limits aout ~ar ~as_ ~rest_s !size in
+  let row = ref 0 in
+  let rec fill_chain brow prow =
     if brow >= 0 then begin
-      if build_on_r then emit brow prow else emit prow brow;
-      emit_chain (Array.unsafe_get next brow) prow
+      if build_on_r then fill_row f !row brow prow
+      else fill_row f !row prow brow;
+      incr row;
+      fill_chain (Array.unsafe_get next brow) prow
     end
   in
-  (* Fill pass: follow the recorded heads. *)
   for prow = 0 to np - 1 do
-    emit_chain (Array.unsafe_get heads prow) prow
+    fill_chain (Array.unsafe_get heads prow) prow
   done
 
 (* ------------------------------------------------------------------ *)
@@ -288,9 +343,9 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
    hash uses stay independent and shard tables don't degenerate.
 
    Guards: the budget and cardinality cap are settled from the exact
-   count before any row is written ([charge_rows]), so the partitioned
-   join trips the same guard, with the same [Limits.reason], as the
-   sequential kernel on the same inputs. Workers never write the
+   count before any row is written ([settle]), as in the sequential
+   kernel, so the partitioned join trips the same guard, with the same
+   [Limits.reason], on the same inputs. Workers never write the
    caller's [Limits.t]; while filling they only poll its deadline
    ([Limits.check_deadline] reads no mutable state), and [Pool.run]
    re-raises the abort on the submitting domain. *)
@@ -298,21 +353,6 @@ let columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s =
 module Pool = Parallel.Pool
 
 let shard_of h p = ((h * 0x9e3779b97f4a7c1) land max_int) lsr 30 mod p
-
-(* Charge [n] rows kept in one fresh output at once, exactly as
-   [charge_new] row by row would: the same total is committed and the
-   same guard trips — the run budget at row [remaining + 1], else the
-   cardinality cap at row [max_tuples + 1], the budget winning a tie. *)
-let charge_rows limits n =
-  match limits with
-  | None -> ()
-  | Some l ->
-    let kept = min n (Limits.headroom l) in
-    if kept > 0 then begin
-      Limits.charge l (kept - 1);
-      Limits.charge l 1;
-      Limits.check_cardinality l kept
-    end
 
 (* One shard between its count and fill passes. Build and probe rows
    are named by their index into [brows] and [prows]. *)
@@ -335,15 +375,11 @@ let empty_shard =
     rows = 0;
   }
 
-(* Rows a shard fills between deadline polls. *)
-let fill_poll_rows = 1024
-
 let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let nr = Arena.count ar and ns = Arena.count as_ in
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
   let klen = Array.length key_r in
-  let nrest = Array.length rest_s in
   let p = Pool.size pool in
   (* Pass 1: key hash of every row of both sides, in parallel by range.
      The hashes drive the shard split and are reused by the in-shard
@@ -466,35 +502,25 @@ let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   in
   let shards = Pool.run pool (List.init p (fun i () -> count_shard i)) in
   let size = List.fold_left (fun acc sh -> acc + sh.rows) 0 shards in
-  charge_rows limits size;
-  let base = Arena.extend aout size in
-  let od = Arena.data aout and wout = Arena.arity aout in
+  let f = join_fill limits aout ~ar ~as_ ~rest_s size in
   (* Pass 3: shard [sh] fills output rows [first .. first + sh.rows - 1]
-     (counted from [base]) and nothing else. *)
+     and nothing else. *)
   let fill_shard sh first () =
     let stop = first + sh.rows in
     let row = ref first in
-    let emit r_row s_row =
-      if !row >= stop then failwith "Ops.natural_join: shard overran its rows";
-      let cell = base + (!row * wout) in
-      Array.blit dr (r_row * wr) od cell wr;
-      for k = 0 to nrest - 1 do
-        Array.unsafe_set od (cell + wr + k)
-          (Array.unsafe_get ds ((s_row * ws) + Array.unsafe_get rest_s k))
-      done;
-      incr row;
-      if (!row - first) mod fill_poll_rows = 0 then
-        Option.iter Limits.check_deadline limits
-    in
-    let rec emit_chain i prow =
+    let rec fill_chain i prow =
       if i >= 0 then begin
+        if !row >= stop then
+          failwith "Ops.natural_join: shard overran its rows";
         let brow = Array.unsafe_get sh.brows i in
-        if sh.build_on_r then emit brow prow else emit prow brow;
-        emit_chain (Array.unsafe_get sh.next i) prow
+        if sh.build_on_r then fill_row f !row brow prow
+        else fill_row f !row prow brow;
+        incr row;
+        fill_chain (Array.unsafe_get sh.next i) prow
       end
     in
     Array.iteri
-      (fun i head -> emit_chain head (Array.unsafe_get sh.prows i))
+      (fun i head -> fill_chain head (Array.unsafe_get sh.prows i))
       sh.heads;
     if !row <> stop then failwith "Ops.natural_join: shard left rows unfilled"
   in
@@ -534,7 +560,7 @@ let natural_join ?(ctx = Ctx.null) r s =
       Telemetry.Span.set_attr sp "parallel.shards"
         (Telemetry.Attr.Int (Pool.size pool))
     | None -> ())
-  | _ -> columnar_join limits out aout ~ar ~as_ ~key_r ~key_s ~rest_s);
+  | _ -> columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s);
   note_result stats limits out;
   finish_join sp r s out;
   out
@@ -612,14 +638,17 @@ let select_named name ?(ctx = Ctx.null) r pred =
   let sp = span (Ctx.telemetry ctx) name in
   tick limits;
   Option.iter Stats.record_selection stats;
-  let out =
-    Relation.create ~size_hint:(max 16 (Relation.cardinality r))
-      (Relation.schema r)
-  in
   let ain = Relation.arena r in
-  for row = 0 to Arena.count ain - 1 do
-    if pred (Arena.read ain row) then append_row limits out ain row
+  let n = Arena.count ain in
+  let ids = Array.make (max 1 n) 0 and kept = ref 0 in
+  for row = 0 to n - 1 do
+    if pred (Arena.read ain row) then begin
+      Array.unsafe_set ids !kept row;
+      incr kept
+    end
   done;
+  let out = Relation.create ~size_hint:0 (Relation.schema r) in
+  keep_rows limits (Relation.arena out) ain ids !kept;
   note_result stats limits out;
   finish_unary sp r out;
   out
@@ -673,7 +702,7 @@ let diff ?ctx r s =
 
 (* Semi/antijoin kernel: index [s]'s join-key columns in place with the
    join's build-side loop, probe it with each row of [r]'s key columns,
-   and append the rows of [r] whose probe outcome is [keep_matches]. *)
+   and keep the rows of [r] whose probe outcome is [keep_matches]. *)
 let filter_by_keys name ~keep_matches ?(ctx = Ctx.null) r s =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
   let sp = span (Ctx.telemetry ctx) name in
@@ -687,8 +716,9 @@ let filter_by_keys name ~keep_matches ?(ctx = Ctx.null) r s =
   let dr = Arena.data ar and wr = Arena.arity ar in
   let ds = Arena.data as_ and ws = Arena.arity as_ in
   let slots, mask, _, _ = build_key_index ds ws key_s (Arena.count as_) in
-  let out = Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sr in
-  for row = 0 to Arena.count ar - 1 do
+  let nr = Arena.count ar in
+  let ids = Array.make (max 1 nr) 0 and kept = ref 0 in
+  for row = 0 to nr - 1 do
     let base = row * wr in
     let i = ref (hash_key dr base key_r land mask) in
     let probing = ref true and found = ref false in
@@ -701,8 +731,13 @@ let filter_by_keys name ~keep_matches ?(ctx = Ctx.null) r s =
       end
       else i := (!i + 1) land mask
     done;
-    if !found = keep_matches then append_row limits out ar row
+    if !found = keep_matches then begin
+      Array.unsafe_set ids !kept row;
+      incr kept
+    end
   done;
+  let out = Relation.create ~size_hint:0 sr in
+  keep_rows limits (Relation.arena out) ar ids !kept;
   note_result stats limits out;
   finish_unary sp r out;
   out

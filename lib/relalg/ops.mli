@@ -12,15 +12,21 @@
     it.
 
     Each operator spends one unit of {!Limits} fuel on entry and charges
-    per materialized tuple, so deadlines and budgets fire mid-operator.
+    every materialized tuple, so budgets fire mid-plan and deadlines
+    mid-operator.
 
     The natural join, semijoin, antijoin and projection run specialized
     kernels that read columns directly out of the tuple arenas and never
     allocate per probe. Operators that cannot produce a duplicate — the
     natural join, semijoin, antijoin and every selection ([select],
-    [inter], [diff]) — append their output rows without a dedup probe
-    (see {!Arena.append_staged}); projection, union and rename
-    deduplicate.
+    [inter], [diff]) — count the rows they keep, settle their charges
+    with one {!Limits.charge_rows}, claim them with one {!Arena.extend}
+    and fill them with plain int loops, with no dedup probe. The settle
+    commits the same total and raises the same reason as charging each
+    row as it is kept would, before the output is sized or a row
+    written; the {!Limits} hook runs after each of its (at most two)
+    charges, and fills poll the deadline every 1024 rows. Projection,
+    union and rename deduplicate, charging each kept row.
 
     @raise Limits.Abort when a guard trips (see {!Limits.reason}). *)
 
@@ -32,20 +38,21 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     (single-attribute keys take a further specialized path). Degenerates
     to the cartesian product when the schemas are disjoint.
 
-    The join counts, then fills: a count pass over the probe side sums
-    the exact output size from per-key row counts kept by the build
-    loop, the result is allocated once at that size (capped by
-    {!Limits.headroom}), and a fill pass writes the matches. Rows are
-    still charged one at a time, so abort points, hooks and
-    [tuples_produced] do not depend on the reservation.
+    The join counts, settles, then fills: a count pass over the probe
+    side sums the exact output size from per-key row counts kept by the
+    build loop, {!Limits.charge_rows} settles that many rows (a doomed
+    join raises here, before its output is sized or written), the
+    result is extended once by exactly that size, and a fill pass writes
+    the matches.
 
     With a pool in the context ([Ctx.with_pool]) and operands at least
     [Pool.grain] rows big, the join runs hash-partitioned across the
     pool's domains: both sides are radix-split on the join-key hash
     into one shard per domain, each shard counts its output, the
-    submitting domain charges the total once and extends the result by
+    submitting domain settles the total once and extends the result by
     exactly that many rows ({!Arena.extend}), and each shard fills its
-    own disjoint row range in place, in shard order. The tuple set is
+    own disjoint row range in place, in shard order, with the
+    sequential fill's row-copy helper. The tuple set is
     the sequential kernel's, and a guard trips with the same
     {!Limits.reason}: [Tuple_budget] when the run budget is the lower
     threshold, else [Cardinality (max_tuples + 1)]. *)
@@ -96,8 +103,9 @@ val semijoin : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** [semijoin r s] keeps the rows of [r] that join with some row of [s]
     (the Wong–Youssefi reducer; see also {!antijoin}). The kernel indexes
     [s]'s join-key columns in place with the hash join's build loop,
-    probes it with each row of [r]'s key columns, and copies the kept
-    rows of [r] into the result: no per-row key tuple is allocated. With
+    probes it with each row of [r]'s key columns, records the kept rows
+    of [r], then settles and copies them into the result: no per-row key
+    tuple is allocated. With
     no shared attributes it keeps all of [r] when [s] is nonempty and
     nothing otherwise. Traced as [op.semijoin]. *)
 

@@ -13,8 +13,9 @@ type trigger =
   | At_operator of int
       (** fire when the [n]-th operator (1-based) begins executing *)
   | After_tuples of int
-      (** fire once at least [k] tuples have been charged — i.e. inside
-          an operator's inner loop, mid-join *)
+      (** fire once at least [k] tuples have been charged, on the
+          {!Relalg.Limits} hook — which runs after each charge call, not
+          after each tuple (see {!Relalg.Limits.set_hook}) *)
 
 type fault =
   | Abort of Relalg.Limits.reason
@@ -47,6 +48,14 @@ val at_operator :
 val after_tuples :
   ?label:string -> ?reason:Relalg.Limits.reason -> ?attempts:int list ->
   int -> t
+(** A fault that fires once [k] tuples are charged. The hook runs after
+    each [charge] call, and an operator's output is charged in at most
+    two calls (the join, semijoin, antijoin and selections settle it
+    with {!Relalg.Limits.charge_rows}; projection and union still charge
+    per row). So a [k] that falls inside one such operator's output
+    fires before that operator writes a row, and
+    {!Relalg.Limits.total_charged} may then exceed [k].
+    @raise Invalid_argument on a negative [k]. *)
 
 val stall_at_operator :
   ?label:string -> ?attempts:int list -> ?sleeper:(float -> unit) ->

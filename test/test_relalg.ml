@@ -485,18 +485,20 @@ let test_arena_staged_commit () =
   check_bool "mem" true (Arena.mem a [| 1; 2; 3 |])
 
 (* Model test for the lazy dedup index: random sequences of inserts,
-   appends and in-place fills (both skip the index), exact reserves,
-   membership probes and copies against a plain list of rows. Appends
-   and fills between probes leave rows unindexed, so every [add],
-   [commit_staged] and [mem] after one exercises the incremental
-   catch-up; small arenas grow and rehash on the way. *)
+   in-place fills of extended rows (which skip the index), membership
+   probes and copies against a plain list of rows. Fills between probes
+   leave rows unindexed, so every [add], [commit_staged] and [mem] after
+   one exercises the incremental catch-up; small arenas grow and rehash
+   on the way. Extensions come one row at a time, as random row lists,
+   and as [n] rows drawn outside the other ops' value range, which
+   resize the data array exactly. *)
 
 type arena_op =
   | Op_add of int array
   | Op_commit of int array
-  | Op_append of int array
+  | Op_extend_one of int array
   | Op_mem of int array
-  | Op_reserve of int
+  | Op_extend_new of int
   | Op_extend of int array list
   | Op_copy
 
@@ -505,9 +507,9 @@ let print_arena_op =
   function
   | Op_add r -> "add " ^ row r
   | Op_commit r -> "commit " ^ row r
-  | Op_append r -> "append " ^ row r
+  | Op_extend_one r -> "extend one " ^ row r
   | Op_mem r -> "mem " ^ row r
-  | Op_reserve n -> Printf.sprintf "reserve %d" n
+  | Op_extend_new n -> Printf.sprintf "extend %d new rows" n
   | Op_extend rs -> "extend " ^ QCheck.Print.list row rs
   | Op_copy -> "copy"
 
@@ -522,9 +524,9 @@ let arena_ops_arbitrary arity =
         [
           (3, map (fun r -> Op_add r) row);
           (3, map (fun r -> Op_commit r) row);
-          (4, map (fun r -> Op_append r) row);
+          (4, map (fun r -> Op_extend_one r) row);
           (3, map (fun r -> Op_mem r) row);
-          (1, map (fun n -> Op_reserve n) (int_range 0 40));
+          (1, map (fun n -> Op_extend_new n) (int_range 0 40));
           (2, map (fun rs -> Op_extend rs) (list_size (int_range 0 6) row));
           (1, return Op_copy);
         ])
@@ -539,8 +541,30 @@ let stage_row a r =
 
 let run_arena_model arity ops =
   let a = ref (Arena.create ~size_hint:1 arity) in
-  let model = ref [] and appended = ref [] in
+  let model = ref [] and filled = ref [] in
   let present r = List.mem r !model in
+  (* [extend] requires rows pairwise distinct and not yet present; they
+     are filled in place after the count has moved. *)
+  let extend_fill rs =
+    let fresh =
+      List.fold_left
+        (fun acc r -> if present r || List.mem r acc then acc else r :: acc)
+        [] rs
+    in
+    let n = List.length fresh in
+    let first = Arena.count !a in
+    let base = Arena.extend !a n in
+    List.iteri
+      (fun i r -> Array.blit r 0 (Arena.data !a) (base + (i * arity)) arity)
+      fresh;
+    model := fresh @ !model;
+    filled := fresh @ !filled;
+    Arena.count !a = first + n
+    && base = first * arity
+    && List.for_all2 (fun i r -> Arena.read !a (first + i) = r)
+         (List.init n Fun.id) fresh
+  in
+  let fresh_serial = ref 0 in
   let step = function
     | Op_add r ->
       let fresh = not (present r) in
@@ -551,49 +575,27 @@ let run_arena_model arity ops =
       if fresh then model := r :: !model;
       stage_row !a r;
       Arena.commit_staged !a = fresh
-    | Op_append r ->
-      (* [append_staged] requires a row not yet present. *)
-      if not (present r) then begin
-        model := r :: !model;
-        appended := r :: !appended;
-        stage_row !a r;
-        Arena.append_staged !a
-      end;
-      true
+    | Op_extend_one r -> extend_fill [ r ]
     | Op_mem r -> Arena.mem !a r = present r
-    | Op_reserve n ->
-      (* An exact reserve changes neither the count nor any row. *)
-      let rows a = List.init (Arena.count a) (Arena.read a) in
-      let before = rows !a in
-      Arena.reserve !a n;
-      rows !a = before
-    | Op_extend rs ->
-      (* [extend] requires rows pairwise distinct and not yet present;
-         they are filled in place after the count has moved. *)
-      let fresh =
-        List.fold_left
-          (fun acc r -> if present r || List.mem r acc then acc else r :: acc)
-          [] rs
+    | Op_extend_new n ->
+      (* Values above every other op's range: new unless arity is 0. *)
+      let rows =
+        List.init n (fun _ ->
+            incr fresh_serial;
+            Array.make arity (100 + !fresh_serial))
       in
-      let n = List.length fresh in
-      let first = Arena.count !a in
-      let base = Arena.extend !a n in
-      List.iteri
-        (fun i r -> Array.blit r 0 (Arena.data !a) (base + (i * arity)) arity)
-        fresh;
-      model := fresh @ !model;
-      appended := fresh @ !appended;
-      Arena.count !a = first + n
-      && base = first * arity
-      && List.for_all2 (fun i r -> Arena.read !a (first + i) = r)
-           (List.init n Fun.id) fresh
+      let before = List.init (Arena.count !a) (Arena.read !a) in
+      extend_fill rows
+      && List.for_all2 (fun i r -> Arena.read !a i = r)
+           (List.init (List.length before) Fun.id) before
+    | Op_extend rs -> extend_fill rs
     | Op_copy ->
       a := Arena.copy !a;
       true
   in
   List.for_all (fun op -> step op && Arena.count !a = List.length !model) ops
   && List.for_all (fun r -> Arena.mem !a r) !model
-  && List.for_all (fun r -> not (Arena.add !a r)) !appended
+  && List.for_all (fun r -> not (Arena.add !a r)) !filled
   && Arena.count !a = List.length !model
 
 let prop_arena_lazy_index arity =
@@ -880,6 +882,157 @@ let fixture_suite =
       (fun pipeline -> List.map (fixture_case pipeline) fixtures)
       pipelines )
 
+(* ------------------------------------------------------------------ *)
+(* Bulk settling: [Limits.charge_rows] and the kernels that use it.    *)
+
+module Limits = Relalg.Limits
+
+(* Budgets for the bulk-settle properties: each cap is small or
+   unlimited ([max_int], where [unlimited]'s headroom saturates), and
+   part of the run budget is spent before the operator. *)
+type budget = { max_tuples : int; max_total : int; spent : int }
+
+let budget_gen =
+  QCheck.Gen.(
+    let cap = frequency [ (4, int_range 0 50); (1, return max_int) ] in
+    map3
+      (fun max_tuples max_total spent -> { max_tuples; max_total; spent })
+      cap cap (int_range 0 60))
+
+let print_budget b =
+  Printf.sprintf "max_tuples %d, max_total %d, spent %d" b.max_tuples
+    b.max_total b.spent
+
+let fresh_limits b =
+  let l = Limits.create ~max_tuples:b.max_tuples ~max_total:b.max_total () in
+  Limits.charge l (min b.spent b.max_total);
+  l
+
+(* The reason [f] raises on [l] (or none), and the total it leaves. *)
+let outcome l f =
+  let r = match f l with () -> None | exception Limits.Abort r -> Some r in
+  (r, Limits.total_charged l)
+
+(* What charging a fresh output of [n] rows one at a time does. *)
+let per_row n l =
+  for i = 1 to n do
+    Limits.charge l 1;
+    Limits.check_cardinality l i
+  done
+
+(* [Limits.charge_rows] is [n] rounds of per-row charging, settled at
+   once: the same reason (or none) and the same total, for [n] up to
+   three times the smaller cap. *)
+let prop_charge_rows_per_row =
+  let arb =
+    QCheck.make
+      ~print:(fun (b, n) -> Printf.sprintf "%s, n %d" (print_budget b) n)
+      QCheck.Gen.(
+        budget_gen >>= fun b ->
+        let cap = min b.max_tuples b.max_total in
+        let hi = if cap = max_int then 150 else 3 * max 1 cap in
+        map (fun n -> (b, n)) (int_range 0 hi))
+  in
+  qtest ~count:500 "charge_rows = per-row charging" arb (fun (b, n) ->
+      outcome (fresh_limits b) (fun l -> Limits.charge_rows l n)
+      = outcome (fresh_limits b) (per_row n))
+
+(* Every bulk-settled kernel under random limits, on the random pairs of
+   [rows_arbitrary] and the fixed shapes of [fixtures] (a heavy-hitter
+   key among them): it returns the oracle's rows, or raises what
+   charging the oracle's row count one row at a time raises, and leaves
+   the same total charged either way. *)
+let parity r = List.fold_left ( + ) 0 r land 1 = 0
+
+let bulk_kernels =
+  [
+    ("join", (fun ctx r s -> Ops.natural_join ~ctx r s), Oracle.join);
+    ("semijoin", (fun ctx r s -> Ops.semijoin ~ctx r s), Oracle.semijoin);
+    ("antijoin", (fun ctx r s -> Ops.antijoin ~ctx r s), Oracle.antijoin);
+    ( "select",
+      (fun ctx r _ ->
+        Ops.select ~ctx r (fun t -> parity (Tuple.to_list t))),
+      fun r _ -> Oracle.make r.Oracle.attrs (List.filter parity r.rows) );
+  ]
+
+let prop_kernels_under_limits =
+  let inputs =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 1,
+            map2
+              (fun rr rs -> (([ 0; 1 ], rr), ([ 1; 2 ], rs)))
+              (QCheck.gen rows_arbitrary) (QCheck.gen rows_arbitrary) );
+          (1, map (fun (_, r, s) -> (r, s)) (oneofl fixtures));
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (k, ((ra, rr), (sa, sr)), b) ->
+        Printf.sprintf "%s; r %s = %s; s %s = %s; %s" k
+          QCheck.Print.(list int ra) QCheck.Print.(list (list int) rr)
+          QCheck.Print.(list int sa) QCheck.Print.(list (list int) sr)
+          (print_budget b))
+      QCheck.Gen.(
+        triple
+          (oneofl (List.map (fun (k, _, _) -> k) bulk_kernels))
+          inputs budget_gen)
+  in
+  qtest ~count:500 "bulk-settled kernels = oracle under limits" arb
+    (fun (k, ((r_attrs, rows_r), (s_attrs, rows_s)), b) ->
+      let _, kernel, oracle =
+        List.find (fun (k', _, _) -> k' = k) bulk_kernels
+      in
+      let expected =
+        oracle (Oracle.make r_attrs rows_r) (Oracle.make s_attrs rows_s)
+      in
+      let got = ref None in
+      let run l =
+        let ctx = Relalg.Ctx.create ~limits:l () in
+        got :=
+          Some
+            (Oracle.of_relation
+               (kernel ctx (relation r_attrs rows_r) (relation s_attrs rows_s)))
+      in
+      let reason, total = outcome (fresh_limits b) run in
+      let reason', total' =
+        outcome (fresh_limits b) (per_row (List.length expected.Oracle.rows))
+      in
+      reason = reason' && total = total'
+      && (reason <> None || !got = Some expected))
+
+(* A fake clock that passes the deadline only once the operator has
+   settled its output (the hook runs after the settle's charges): the
+   entry polls read time 0, so the abort can only come from a poll
+   inside the fill. *)
+let deadline_in_fill op out_rows =
+  let late = ref false in
+  let limits =
+    Limits.create ~deadline_seconds:1.0
+      ~clock:(fun () -> if !late then 10.0 else 0.0)
+      ()
+  in
+  Limits.set_hook limits
+    (Some (fun ~ops:_ ~total -> if total >= out_rows then late := true));
+  Alcotest.check_raises "deadline during the fill"
+    (Limits.Abort Limits.Deadline) (fun () ->
+      ignore (op (Relalg.Ctx.create ~limits ())));
+  check_bool "the clock passed the deadline only after the settle" true !late;
+  check_int "the whole output was settled first" out_rows
+    (Limits.total_charged limits)
+
+let test_deadline_in_fill () =
+  (* 3000 rows, each matching the 2 rows of its key: 6000 out. *)
+  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 3 ])) in
+  let s =
+    relation [ 1; 2 ]
+      [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ]; [ 2; 0 ]; [ 2; 1 ] ]
+  in
+  deadline_in_fill (fun ctx -> Ops.natural_join ~ctx r s) 6000;
+  (* Every row of [r] has a key in [s]: 3000 kept. *)
+  deadline_in_fill (fun ctx -> Ops.semijoin ~ctx r s) 3000
+
 let () =
   Alcotest.run "relalg"
     [
@@ -958,6 +1111,10 @@ let () =
           Alcotest.test_case "cardinality cap" `Quick test_limits_cardinality;
           Alcotest.test_case "total budget" `Quick test_limits_total;
           Alcotest.test_case "stats recording" `Quick test_stats_recording;
+          prop_charge_rows_per_row;
+          prop_kernels_under_limits;
+          Alcotest.test_case "deadline during a fill" `Quick
+            test_deadline_in_fill;
         ] );
       ( "arena",
         [

@@ -132,6 +132,21 @@ let test_chaos_after_tuples () =
   check_bool "fired once K tuples were charged" true
     (Limits.total_charged limits >= 4)
 
+let test_chaos_inside_one_join () =
+  (* K falls inside one join's 2000-row output. The join settles its
+     output in at most two charges before writing a row, so the fault
+     fires on the first of them, past K. *)
+  let r = relation [ 0; 1 ] (List.init 1000 (fun i -> [ i; i mod 2 ])) in
+  let s = relation [ 1; 2 ] [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ] in
+  let k = 500 in
+  let limits = Limits.create () in
+  Supervise.Chaos.arm (Supervise.Chaos.after_tuples ~label:"mid-join" k)
+    ~attempt:0 limits;
+  Alcotest.check_raises "fired inside the join"
+    (Limits.Abort (Limits.Injected "mid-join")) (fun () ->
+      ignore (Relalg.Ops.natural_join ~ctx:(Relalg.Ctx.create ~limits ()) r s));
+  check_bool "charged at least K" true (Limits.total_charged limits >= k)
+
 let test_chaos_out_of_scope_attempt () =
   let limits = Limits.create () in
   Supervise.Chaos.arm
@@ -503,6 +518,8 @@ let () =
         [
           Alcotest.test_case "at operator" `Quick test_chaos_at_operator;
           Alcotest.test_case "after tuples" `Quick test_chaos_after_tuples;
+          Alcotest.test_case "after tuples, inside one join" `Quick
+            test_chaos_inside_one_join;
           Alcotest.test_case "attempt scope" `Quick
             test_chaos_out_of_scope_attempt;
           Alcotest.test_case "seeded determinism" `Quick
