@@ -153,7 +153,7 @@ let order ?(params = default_params) env atoms =
   let m = Array.length atoms in
   if m <= 1 then Array.init m Fun.id
   else begin
-    let fitness perm = Cost.order_cost env atoms perm in
+    let fitness = Cost.Model.order_cost (Cost.Model.make env atoms) in
     let rng = Rng.make params.seed in
     let best = ref (Array.init m Fun.id) in
     let best_cost = ref (fitness !best) in

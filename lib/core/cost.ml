@@ -145,9 +145,9 @@ let environment ?feedback db cq =
   (match feedback with
   | None -> ()
   | Some lookup ->
-    (* Corrections are folded in once at build time, so the hot
-       estimation path ({!join_estimate}, {!order_cost}) pays nothing
-       extra per call. A variable factor f = measured/estimated divides
+    (* Corrections are folded in once at build time, so the compiled
+       model ({!Model}) reads corrected numbers and pays nothing extra
+       per estimate. A variable factor f = measured/estimated divides
        the effective domain: joins on an underestimated key (f > 1) get
        costlier, overestimated ones (f < 1) cheaper. *)
     Hashtbl.iter
@@ -195,55 +195,191 @@ let atom_cardinality env atom =
 let domain_size env v =
   Option.value ~default:env.default_domain (Hashtbl.find_opt env.domains v)
 
-let join_estimate env (card_l, vars_l) (card_r, vars_r) =
-  let shared = Iset.inter vars_l vars_r in
-  let divisor =
-    Iset.fold (fun v acc -> acc *. domain_size env v) shared 1.0
-  in
-  (card_l *. card_r /. divisor, Iset.union vars_l vars_r)
+(* ------------------------------------------------------------------ *)
+(* The compiled model.
 
-let rec analyze env = function
-  | Plan.Atom atom ->
-    (atom_cardinality env atom, Iset.of_list (Cq.atom_vars atom), 0.0)
-  | Plan.Join (l, r) ->
-    let cl, vl, kl = analyze env l in
-    let cr, vr, kr = analyze env r in
-    let card, vars = join_estimate env (cl, vl) (cr, vr) in
-    (card, vars, kl +. kr +. card)
-  | Plan.Project (sub, kept) ->
-    let c, _, k = analyze env sub in
-    let vars = Iset.of_list kept in
-    (* Projection can only shrink; bound by the product of the kept
-       variables' domains. *)
-    let cap = Iset.fold (fun v acc -> acc *. domain_size env v) vars 1.0 in
-    let card = Float.min c cap in
-    (card, vars, k +. card)
+   Every estimate is a product of atom cardinalities and quotients by
+   variable domains. Floating-point products are not associative, so
+   the arithmetic order is part of the model's contract: a join divides
+   [card_l *. card_r] by the product of the shared variables' domains,
+   taken in increasing variable id and starting from [1.0]. The model
+   numbers the variables densely in that order (bit [b] is the [b]-th
+   smallest id), so walking a mask from its lowest bit up reproduces
+   it. Masks take [word_bits] bits per int; a query with more variables
+   spreads each mask over several words, read in the same order. *)
 
-let estimate env plan =
-  let card, _, _ = analyze env plan in
-  card *. env.query_corr
+(* OCaml ints carry 63 bits; 62 keeps every mask word non-negative. *)
+let word_bits = 62
 
-let plan_cost env plan =
-  let _, _, cost = analyze env plan in
-  cost
+module Model = struct
+  type t = {
+    ids : int array;  (* variable ids, increasing: bit [b] is [ids.(b)] *)
+    words : int;  (* ints per variable mask *)
+    dom : float array;  (* effective domain, by variable bit *)
+    card : float array;  (* corrected cardinality, by atom *)
+    mask : int array;  (* atom [a]'s variables: words [a * words ..] *)
+    vstart : int array;
+    vbits : int array;
+        (* atom [a]'s variable bits, increasing, are
+           [vbits.(vstart.(a) .. vstart.(a + 1) - 1)] *)
+    var_atoms : int array;
+        (* by variable bit: the atoms containing it, as a mask over atom
+           indices; empty beyond [word_bits] atoms *)
+  }
 
-let order_cost env atoms perm =
-  let n = Array.length perm in
-  if n = 0 then 0.0
-  else begin
-    let first = atoms.(perm.(0)) in
-    let card = ref (atom_cardinality env first) in
-    let vars = ref (Iset.of_list (Cq.atom_vars first)) in
-    let cost = ref 0.0 in
-    for i = 1 to n - 1 do
-      let atom = atoms.(perm.(i)) in
-      let card', vars' =
-        join_estimate env (!card, !vars)
-          (atom_cardinality env atom, Iset.of_list (Cq.atom_vars atom))
-      in
-      card := card';
-      vars := vars';
-      cost := !cost +. card'
+  (* The bit of variable [v]: its index in the increasing [ids]. *)
+  let bit ids v =
+    let rec search lo hi =
+      assert (lo <= hi);
+      let mid = (lo + hi) / 2 in
+      if ids.(mid) < v then search (mid + 1) hi
+      else if ids.(mid) > v then search lo (mid - 1)
+      else mid
+    in
+    search 0 (Array.length ids - 1)
+
+  let set_bit mask base b =
+    let w = base + (b / word_bits) in
+    mask.(w) <- mask.(w) lor (1 lsl (b mod word_bits))
+
+  (* The model over [atoms] and any [extra] variables (a plan's
+     projection lists). *)
+  let build env atoms extra =
+    let ids =
+      Array.fold_left (fun acc atom -> List.rev_append atom.Cq.vars acc) extra atoms
+      |> List.sort_uniq Int.compare |> Array.of_list
+    in
+    let bits =
+      Array.map
+        (fun atom ->
+          Array.of_list (List.map (bit ids) (List.sort_uniq Int.compare atom.Cq.vars)))
+        atoms
+    in
+    let nvars = Array.length ids and m = Array.length atoms in
+    let words = max 1 ((nvars + word_bits - 1) / word_bits) in
+    let mask = Array.make (m * words) 0 in
+    let vstart = Array.make (m + 1) 0 in
+    let var_atoms = Array.make (if m <= word_bits then nvars else 0) 0 in
+    Array.iteri
+      (fun a bs ->
+        vstart.(a + 1) <- vstart.(a) + Array.length bs;
+        Array.iter
+          (fun b ->
+            set_bit mask (a * words) b;
+            if m <= word_bits then var_atoms.(b) <- var_atoms.(b) lor (1 lsl a))
+          bs)
+      bits;
+    {
+      ids;
+      words;
+      dom = Array.map (domain_size env) ids;
+      card = Array.map (atom_cardinality env) atoms;
+      mask;
+      vstart;
+      vbits = Array.concat (Array.to_list bits);
+      var_atoms;
+    }
+
+  let make env atoms = build env atoms []
+
+  let order_cost t perm =
+    let n = Array.length perm in
+    if n = 0 then 0.0
+    else begin
+      let words = t.words in
+      let seen = Array.sub t.mask (perm.(0) * words) words in
+      let card = ref t.card.(perm.(0)) in
+      let cost = ref 0.0 in
+      for i = 1 to n - 1 do
+        let a = perm.(i) in
+        let divisor = ref 1.0 in
+        for k = t.vstart.(a) to t.vstart.(a + 1) - 1 do
+          let b = t.vbits.(k) in
+          if seen.(b / word_bits) land (1 lsl (b mod word_bits)) <> 0 then
+            divisor := !divisor *. t.dom.(b)
+        done;
+        card := !card *. t.card.(a) /. !divisor;
+        for w = 0 to words - 1 do
+          seen.(w) <- seen.(w) lor t.mask.((a * words) + w)
+        done;
+        cost := !cost +. !card
+      done;
+      !cost
+    end
+
+  let join_cardinality t atoms =
+    let m = Array.length t.card in
+    if m > word_bits then
+      invalid_arg "Cost.Model.join_cardinality: more atoms than mask bits";
+    let card = ref 1.0 in
+    for a = 0 to m - 1 do
+      if atoms land (1 lsl a) <> 0 then card := !card *. t.card.(a)
     done;
-    !cost
-  end
+    for b = 0 to Array.length t.dom - 1 do
+      (* One division per occurrence beyond the first. *)
+      let rest = ref (atoms land t.var_atoms.(b)) in
+      if !rest <> 0 then begin
+        rest := !rest land (!rest - 1);
+        while !rest <> 0 do
+          card := !card /. t.dom.(b);
+          rest := !rest land (!rest - 1)
+        done
+      end
+    done;
+    !card
+
+  (* Product of the domains of the variables in [vars] (a mask of
+     [t.words] ints), lowest bit first. *)
+  let domain_product t vars =
+    let acc = ref 1.0 in
+    for w = 0 to t.words - 1 do
+      let s = ref vars.(w) and b = ref (w * word_bits) in
+      while !s <> 0 do
+        if !s land 1 <> 0 then acc := !acc *. t.dom.(!b);
+        s := !s lsr 1;
+        incr b
+      done
+    done;
+    !acc
+
+  (* (cardinality, cost) of a plan whose atoms, in {!Plan.atoms} order,
+     are the model's. *)
+  let analyze t plan =
+    let words = t.words in
+    let next = ref 0 in
+    let rec go = function
+      | Plan.Atom _ ->
+        let a = !next in
+        incr next;
+        (t.card.(a), Array.sub t.mask (a * words) words, 0.0)
+      | Plan.Join (l, r) ->
+        let cl, vl, kl = go l in
+        let cr, vr, kr = go r in
+        let card = cl *. cr /. domain_product t (Array.map2 ( land ) vl vr) in
+        (card, Array.map2 ( lor ) vl vr, kl +. kr +. card)
+      | Plan.Project (sub, kept) ->
+        let c, _, k = go sub in
+        let vars = Array.make words 0 in
+        List.iter (fun v -> set_bit vars 0 (bit t.ids v)) kept;
+        (* Projection can only shrink; bound by the product of the kept
+           variables' domains. *)
+        let card = Float.min c (domain_product t vars) in
+        (card, vars, k +. card)
+    in
+    let card, _, cost = go plan in
+    (card, cost)
+end
+
+let analyze env plan =
+  let rec kept acc = function
+    | Plan.Atom _ -> acc
+    | Plan.Join (l, r) -> kept (kept acc l) r
+    | Plan.Project (sub, vs) -> kept (List.rev_append vs acc) sub
+  in
+  Model.analyze
+    (Model.build env (Array.of_list (Plan.atoms plan)) (kept [] plan))
+    plan
+
+let estimate env plan = fst (analyze env plan) *. env.query_corr
+let plan_cost env plan = snd (analyze env plan)
+let order_cost env atoms perm = Model.order_cost (Model.make env atoms) perm

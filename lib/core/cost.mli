@@ -72,13 +72,53 @@ val domain_size : env -> int -> float
 
 val estimate : env -> Plan.t -> float
 (** Estimated cardinality of the plan's result, times the environment's
-    query-level correction factor. *)
+    query-level correction factor. Runs on a {!Model} built from the
+    plan's atoms and projection lists: a join is
+    [card_l *. card_r /. d], where [d] is the product of the shared
+    variables' domains in increasing variable id, starting from [1.0];
+    a projection is capped by the product of its kept variables'
+    domains, in the same order. *)
 
 val plan_cost : env -> Plan.t -> float
 (** Total estimated tuples materialized across all operators — the
-    quantity the search minimizes. *)
+    quantity the search minimizes. Same arithmetic as {!estimate}. *)
 
 val order_cost : env -> Conjunctive.Cq.atom array -> int array -> float
 (** [order_cost env atoms perm]: cost of the left-deep join that scans
-    [atoms.(perm.(0)), atoms.(perm.(1)), ...] without projection — the
-    genetic planner's fitness function, computed incrementally. *)
+    [atoms.(perm.(0)), atoms.(perm.(1)), ...] without projection. It
+    builds a {!Model} for the one call; a search scoring many orders
+    builds the model once and calls {!Model.order_cost}. Bit-identical
+    to {!plan_cost} of the same left-deep plan. *)
+
+(** The cost model compiled for one atom array: per-atom cardinalities
+    (feedback applied), per-atom variable bitmasks and a per-variable
+    domain array, so scoring an order or a subset is a loop over ints
+    and floats — no sets, no hashing.
+
+    The query's variables get dense bit indices in increasing variable
+    id, and every product of domains walks the bits from the lowest up.
+    That fixes the floating-point arithmetic order to the one the
+    estimators above define, so a model's numbers are bit-identical to
+    theirs. A mask takes 62 bits per int; with more than 62 variables
+    it spans several ints, read in the same order, with the same
+    results. A model is immutable and may be shared between domains. *)
+module Model : sig
+  type t
+
+  val make : env -> Conjunctive.Cq.atom array -> t
+  (** Compile the model for these atoms, reading cardinalities and
+      domains from the environment. Atom [i] of the array is atom [i]
+      of the model. *)
+
+  val order_cost : t -> int array -> float
+  (** As {!Cost.order_cost} on the atoms the model was built from. *)
+
+  val join_cardinality : t -> int -> float
+  (** [join_cardinality t s]: estimated cardinality of the join of the
+      atoms whose indices are set in the bitmask [s]. Under the
+      independence model it is order-independent: the product of the
+      atoms' cardinalities in index order, then one division by a
+      variable's domain per occurrence beyond its first, variables in
+      increasing id. Used by the DP planners.
+      @raise Invalid_argument if the model has more than 62 atoms. *)
+end

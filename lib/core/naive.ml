@@ -34,37 +34,12 @@ let register_order_search name search =
 let order_search name =
   Mutex.protect planners_lock (fun () -> Hashtbl.find_opt planners name)
 
-(* Estimated cardinality of the join of a subset of atoms. Under the
-   independence model this is order-independent: the product of the atom
-   cardinalities, divided by each variable's domain size once per extra
-   occurrence. *)
-let subset_cardinality env atoms mask =
-  let m = Array.length atoms in
-  let occ = Hashtbl.create 32 in
-  let card = ref 1.0 in
-  for i = 0 to m - 1 do
-    if mask land (1 lsl i) <> 0 then begin
-      card := !card *. Cost.atom_cardinality env atoms.(i);
-      List.iter
-        (fun v ->
-          Hashtbl.replace occ v
-            (1 + Option.value ~default:0 (Hashtbl.find_opt occ v)))
-        (Cq.atom_vars atoms.(i))
-    end
-  done;
-  Hashtbl.iter
-    (fun v count ->
-      for _ = 2 to count do
-        card := !card /. Cost.domain_size env v
-      done)
-    occ;
-  !card
-
 let dp_order env atoms =
   let m = Array.length atoms in
   if m = 0 then [||]
   else if m > 24 then invalid_arg "Naive.dp_order: too many atoms for DP"
   else begin
+    let model = Cost.Model.make env atoms in
     let full = (1 lsl m) - 1 in
     let cost = Array.make (full + 1) infinity in
     let choice = Array.make (full + 1) (-1) in
@@ -79,7 +54,7 @@ let dp_order env atoms =
         choice.(mask) <- bit 0
       end
       else begin
-        let card = subset_cardinality env atoms mask in
+        let card = Cost.Model.join_cardinality model mask in
         for v = 0 to m - 1 do
           if mask land (1 lsl v) <> 0 then begin
             let prev = cost.(mask lxor (1 lsl v)) in
@@ -110,6 +85,7 @@ let dp_bushy_plan env atoms =
   let m = Array.length atoms in
   if m = 0 then invalid_arg "Naive.dp_bushy_plan: no atoms";
   if m > 15 then invalid_arg "Naive.dp_bushy_plan: too many atoms for bushy DP";
+  let model = Cost.Model.make env atoms in
   let full = (1 lsl m) - 1 in
   let cost = Array.make (full + 1) infinity in
   let split = Array.make (full + 1) 0 in
@@ -120,7 +96,7 @@ let dp_bushy_plan env atoms =
   for mask = 1 to full do
     if popcount mask = 1 then cost.(mask) <- 0.0
     else begin
-      let card = subset_cardinality env atoms mask in
+      let card = Cost.Model.join_cardinality model mask in
       (* Enumerate proper submasks; visiting each unordered partition
          twice is harmless for the minimum. *)
       let sub = ref ((mask - 1) land mask) in
@@ -180,14 +156,62 @@ let swap_mutation rng perm =
     perm.(j) <- tmp
   end
 
+(* GEQO's worst member, in O(log pool) per replacement: a tournament
+   tree over the pool's fitness whose every node holds the index of its
+   subtree's largest fitness, the lower index on a tie. That is the
+   member a left-to-right scan with strict [>] finds. A NaN never wins
+   a match; a scan that starts on a NaN at index 0 never leaves it, so
+   [index] answers 0 there. *)
+module Worst = struct
+  type t = { fit : float array; leaves : int; node : int array }
+
+  let winner fit a b =
+    if b < 0 then a
+    else if a < 0 then b
+    else if fit.(b) > fit.(a) || (Float.is_nan fit.(a) && not (Float.is_nan fit.(b)))
+    then b
+    else a
+
+  let create fit =
+    let n = Array.length fit in
+    let leaves = ref 1 in
+    while !leaves < n do leaves := 2 * !leaves done;
+    let leaves = !leaves in
+    let node = Array.make (2 * leaves) (-1) in
+    for i = 0 to n - 1 do node.(leaves + i) <- i done;
+    for k = leaves - 1 downto 1 do
+      node.(k) <- winner fit node.(2 * k) node.((2 * k) + 1)
+    done;
+    { fit; leaves; node }
+
+  let index t = if Float.is_nan t.fit.(0) then 0 else t.node.(1)
+
+  let set t i f =
+    t.fit.(i) <- f;
+    let k = ref ((t.leaves + i) / 2) in
+    while !k >= 1 do
+      t.node.(!k) <- winner t.fit t.node.(2 * !k) t.node.((2 * !k) + 1);
+      k := !k / 2
+    done
+end
+
 let genetic_order params env atoms =
+  (match params.pool_size with
+  | Some p when p <= 0 ->
+    invalid_arg "Naive.genetic_order: pool_size must be positive"
+  | _ -> ());
+  (match params.generations with
+  | Some g when g < 0 ->
+    invalid_arg "Naive.genetic_order: generations must be non-negative"
+  | _ -> ());
   let m = Array.length atoms in
   if m <= 1 then Array.init m Fun.id
   else begin
     let rng = Graphlib.Rng.make params.seed in
     let pool_size = Option.value ~default:(auto_pool_size m) params.pool_size in
     let generations = Option.value ~default:pool_size params.generations in
-    let fitness perm = Cost.order_cost env atoms perm in
+    let model = Cost.Model.make env atoms in
+    let fitness = Cost.Model.order_cost model in
     let random_perm () =
       let p = Array.init m Fun.id in
       Graphlib.Rng.shuffle rng p;
@@ -195,26 +219,20 @@ let genetic_order params env atoms =
     in
     let pool = Array.init pool_size (fun _ -> random_perm ()) in
     let fit = Array.map fitness pool in
+    let worst = Worst.create fit in
     let tournament () =
       let a = Graphlib.Rng.int rng pool_size and b = Graphlib.Rng.int rng pool_size in
       if fit.(a) <= fit.(b) then a else b
-    in
-    let worst () =
-      let w = ref 0 in
-      for i = 1 to pool_size - 1 do
-        if fit.(i) > fit.(!w) then w := i
-      done;
-      !w
     in
     for _ = 1 to generations do
       let parent_a = pool.(tournament ()) and parent_b = pool.(tournament ()) in
       let child = order_crossover rng parent_a parent_b in
       if Graphlib.Rng.int rng 5 = 0 then swap_mutation rng child;
       let f = fitness child in
-      let w = worst () in
+      let w = Worst.index worst in
       if f < fit.(w) then begin
         pool.(w) <- child;
-        fit.(w) <- f
+        Worst.set worst w f
       end
     done;
     let best = ref 0 in

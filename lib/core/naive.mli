@@ -48,7 +48,8 @@ val order_search :
 
 val dp_order : Cost.env -> Conjunctive.Cq.atom array -> int array
 (** Minimum-cost left-deep order, by dynamic programming over atom
-    subsets. Exponential: [O(2^m * m^2)]. *)
+    subsets. Exponential: [O(2^m * m^2)]. Each subset's cardinality is
+    {!Cost.Model.join_cardinality} on one model compiled per call. *)
 
 val dp_bushy_plan : Cost.env -> Conjunctive.Cq.atom array -> Plan.t
 (** Minimum-cost {e bushy} join tree, by dynamic programming over every
@@ -59,7 +60,31 @@ val dp_bushy_plan : Cost.env -> Conjunctive.Cq.atom array -> Plan.t
 val genetic_order :
   genetic_params -> Cost.env -> Conjunctive.Cq.atom array -> int array
 (** GEQO-style search: a pool of random orders evolved by order
-    crossover, swap mutation, and elitist replacement. *)
+    crossover, swap mutation, and elitist replacement of the pool's
+    worst member ({!Worst}). Fitness is {!Cost.Model.order_cost} on one
+    model compiled per call.
+    @raise Invalid_argument if [pool_size] is [Some p] with [p <= 0] or
+    [generations] is negative. *)
+
+(** The genetic search's worst-member lookup: a tournament tree over a
+    fitness array. *)
+module Worst : sig
+  type t
+
+  val create : float array -> t
+  (** A tree over the array, which it shares: update it only through
+      {!set}. [O(n)]. *)
+
+  val index : t -> int
+  (** The lowest index among the maxima — exactly what a left-to-right
+      scan with strict [>] returns (NaN entries never win, and a NaN at
+      index 0 answers 0, as the scan does). [O(1)].
+      @raise Invalid_argument on an empty array. *)
+
+  val set : t -> int -> float -> unit
+  (** [set t i f] writes [f] at index [i] and repairs the tree.
+      [O(log n)]. *)
+end
 
 val compile :
   ?search:search -> ?feedback:Cost.feedback ->

@@ -206,6 +206,232 @@ let test_naive_compile_structure () =
   check_bool "no pushed projections" true (Plan.projection_count plan <= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Plan identity: the compiled cost model against the set-based
+   reference ([Reference_cost]). Every order, plan and cost must match
+   bit for bit. The gradient planner's orders, and GEQO at its default
+   pool sizing, are pinned against the set-based model's output by the
+   golden file in test/golden.                                          *)
+
+module Ref = Reference_cost
+
+let bits = Int64.bits_of_float
+let check_bits msg want got = Alcotest.(check int64) msg (bits want) (bits got)
+
+(* Deterministic, key-dependent factors in [0.25, 4]: unequal domains
+   and corrected atoms, so ties break differently than without. *)
+let synthetic_feedback key =
+  Some (0.25 *. float_of_int (1 + (Hashtbl.hash key mod 16)))
+
+let feedbacks = [ ("textbook", None); ("feedback", Some synthetic_feedback) ]
+
+(* The figures' instances, drawn as lib/experiments/figures.ml draws
+   them for a seed. *)
+let sat_instance ~k ~num_vars ~density seed =
+  let rng = Graphlib.Rng.make seed in
+  let num_clauses = max 1 (int_of_float (density *. float_of_int num_vars)) in
+  let cnf = Conjunctive.Cnf.random_ksat ~rng ~k ~num_vars ~num_clauses in
+  (Encode.sat_database cnf, Encode.sat_query ~mode:Encode.Boolean cnf)
+
+let color_instance ~n ~density ~mode seed =
+  let rng = Graphlib.Rng.make seed in
+  let m =
+    max 1
+      (min (int_of_float (Float.round (density *. float_of_int n))) (n * (n - 1) / 2))
+  in
+  let g = Graphlib.Generators.random ~rng ~n ~m in
+  (coloring_db, Encode.coloring_query_of_graph ~mode ~rng:(Graphlib.Rng.split rng) g)
+
+let family_instance family n mode seed =
+  (coloring_db, Encode.coloring_query_of_graph ~mode ~rng:(Graphlib.Rng.make seed) (family n))
+
+let free = Encode.Fraction 0.2
+
+(* perfbench's paper-batch cells, one figure seed each. *)
+let paper_batch_instances =
+  let module Gen = Graphlib.Generators in
+  [
+    ("fig2", sat_instance ~k:3 ~num_vars:5 ~density:4. 1000);
+    ("fig3", color_instance ~n:20 ~density:1. ~mode:Encode.Boolean 1000);
+    ("fig4", color_instance ~n:30 ~density:3. ~mode:free 1000);
+    ("fig5", color_instance ~n:15 ~density:6. ~mode:Encode.Boolean 1000);
+    ("fig6", family_instance Gen.augmented_path 10 free 1000);
+    ("fig7", family_instance Gen.ladder 10 Encode.Boolean 1000);
+    ("fig8", family_instance Gen.augmented_ladder 5 free 1000);
+    ("fig9", family_instance Gen.augmented_circular_ladder 5 Encode.Boolean 1000);
+    ("sec7-3sat", sat_instance ~k:3 ~num_vars:20 ~density:1. 1000);
+    ("sec7-2sat", sat_instance ~k:2 ~num_vars:20 ~density:2. 1000);
+  ]
+
+let figure2_instances =
+  List.map
+    (fun d -> (Printf.sprintf "fig2 d%g" d, sat_instance ~k:3 ~num_vars:5 ~density:d 1000))
+    [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. ]
+
+let coloring_order_instances =
+  List.map
+    (fun n -> (Printf.sprintf "3-COLOR n%d" n, color_instance ~n ~density:3. ~mode:free 1000))
+    [ 5; 10; 15; 20; 25; 30 ]
+
+(* A small, non-power-of-two pool: the reference's set-based fitness
+   and linear scan make the default 8192 too slow for a unit test. *)
+let small_pool =
+  { Naive.pool_size = Some 100; generations = Some 600; seed = 7 }
+
+let check_plan_identity ?(params = small_pool) (name, (db, cq)) =
+  List.iter
+    (fun (fb_name, feedback) ->
+      let env = Cost.environment ?feedback db cq in
+      let atoms = Array.of_list cq.Cq.atoms in
+      let m = Array.length atoms in
+      let label what = Printf.sprintf "%s, %s: %s" name fb_name what in
+      let same_order what ~want ~got =
+        Alcotest.(check (array int)) (label what) want got;
+        check_bits (label (what ^ " cost")) (Ref.order_cost env atoms want)
+          (Cost.order_cost env atoms got)
+      in
+      same_order "geqo" ~want:(Ref.genetic_order params env atoms)
+        ~got:(Naive.genetic_order params env atoms);
+      if m <= 14 then
+        same_order "dp" ~want:(Ref.dp_order env atoms) ~got:(Naive.dp_order env atoms);
+      if m <= 10 then begin
+        let want = Ref.dp_bushy_plan env atoms in
+        let got = Naive.dp_bushy_plan env atoms in
+        check_bool (label "bushy plan") true (want = got);
+        check_bits (label "bushy cost") (Ref.plan_cost env want) (Cost.plan_cost env got)
+      end;
+      let plan = Naive.compile ~search:(Naive.Genetic params) ?feedback db cq in
+      check_bits (label "estimate") (Ref.estimate env plan) (Cost.estimate env plan);
+      check_bits (label "plan cost") (Ref.plan_cost env plan) (Cost.plan_cost env plan))
+    feedbacks
+
+let test_plan_identity instances () = List.iter check_plan_identity instances
+
+(* 70 variables: every variable mask spans two words. *)
+let test_plan_identity_wide () =
+  let cq = coloring_query ~mode:free ~seed:3 (Graphlib.Generators.path 70) in
+  check_bool "more than 62 variables" true (Cq.var_count cq > 62);
+  check_plan_identity
+    ~params:{ Naive.default_genetic with pool_size = Some 40; generations = Some 300 }
+    ("path70", (coloring_db, cq));
+  let atoms = Array.of_list cq.Cq.atoms in
+  let env = Cost.environment ~feedback:synthetic_feedback coloring_db cq in
+  let rng = rng 11 in
+  for _ = 1 to 50 do
+    let p = Array.init (Array.length atoms) Fun.id in
+    Graphlib.Rng.shuffle rng p;
+    check_bits "random order" (Ref.order_cost env atoms p) (Cost.order_cost env atoms p)
+  done;
+  Alcotest.check_raises "subset masks stop at 62 atoms"
+    (Invalid_argument "Cost.Model.join_cardinality: more atoms than mask bits")
+    (fun () -> ignore (Cost.Model.join_cardinality (Cost.Model.make env atoms) 3))
+
+(* Random queries over a database with binary and ternary relations:
+   coloring and SAT encodings, and free-form atoms with repeated
+   variables and self-joins, under random feedback. *)
+let random_instance seed =
+  let rng = rng seed in
+  let pick a = a.(Graphlib.Rng.int rng (Array.length a)) in
+  match Graphlib.Rng.int rng 3 with
+  | 0 ->
+    let n = 2 + Graphlib.Rng.int rng 8 in
+    let m = 1 + Graphlib.Rng.int rng (n * (n - 1) / 2) in
+    let g = Graphlib.Generators.random ~rng ~n ~m in
+    (coloring_db, coloring_query ~mode:free ~seed g)
+  | 1 ->
+    sat_instance ~k:(2 + Graphlib.Rng.int rng 2) ~num_vars:(3 + Graphlib.Rng.int rng 6)
+      ~density:(0.5 +. Graphlib.Rng.float rng 3.) seed
+  | _ ->
+    let db, _ = sat_instance ~k:3 ~num_vars:4 ~density:3. seed in
+    Conjunctive.Database.add db "edge" (Conjunctive.Database.find coloring_db "edge");
+    let rels = Array.of_list (Conjunctive.Database.names db) in
+    let num_vars = 1 + Graphlib.Rng.int rng 7 in
+    let atoms =
+      List.init
+        (1 + Graphlib.Rng.int rng 9)
+        (fun _ ->
+          let rel = pick rels in
+          let arity = Relation.arity (Conjunctive.Database.find db rel) in
+          { Cq.rel; vars = List.init arity (fun _ -> Graphlib.Rng.int rng num_vars) })
+    in
+    let used = List.sort_uniq compare (List.concat_map Cq.atom_vars atoms) in
+    (db, Cq.make ~atoms ~free:(List.filter (fun _ -> Graphlib.Rng.bool rng) used))
+
+let prop_order_cost_bit_identical =
+  qtest ~count:300 "compiled order_cost = reference = plan_cost, bit for bit"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let db, cq = random_instance seed in
+      let rng = rng (seed + 1) in
+      let feedback =
+        if Graphlib.Rng.bool rng then None
+        else
+          Some
+            (fun key ->
+              match Hashtbl.hash (seed, key) mod 3 with
+              | 0 -> None
+              | h -> Some (Float.exp (float_of_int (h - 2 + (Hashtbl.hash key mod 5)) -. 2.)))
+      in
+      let env = Cost.environment ?feedback db cq in
+      let atoms = Array.of_list cq.Cq.atoms in
+      List.for_all
+        (fun _ ->
+          let perm = Array.init (Array.length atoms) Fun.id in
+          Graphlib.Rng.shuffle rng perm;
+          let plan =
+            Plan.left_deep (List.map (fun i -> Plan.Atom atoms.(i)) (Array.to_list perm))
+          in
+          let compiled = Cost.order_cost env atoms perm in
+          let projected = Plan.project_to plan cq.Cq.free in
+          bits compiled = bits (Ref.order_cost env atoms perm)
+          && bits compiled = bits (Cost.plan_cost env plan)
+          && bits (Cost.plan_cost env projected) = bits (Ref.plan_cost env projected)
+          && bits (Cost.estimate env projected) = bits (Ref.estimate env projected))
+        (List.init 10 Fun.id))
+
+(* The tree's answer is the linear scan's — the first index holding the
+   largest fitness — under point updates drawn from a handful of values,
+   so ties are the rule, with the odd NaN and infinity. *)
+let prop_worst_tree_matches_scan =
+  qtest ~count:300 "tournament tree = linear scan under updates"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = rng seed in
+      let value () =
+        match Graphlib.Rng.int rng 12 with
+        | 0 -> Float.nan
+        | 1 -> Float.infinity
+        | k -> float_of_int (k mod 4)
+      in
+      let fit = Array.init (1 + Graphlib.Rng.int rng 40) (fun _ -> value ()) in
+      let tree = Naive.Worst.create fit in
+      let ok = ref (Naive.Worst.index tree = Ref.worst_by_scan fit) in
+      for _ = 1 to 60 do
+        Naive.Worst.set tree (Graphlib.Rng.int rng (Array.length fit)) (value ());
+        ok := !ok && Naive.Worst.index tree = Ref.worst_by_scan fit
+      done;
+      !ok)
+
+let test_genetic_rejects_bad_params () =
+  let atoms = Array.of_list pentagon_cq.Cq.atoms in
+  let env = Cost.environment coloring_db pentagon_cq in
+  Alcotest.check_raises "empty pool"
+    (Invalid_argument "Naive.genetic_order: pool_size must be positive")
+    (fun () ->
+      ignore
+        (Naive.genetic_order { Naive.default_genetic with pool_size = Some 0 } env atoms));
+  Alcotest.check_raises "negative generations"
+    (Invalid_argument "Naive.genetic_order: generations must be non-negative")
+    (fun () ->
+      ignore
+        (Naive.genetic_order
+           { Naive.default_genetic with generations = Some (-1) }
+           env atoms));
+  let zero = { Naive.default_genetic with pool_size = Some 3; generations = Some 0 } in
+  check_bool "zero generations: a random pool member" true
+    (List.sort compare (Array.to_list (Naive.genetic_order zero env atoms))
+    = List.init 5 Fun.id)
+
+(* ------------------------------------------------------------------ *)
 (* The five methods agree                                              *)
 
 let all_methods =
@@ -925,6 +1151,21 @@ let () =
           prop_bushy_never_beats_nothing;
           prop_bushy_correct;
           Alcotest.test_case "bushy cap" `Quick test_bushy_rejects_large;
+          Alcotest.test_case "genetic parameter validation" `Quick
+            test_genetic_rejects_bad_params;
+          prop_worst_tree_matches_scan;
+        ] );
+      ( "plan identity",
+        [
+          prop_order_cost_bit_identical;
+          Alcotest.test_case "paper-batch cells" `Quick
+            (test_plan_identity paper_batch_instances);
+          Alcotest.test_case "Figure 2 densities" `Quick
+            (test_plan_identity figure2_instances);
+          Alcotest.test_case "3-COLOR orders" `Quick
+            (test_plan_identity coloring_order_instances);
+          Alcotest.test_case "more than 62 variables" `Quick
+            test_plan_identity_wide;
         ] );
       ( "method agreement",
         [
