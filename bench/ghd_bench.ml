@@ -75,19 +75,13 @@ let coloring ~mode ~seed g =
 let bucket_result ?ctx db cq =
   Ppr_core.Exec.run ?ctx db (Ppr_core.Bucket.compile ~rng:(rng 11) cq)
 
-(* The gated path, by hand so we get the relation back: whatever route
-   the three-bound gate picks runs, exactly as Driver.run would. *)
+(* The gated path as Driver.run takes it, but with the relation back:
+   the three-bound gate, then the one materializing dispatcher. *)
 let gated_result ?ctx db cq =
-  let prep = Ghd.prepare ~rng:(rng 11) db cq in
-  ( prep,
-    match prep.Ghd.decision with
-    | Ghd.Ghd -> Ghd.evaluate ?ctx ~prep db cq
-    | Ghd.Generic -> Wcoj.evaluate ?ctx ~order:prep.Ghd.var_order db cq
-    | Ghd.Bucket ->
-      Ppr_core.Exec.run ?ctx db
-        (Ppr_core.Bucket.compile ~rng:(rng 11)
-           ~order:(Array.of_list prep.Ghd.var_order)
-           cq) )
+  match Driver.prepare ~rng:(rng 11) Driver.Ghd db cq with
+  | Driver.Decomposed (prep, _) as compiled ->
+    (prep, Ppr_core.Exec.materialize ?ctx db cq compiled)
+  | _ -> invalid_arg "ghd_bench: the ghd method prepares a decomposition"
 
 let time_best ~reps f =
   let best = ref infinity in
@@ -169,6 +163,7 @@ let () =
   let db, cq = coloring ~mode:Encode.Boolean ~seed:1 panel in
   let prep = Ghd.prepare ~rng:(rng 11) db cq in
   let decision = Ghd.decision_name prep.Ghd.decision in
+  let analysis = prep.Ghd.analysis in
   let _, bucket_s = time_best ~reps:!reps (fun () -> bucket_result db cq) in
   let _, ghd_s =
     time_best ~reps:!reps (fun () -> Ghd.evaluate ~prep db cq)
@@ -178,8 +173,8 @@ let () =
   Printf.printf
     "low-htw panel (%dx%d grid): gate=%s  htw=%d  induced width=%d  \
      bucket=2^%.2f generic=2^%.2f ghd=2^%.2f\n%!"
-    n n decision prep.Ghd.htw prep.Ghd.induced_width
-    prep.Ghd.binary_bound_log2 prep.Ghd.agm.Wcoj.Agm.bound_log2
+    n n decision prep.Ghd.htw analysis.Ghd.induced_width
+    analysis.Ghd.binary_bound_log2 analysis.Ghd.agm.Wcoj.Agm.bound_log2
     prep.Ghd.ghd_bound_log2;
   Printf.printf "  bucket: %.4fs   ghd: %.4fs   speedup: %.2fx\n%!" bucket_s
     ghd_s speedup;
@@ -235,8 +230,8 @@ let () =
         ("identical_output", Bool identical);
         ("panel_decision", String decision);
         ("panel_htw", Int prep.Ghd.htw);
-        ("binary_bound_log2", Float prep.Ghd.binary_bound_log2);
-        ("agm_bound_log2", Float prep.Ghd.agm.Wcoj.Agm.bound_log2);
+        ("binary_bound_log2", Float analysis.Ghd.binary_bound_log2);
+        ("agm_bound_log2", Float analysis.Ghd.agm.Wcoj.Agm.bound_log2);
         ("ghd_bound_log2", Float prep.Ghd.ghd_bound_log2);
         ("bucket_seconds", Float bucket_s);
         ("ghd_seconds", Float ghd_s);

@@ -9,8 +9,9 @@
 
    - Output identity, enforced always: over a sweep of 3-COLOR instances
      (densities x seeds x encoding modes), the forced generic join, the
-     AGM-gated driver path, and the bucket-elimination plan must produce
-     exactly the same tuple sets.
+     gated driver path (the structural gate with the GHD route left out),
+     and the bucket-elimination plan must produce exactly the same tuple
+     sets.
 
    - Speedup on the high-density panel, enforced only where it is
      promised: on a dense instance the AGM bound undercuts the binary
@@ -66,19 +67,14 @@ let instance ~seed ~n ~m ~mode =
 let bucket_result db cq =
   Ppr_core.Exec.run db (Ppr_core.Bucket.compile ~rng:(rng 11) cq)
 
-(* The gated path, by hand so we get the relation back (Driver.run only
-   reports the cardinality): whatever side the gate picks runs along the
-   same variable order prepare chose. *)
+(* The gated path as Driver.run takes it, but with the relation back
+   (Driver.run only reports the cardinality): the structural gate with
+   the GHD route left out, then the one materializing dispatcher. *)
 let gated_result db cq =
-  let prep = Wcoj.prepare ~rng:(rng 11) db cq in
-  ( prep,
-    match prep.Wcoj.decision with
-    | Wcoj.Generic -> Wcoj.evaluate ~order:prep.Wcoj.order db cq
-    | Wcoj.Binary ->
-      Ppr_core.Exec.run db
-        (Ppr_core.Bucket.compile ~rng:(rng 11)
-           ~order:(Array.of_list prep.Wcoj.order)
-           cq) )
+  let decision = Ghd.decide (Ghd.analyze ~rng:(rng 11) db cq) in
+  ( decision,
+    Ppr_core.Exec.materialize db cq
+      (Driver.prepare ~rng:(rng 11) Driver.Wcoj db cq) )
 
 let time_best ~reps f =
   let best = ref infinity in
@@ -116,7 +112,7 @@ let () =
               let db, cq = instance ~seed ~n ~m ~mode in
               let expected = bucket_result db cq in
               let forced = Wcoj.evaluate db cq in
-              let prep, gated = gated_result db cq in
+              let decision, gated = gated_result db cq in
               incr cases;
               let ok =
                 Relation.equal_modulo_order expected forced
@@ -128,7 +124,7 @@ let () =
                   "IDENTITY FAIL: density=%d seed=%d mode=%s decision=%s \
                    bucket=%d forced=%d gated=%d\n%!"
                   density seed mname
-                  (Wcoj.decision_name prep.Wcoj.decision)
+                  (Ghd.decision_name decision)
                   (Relation.cardinality expected)
                   (Relation.cardinality forced)
                   (Relation.cardinality gated)
@@ -143,19 +139,20 @@ let () =
   (* High-density panel: decision, measured widths, and timing.        *)
   let dense_m = 9 * n / 2 in
   let db, cq = instance ~seed:1 ~n ~m:dense_m ~mode:Encode.Boolean in
-  let prep = Wcoj.prepare ~rng:(rng 11) db cq in
-  let decision = Wcoj.decision_name prep.Wcoj.decision in
+  let analysis = Ghd.analyze ~rng:(rng 11) db cq in
+  let gate = Ghd.decide analysis in
+  let decision = Ghd.decision_name gate in
   let wcoj_outcome = Driver.run ~rng:(rng 11) Driver.Wcoj db cq in
   let bucket_outcome = Driver.run ~rng:(rng 11) Driver.Bucket_elimination db cq in
   let arity_ok = wcoj_outcome.Driver.max_arity <= bucket_outcome.Driver.max_arity in
   let _, bucket_s = time_best ~reps:!reps (fun () -> bucket_result db cq) in
   let _, wcoj_s = time_best ~reps:!reps (fun () -> Wcoj.evaluate db cq) in
   let speedup = bucket_s /. Float.max wcoj_s 1e-12 in
-  let enforced = prep.Wcoj.decision = Wcoj.Generic && threshold > 0.0 in
+  let enforced = gate = Ghd.Generic && threshold > 0.0 in
   Printf.printf
     "dense panel (n=%d, m=%d): gate=%s  agm=2^%.2f binary=2^%.2f\n%!" n
-    dense_m decision prep.Wcoj.agm.Wcoj.Agm.bound_log2
-    prep.Wcoj.binary_bound_log2;
+    dense_m decision analysis.Ghd.agm.Wcoj.Agm.bound_log2
+    analysis.Ghd.binary_bound_log2;
   Printf.printf
     "  arity: wcoj %d vs bucket %d   bucket: %.4fs   wcoj: %.4fs   \
      speedup: %.2fx\n%!"
@@ -174,8 +171,8 @@ let () =
         ("identity_failures", Int !failures);
         ("identical_output", Bool identical);
         ("dense_decision", String decision);
-        ("agm_bound_log2", Float prep.Wcoj.agm.Wcoj.Agm.bound_log2);
-        ("binary_bound_log2", Float prep.Wcoj.binary_bound_log2);
+        ("agm_bound_log2", Float analysis.Ghd.agm.Wcoj.Agm.bound_log2);
+        ("binary_bound_log2", Float analysis.Ghd.binary_bound_log2);
         ("wcoj_max_arity", Int wcoj_outcome.Driver.max_arity);
         ("bucket_max_arity", Int bucket_outcome.Driver.max_arity);
         ("bucket_seconds", Float bucket_s);

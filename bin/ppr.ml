@@ -799,29 +799,23 @@ let query_cmd =
         (Unix.gettimeofday () -. t1)
     end
     else
-    let result =
-      match meth with
-      | Ppr_core.Driver.Wcoj ->
-        (* The generic join has no binary plan to print SQL for; the
-           variable-at-a-time evaluation replaces the whole plan tree. *)
-        if show_sql then
-          prerr_endline "query: --show-sql is not available with --method wcoj";
-        Ppr_core.Exec.run_generic ~ctx db cq
-      | Ppr_core.Driver.Ghd ->
-        (* Likewise no binary plan: bags materialize and the semijoin
-           sweeps run over the decomposition, not a plan tree. *)
-        if show_sql then
-          prerr_endline "query: --show-sql is not available with --method ghd";
-        Ppr_core.Exec.run_ghd ~ctx db cq
-      | _ ->
-        let plan = Ppr_core.Driver.compile meth db cq in
-        if show_sql then
-          print_string
-            (Sqlgen.Pretty.query
-               (Sqlgen.Translate.of_plan ~namer:parsed.Conjunctive.Parse.namer
-                  cq plan));
-        Ppr_core.Exec.run ~ctx db plan
-    in
+    let compiled = Ppr_core.Driver.prepare meth db cq in
+    (if show_sql then
+       match Ppr_core.Exec.route compiled with
+       | Ppr_core.Exec.Binary plan ->
+         print_string
+           (Sqlgen.Pretty.query
+              (Sqlgen.Translate.of_plan ~namer:parsed.Conjunctive.Parse.namer
+                 cq plan))
+       (* The generic join and the decomposition replace the whole plan
+          tree: there is no binary plan to print SQL for. *)
+       | Ppr_core.Exec.Generic _ ->
+         prerr_endline
+           "query: --show-sql is not available: the gate picked the generic join"
+       | Ppr_core.Exec.Decomposition _ ->
+         prerr_endline
+           "query: --show-sql is not available: the gate picked the decomposition");
+    let result = Ppr_core.Exec.materialize ~ctx db cq compiled in
     let schema = Relalg.Relation.schema result in
     (match free with
     | [] ->

@@ -65,6 +65,11 @@ let abort_reason o =
 let result_cardinality o = Option.map Relalg.Relation.cardinality o.result
 let nonempty o = Option.map (fun r -> not (Relalg.Relation.is_empty r)) o.result
 
+(* The gated methods' bucket fallback: bucket elimination along the gate
+   analysis's variable order. *)
+let gated_bucket (a : Ghd.analysis) cq =
+  Bucket.compile ~order:(Array.of_list a.Ghd.var_order) cq
+
 let compile ?rng ?feedback meth db cq =
   match meth with
   | Naive search -> Naive.compile ~search ?feedback db cq
@@ -75,31 +80,26 @@ let compile ?rng ?feedback meth db cq =
   | Minibucket i_bound -> Minibucket.compile ?rng ~i_bound cq
   | Hybrid -> Hybrid.compile ?rng ?feedback db cq
   | Hybrid_rank n -> Hybrid.nth_plan ?rng ?feedback n db cq
-  | Wcoj ->
-    (* The binary fallback the AGM gate compares against; [run] executes
-       the generic join directly when the gate picks it. *)
-    let prep = Wcoj.prepare ?rng db cq in
-    Bucket.compile ?rng ~order:(Array.of_list prep.Wcoj.order) cq
-  | Ghd ->
-    (* The bucket fallback the three-bound gate compares against; [run]
-       executes the decomposition or the generic join directly when the
-       gate picks them. *)
-    let prep = Ghd.prepare ?rng db cq in
-    Bucket.compile ?rng ~order:(Array.of_list prep.Ghd.var_order) cq
+  | Wcoj | Ghd ->
+    (* The bucket fallback the structural gate compares against; [run]
+       executes the generic join or the decomposition directly when the
+       gate picks them. Only the shared analysis is needed: its order is
+       the one the decomposition search would have come after. *)
+    gated_bucket (Ghd.analyze ?rng db cq) cq
 
 type compiled = Exec.compiled =
   | Plan of Plan.t
-  | Generic_join of Wcoj.prep
+  | Generic_join of Ghd.analysis
   | Decomposed of Ghd.prep * Plan.t option
 
 let prepare ?rng ?feedback meth db cq =
   match meth with
   | Wcoj -> (
-    let prep = Wcoj.prepare ?rng db cq in
-    match prep.Wcoj.decision with
-    | Wcoj.Generic -> Generic_join prep
-    | Wcoj.Binary ->
-      Plan (Bucket.compile ?rng ~order:(Array.of_list prep.Wcoj.order) cq))
+    (* The one gate with the GHD route left out: no decomposition search. *)
+    let a = Ghd.analyze ?rng db cq in
+    match Ghd.decide a with
+    | Ghd.Generic -> Generic_join a
+    | Ghd.Bucket | Ghd.Ghd -> Plan (gated_bucket a cq))
   | Ghd ->
     let prep = Ghd.prepare ?rng db cq in
     (* The bucket plan rides along only when the gate picked it, so a
@@ -107,8 +107,7 @@ let prepare ?rng ?feedback meth db cq =
        always kept — the three bounds become exec-span attributes. *)
     let plan =
       match prep.Ghd.decision with
-      | Ghd.Bucket ->
-        Some (Bucket.compile ?rng ~order:(Array.of_list prep.Ghd.var_order) cq)
+      | Ghd.Bucket -> Some (gated_bucket prep.Ghd.analysis cq)
       | Ghd.Generic | Ghd.Ghd -> None
     in
     Decomposed (prep, plan)
@@ -321,10 +320,10 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
       Telemetry.with_span t (phase ^ ":" ^ name) ~attrs (fun _ -> f ())
   in
   let t0 = clock () in
-  (* A Wcoj run prepares the AGM gate inside the compile span: when the
+  (* A gated run decides its route inside the compile span: when the
      gate picks the generic join there is no binary plan at all, only the
-     variable order; when it picks the binary side the bucket plan along
-     the same order is the thing compiled. A [?compiled] artifact (a plan
+     variable order; when it picks bucket the plan along the same order
+     is the thing compiled. A [?compiled] artifact (a plan
      cache hit) skips the whole phase — the caller vouches it was
      prepared by {!prepare} for this method, query and database. *)
   let planned =
@@ -344,14 +343,10 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
       cq.Conjunctive.Cq.atoms
   in
   let plan_width =
-    match planned with
-    | Plan plan -> Plan.width plan
-    | Generic_join _ -> generic_width ()
-    | Decomposed (prep, plan) -> (
-      match (prep.Ghd.decision, plan) with
-      | Ghd.Bucket, Some plan -> Plan.width plan
-      | Ghd.Generic, _ -> generic_width ()
-      | _ -> ghd_route_width cq prep)
+    match Exec.route planned with
+    | Exec.Binary plan -> Plan.width plan
+    | Exec.Generic _ -> generic_width ()
+    | Exec.Decomposition prep -> ghd_route_width cq prep
   in
   (match planned with
   | Plan plan ->
@@ -359,23 +354,23 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
         m "%s: compiled in %.4fs (width %d, %d joins, %d projections)" name
           (t1 -. t0) (Plan.width plan) (Plan.join_count plan)
           (Plan.projection_count plan))
-  | Generic_join prep ->
+  | Generic_join a ->
     Log.debug (fun m ->
         m
           "%s: prepared in %.4fs (AGM bound 2^%.2f <= binary 2^%.2f, rho \
            %.2f, induced width %d)"
-          name (t1 -. t0) prep.Wcoj.agm.Wcoj.Agm.bound_log2
-          prep.Wcoj.binary_bound_log2 prep.Wcoj.agm.Wcoj.Agm.rho
-          prep.Wcoj.induced_width)
+          name (t1 -. t0) a.Ghd.agm.Wcoj.Agm.bound_log2
+          a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.rho a.Ghd.induced_width)
   | Decomposed (prep, _) ->
+    let a = prep.Ghd.analysis in
     Log.debug (fun m ->
         m
           "%s: prepared in %.4fs (gate %s: bucket 2^%.2f vs generic 2^%.2f \
            vs ghd 2^%.2f, htw %d, induced width %d)"
           name (t1 -. t0)
           (Ghd.decision_name prep.Ghd.decision)
-          prep.Ghd.binary_bound_log2 prep.Ghd.agm.Wcoj.Agm.bound_log2
-          prep.Ghd.ghd_bound_log2 prep.Ghd.htw prep.Ghd.induced_width));
+          a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
+          prep.Ghd.ghd_bound_log2 prep.Ghd.htw a.Ghd.induced_width));
   let stats = Relalg.Stats.create () in
   let limits =
     match Relalg.Ctx.limits ctx with
@@ -389,42 +384,34 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
     ("plan.width", Telemetry.Attr.Int plan_width)
     ::
     (match (meth, planned) with
-    | Wcoj, _ -> (
-      let decision =
-        match planned with
-        | Generic_join _ -> Wcoj.Generic
-        | _ -> Wcoj.Binary
-      in
-      [ ("wcoj.decision", Telemetry.Attr.String (Wcoj.decision_name decision)) ]
-      @
-      match planned with
-      | Generic_join prep ->
-        [
-          ( "wcoj.agm_bound_log2",
-            Telemetry.Attr.Float prep.Wcoj.agm.Wcoj.Agm.bound_log2 );
-          ( "wcoj.binary_bound_log2",
-            Telemetry.Attr.Float prep.Wcoj.binary_bound_log2 );
-        ]
-      | _ -> [])
-    | Ghd, Decomposed (prep, _) ->
+    | _, Generic_join a ->
+      [
+        ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name Ghd.Generic));
+        ("wcoj.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
+        ("wcoj.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
+      ]
+    | Wcoj, Plan _ ->
+      [ ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name Ghd.Bucket)) ]
+    | _, Decomposed (prep, _) ->
       (* The three-bound gate: decision plus all three bounds, on the
          shared log2-tuples cost scale, land on every exec span. *)
+      let a = prep.Ghd.analysis in
       [
         ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
-        ("ghd.binary_bound_log2", Telemetry.Attr.Float prep.Ghd.binary_bound_log2);
-        ( "ghd.agm_bound_log2",
-          Telemetry.Attr.Float prep.Ghd.agm.Wcoj.Agm.bound_log2 );
+        ("ghd.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
+        ("ghd.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
         ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
         ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
-        ("ghd.induced_width", Telemetry.Attr.Int prep.Ghd.induced_width);
+        ("ghd.induced_width", Telemetry.Attr.Int a.Ghd.induced_width);
       ]
-    | _ -> [])
+    | _, Plan _ -> [])
   in
   let streamed = limit <> None || rank <> None in
   (* Node-cardinality collection for the harvest: post-order, so an
-     abort leaves a clean prefix. Only armed when someone listens. *)
+     abort leaves a clean prefix. Only armed when someone listens to a
+     [Plan] run, the one kind the harvest reads. *)
   let harvest_cards =
-    match observer with Some _ -> Some (ref []) | None -> None
+    match (observer, planned) with Some _, Plan _ -> Some (ref []) | _ -> None
   in
   let observe =
     Option.map (fun cell _node card -> cell := card :: !cell) harvest_cards
@@ -447,26 +434,7 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
             (Some rel, complete, first_at, ttk, Completed)
           end
           else
-            let r =
-              match planned with
-              | Plan plan -> Exec.run ~ctx:exec_ctx ?observe db plan
-              | Generic_join prep ->
-                Exec.run_generic ~ctx:exec_ctx ~order:prep.Wcoj.order db cq
-              | Decomposed (prep, plan) -> (
-                match (prep.Ghd.decision, plan) with
-                | Ghd.Ghd, _ -> Exec.run_ghd ~ctx:exec_ctx ~prep db cq
-                | Ghd.Generic, _ ->
-                  Exec.run_generic ~ctx:exec_ctx ~order:prep.Ghd.var_order db
-                    cq
-                | Ghd.Bucket, Some plan -> Exec.run ~ctx:exec_ctx db plan
-                | Ghd.Bucket, None ->
-                  (* A prep forced to bucket without its plan (should not
-                     happen through [prepare]); compile the fallback. *)
-                  Exec.run ~ctx:exec_ctx db
-                    (Bucket.compile
-                       ~order:(Array.of_list prep.Ghd.var_order)
-                       cq))
-            in
+            let r = Exec.materialize ~ctx:exec_ctx ?observe db cq planned in
             (Some r, true, None, None, Completed)
         with Relalg.Limits.Abort reason ->
           Log.info (fun m ->

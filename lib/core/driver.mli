@@ -15,11 +15,12 @@ type meth =
       (** the portfolio's n-th cheapest candidate (0 = {!Hybrid});
           the degradation ladder walks down these ranks *)
   | Wcoj
-      (** worst-case-optimal generic join, gated per query by the AGM
-          fractional-edge-cover bound: when the bound beats the binary
-          plan's worst case the query runs variable-at-a-time through
-          {!Exec.run_generic}, otherwise it falls back to the bucket-
-          elimination plan along the same variable order (see {!Wcoj}) *)
+      (** worst-case-optimal generic join, behind the structural gate
+          with the GHD route left out ({!Ghd.decide} without a bag
+          bound): when the AGM bound beats the binary plan's worst case
+          the query runs variable-at-a-time (see {!Wcoj}), otherwise it
+          falls back to the bucket-elimination plan along the same
+          variable order. No decomposition search runs *)
   | Ghd
       (** Yannakakis over a generalized hypertree decomposition, behind
           the three-way structural gate of {!Ghd.prepare}: each query is
@@ -90,13 +91,15 @@ val compile :
 (** [feedback] corrects the cost model for the cost-based methods
     ({!Naive}, {!Hybrid}, {!Hybrid_rank}) — see {!Cost.environment};
     purely structural methods ignore it. Corrections change which plan
-    is chosen, never what it answers. *)
+    is chosen, never what it answers. For {!Wcoj} and {!Ghd} this is the
+    bucket fallback along {!Ghd.analyze}'s order, the plan their gate
+    runs when it picks bucket; no decomposition search runs. *)
 
 type compiled = Exec.compiled =
   | Plan of Plan.t  (** a binary project-join plan *)
-  | Generic_join of Wcoj.prep
-      (** the AGM gate picked the generic join: no binary plan exists,
-          only the prepared variable order and bounds *)
+  | Generic_join of Ghd.analysis
+      (** the {!Wcoj} method's gate picked the generic join: no binary
+          plan exists, only the analysis's variable order and bounds *)
   | Decomposed of Ghd.prep * Plan.t option
       (** a {!Ghd.prepare} artifact — decomposition, rooted bag tree,
           atom assignment and the three gate bounds; the bucket fallback
@@ -111,12 +114,13 @@ val prepare :
   meth -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   compiled
 (** The planning phase of {!run} as a reusable artifact: for {!Wcoj} the
-    AGM gate decision (either the prepared generic join or the bucket
-    plan along the same order), for every other method its compiled
-    plan. The artifact is valid for re-execution of the same query
-    against the same database — the serving layer's plan cache stores
-    these so isomorphic template queries skip MCS ordering, AGM
-    estimation and bucket construction entirely. *)
+    two-way gate decision (either the analyzed generic join or the bucket
+    plan along the same order), for {!Ghd} the three-way [Decomposed]
+    artifact, for every other method its compiled plan. The artifact is
+    valid for re-execution of the same query against the same database
+    — the serving layer's plan cache stores these so isomorphic template
+    queries skip MCS ordering, AGM estimation and bucket construction
+    entirely. *)
 
 val run :
   ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback ->
@@ -141,7 +145,7 @@ val run :
     [compile_seconds] then measures only the (near-zero) reuse cost.
 
     With neither [limit] nor [rank] the run materializes the full answer
-    through the method's own evaluator, byte-for-byte as before. Either
+    through {!Exec.materialize}, along the artifact's route. Either
     option switches execution to {!Exec.stream}: [limit] pulls at most
     that many tuples in stream order and stops — on streaming routes the
     work is O(setup + k), not O(answer) — while [rank] (a total order;

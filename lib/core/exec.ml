@@ -13,8 +13,21 @@ module Hypergraph = Hypergraphs.Hypergraph
 
 type compiled =
   | Plan of Plan.t
-  | Generic_join of Wcoj.prep
+  | Generic_join of Ghd.analysis
   | Decomposed of Ghd.prep * Plan.t option
+
+type route = Binary of Plan.t | Generic of int list | Decomposition of Ghd.prep
+
+let route = function
+  | Plan plan -> Binary plan
+  | Generic_join a -> Generic a.Ghd.var_order
+  | Decomposed (prep, plan) -> (
+    match (prep.Ghd.decision, plan) with
+    | Ghd.Ghd, _ -> Decomposition prep
+    | Ghd.Generic, _ -> Generic prep.Ghd.analysis.Ghd.var_order
+    | Ghd.Bucket, Some plan -> Binary plan
+    | Ghd.Bucket, None ->
+      invalid_arg "Exec: a bucket decision must carry its plan")
 
 (* Each plan node runs inside a [plan.*] span (the operator itself adds a
    nested [op.*] span), so a trace mirrors the plan tree: a join node's
@@ -56,9 +69,11 @@ let rec run ?(ctx = Ctx.null) ?observe db plan =
   | None -> ());
   result
 
-let run_generic ?ctx ?order db cq = Wcoj.evaluate ?ctx ?order db cq
-
-let run_ghd ?ctx ?prep db cq = Ghd.evaluate ?ctx ?prep db cq
+let materialize ?ctx ?observe db cq compiled =
+  match route compiled with
+  | Binary plan -> run ?ctx ?observe db plan
+  | Generic order -> Wcoj.evaluate ?ctx ~order db cq
+  | Decomposition prep -> Ghd.evaluate ?ctx ~prep db cq
 
 (* ------------------------------------------------------------------ *)
 (* Streaming.                                                          *)
@@ -210,34 +225,23 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) db cq compiled =
   let of_iter ~kind ~dedup ~schema produce =
     Cursor.of_iter ~dedup ~schema (observe_first ~ctx ~kind produce)
   in
-  let stream_plan plan =
+  match route compiled with
+  | Binary plan -> (
     match (if semijoin then acyclic_stream ~ctx db cq else None) with
     | Some (schema, it) -> of_iter ~kind:"yannakakis" ~dedup:true ~schema it
     | None ->
       let schema, seq = plan_stream ~ctx db plan in
-      of_iter ~kind:"plan" ~dedup:false ~schema (seq_to_iter seq)
-  in
-  let stream_wcoj order =
+      of_iter ~kind:"plan" ~dedup:false ~schema (seq_to_iter seq))
+  | Generic order ->
     of_iter ~kind:"wcoj" ~dedup:false ~schema:(Schema.of_list cq.Cq.free)
       (fun emit -> Wcoj.iter ~ctx ~order db cq emit)
-  in
-  match compiled with
-  | Generic_join prep -> stream_wcoj prep.Wcoj.order
-  | Decomposed (prep, plan) -> (
-    match (prep.Ghd.decision, plan) with
-    | Ghd.Ghd, _ ->
-      (* Setup (bags, sweeps, indexes) runs lazily inside the producer on
-         the first pull, so parking an unpulled cursor costs nothing. *)
-      of_iter ~kind:"ghd" ~dedup:true ~schema:(Schema.of_list cq.Cq.free)
-        (fun emit ->
-          let _, it = Ghd.enumerate ~ctx ~prep db cq in
-          it emit)
-    | Ghd.Generic, _ -> stream_wcoj prep.Ghd.var_order
-    | Ghd.Bucket, Some plan -> stream_plan plan
-    | Ghd.Bucket, None ->
-      stream_plan
-        (Bucket.compile ~order:(Array.of_list prep.Ghd.var_order) cq))
-  | Plan plan -> stream_plan plan
+  | Decomposition prep ->
+    (* Setup (bags, sweeps, indexes) runs lazily inside the producer on
+       the first pull, so parking an unpulled cursor costs nothing. *)
+    of_iter ~kind:"ghd" ~dedup:true ~schema:(Schema.of_list cq.Cq.free)
+      (fun emit ->
+        let _, it = Ghd.enumerate ~ctx ~prep db cq in
+        it emit)
 
 (* The Boolean answer streams: one pull decides nonemptiness, so an
    existence check never pays for the full result. The compiled plan's

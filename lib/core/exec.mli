@@ -1,19 +1,32 @@
 (** Plan execution and the streaming result front.
 
-    Two ways to consume an answer: {!run} (and its method-specific
-    siblings) materializes the full relation, as the paper's experiments
+    Two ways to consume an answer: {!materialize} (over a binary plan,
+    {!run}) computes the full relation, as the paper's experiments
     require; {!stream} opens a pull {!Relalg.Cursor} over the same
     answer set, so a consumer that wants ten tuples — or one — pays for
     ten, not for everything. *)
 
 type compiled =
   | Plan of Plan.t  (** a binary join/project tree from any compiler *)
-  | Generic_join of Wcoj.prep  (** worst-case-optimal variable-at-a-time *)
+  | Generic_join of Ghd.analysis
+      (** the [wcoj] method's gate picked the generic join: worst-case-
+          optimal variable-at-a-time along [var_order] *)
   | Decomposed of Ghd.prep * Plan.t option
       (** three-way structural gate; the plan is the pre-compiled bucket
-          fallback when the gate picks [Bucket] *)
+          fallback, present exactly when the gate picks [Bucket] *)
 (** The artifact a compilation step produces and both consumption modes
-    accept — see {!Driver.compile} for the per-method mapping. *)
+    accept — see {!Driver.prepare} for the per-method mapping. *)
+
+type route =
+  | Binary of Plan.t  (** a binary join/project plan *)
+  | Generic of int list  (** the generic join along this variable order *)
+  | Decomposition of Ghd.prep  (** Yannakakis over the decomposition *)
+
+val route : compiled -> route
+(** What a compiled artifact runs: the one reading of the gate's
+    decision that {!materialize}, {!stream} and {!Driver.run} share.
+    @raise Invalid_argument on a [Decomposed] bucket decision without
+    its plan (never produced by {!Driver.prepare}). *)
 
 val run :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
@@ -42,29 +55,14 @@ val nonempty : ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Plan.t -> bool
     deliberately approximate). Never materializes the answer above the
     plan's build sides, so existence checks on huge results stay cheap. *)
 
-val run_generic :
-  ?ctx:Relalg.Ctx.t ->
-  ?order:int list ->
-  Conjunctive.Database.t ->
-  Conjunctive.Cq.t ->
-  Relalg.Relation.t
-(** Execute a whole conjunctive query with the worst-case-optimal generic
-    join instead of a binary plan — a thin front for {!Wcoj.evaluate}
-    with the same context contract as {!run} (spans, stats, limits, pool).
-    @raise Relalg.Limits.Abort when a resource guard trips.
-    @raise Not_found if an atom names an unregistered relation. *)
-
-val run_ghd :
-  ?ctx:Relalg.Ctx.t ->
-  ?prep:Ghd.prep ->
-  Conjunctive.Database.t ->
-  Conjunctive.Cq.t ->
-  Relalg.Relation.t
-(** Execute a whole conjunctive query as Yannakakis over a generalized
-    hypertree decomposition — a thin front for {!Ghd.evaluate} with the
-    same context contract as {!run}. Total on cyclic queries. [prep]
-    (a {!Ghd.prepare} artifact for the same query and database) skips
-    the decomposition search.
+val materialize :
+  ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
+  Conjunctive.Database.t -> Conjunctive.Cq.t -> compiled -> Relalg.Relation.t
+(** Compute the full answer along the artifact's {!route}: {!run} for a
+    binary plan ([observe] applies there only), {!Wcoj.evaluate} for the
+    generic join, {!Ghd.evaluate} for the decomposition. Each keeps
+    {!run}'s context contract (spans, stats, limits, pool). The
+    materializing counterpart of {!stream}.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 
@@ -80,12 +78,12 @@ val stream :
     schema, possibly different column and tuple order); only delivery
     differs.
 
-    Routing: [Generic_join] streams the leapfrog search directly
-    (distinct, lexicographic — no dedup state). [Decomposed] follows the
-    prep's gate — GHD bag setup plus constant-delay enumeration from the
-    reduced bag tree, the generic join, or the bucket-fallback plan. A
-    [Plan] over an acyclic query is rerouted (when [semijoin], the
-    default) through the join-tree semijoin reduction, giving
+    Routing follows {!route}: the generic join streams the leapfrog
+    search directly (distinct, lexicographic — no dedup state); the
+    decomposition runs GHD bag setup plus constant-delay enumeration
+    from the reduced bag tree. A binary plan over an acyclic query is
+    rerouted (when [semijoin], the default) through the join-tree
+    semijoin reduction, giving
     constant-delay enumeration after a linear-time reduction; otherwise
     — cyclic query, or [~semijoin:false] — the plan streams from its
     root operator: atoms and join build sides materialize exactly as

@@ -6,6 +6,7 @@ module Jointree = Hypergraphs.Jointree
 module Yannakakis = Hypergraphs.Yannakakis
 module Cq = Conjunctive.Cq
 module Database = Conjunctive.Database
+module Joingraph = Conjunctive.Joingraph
 module Relation = Relalg.Relation
 module Schema = Relalg.Schema
 module Ops = Relalg.Ops
@@ -20,17 +21,21 @@ let decision_name = function
   | Generic -> "generic"
   | Ghd -> "ghd"
 
-type prep = {
-  decomposition : Hypertree.t;
-  htw : int;
-  parent : int array;
-  order : int list;
-  assignment : int array;
+type analysis = {
   var_order : int list;
   agm : Agm.t;
   induced_width : int;
   domain_estimate : int;
   binary_bound_log2 : float;
+}
+
+type prep = {
+  analysis : analysis;
+  decomposition : Hypertree.t;
+  htw : int;
+  parent : int array;
+  order : int list;
+  assignment : int array;
   ghd_bound_log2 : float;
   decision : decision;
 }
@@ -165,7 +170,49 @@ let assign_atoms hg htd =
       else invalid_arg "Ghd: hyperedge contained in no bag")
 
 (* ------------------------------------------------------------------ *)
-(* The three-bound gate.                                               *)
+(* The structural gate.                                                *)
+
+(* The binary-plan side of the gate needs a per-variable domain size; the
+   largest distinct-value count of any base-relation column is a sound,
+   cheap stand-in (base relations are small — the data complexity setting
+   of the paper). *)
+let domain_estimate db cq =
+  let seen = Hashtbl.create 7 in
+  let best = ref 1 in
+  List.iter
+    (fun a ->
+      if not (Hashtbl.mem seen a.Cq.rel) then begin
+        Hashtbl.replace seen a.Cq.rel ();
+        let rel = Database.find db a.Cq.rel in
+        let arity = Relation.arity rel in
+        if arity > 0 then begin
+          let cols = Array.init arity (fun _ -> Hashtbl.create 16) in
+          Relation.iter
+            (fun tup ->
+              Array.iteri
+                (fun c h -> Hashtbl.replace h (Relalg.Tuple.get tup c) ())
+                cols)
+            rel;
+          Array.iter (fun h -> best := max !best (Hashtbl.length h)) cols
+        end
+      end)
+    cq.Cq.atoms;
+  !best
+
+let analyze ?rng db cq =
+  let jg = Joingraph.build cq in
+  let initial = List.map (Hashtbl.find jg.Joingraph.to_vertex) cq.Cq.free in
+  let ord = Graphlib.Order.mcs ~initial ?rng jg.Joingraph.graph in
+  let induced_width = Graphlib.Order.induced_width jg.Joingraph.graph ord in
+  let d = domain_estimate db cq in
+  {
+    var_order = Array.to_list (Joingraph.variable_order_of jg ord);
+    agm = Agm.fractional_edge_cover db cq;
+    induced_width;
+    domain_estimate = d;
+    binary_bound_log2 =
+      float_of_int (induced_width + 1) *. Float.log2 (float_of_int (max 2 d));
+  }
 
 (* fhtw-scale cost: the largest bag materialization, bounded per bag by
    the fractional edge cover of its lambda atoms (the exact subquery
@@ -179,59 +226,42 @@ let bag_bound_log2 db cq decomposition =
       Float.max acc bag.Agm.bound_log2)
     0.0 decomposition.Hypertree.lambda
 
-type cost_bounds = {
-  cost_binary_log2 : float;
-  cost_agm_log2 : float;
-  cost_bag_log2 : float;
-}
-
-let bounds ?rng db cq =
-  let binary, agm = Wcoj.bounds ?rng db cq in
-  let decomposition = search ?rng (Hypergraph.of_query cq) in
-  {
-    cost_binary_log2 = binary;
-    cost_agm_log2 = agm;
-    cost_bag_log2 = bag_bound_log2 db cq decomposition;
-  }
+let decide ?bag_log2 a =
+  match (Sys.getenv_opt "PPR_GHD_GATE", bag_log2) with
+  | Some "bucket", _ -> Bucket
+  | Some "generic", _ -> Generic
+  | Some "ghd", Some _ -> Ghd
+  | _ ->
+    (* One cost scale — log2 tuples of the worst intermediate each
+       route can materialize. Ties prefer the cheapest machinery
+       (bucket), then the generic join: when the best bag costs as much
+       as the whole-query AGM bound (dense queries collapse to one bag),
+       the variable-at-a-time join prunes within that bound while the
+       bag would materialize its full cover join first. Without a
+       decomposition the GHD route is out of the running. *)
+    let b = a.binary_bound_log2 in
+    let g = a.agm.Agm.bound_log2 in
+    let h = Option.value bag_log2 ~default:Float.infinity in
+    if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
 
 let prepare ?rng db cq =
-  let base = Wcoj.prepare ?rng db cq in
+  (* The analysis draws its MCS tie-breaks from [rng] before the search
+     draws its restarts, so its variable order is the one [analyze ?rng]
+     alone returns. *)
+  let analysis = analyze ?rng db cq in
   let hg = Hypergraph.of_query cq in
   let decomposition = search ?rng hg in
-  let htw = Hypertree.width decomposition in
   let parent, order = root_tree decomposition.Hypertree.tree in
-  let assignment = assign_atoms hg decomposition in
   let ghd_bound_log2 = bag_bound_log2 db cq decomposition in
-  let decision =
-    match Sys.getenv_opt "PPR_GHD_GATE" with
-    | Some "bucket" -> Bucket
-    | Some "generic" -> Generic
-    | Some "ghd" -> Ghd
-    | _ ->
-      (* One cost scale — log2 tuples of the worst intermediate each
-         route can materialize. Ties prefer the cheapest machinery
-         (bucket), then the generic join: when the best bag costs as
-         much as the whole-query AGM bound (dense queries collapse to
-         one bag), the variable-at-a-time join prunes within that bound
-         while the bag would materialize its full cover join first. *)
-      let b = base.Wcoj.binary_bound_log2 in
-      let g = base.Wcoj.agm.Agm.bound_log2 in
-      let h = ghd_bound_log2 in
-      if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
-  in
   {
+    analysis;
     decomposition;
-    htw;
+    htw = Hypertree.width decomposition;
     parent;
     order;
-    assignment;
-    var_order = base.Wcoj.order;
-    agm = base.Wcoj.agm;
-    induced_width = base.Wcoj.induced_width;
-    domain_estimate = base.Wcoj.domain_estimate;
-    binary_bound_log2 = base.Wcoj.binary_bound_log2;
+    assignment = assign_atoms hg decomposition;
     ghd_bound_log2;
-    decision;
+    decision = decide ~bag_log2:ghd_bound_log2 analysis;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
 (** Decomposition-based evaluation: generalized hypertree decompositions
-    plus full Yannakakis, behind one structural gate.
+    plus full Yannakakis, and the one structural gate that routes a query
+    among bucket elimination, the generic join and this evaluator.
 
     This is the "Structure-Guided Query Evaluation" pipeline over the
     existing machinery: {!search} finds a generalized hypertree
@@ -8,17 +9,46 @@
     each bag by joining its covering [lambda] atoms through the execution
     context, enforces every remaining atom with a semijoin inside a bag
     containing it, and runs the {!Hypergraphs.Yannakakis.sweeps} over the
-    bag tree — making Yannakakis total on cyclic queries. {!prepare}
-    additionally computes the three-way structural gate: induced width
-    (bucket elimination), the AGM fractional-cover bound (generic join)
-    and the fractional-hypertree-scale bag bound, all on one log2-tuples
-    cost scale. *)
+    bag tree — making Yannakakis total on cyclic queries.
+
+    The gate compares, on one log2-tuples cost scale, the bucket-
+    elimination worst case (induced width), the AGM fractional-cover
+    bound (generic join) and the fractional-hypertree-scale bag bound.
+    {!analyze} computes the first two, which every gated method and
+    cost-aware admission share; only {!prepare} adds the decomposition
+    search and the bag bound. *)
 
 type decision = Bucket | Generic | Ghd
 
 val decision_name : decision -> string
 
+type analysis = {
+  var_order : int list;  (** MCS variable order, free variables first *)
+  agm : Wcoj.Agm.t;  (** fractional edge cover of the whole query *)
+  induced_width : int;  (** induced width of [var_order] on the join graph *)
+  domain_estimate : int;  (** max per-column distinct values over atoms *)
+  binary_bound_log2 : float;
+      (** bucket-elimination worst case, [(induced_width + 1) * log2 d] *)
+}
+(** The gate's shared analysis: everything but the decomposition. *)
+
+val analyze :
+  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> analysis
+(** MCS order (ties broken by [rng]), induced width, domain estimate, AGM
+    cover and binary bound. Pure — touches only relation contents, never
+    runs a join — and far cheaper than {!search}. *)
+
+val decide : ?bag_log2:float -> analysis -> decision
+(** The gate: the smallest of [binary_bound_log2], [agm.bound_log2] and
+    [bag_log2], ties preferring bucket, then the generic join. Without
+    [bag_log2] the GHD route is left out, so the answer is [Bucket] or
+    [Generic] (the [wcoj] method's gate). The [PPR_GHD_GATE] environment
+    variable overrides it: ["bucket"] and ["generic"] force a route,
+    ["ghd"] forces the decomposition when [bag_log2] is given; anything
+    else (or unset) leaves the comparison in charge. *)
+
 type prep = {
+  analysis : analysis;
   decomposition : Hypergraphs.Hypertree.t;
       (** validated GHD of the query hypergraph *)
   htw : int;  (** its generalized hypertree width (largest cover) *)
@@ -27,33 +57,15 @@ type prep = {
   assignment : int array;
       (** atom index -> bag whose chi contains the whole atom; the
           evaluator enforces the atom there *)
-  var_order : int list;  (** MCS variable order, free variables first *)
-  agm : Wcoj.Agm.t;  (** fractional edge cover of the whole query *)
-  induced_width : int;
-  domain_estimate : int;
-  binary_bound_log2 : float;
-      (** bucket-elimination worst case, [(induced_width + 1) * log2 d] *)
   ghd_bound_log2 : float;
       (** largest per-bag fractional-cover bound — the fhtw cost scale *)
-  decision : decision;
+  decision : decision;  (** [decide ~bag_log2:ghd_bound_log2 analysis] *)
 }
 
-type cost_bounds = {
-  cost_binary_log2 : float;
-      (** bucket-elimination worst case, [(induced_width + 1) * log2 d] *)
-  cost_agm_log2 : float;  (** AGM fractional-cover bound, whole query *)
-  cost_bag_log2 : float;
-      (** largest per-bag fractional-cover bound (fhtw scale) *)
-}
-
-val bounds :
-  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
-  cost_bounds
-(** The three gate bounds of {!prepare} without the rest of the
-    artifact (rooted bag tree, atom assignment): what cost-aware
-    admission control needs {e before} committing to a compile. Pure —
-    touches only relation cardinalities — and polynomial in the query
-    size (the decomposition search runs, the evaluator does not). *)
+val bag_bound_log2 :
+  Conjunctive.Database.t -> Conjunctive.Cq.t -> Hypergraphs.Hypertree.t -> float
+(** The largest per-bag fractional-cover bound of a decomposition of the
+    query: each bag is bounded by the AGM bound of its [lambda] atoms. *)
 
 val search :
   ?rng:Graphlib.Rng.t -> Hypergraphs.Hypergraph.t -> Hypergraphs.Hypertree.t
@@ -66,13 +78,10 @@ val search :
 
 val prepare :
   ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> prep
-(** The planning half: decomposition, rooted bag tree, atom assignment
-    and the three-bound gate. Pure — touches only relation
-    cardinalities. The [PPR_GHD_GATE] environment variable overrides the
-    gate: ["bucket"], ["generic"] and ["ghd"] force a route; anything
-    else (or unset) picks the smallest of [binary_bound_log2],
-    [agm.bound_log2] and [ghd_bound_log2], ties preferring bucket, then
-    the generic join. *)
+(** The planning half: {!analyze}, then the decomposition, rooted bag
+    tree, atom assignment, bag bound and the three-way {!decide}. The
+    analysis is the one [analyze ?rng] returns on its own: it draws from
+    [rng] before the search does. *)
 
 val evaluate :
   ?ctx:Relalg.Ctx.t ->

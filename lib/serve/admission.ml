@@ -1,7 +1,7 @@
 (* Cost-aware admission: structural cost estimation for queries BEFORE
    they are queued, built from the same analytic bounds the three-way
-   structural gate trusts (Ghd.bounds: bucket worst case, AGM
-   fractional cover, largest per-bag cover).
+   structural gate trusts (bucket worst case, AGM fractional cover,
+   largest per-bag cover).
 
    The estimate is the cheapest route's bound, with the output term
    folded in: a materializing session must pay for its answer no matter
@@ -12,23 +12,22 @@
    bound on what the daemon will spend — shedding on "lower bound
    exceeds the ceiling" never sheds a query that could have been cheap.
 
+   With free variables every route costs at least the AGM bound and the
+   generic join costs exactly that, so the estimate IS the AGM bound:
+   the rest of the gate's analysis and the decomposition search are
+   skipped. Only a Boolean query, whose estimate the binary or bag bound
+   can decide, pays for them.
+
    Estimates are memoized by the query's canonical structure (the
    method-independent part of the plan-cache key), so a flood of
    isomorphic instantiations prices the structure once. The memo is a
    bounded FIFO — admission-path state must not grow with query
    diversity. *)
 
-type bounds = {
-  binary_log2 : float;
-  agm_log2 : float;
-  bag_log2 : float;
-  estimate_log2 : float;
-}
-
 type t = {
   lock : Mutex.t;
   capacity : int;
-  tbl : (string, bounds) Hashtbl.t;
+  tbl : (string, float) Hashtbl.t;
   fifo : string Queue.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
@@ -48,24 +47,17 @@ let create ?(capacity = 4096) () =
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 
-let estimate_of ~boolean (b : Ghd.cost_bounds) =
-  let out = if boolean then 0.0 else b.Ghd.cost_agm_log2 in
-  let route cost = Float.max cost out in
-  let estimate_log2 =
-    Float.min
-      (route b.Ghd.cost_binary_log2)
-      (Float.min
-         (* the generic join's enumeration work is itself AGM-bounded,
-            so its route cost needs no separate output term *)
-         b.Ghd.cost_agm_log2
-         (route b.Ghd.cost_bag_log2))
-  in
-  {
-    binary_log2 = b.Ghd.cost_binary_log2;
-    agm_log2 = b.Ghd.cost_agm_log2;
-    bag_log2 = b.Ghd.cost_bag_log2;
-    estimate_log2;
-  }
+let price db (cq : Conjunctive.Cq.t) =
+  if cq.Conjunctive.Cq.free <> [] then
+    (Wcoj.Agm.fractional_edge_cover db cq).Wcoj.Agm.bound_log2
+  else
+    let a = Ghd.analyze db cq in
+    let bag =
+      Ghd.bag_bound_log2 db cq
+        (Ghd.search (Hypergraphs.Hypergraph.of_query cq))
+    in
+    Float.min a.Ghd.binary_bound_log2
+      (Float.min a.Ghd.agm.Wcoj.Agm.bound_log2 bag)
 
 let locked t f =
   Mutex.lock t.lock;
@@ -73,24 +65,22 @@ let locked t f =
 
 let estimate t db ~key (cq : Conjunctive.Cq.t) =
   match locked t (fun () -> Hashtbl.find_opt t.tbl key) with
-  | Some b ->
+  | Some c ->
     Atomic.incr t.hits;
-    b
+    c
   | None ->
     Atomic.incr t.misses;
     (* Bounds run outside the lock: two racing estimates of a novel
        structure both compute, and either result is valid for the key. *)
-    let b =
-      estimate_of ~boolean:(cq.Conjunctive.Cq.free = []) (Ghd.bounds db cq)
-    in
+    let c = price db cq in
     locked t (fun () ->
         if not (Hashtbl.mem t.tbl key) then begin
           if Queue.length t.fifo >= t.capacity then
             Hashtbl.remove t.tbl (Queue.pop t.fifo);
           Queue.push key t.fifo;
-          Hashtbl.add t.tbl key b
+          Hashtbl.add t.tbl key c
         end);
-    b
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Backlog aggregation. The queue's total estimated cost is a sum of

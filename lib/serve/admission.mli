@@ -1,28 +1,21 @@
 (** Structural cost estimation for cost-aware admission control.
 
     Prices a query {e before} it is queued, from the three analytic
-    bounds the structural gate already trusts ({!Ghd.bounds}: the
-    bucket-elimination worst case, the AGM fractional-cover bound, and
-    the largest per-bag cover bound), all on one log2-tuples scale.
-    The scalar {!bounds.estimate_log2} is the cheapest route's bound
-    with the output term folded in (a materializing query pays for its
-    answer on every route; Boolean queries pay no output term) — a
-    {e lower} bound on the work any route will do, so shedding a query
-    whose estimate exceeds a ceiling never sheds one that could have
-    run cheaply.
+    bounds the structural gate already trusts (the bucket-elimination
+    worst case, the AGM fractional-cover bound, and the largest per-bag
+    cover bound), all on one log2-tuples scale. The estimate is the
+    cheapest route's bound with the output term folded in (a
+    materializing query pays for its answer on every route; Boolean
+    queries pay no output term) — a {e lower} bound on the work any
+    route will do, so shedding a query whose estimate exceeds a ceiling
+    never sheds one that could have run cheaply. With free variables
+    that is exactly the AGM bound; only Boolean queries run the rest of
+    {!Ghd.analyze} and the decomposition search for the bag bound.
 
     Estimates are memoized per canonical structure in a bounded FIFO
     table, so floods of isomorphic instantiations price their shared
     structure once. Thread-safe; the bound computation runs outside the
     lock. *)
-
-type bounds = {
-  binary_log2 : float;  (** bucket-elimination worst case *)
-  agm_log2 : float;  (** AGM fractional-cover bound of the whole query *)
-  bag_log2 : float;  (** largest per-bag cover bound (fhtw scale) *)
-  estimate_log2 : float;
-      (** admission scalar: min over routes, output term included *)
-}
 
 type t
 
@@ -30,10 +23,10 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds the memo table (default 4096).
     @raise Invalid_argument when [capacity < 1]. *)
 
-val estimate : t -> Conjunctive.Database.t -> key:string -> Conjunctive.Cq.t -> bounds
-(** Price [cq] (its canonical form) against [db], memoized under [key]
-    — the method-independent canonical-structure key. Pure in the
-    database's cardinalities; never touches tuples. *)
+val estimate : t -> Conjunctive.Database.t -> key:string -> Conjunctive.Cq.t -> float
+(** The log2-tuples estimate of [cq] (its canonical form) against [db]:
+    min over routes, output term included. Memoized under [key] — the
+    method-independent canonical-structure key. Never runs a join. *)
 
 val hits : t -> int
 val misses : t -> int

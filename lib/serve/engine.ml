@@ -349,7 +349,7 @@ let classify t (q : Wire.query) : (work, Wire.error_kind * string) result =
                  the estimate prices the query, not the route. *)
               let skey = Plan_cache.key_of ~canon ~meth:"" in
               match Admission.estimate t.admission t.db ~key:skey cq with
-              | b -> Some b.Admission.estimate_log2
+              | c -> Some c
               | exception _ -> None
             else None
           in

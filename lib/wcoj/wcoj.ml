@@ -10,74 +10,6 @@ module Limits = Relalg.Limits
 module Stats = Relalg.Stats
 module Pool = Parallel.Pool
 
-type decision = Generic | Binary
-
-type prep = {
-  order : int list;
-  agm : Agm.t;
-  induced_width : int;
-  domain_estimate : int;
-  binary_bound_log2 : float;
-  decision : decision;
-}
-
-let decision_name = function Generic -> "generic" | Binary -> "binary"
-
-(* The binary-plan side of the gate needs a per-variable domain size; the
-   largest distinct-value count of any base-relation column is a sound,
-   cheap stand-in (base relations are small — the data complexity setting
-   of the paper). *)
-let domain_estimate db cq =
-  let seen = Hashtbl.create 7 in
-  let best = ref 1 in
-  List.iter
-    (fun a ->
-      if not (Hashtbl.mem seen a.Cq.rel) then begin
-        Hashtbl.replace seen a.Cq.rel ();
-        let rel = Database.find db a.Cq.rel in
-        let arity = Relation.arity rel in
-        if arity > 0 then begin
-          let cols = Array.init arity (fun _ -> Hashtbl.create 16) in
-          Relation.iter
-            (fun tup ->
-              Array.iteri
-                (fun c h -> Hashtbl.replace h (Relalg.Tuple.get tup c) ())
-                cols)
-            rel;
-          Array.iter (fun h -> best := max !best (Hashtbl.length h)) cols
-        end
-      end)
-    cq.Cq.atoms;
-  !best
-
-let prepare ?rng db cq =
-  let jg = Joingraph.build cq in
-  let initial =
-    List.map (Hashtbl.find jg.Joingraph.to_vertex) cq.Cq.free
-  in
-  let ord = Graphlib.Order.mcs ~initial ?rng jg.Joingraph.graph in
-  let induced_width = Graphlib.Order.induced_width jg.Joingraph.graph ord in
-  let order = Array.to_list (Joingraph.variable_order_of jg ord) in
-  let agm = Agm.fractional_edge_cover db cq in
-  let d = domain_estimate db cq in
-  let binary_bound_log2 =
-    float_of_int (induced_width + 1) *. Float.log2 (float_of_int (max 2 d))
-  in
-  let decision =
-    match Sys.getenv_opt "PPR_WCOJ_GATE" with
-    | Some "generic" -> Generic
-    | Some "binary" -> Binary
-    | _ -> if agm.Agm.bound_log2 <= binary_bound_log2 then Generic else Binary
-  in
-  { order; agm; induced_width; domain_estimate = d; binary_bound_log2; decision }
-
-let bounds ?rng db cq =
-  let p = prepare ?rng db cq in
-  (p.binary_bound_log2, p.agm.Agm.bound_log2)
-
-(* ------------------------------------------------------------------ *)
-(* The evaluator.                                                      *)
-
 (* Raised inside a worker when the shared guard says stop; the typed
    abort surfaces on the owning domain via [Limits.Shared.settle]. *)
 exception Cut

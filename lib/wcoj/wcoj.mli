@@ -1,4 +1,4 @@
-(** Worst-case-optimal generic join with AGM-bound plan gating.
+(** Worst-case-optimal generic join.
 
     The paper's five methods all build binary join trees, whose
     intermediate sizes are governed by join width (treewidth + 1). The
@@ -10,9 +10,9 @@
     cover bound ({!Agm}), which can be polynomially smaller than any
     binary plan's worst-case intermediate — but also polynomially larger
     on sparse, low-treewidth queries (a path of n vertices has AGM bound
-    ~|R|^(n/2) against a binary plan's |R|^2). {!prepare} therefore
-    compares the two analytic bounds per query and {!recommends} either
-    the generic join or the existing bucket-elimination binary plan.
+    ~|R|^(n/2) against a binary plan's |R|^2). Choosing between them is
+    the structural gate's job ([Ghd.decide]); this module only
+    evaluates.
 
     Projections are pushed to the limit: the variable order binds the
     free variables first, so once a free prefix is bound the evaluator
@@ -23,38 +23,6 @@
 module Agm = Agm
 module Trie = Trie
 
-type decision = Generic | Binary
-
-type prep = {
-  order : int list;  (** MCS variable order, free variables first *)
-  agm : Agm.t;  (** fractional edge cover of the atoms *)
-  induced_width : int;  (** induced width of [order] on the join graph *)
-  domain_estimate : int;  (** max per-column distinct values over atoms *)
-  binary_bound_log2 : float;
-      (** log2 of the binary-plan worst-case intermediate,
-          [(induced_width + 1) * log2 domain_estimate] *)
-  decision : decision;
-}
-
-val prepare :
-  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> prep
-(** The planning half of the method: variable order, AGM cover, width,
-    and the gate decision. Pure — touches only relation cardinalities.
-    The [PPR_WCOJ_GATE] environment variable overrides the gate:
-    ["generic"] and ["binary"] force a decision, anything else (or
-    unset) compares [agm.bound_log2] against [binary_bound_log2]. *)
-
-val decision_name : decision -> string
-
-val bounds :
-  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
-  float * float
-(** [(binary_bound_log2, agm_bound_log2)] of {!prepare}, for callers —
-    like the serving layer's cost-aware admission control — that need
-    the analytic bounds {e before} committing to a compile. Pure and
-    cheap: touches only relation cardinalities (MCS order, fractional
-    edge cover), never tuples. *)
-
 val evaluate :
   ?ctx:Relalg.Ctx.t ->
   ?order:int list ->
@@ -62,7 +30,7 @@ val evaluate :
   Conjunctive.Cq.t ->
   Relalg.Relation.t
 (** Run the generic join (unconditionally — gating is the caller's
-    business, see {!prepare}). The result's schema is the query's free
+    business). The result's schema is the query's free
     variable list; tuple-identical to executing any correct plan.
 
     [order] defaults to {!Conjunctive.Joingraph.mcs_variable_order} and

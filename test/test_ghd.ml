@@ -88,8 +88,8 @@ let test_gate_routes () =
   check_bool "dense -> generic" true (prep.Ghd.decision = Ghd.Generic);
   (* The decision is the argmin of the three bounds on one scale. *)
   let bounds (p : Ghd.prep) =
-    ( p.Ghd.binary_bound_log2,
-      p.Ghd.agm.Wcoj.Agm.bound_log2,
+    ( p.Ghd.analysis.Ghd.binary_bound_log2,
+      p.Ghd.analysis.Ghd.agm.Wcoj.Agm.bound_log2,
       p.Ghd.ghd_bound_log2 )
   in
   List.iter
@@ -111,12 +111,21 @@ let test_gate_routes () =
 
 let test_gate_env_override () =
   let db, cq = coloring ~mode:Encode.Boolean (Gen.cycle 8) in
+  let analysis = Ghd.analyze ~rng:(rng 1) db cq in
+  let two_way = Ghd.decide analysis in
   List.iter
-    (fun (route, expected) ->
+    (fun (route, expected, wcoj_expected) ->
       with_gate route (fun () ->
           let p = Ghd.prepare ~rng:(rng 1) db cq in
-          check_bool ("PPR_GHD_GATE=" ^ route) true (p.Ghd.decision = expected)))
-    [ ("bucket", Ghd.Bucket); ("generic", Ghd.Generic); ("ghd", Ghd.Ghd) ]
+          check_bool ("PPR_GHD_GATE=" ^ route) true (p.Ghd.decision = expected);
+          (* The wcoj method's gate has no decomposition to force. *)
+          check_bool ("PPR_GHD_GATE=" ^ route ^ " without the GHD route") true
+            (Ghd.decide analysis = wcoj_expected)))
+    [
+      ("bucket", Ghd.Bucket, Ghd.Bucket);
+      ("generic", Ghd.Generic, Ghd.Generic);
+      ("ghd", Ghd.Ghd, two_way);
+    ]
 
 let test_gate_low_htw_panel () =
   (* Cyclic low-htw structure: augmented ladders have treewidth >= 3 but
@@ -128,7 +137,7 @@ let test_gate_low_htw_panel () =
   check_bool "augmented ladder htw 2" true (prep.Ghd.htw = 2);
   check_bool "augmented ladder -> ghd" true (prep.Ghd.decision = Ghd.Ghd);
   check_bool "ghd bound under bucket bound" true
-    (prep.Ghd.ghd_bound_log2 < prep.Ghd.binary_bound_log2)
+    (prep.Ghd.ghd_bound_log2 < prep.Ghd.analysis.Ghd.binary_bound_log2)
 
 (* ------------------------------------------------------------------ *)
 (* Output identity vs bucket elimination                                *)

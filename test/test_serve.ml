@@ -885,6 +885,36 @@ let test_engine_cost_estimate_is_exact_on_single_edge () =
       (string_contains msg "2^2.6")
   | r -> Alcotest.failf "expected shed-cost, got %s" (Wire.response_to_string r)
 
+(* The admission estimate as it was defined before pricing moved onto the
+   shared analysis: every route's bound, max'ed with the AGM output term
+   when the query has free variables, min over the three routes — over
+   the bounds of a [Ghd.prepare] without an rng. *)
+let reference_estimate db cq =
+  let p = Ghd.prepare db cq in
+  let binary = p.Ghd.analysis.Ghd.binary_bound_log2 in
+  let agm = p.Ghd.analysis.Ghd.agm.Wcoj.Agm.bound_log2 in
+  let out = if cq.Cq.free = [] then 0.0 else agm in
+  let route c = Float.max c out in
+  Float.min (route binary) (Float.min agm (route p.Ghd.ghd_bound_log2))
+
+let admission_estimate_prop =
+  qtest ~count:80 "admission estimate = min over routes, bit for bit"
+    QCheck.(triple graph_arbitrary (int_range 2 4) (int_range 0 2))
+    (fun (g, colors, mode) ->
+      let mode =
+        match mode with
+        | 0 -> Conjunctive.Encode.Boolean
+        | 1 -> Conjunctive.Encode.Emulated_boolean
+        | _ -> Conjunctive.Encode.Fraction 0.4
+      in
+      let db = Conjunctive.Encode.coloring_database ~k:colors () in
+      let cq = coloring_query ~mode ~seed:3 g in
+      let got =
+        Serve.Admission.estimate (Serve.Admission.create ()) db ~key:"q" cq
+      in
+      Int64.equal (Int64.bits_of_float got)
+        (Int64.bits_of_float (reference_estimate db cq)))
+
 let test_engine_backlog_cost_shed () =
   let config =
     {
@@ -1340,6 +1370,7 @@ let () =
             test_engine_cost_shed_is_typed;
           Alcotest.test_case "cost estimate exact on single edge" `Quick
             test_engine_cost_estimate_is_exact_on_single_edge;
+          admission_estimate_prop;
           Alcotest.test_case "backlog cost shed" `Quick
             test_engine_backlog_cost_shed;
           Alcotest.test_case "client quota sheds only the flooder" `Quick

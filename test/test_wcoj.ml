@@ -64,31 +64,41 @@ let test_agm_feasible_and_sound () =
     checks
 
 let test_gate_sanity () =
-  (* A path has treewidth 1: the binary plan's bound is tiny while the
-     AGM bound is ~|R|^(n/2) — the gate must keep the bucket plan. *)
+  (* The wcoj method's gate is the structural gate with the GHD route
+     left out. A path has treewidth 1: the binary plan's bound is tiny
+     while the AGM bound is ~|R|^(n/2) — the gate must keep the bucket
+     plan. *)
+  let is_generic = function
+    | Ppr_core.Driver.Generic_join _ -> true
+    | _ -> false
+  in
   let db, path_cq = coloring ~mode:Encode.Boolean (Gen.path 10) in
-  let prep = Wcoj.prepare ~rng:(rng 1) db path_cq in
-  check_bool "path -> binary" true (prep.Wcoj.decision = Wcoj.Binary);
+  let a = Ghd.analyze ~rng:(rng 1) db path_cq in
+  check_bool "path -> bucket" true (Ghd.decide a = Ghd.Bucket);
+  check_bool "path prepares the bucket plan" false
+    (is_generic (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db path_cq));
   (* A dense graph has induced width near n: the AGM bound (~n/2 atoms
      of weight 1) undercuts the binary worst case — generic join wins. *)
   let db, dense_cq =
     coloring ~mode:Encode.Boolean (random_graph ~seed:5 ~n:10 ~m:45)
   in
-  let prep = Wcoj.prepare ~rng:(rng 1) db dense_cq in
-  check_bool "dense -> generic" true (prep.Wcoj.decision = Wcoj.Generic);
+  let a = Ghd.analyze ~rng:(rng 1) db dense_cq in
+  check_bool "dense -> generic" true (Ghd.decide a = Ghd.Generic);
+  check_bool "dense prepares the generic join" true
+    (is_generic (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db dense_cq));
   check_bool "bound comparison agrees" true
-    (prep.Wcoj.agm.Agm.bound_log2 <= prep.Wcoj.binary_bound_log2);
+    (a.Ghd.agm.Agm.bound_log2 < a.Ghd.binary_bound_log2);
   (* The order the gate hands out is usable as-is: a permutation with
      the free variables first. *)
   let db, free_cq =
     coloring ~mode:(Encode.Fraction 0.3) (random_graph ~seed:5 ~n:8 ~m:16)
   in
-  let prep = Wcoj.prepare ~rng:(rng 1) db free_cq in
+  let a = Ghd.analyze ~rng:(rng 1) db free_cq in
   check_bool "order is permutation" true
-    (List.sort compare prep.Wcoj.order = Cq.vars free_cq);
+    (List.sort compare a.Ghd.var_order = Cq.vars free_cq);
   let prefix_len = List.length free_cq.Cq.free in
   check_bool "free vars first" true
-    (List.filteri (fun i _ -> i < prefix_len) prep.Wcoj.order
+    (List.filteri (fun i _ -> i < prefix_len) a.Ghd.var_order
     = free_cq.Cq.free)
 
 (* ------------------------------------------------------------------ *)
