@@ -816,7 +816,6 @@ let query_cmd =
          prerr_endline
            "query: --show-sql is not available: the gate picked the decomposition");
     let result = Ppr_core.Exec.materialize ~ctx db cq compiled in
-    let schema = Relalg.Relation.schema result in
     (match free with
     | [] ->
       Printf.printf "%s: %b\n" head_name
@@ -825,7 +824,10 @@ let query_cmd =
       Printf.printf "%s(%s): %d answers\n" head_name
         (String.concat ", " (List.map namer free_vars))
         (Relalg.Relation.cardinality result);
-      print_rows schema (Relalg.Relation.to_sorted_list result))
+      (* Sorted in head order, so every route lists the same rows. *)
+      print_rows
+        (Relalg.Schema.of_list free_vars)
+        (Relalg.Relation.to_sorted_list_in result free_vars))
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Datalog-style project-join query.")

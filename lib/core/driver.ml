@@ -89,19 +89,23 @@ let compile ?rng ?feedback meth db cq =
 
 type compiled = Exec.compiled =
   | Plan of Plan.t
-  | Generic_join of Ghd.analysis
+  | Gated of Ghd.analysis * Plan.t option
   | Decomposed of Ghd.prep * Plan.t option
 
-let prepare ?rng ?feedback meth db cq =
+let prepare ?rng ?feedback ?agm meth db cq =
   match meth with
-  | Wcoj -> (
-    (* The one gate with the GHD route left out: no decomposition search. *)
-    let a = Ghd.analyze ?rng db cq in
-    match Ghd.decide a with
-    | Ghd.Generic -> Generic_join a
-    | Ghd.Bucket | Ghd.Ghd -> Plan (gated_bucket a cq))
+  | Wcoj ->
+    (* The one gate with the GHD route left out: no decomposition search.
+       The analysis stays next to the bucket plan: its order and bound
+       drive the generic join's attempt. *)
+    let a = Ghd.analyze ?rng ?agm db cq in
+    Gated
+      ( a,
+        match Ghd.decide a with
+        | Ghd.Generic -> None
+        | Ghd.Bucket | Ghd.Ghd -> Some (gated_bucket a cq) )
   | Ghd ->
-    let prep = Ghd.prepare ?rng db cq in
+    let prep = Ghd.prepare ?rng ?agm db cq in
     (* The bucket plan rides along only when the gate picked it, so a
        cached artifact replays without recompiling; the prep itself is
        always kept — the three bounds become exec-span attributes. *)
@@ -303,6 +307,25 @@ let ghd_route_width cq prep =
     prep.Ghd.parent;
   !widest
 
+(* The [wcoj] method's two-way decision, read off its artifact. *)
+let wcoj_decision = function None -> Ghd.Generic | Some _ -> Ghd.Bucket
+
+let attempt_label = function
+  | None -> "none"
+  | Some { Exec.answer = Some _; _ } -> "answered"
+  | Some { Exec.answer = None; _ } -> "exhausted"
+
+let attempt_attrs tried =
+  ("gate.attempt", Telemetry.Attr.String (attempt_label tried))
+  ::
+  (match tried with
+  | None -> []
+  | Some a ->
+    [
+      ("gate.attempt_bindings", Telemetry.Attr.Int a.Exec.bindings);
+      ("gate.allowance", Telemetry.Attr.Int a.Exec.allowance);
+    ])
+
 (* Driver-level spans ([compile:<method>], [exec:<method>]) and counters
    ([driver.runs], [driver.aborts.<reason>]) land in the caller's telemetry
    registry; the per-run [Stats.t] keeps its own private registry so the
@@ -315,9 +338,9 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let name = method_name meth in
   let in_span phase attrs f =
     match telemetry with
-    | None -> f ()
+    | None -> f None
     | Some t ->
-      Telemetry.with_span t (phase ^ ":" ^ name) ~attrs (fun _ -> f ())
+      Telemetry.with_span t (phase ^ ":" ^ name) ~attrs (fun sp -> f (Some sp))
   in
   let t0 = clock () in
   (* A gated run decides its route inside the compile span: when the
@@ -329,7 +352,7 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let planned =
     match compiled with
     | Some c -> c
-    | None -> in_span "compile" [] (fun () -> prepare ?rng ?feedback meth db cq)
+    | None -> in_span "compile" [] (fun _ -> prepare ?rng ?feedback meth db cq)
   in
   let t1 = clock () in
   (* Analytic width: for a binary plan, its largest node schema; for the
@@ -354,13 +377,15 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
         m "%s: compiled in %.4fs (width %d, %d joins, %d projections)" name
           (t1 -. t0) (Plan.width plan) (Plan.join_count plan)
           (Plan.projection_count plan))
-  | Generic_join a ->
+  | Gated (a, plan) ->
     Log.debug (fun m ->
         m
-          "%s: prepared in %.4fs (AGM bound 2^%.2f <= binary 2^%.2f, rho \
-           %.2f, induced width %d)"
-          name (t1 -. t0) a.Ghd.agm.Wcoj.Agm.bound_log2
-          a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.rho a.Ghd.induced_width)
+          "%s: prepared in %.4fs (gate %s: AGM bound 2^%.2f vs binary 2^%.2f, \
+           rho %.2f, induced width %d)"
+          name (t1 -. t0)
+          (Ghd.decision_name (wcoj_decision plan))
+          a.Ghd.agm.Wcoj.Agm.bound_log2 a.Ghd.binary_bound_log2
+          a.Ghd.agm.Wcoj.Agm.rho a.Ghd.induced_width)
   | Decomposed (prep, _) ->
     let a = prep.Ghd.analysis in
     Log.debug (fun m ->
@@ -383,16 +408,14 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let exec_attrs =
     ("plan.width", Telemetry.Attr.Int plan_width)
     ::
-    (match (meth, planned) with
-    | _, Generic_join a ->
+    (match planned with
+    | Gated (a, plan) ->
       [
-        ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name Ghd.Generic));
+        ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name (wcoj_decision plan)));
         ("wcoj.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
         ("wcoj.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
       ]
-    | Wcoj, Plan _ ->
-      [ ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name Ghd.Bucket)) ]
-    | _, Decomposed (prep, _) ->
+    | Decomposed (prep, _) ->
       (* The three-bound gate: decision plus all three bounds, on the
          shared log2-tuples cost scale, land on every exec span. *)
       let a = prep.Ghd.analysis in
@@ -404,52 +427,70 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
         ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
         ("ghd.induced_width", Telemetry.Attr.Int a.Ghd.induced_width);
       ]
-    | _, Plan _ -> [])
+    | Plan _ -> [])
   in
   let streamed = limit <> None || rank <> None in
   (* Node-cardinality collection for the harvest: post-order, so an
      abort leaves a clean prefix. Only armed when someone listens to a
-     [Plan] run, the one kind the harvest reads. *)
+     binary-plan route, the one kind the harvest reads. *)
   let harvest_cards =
-    match (observer, planned) with Some _, Plan _ -> Some (ref []) | _ -> None
+    match (observer, Exec.route planned) with
+    | Some _, Exec.Binary _ -> Some (ref [])
+    | _ -> None
   in
   let observe =
     Option.map (fun cell _node card -> cell := card :: !cell) harvest_cards
   in
+  (* The gate's attempt, heard from the executor: its outcome lands on
+     the exec span, the registry and the debug line. *)
+  let tried = ref None in
+  let on_attempt a = tried := Some a in
   let result, complete, first_answer_seconds, time_to_k, status =
-    in_span "exec" exec_attrs (fun () ->
-        try
-          if streamed then begin
-            (* Delivery-bounded run: open the cursor and pull only what
-               the policy needs. Early exit is the whole point — a
-               limit-k run of a streaming route does O(setup + k) work,
-               not O(answer). *)
-            let cur =
-              Exec.stream ~ctx:exec_ctx ~semijoin:(exact_method meth) db cq
-                planned
-            in
-            let rel, complete, first_at, ttk =
-              collect_stream ~clock ~limit ~rank cur
-            in
-            (Some rel, complete, first_at, ttk, Completed)
-          end
-          else
-            let r = Exec.materialize ~ctx:exec_ctx ?observe db cq planned in
-            (Some r, true, None, None, Completed)
-        with Relalg.Limits.Abort reason ->
-          Log.info (fun m ->
-              m "%s: aborted — %s" name (Relalg.Limits.describe reason));
-          ( None,
-            false,
-            None,
-            None,
-            Aborted { reason; partial_stats = Relalg.Stats.copy stats } ))
+    in_span "exec" exec_attrs (fun span ->
+        let outcome =
+          try
+            if streamed then begin
+              (* Delivery-bounded run: open the cursor and pull only what
+                 the policy needs. Early exit is the whole point — a
+                 limit-k run of a streaming route does O(setup + k) work,
+                 not O(answer). *)
+              let cur =
+                Exec.stream ~ctx:exec_ctx ~semijoin:(exact_method meth)
+                  ~on_attempt db cq planned
+              in
+              let rel, complete, first_at, ttk =
+                collect_stream ~clock ~limit ~rank cur
+              in
+              (Some rel, complete, first_at, ttk, Completed)
+            end
+            else
+              let r =
+                Exec.materialize ~ctx:exec_ctx ?observe ~on_attempt db cq planned
+              in
+              (Some r, true, None, None, Completed)
+          with Relalg.Limits.Abort reason ->
+            Log.info (fun m ->
+                m "%s: aborted — %s" name (Relalg.Limits.describe reason));
+            ( None,
+              false,
+              None,
+              None,
+              Aborted { reason; partial_stats = Relalg.Stats.copy stats } )
+        in
+        Option.iter
+          (fun sp -> Telemetry.Span.add_attrs sp (attempt_attrs !tried))
+          span;
+        outcome)
   in
   (match telemetry with
   | None -> ()
   | Some t ->
     let reg = Telemetry.metrics t in
     Telemetry.Metrics.incr (Telemetry.Metrics.counter reg "driver.runs");
+    if Option.is_some !tried then
+      Telemetry.Metrics.incr
+        (Telemetry.Metrics.counter reg
+           ("driver.gate.attempt." ^ attempt_label !tried));
     (match status with
     | Completed -> ()
     | Aborted a ->
@@ -488,7 +529,12 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
       emit observations);
   let t2 = clock () in
   Log.debug (fun m ->
-      m "%s: executed in %.4fs (%s)" name (t2 -. t1)
+      m "%s: executed in %.4fs (attempt %s%s; %s)" name (t2 -. t1)
+        (attempt_label !tried)
+        (match !tried with
+        | Some a ->
+          Printf.sprintf ", %d of %d bindings" a.Exec.bindings a.Exec.allowance
+        | None -> "")
         (Format.asprintf "%a" Relalg.Stats.pp stats));
   {
     meth;

@@ -18,9 +18,10 @@ type meth =
       (** worst-case-optimal generic join, behind the structural gate
           with the GHD route left out ({!Ghd.decide} without a bag
           bound): when the AGM bound beats the binary plan's worst case
-          the query runs variable-at-a-time (see {!Wcoj}), otherwise it
-          falls back to the bucket-elimination plan along the same
-          variable order. No decomposition search runs *)
+          the query runs variable-at-a-time (see {!Wcoj}), otherwise the
+          bucket-elimination plan along the same variable order is the
+          route — tried after the generic join's {!Exec.attempt} within
+          the plan's own bound. No decomposition search runs *)
   | Ghd
       (** Yannakakis over a generalized hypertree decomposition, behind
           the three-way structural gate of {!Ghd.prepare}: each query is
@@ -28,7 +29,8 @@ type meth =
           GHD-Yannakakis by comparing induced width, the AGM bound and
           the fractional-hypertree bag bound on one log2-tuples cost
           scale; the decision and all three bounds land as exec-span
-          attributes *)
+          attributes. A bucket or ghd pick runs after the generic join's
+          {!Exec.attempt} within that route's bound runs out *)
 
 val all_paper_methods : meth list
 (** The five methods of the paper's experiments, naive first. *)
@@ -97,9 +99,12 @@ val compile :
 
 type compiled = Exec.compiled =
   | Plan of Plan.t  (** a binary project-join plan *)
-  | Generic_join of Ghd.analysis
-      (** the {!Wcoj} method's gate picked the generic join: no binary
-          plan exists, only the analysis's variable order and bounds *)
+  | Gated of Ghd.analysis * Plan.t option
+      (** the {!Wcoj} method's two-way gate: the analysis (order and
+          bounds) and, exactly when the gate picked bucket, the bucket
+          plan along its order; [None] means the generic join runs. The
+          analysis rides along with the plan because the bucket pick
+          tries the generic join first, within the plan's own bound *)
   | Decomposed of Ghd.prep * Plan.t option
       (** a {!Ghd.prepare} artifact — decomposition, rooted bag tree,
           atom assignment and the three gate bounds; the bucket fallback
@@ -110,17 +115,18 @@ type compiled = Exec.compiled =
     {!Exec.stream} and the serving layer's plan cache. *)
 
 val prepare :
-  ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback ->
+  ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback -> ?agm:Wcoj.Agm.t ->
   meth -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   compiled
 (** The planning phase of {!run} as a reusable artifact: for {!Wcoj} the
-    two-way gate decision (either the analyzed generic join or the bucket
-    plan along the same order), for {!Ghd} the three-way [Decomposed]
+    two-way [Gated] artifact, for {!Ghd} the three-way [Decomposed]
     artifact, for every other method its compiled plan. The artifact is
     valid for re-execution of the same query against the same database
     — the serving layer's plan cache stores these so isomorphic template
     queries skip MCS ordering, AGM estimation and bucket construction
-    entirely. *)
+    entirely. [agm], the query's cover already computed against the same
+    database, spares the gated methods' analysis computing it again
+    ({!Ghd.analyze}); other methods ignore it. *)
 
 val run :
   ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback ->
@@ -138,7 +144,11 @@ val run :
     across runs. With telemetry, the two phases run
     in [compile:<method>] / [exec:<method>] spans, operators record their
     own [op.*] spans underneath, and the registry tallies [driver.runs]
-    plus one [driver.aborts.<reason>] counter per typed abort.
+    plus one [driver.aborts.<reason>] counter per typed abort. The exec
+    span carries the gate's {!Exec.attempt}: [gate.attempt]
+    ([answered], [exhausted] or [none]) and, when there was one,
+    [gate.attempt_bindings] and [gate.allowance]; the registry counts
+    [driver.gate.attempt.answered] and [driver.gate.attempt.exhausted].
 
     [compiled] (a {!prepare} artifact for the {e same} method, query and
     database — the caller's contract) skips the compile phase entirely:

@@ -13,14 +13,14 @@ module Hypergraph = Hypergraphs.Hypergraph
 
 type compiled =
   | Plan of Plan.t
-  | Generic_join of Ghd.analysis
+  | Gated of Ghd.analysis * Plan.t option
   | Decomposed of Ghd.prep * Plan.t option
 
 type route = Binary of Plan.t | Generic of int list | Decomposition of Ghd.prep
 
 let route = function
-  | Plan plan -> Binary plan
-  | Generic_join a -> Generic a.Ghd.var_order
+  | Plan plan | Gated (_, Some plan) -> Binary plan
+  | Gated (a, None) -> Generic a.Ghd.var_order
   | Decomposed (prep, plan) -> (
     match (prep.Ghd.decision, plan) with
     | Ghd.Ghd, _ -> Decomposition prep
@@ -69,11 +69,73 @@ let rec run ?(ctx = Ctx.null) ?observe db plan =
   | None -> ());
   result
 
-let materialize ?ctx ?observe db cq compiled =
-  match route compiled with
-  | Binary plan -> run ?ctx ?observe db plan
-  | Generic order -> Wcoj.evaluate ?ctx ~order db cq
-  | Decomposition prep -> Ghd.evaluate ?ctx ~prep db cq
+(* ------------------------------------------------------------------ *)
+(* The gate's attempt.                                                 *)
+
+type attempt = { allowance : int; bindings : int; answer : Relation.t option }
+
+(* The a-priori bounds cannot see the generic join's early stop (free
+   variables first, one witness per existence search), so when the
+   comparison picked bucket or ghd the generic join is tried first,
+   within the chosen route's own bound: the analysis's order and that
+   bound, or [None] when there is nothing to try — another method, the
+   generic join already chosen, or a route [PPR_GHD_GATE] forces. *)
+let attempt_bound = function
+  | Plan _ | Gated (_, None) -> None
+  | Gated (a, Some _) ->
+    if Ghd.override ~ghd_route:false = None then Some (a, a.Ghd.binary_bound_log2)
+    else None
+  | Decomposed (prep, _) -> (
+    let a = prep.Ghd.analysis in
+    match (Ghd.override ~ghd_route:true, prep.Ghd.decision) with
+    | Some _, _ | None, Ghd.Generic -> None
+    | None, Ghd.Bucket -> Some (a, a.Ghd.binary_bound_log2)
+    | None, Ghd.Ghd -> Some (a, prep.Ghd.ghd_bound_log2))
+
+(* At most the route's worst-case largest intermediate, and at most half
+   the tuple budget the attempt's atom scans leave (they are charged
+   outside the allowance, and cannot charge more than the base
+   relations hold), so the attempt cannot trip the budget where the
+   route's own scans would not, and the route keeps the other half.
+   Nor more than the cardinality cap: the answer has at most as many
+   rows as the search made bindings, so it cannot trip the cap. *)
+let allowance_of ~ctx db cq bound_log2 =
+  let worst =
+    if bound_log2 < 62. then int_of_float (Float.ceil (Float.pow 2. bound_log2))
+    else max_int
+  in
+  match Ctx.limits ctx with
+  | None -> worst
+  | Some l ->
+    let scans =
+      List.fold_left
+        (fun acc a -> acc + Relation.cardinality (Database.find db a.Cq.rel))
+        0 cq.Cq.atoms
+    in
+    max 0 (min (min worst (Limits.max_tuples l)) ((Limits.remaining l - scans) / 2))
+
+let run_attempt ~ctx db cq (a, bound_log2) =
+  let allowance = allowance_of ~ctx db cq bound_log2 in
+  let left = ref allowance in
+  let answer =
+    match Wcoj.evaluate ~ctx ~order:a.Ghd.var_order ~allowance:left db cq with
+    | r -> Some r
+    | exception Wcoj.Exhausted -> None
+  in
+  { allowance; bindings = allowance - !left; answer }
+
+let attempt ?(ctx = Ctx.null) db cq compiled =
+  Option.map (run_attempt ~ctx db cq) (attempt_bound compiled)
+
+let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore) db cq
+    compiled =
+  let tried = attempt ~ctx db cq compiled in
+  Option.iter on_attempt tried;
+  match (tried, route compiled) with
+  | Some { answer = Some r; _ }, _ -> r
+  | _, Binary plan -> run ~ctx ?observe db plan
+  | _, Generic order -> Wcoj.evaluate ~ctx ~order db cq
+  | _, Decomposition prep -> Ghd.evaluate ~ctx ~prep db cq
 
 (* ------------------------------------------------------------------ *)
 (* Streaming.                                                          *)
@@ -191,18 +253,19 @@ let acyclic_stream ~ctx db cq =
       (Yannakakis.enumerate ~ctx ~parent:jt.Jointree.parent
          ~order:jt.Jointree.order ~free:cq.Cq.free rels)
 
+let count ctx name =
+  match Ctx.telemetry ctx with
+  | None -> ()
+  | Some t ->
+    Telemetry.Metrics.incr
+      (Telemetry.Metrics.counter (Telemetry.metrics t) name)
+
 (* First-answer instrumentation: one [ops.stream] count per opened
    cursor and the delay from cursor creation to the first yielded tuple
    into the [answers.first_delay] histogram. Purely metric-registry
    work — no span is held open across consumer pulls. *)
-let observe_first ~ctx ~kind produce =
-  (match Ctx.telemetry ctx with
-  | None -> ()
-  | Some t ->
-    let reg = Telemetry.metrics t in
-    Telemetry.Metrics.incr (Telemetry.Metrics.counter reg "ops.stream");
-    Telemetry.Metrics.incr
-      (Telemetry.Metrics.counter reg ("ops.stream." ^ kind)));
+let observe_first ~ctx produce =
+  count ctx "ops.stream";
   let t0 = Unix.gettimeofday () in
   let first = ref true in
   fun emit ->
@@ -221,27 +284,57 @@ let observe_first ~ctx ~kind produce =
 
 let seq_to_iter seq emit = Seq.iter emit seq
 
-let stream ?(ctx = Ctx.null) ?(semijoin = true) db cq compiled =
-  let of_iter ~kind ~dedup ~schema produce =
-    Cursor.of_iter ~dedup ~schema (observe_first ~ctx ~kind produce)
-  in
-  match route compiled with
+(* A route's producer, as a cursor over it needs it: the kind it counts
+   under, whether its emissions need dedup, its schema, the producer. *)
+let route_producer ~ctx ~semijoin db cq = function
   | Binary plan -> (
     match (if semijoin then acyclic_stream ~ctx db cq else None) with
-    | Some (schema, it) -> of_iter ~kind:"yannakakis" ~dedup:true ~schema it
+    | Some (schema, it) -> ("yannakakis", true, schema, it)
     | None ->
       let schema, seq = plan_stream ~ctx db plan in
-      of_iter ~kind:"plan" ~dedup:false ~schema (seq_to_iter seq))
+      ("plan", false, schema, seq_to_iter seq))
   | Generic order ->
-    of_iter ~kind:"wcoj" ~dedup:false ~schema:(Schema.of_list cq.Cq.free)
-      (fun emit -> Wcoj.iter ~ctx ~order db cq emit)
+    ( "wcoj", false, Schema.of_list cq.Cq.free,
+      fun emit -> Wcoj.iter ~ctx ~order db cq emit )
   | Decomposition prep ->
     (* Setup (bags, sweeps, indexes) runs lazily inside the producer on
        the first pull, so parking an unpulled cursor costs nothing. *)
-    of_iter ~kind:"ghd" ~dedup:true ~schema:(Schema.of_list cq.Cq.free)
-      (fun emit ->
+    ( "ghd", true, Schema.of_list cq.Cq.free,
+      fun emit ->
         let _, it = Ghd.enumerate ~ctx ~prep db cq in
-        it emit)
+        it emit )
+
+let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore) db cq
+    compiled =
+  match attempt_bound compiled with
+  | None ->
+    let kind, dedup, schema, produce =
+      route_producer ~ctx ~semijoin db cq (route compiled)
+    in
+    count ctx ("ops.stream." ^ kind);
+    Cursor.of_iter ~dedup ~schema (observe_first ~ctx produce)
+  | Some bound ->
+    (* The attempt runs on the first pull. Its answer streams as it
+       materialized; when it runs out, the chosen route's own cursor
+       opens and its tuples are put in head order. *)
+    let schema = Schema.of_list cq.Cq.free in
+    Cursor.of_iter ~schema
+      (observe_first ~ctx (fun emit ->
+           let tried = run_attempt ~ctx db cq bound in
+           on_attempt tried;
+           match tried.answer with
+           | Some r ->
+             count ctx "ops.stream.wcoj";
+             Relation.iter emit r
+           | None ->
+             let kind, dedup, rschema, produce =
+               route_producer ~ctx ~semijoin db cq (route compiled)
+             in
+             count ctx ("ops.stream." ^ kind);
+             let pos = Schema.positions schema rschema in
+             Cursor.iter
+               (fun tup -> emit (Tuple.project tup pos))
+               (Cursor.of_iter ~dedup ~schema:rschema produce)))
 
 (* The Boolean answer streams: one pull decides nonemptiness, so an
    existence check never pays for the full result. The compiled plan's

@@ -8,9 +8,10 @@
 
 type compiled =
   | Plan of Plan.t  (** a binary join/project tree from any compiler *)
-  | Generic_join of Ghd.analysis
-      (** the [wcoj] method's gate picked the generic join: worst-case-
-          optimal variable-at-a-time along [var_order] *)
+  | Gated of Ghd.analysis * Plan.t option
+      (** the [wcoj] method's two-way gate: the plan is the bucket
+          fallback along [var_order], present exactly when the gate
+          picks [Bucket]; without it the generic join runs *)
   | Decomposed of Ghd.prep * Plan.t option
       (** three-way structural gate; the plan is the pre-compiled bucket
           fallback, present exactly when the gate picks [Bucket] *)
@@ -27,6 +28,38 @@ val route : compiled -> route
     decision that {!materialize}, {!stream} and {!Driver.run} share.
     @raise Invalid_argument on a [Decomposed] bucket decision without
     its plan (never produced by {!Driver.prepare}). *)
+
+type attempt = {
+  allowance : int;
+      (** [min ⌈2^bound⌉ ((remaining - scans) / 2) cap] bindings:
+          [bound] is the chosen route's gate bound, [remaining] the tuple
+          budget left, [scans] the base relations' tuples its atoms read,
+          [cap] the per-relation cardinality cap *)
+  bindings : int;  (** bindings the generic join charged *)
+  answer : Relalg.Relation.t option;
+      (** the answer, over the free variables in head order; [None] when
+          the allowance ran out *)
+}
+(** The gate's attempt. When the comparison picks bucket or ghd for a
+    gated artifact ([Gated] with its plan, [Decomposed] with a [Bucket]
+    or [Ghd] decision, and no route forced by [PPR_GHD_GATE]), the
+    generic join runs first along the analysis's order, allowed as many
+    bindings as the chosen route's own bound admits intermediate tuples
+    ([binary_bound_log2] for bucket, [ghd_bound_log2] for ghd) and never
+    more than half the tuple budget its atom scans leave. The a-priori
+    bounds cannot see its early stop (free variables bound first, one
+    witness per existence search), so it often answers far below them;
+    when it runs out, the chosen route runs unchanged, with at least
+    half of that budget left. The attempt can trip the tuple budget or
+    the cardinality cap only in its scans, which every route makes (its
+    answer has no more rows than it made bindings). An exhausted attempt
+    has charged its scans and exactly [allowance] bindings. *)
+
+val attempt :
+  ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
+  compiled -> attempt option
+(** Run the artifact's attempt alone under the context; [None] when it
+    has none. {!materialize} and {!stream} run it before their route. *)
 
 val run :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
@@ -57,18 +90,22 @@ val nonempty : ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Plan.t -> bool
 
 val materialize :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
+  ?on_attempt:(attempt -> unit) ->
   Conjunctive.Database.t -> Conjunctive.Cq.t -> compiled -> Relalg.Relation.t
-(** Compute the full answer along the artifact's {!route}: {!run} for a
-    binary plan ([observe] applies there only), {!Wcoj.evaluate} for the
-    generic join, {!Ghd.evaluate} for the decomposition. Each keeps
-    {!run}'s context contract (spans, stats, limits, pool). The
-    materializing counterpart of {!stream}.
+(** Compute the full answer: the artifact's {!attempt}, if it has one
+    and it answers, else its {!route} — {!run} for a binary plan
+    ([observe] applies there only), {!Wcoj.evaluate} for the generic
+    join, {!Ghd.evaluate} for the decomposition. Each keeps {!run}'s
+    context contract (spans, stats, limits, pool). [on_attempt] hears
+    the attempt's outcome before the route runs. The materializing
+    counterpart of {!stream}.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 
 val stream :
   ?ctx:Relalg.Ctx.t ->
   ?semijoin:bool ->
+  ?on_attempt:(attempt -> unit) ->
   Conjunctive.Database.t ->
   Conjunctive.Cq.t ->
   compiled ->
@@ -77,6 +114,10 @@ val stream :
     equals what the corresponding materializing evaluator returns (same
     schema, possibly different column and tuple order); only delivery
     differs.
+
+    An artifact with an {!attempt} runs it on the first pull (telling
+    [on_attempt]) and streams its answer; when it runs out, the route's
+    own cursor opens and its tuples stream in head order.
 
     Routing follows {!route}: the generic join streams the leapfrog
     search directly (distinct, lexicographic — no dedup state); the
@@ -96,7 +137,8 @@ val stream :
     Setup runs when the first tuple is pulled, never at cursor
     construction, and every telemetry span closes before the first
     emission — a parked cursor holds indexes, not open spans. Each
-    opened cursor counts on [ops.stream] (and [ops.stream.<route>]);
+    opened cursor counts on [ops.stream] (and [ops.stream.<route>],
+    [wcoj] when an attempt answers);
     the delay from construction to the first answer lands in the
     [answers.first_delay] histogram.
     @raise Relalg.Limits.Abort out of a pull when a guard trips.

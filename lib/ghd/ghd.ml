@@ -199,7 +199,7 @@ let domain_estimate db cq =
     cq.Cq.atoms;
   !best
 
-let analyze ?rng db cq =
+let analyze ?rng ?agm db cq =
   let jg = Joingraph.build cq in
   let initial = List.map (Hashtbl.find jg.Joingraph.to_vertex) cq.Cq.free in
   let ord = Graphlib.Order.mcs ~initial ?rng jg.Joingraph.graph in
@@ -207,7 +207,10 @@ let analyze ?rng db cq =
   let d = domain_estimate db cq in
   {
     var_order = Array.to_list (Joingraph.variable_order_of jg ord);
-    agm = Agm.fractional_edge_cover db cq;
+    agm =
+      (match agm with
+      | Some a -> a
+      | None -> Agm.fractional_edge_cover db cq);
     induced_width;
     domain_estimate = d;
     binary_bound_log2 =
@@ -226,12 +229,17 @@ let bag_bound_log2 db cq decomposition =
       Float.max acc bag.Agm.bound_log2)
     0.0 decomposition.Hypertree.lambda
 
+let override ~ghd_route =
+  match Sys.getenv_opt "PPR_GHD_GATE" with
+  | Some "bucket" -> Some Bucket
+  | Some "generic" -> Some Generic
+  | Some "ghd" when ghd_route -> Some Ghd
+  | _ -> None
+
 let decide ?bag_log2 a =
-  match (Sys.getenv_opt "PPR_GHD_GATE", bag_log2) with
-  | Some "bucket", _ -> Bucket
-  | Some "generic", _ -> Generic
-  | Some "ghd", Some _ -> Ghd
-  | _ ->
+  match override ~ghd_route:(bag_log2 <> None) with
+  | Some d -> d
+  | None ->
     (* One cost scale — log2 tuples of the worst intermediate each
        route can materialize. Ties prefer the cheapest machinery
        (bucket), then the generic join: when the best bag costs as much
@@ -244,11 +252,11 @@ let decide ?bag_log2 a =
     let h = Option.value bag_log2 ~default:Float.infinity in
     if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
 
-let prepare ?rng db cq =
+let prepare ?rng ?agm db cq =
   (* The analysis draws its MCS tie-breaks from [rng] before the search
      draws its restarts, so its variable order is the one [analyze ?rng]
      alone returns. *)
-  let analysis = analyze ?rng db cq in
+  let analysis = analyze ?rng ?agm db cq in
   let hg = Hypergraph.of_query cq in
   let decomposition = search ?rng hg in
   let parent, order = root_tree decomposition.Hypertree.tree in

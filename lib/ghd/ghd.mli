@@ -33,10 +33,17 @@ type analysis = {
 (** The gate's shared analysis: everything but the decomposition. *)
 
 val analyze :
-  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> analysis
+  ?rng:Graphlib.Rng.t ->
+  ?agm:Wcoj.Agm.t ->
+  Conjunctive.Database.t ->
+  Conjunctive.Cq.t ->
+  analysis
 (** MCS order (ties broken by [rng]), induced width, domain estimate, AGM
     cover and binary bound. Pure — touches only relation contents, never
-    runs a join — and far cheaper than {!search}. *)
+    runs a join — and far cheaper than {!search}. [agm], when given, is
+    the query's cover already computed against the same database (the
+    serving layer's admission pricing computes it first); it is used
+    as-is instead of being computed again. *)
 
 val decide : ?bag_log2:float -> analysis -> decision
 (** The gate: the smallest of [binary_bound_log2], [agm.bound_log2] and
@@ -46,6 +53,12 @@ val decide : ?bag_log2:float -> analysis -> decision
     variable overrides it: ["bucket"] and ["generic"] force a route,
     ["ghd"] forces the decomposition when [bag_log2] is given; anything
     else (or unset) leaves the comparison in charge. *)
+
+val override : ghd_route:bool -> decision option
+(** The route [PPR_GHD_GATE] forces on a gate with ([ghd_route]) or
+    without the GHD route, read now; [None] when the comparison decides.
+    A gated run tries the generic join before its route only when the
+    comparison picked that route. *)
 
 type prep = {
   analysis : analysis;
@@ -77,11 +90,15 @@ val search :
     at the cyclic optimum (width 2). *)
 
 val prepare :
-  ?rng:Graphlib.Rng.t -> Conjunctive.Database.t -> Conjunctive.Cq.t -> prep
+  ?rng:Graphlib.Rng.t ->
+  ?agm:Wcoj.Agm.t ->
+  Conjunctive.Database.t ->
+  Conjunctive.Cq.t ->
+  prep
 (** The planning half: {!analyze}, then the decomposition, rooted bag
     tree, atom assignment, bag bound and the three-way {!decide}. The
-    analysis is the one [analyze ?rng] returns on its own: it draws from
-    [rng] before the search does. *)
+    analysis is the one [analyze ?rng ?agm] returns on its own: it draws
+    from [rng] before the search does. *)
 
 val evaluate :
   ?ctx:Relalg.Ctx.t ->

@@ -56,10 +56,22 @@ let eval_atom ?(ctx = Relalg.Ctx.null) t atom =
       positions;
     !ok
   in
-  let out = Relation.create ~size_hint:(Relation.cardinality base) out_schema in
-  Relation.iter
-    (fun tup -> if consistent tup then ignore (Relation.add out (Tuple.project tup keep)))
-    base;
+  let out =
+    if List.length distinct = Array.length positions then
+      (* Pairwise-distinct variables: every row is consistent and keeps
+         its columns in place, so the scan is a copy, row for row. *)
+      Relation.copy ~schema:out_schema base
+    else begin
+      let out =
+        Relation.create ~size_hint:(Relation.cardinality base) out_schema
+      in
+      Relation.iter
+        (fun tup ->
+          if consistent tup then ignore (Relation.add out (Tuple.project tup keep)))
+        base;
+      out
+    end
+  in
   (match limits with
   | Some l ->
     Relalg.Limits.charge l (Relation.cardinality out);

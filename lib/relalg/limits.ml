@@ -42,6 +42,7 @@ let unlimited () =
   create ~max_tuples:max_int ~max_total:max_int ~fuel:max_int ()
 
 let set_hook t hook = t.hook <- hook
+let max_tuples t = t.max_tuples
 
 let check_deadline t =
   match t.deadline with

@@ -101,6 +101,9 @@ val charge_rows : t -> int -> unit
     deadline may be polled) after each of those, not once per row.
     @raise Abort as {!charge} and {!check_cardinality}. *)
 
+val max_tuples : t -> int
+(** The per-relation cardinality cap. *)
+
 val operators_run : t -> int
 val remaining_fuel : t -> int
 

@@ -24,6 +24,13 @@ let fold f t init = Arena.fold f t.arena init
 let to_list t = fold List.cons t []
 let to_sorted_list t = List.sort Tuple.compare (to_list t)
 
+let to_sorted_list_in t attrs =
+  let target = Schema.of_list attrs in
+  if not (Schema.equal_as_set t.schema target) then
+    invalid_arg "Relation.to_sorted_list_in: not a permutation of the schema";
+  let pos = Schema.positions target t.schema in
+  List.sort Tuple.compare (fold (fun tup acc -> Tuple.project tup pos :: acc) t [])
+
 let to_seq t =
   let a = t.arena in
   let rec rows i () =
@@ -38,7 +45,16 @@ let of_tuples schema tuples =
   t
 
 let of_list schema rows = of_tuples schema (List.map Tuple.of_list rows)
-let copy t = { schema = t.schema; arena = Arena.copy t.arena }
+let copy ?schema t =
+  let schema =
+    match schema with
+    | None -> t.schema
+    | Some s ->
+      if Schema.arity s <> Schema.arity t.schema then
+        invalid_arg "Relation.copy: the schema's arity differs";
+      s
+  in
+  { schema; arena = Arena.copy t.arena }
 
 let equal a b =
   Schema.equal a.schema b.schema

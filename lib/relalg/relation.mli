@@ -35,6 +35,13 @@ val to_sorted_list : t -> Tuple.t list
 (** Tuples in lexicographic order — stable across hash layouts, for
     tests and golden output. *)
 
+val to_sorted_list_in : t -> Schema.attr list -> Tuple.t list
+(** Tuples with their columns put in the given order, then sorted
+    lexicographically: an answer listed in head order, the same whatever
+    column order the route that computed it produced.
+    @raise Invalid_argument if the list is not a permutation of the
+    schema. *)
+
 val to_seq : t -> Tuple.t Seq.t
 (** Lazily stream the tuples in an unspecified order. The relation must
     not be mutated while the sequence is being consumed. *)
@@ -45,7 +52,9 @@ val of_list : Schema.t -> int list list -> t
 
 val of_tuples : Schema.t -> Tuple.t list -> t
 
-val copy : t -> t
+val copy : ?schema:Schema.t -> t -> t
+(** A copy; [schema] renames its columns.
+    @raise Invalid_argument if [schema]'s arity differs. *)
 
 val equal : t -> t -> bool
 (** Same schema (ordered) and same tuple set. *)

@@ -47,32 +47,35 @@ let create ?(capacity = 4096) () =
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 
+(* The estimate and the AGM cover it computed on the way. *)
 let price db (cq : Conjunctive.Cq.t) =
   if cq.Conjunctive.Cq.free <> [] then
-    (Wcoj.Agm.fractional_edge_cover db cq).Wcoj.Agm.bound_log2
+    let agm = Wcoj.Agm.fractional_edge_cover db cq in
+    (agm.Wcoj.Agm.bound_log2, agm)
   else
     let a = Ghd.analyze db cq in
     let bag =
       Ghd.bag_bound_log2 db cq
         (Ghd.search (Hypergraphs.Hypergraph.of_query cq))
     in
-    Float.min a.Ghd.binary_bound_log2
-      (Float.min a.Ghd.agm.Wcoj.Agm.bound_log2 bag)
+    ( Float.min a.Ghd.binary_bound_log2
+        (Float.min a.Ghd.agm.Wcoj.Agm.bound_log2 bag),
+      a.Ghd.agm )
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let estimate t db ~key (cq : Conjunctive.Cq.t) =
+let estimate_cover t db ~key (cq : Conjunctive.Cq.t) =
   match locked t (fun () -> Hashtbl.find_opt t.tbl key) with
   | Some c ->
     Atomic.incr t.hits;
-    c
+    (c, None)
   | None ->
     Atomic.incr t.misses;
     (* Bounds run outside the lock: two racing estimates of a novel
        structure both compute, and either result is valid for the key. *)
-    let c = price db cq in
+    let c, agm = price db cq in
     locked t (fun () ->
         if not (Hashtbl.mem t.tbl key) then begin
           if Queue.length t.fifo >= t.capacity then
@@ -80,7 +83,9 @@ let estimate t db ~key (cq : Conjunctive.Cq.t) =
           Queue.push key t.fifo;
           Hashtbl.add t.tbl key c
         end);
-    c
+    (c, Some agm)
+
+let estimate t db ~key cq = fst (estimate_cover t db ~key cq)
 
 (* ------------------------------------------------------------------ *)
 (* Backlog aggregation. The queue's total estimated cost is a sum of

@@ -28,6 +28,14 @@ val estimate : t -> Conjunctive.Database.t -> key:string -> Conjunctive.Cq.t -> 
     min over routes, output term included. Memoized under [key] — the
     method-independent canonical-structure key. Never runs a join. *)
 
+val estimate_cover :
+  t -> Conjunctive.Database.t -> key:string -> Conjunctive.Cq.t ->
+  float * Wcoj.Agm.t option
+(** {!estimate}, plus the query's AGM fractional edge cover when this
+    call computed it (a memo miss; [None] on a hit), so a compile of the
+    same query can reuse it ([Driver.prepare ?agm]) instead of computing
+    it again. *)
+
 val hits : t -> int
 val misses : t -> int
 

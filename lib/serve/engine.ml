@@ -60,6 +60,8 @@ type work =
               requests coalesce under this key *)
       cost_log2 : float option;
           (** structural cost estimate, when a ceiling is configured *)
+      agm : Wcoj.Agm.t option;
+          (** the AGM cover pricing computed, reused by the compile *)
       cost_units : float;  (** its linear-space backlog contribution *)
     }
 
@@ -204,18 +206,16 @@ let answer_rows relation free max_answers =
   match free with
   | [] -> ([], false)
   | free ->
-    let schema = Relalg.Relation.schema relation in
-    let columns = List.map (Relalg.Schema.index schema) free in
     (* Tail-recursive: a client asking for a hundred-thousand-row page
-       must not blow the worker's stack. *)
+       must not blow the worker's stack. Sorted in head order, so a
+       capped answer keeps the same rows whichever route computed it. *)
     let rec take n rows acc =
       match (n, rows) with
       | _, [] -> (List.rev acc, false)
       | 0, _ :: _ -> (List.rev acc, true)
-      | n, row :: rest ->
-        take (n - 1) rest (List.map (Relalg.Tuple.get row) columns :: acc)
+      | n, row :: rest -> take (n - 1) rest (Relalg.Tuple.to_list row :: acc)
     in
-    take max_answers (Relalg.Relation.to_sorted_list relation) []
+    take max_answers (Relalg.Relation.to_sorted_list_in relation free) []
 
 let page_size t (q : Wire.query) =
   min
@@ -342,16 +342,17 @@ let classify t (q : Wire.query) : (work, Wire.error_kind * string) result =
           let key =
             Plan_cache.key_of ~canon ~meth:(Driver.method_name meth)
           in
-          let cost_log2 =
+          let cost_log2, agm =
             if t.cfg.max_cost_log2 <> None || t.cfg.max_queue_cost_log2 <> None
             then
               (* Memoized under the method-independent structure key:
-                 the estimate prices the query, not the route. *)
+                 the estimate prices the query, not the route. A miss
+                 hands its AGM cover on to the compile. *)
               let skey = Plan_cache.key_of ~canon ~meth:"" in
-              match Admission.estimate t.admission t.db ~key:skey cq with
-              | c -> Some c
-              | exception _ -> None
-            else None
+              match Admission.estimate_cover t.admission t.db ~key:skey cq with
+              | c, agm -> (Some c, agm)
+              | exception _ -> (None, None)
+            else (None, None)
           in
           let cost_units =
             match cost_log2 with
@@ -366,7 +367,9 @@ let classify t (q : Wire.query) : (work, Wire.error_kind * string) result =
             then Some (batch_key_of q key)
             else None
           in
-          Ok (Execute { cq; meth; key; chaos; batch_key; cost_log2; cost_units }))))
+          Ok
+            (Execute
+               { cq; meth; key; chaos; batch_key; cost_log2; cost_units; agm }))))
 
 (* Classification is total in practice, but it runs planner analysis on
    the submitting (transport) thread — a crash there must become a typed
@@ -404,7 +407,7 @@ let run_session t (q : Wire.query) (work : work) ~queue_seconds ~deadline_abs
          reported) when the stream opened. *)
       serve_page t ~id ~cache_hit:parked.pcache_hit ~compile_seconds:0.0
         ~queue_seconds parked (page_size t q))
-  | Execute { cq; meth; key; chaos; _ } -> (
+  | Execute { cq; meth; key; chaos; agm; _ } -> (
     let feedback = Adapt.Store.feedback t.store in
     let observer obs = Adapt.Store.ingest t.store obs in
     (* Compile time is measured inside the miss thunk, so cache hits
@@ -419,7 +422,8 @@ let run_session t (q : Wire.query) (work : work) ~queue_seconds ~deadline_abs
              measured cardinalities once its artifact ages out. *)
           let t0 = Unix.gettimeofday () in
           let c =
-            Driver.prepare ~rng:(Graphlib.Rng.make 17) ~feedback meth t.db cq
+            Driver.prepare ~rng:(Graphlib.Rng.make 17) ~feedback ?agm meth t.db
+              cq
           in
           compile_seconds := Unix.gettimeofday () -. t0;
           c)

@@ -14,6 +14,8 @@ module Pool = Parallel.Pool
    abort surfaces on the owning domain via [Limits.Shared.settle]. *)
 exception Cut
 
+exception Exhausted
+
 type runner = {
   run_enumerate : int -> unit;
   run_extension : int -> bool;
@@ -202,7 +204,7 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
   { run_enumerate = enumerate; run_extension = extension; bind_top;
     top_values; binding }
 
-let evaluate ?(ctx = Ctx.null) ?order db cq =
+let evaluate ?(ctx = Ctx.null) ?order ?allowance db cq =
   let order =
     match order with
     | Some o -> o
@@ -236,8 +238,19 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
   if not (List.exists Relation.is_empty rels) then begin
     let tries, parts = build_index ~span ~order ~k rels in
     let make_engine = make_engine ~tries ~parts ~k ~n_free in
-    let seq_tick () =
+    let charge () =
       match limits with Some l -> Limits.charge l 1 | None -> ()
+    in
+    (* An allowance spends one unit per charged binding and stops the
+       search before the binding that would overdraw it. *)
+    let seq_tick =
+      match allowance with
+      | None -> charge
+      | Some left ->
+        fun () ->
+          if !left <= 0 then raise Exhausted;
+          charge ();
+          decr left
     in
     let seq_emit binding =
       if Relation.add out (Array.sub binding 0 n_free) then
@@ -247,7 +260,10 @@ let evaluate ?(ctx = Ctx.null) ?order db cq =
     in
     let pool =
       match Ctx.pool ctx with
-      | Some p when Pool.size p > 1 && telemetry = None && k > 0 -> Some p
+      | Some p
+        when Pool.size p > 1 && telemetry = None && k > 0
+             && Option.is_none allowance ->
+        Some p
       | _ -> None
     in
     match pool with

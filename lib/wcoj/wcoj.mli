@@ -23,15 +23,28 @@
 module Agm = Agm
 module Trie = Trie
 
+exception Exhausted
+(** Raised by {!evaluate} when its [allowance] runs out. *)
+
 val evaluate :
   ?ctx:Relalg.Ctx.t ->
   ?order:int list ->
+  ?allowance:int ref ->
   Conjunctive.Database.t ->
   Conjunctive.Cq.t ->
   Relalg.Relation.t
 (** Run the generic join (unconditionally — gating is the caller's
     business). The result's schema is the query's free
     variable list; tuple-identical to executing any correct plan.
+
+    [allowance] caps the search: each charged binding spends one unit
+    of it, and the binding that would overdraw it raises {!Exhausted}
+    instead, uncharged — so an exhausted run has charged exactly the
+    allowance's initial value in bindings (atom scans are charged as
+    always, outside it) and leaves it at [0]. On return it holds what
+    was left. A run with an allowance is sequential, as {!iter} is.
+    With the allowance to spare, the answer and the charges are those
+    of a run without one.
 
     [order] defaults to {!Conjunctive.Joingraph.mcs_variable_order} and
     must list every query variable exactly once with the free variables
@@ -42,13 +55,15 @@ val evaluate :
     accepted value binding and emitted row charges the context's limits,
     and the whole join runs in an [op.wcoj.join] span with the index
     build in a nested [op.wcoj.index] span. With a pool in the context
-    (and no telemetry, whose span stack is single-domain), the top
-    variable's candidate values are partitioned across the pool's
-    domains; each worker searches its chunk into a private relation
-    under a {!Relalg.Limits.Shared} guard and the owner merges the
-    shards deterministically — tuple-identical to the sequential run.
+    (and no telemetry, whose span stack is single-domain, and no
+    [allowance]), the top variable's candidate values are partitioned
+    across the pool's domains; each worker searches its chunk into a
+    private relation under a {!Relalg.Limits.Shared} guard and the owner
+    merges the shards deterministically — tuple-identical to the
+    sequential run.
 
     @raise Relalg.Limits.Abort when a resource guard trips.
+    @raise Exhausted when the [allowance] runs out.
     @raise Invalid_argument on a malformed [order].
     @raise Not_found if an atom names an unregistered relation. *)
 

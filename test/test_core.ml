@@ -1118,6 +1118,187 @@ let method_oracle_suite =
       (fun meth -> List.map (method_oracle_case meth) oracle_families)
       oracle_methods )
 
+
+(* ------------------------------------------------------------------ *)
+(* The gate's attempt                                                  *)
+
+module Limits = Relalg.Limits
+
+(* A query's answers by backtracking over its atoms' base rows, binding
+   one variable at a time — no relational operator, planner or gate
+   involved. Rows in head order, sorted; a Boolean query's answer is
+   [[[]]] or [[]]. *)
+let brute_answers db (cq : Cq.t) =
+  let n = 1 + List.fold_left max 0 (Cq.vars cq) in
+  let value = Array.make n None in
+  let out = ref [] in
+  let rec go = function
+    | [] -> out := List.map (fun v -> Option.get value.(v)) cq.Cq.free :: !out
+    | (a : Cq.atom) :: rest ->
+      let rows =
+        List.map Relalg.Tuple.to_list
+          (Relation.to_list (Conjunctive.Database.find db a.Cq.rel))
+      in
+      List.iter
+        (fun row ->
+          let saved = Array.copy value in
+          let fits =
+            List.for_all2
+              (fun v x ->
+                match value.(v) with
+                | Some y -> x = y
+                | None ->
+                  value.(v) <- Some x;
+                  true)
+              a.Cq.vars row
+          in
+          if fits then go rest;
+          Array.blit saved 0 value 0 n)
+        rows
+  in
+  go cq.Cq.atoms;
+  List.sort_uniq compare !out
+
+let head_rows cq rel =
+  List.map Relalg.Tuple.to_list (Relation.to_sorted_list_in rel cq.Cq.free)
+
+(* [random_instance]'s shapes, Boolean 3-COLOR, and augmented paths, on
+   which the attempt runs out (the fig6 cell spends 1704 bindings where
+   its ghd route allows 2^2.6). *)
+let attempt_instance seed =
+  let r = rng seed in
+  match Graphlib.Rng.int r 4 with
+  | 0 ->
+    let n = 2 + Graphlib.Rng.int r 8 in
+    let m = 1 + Graphlib.Rng.int r (n * (n - 1) / 2) in
+    (coloring_db, coloring_query ~seed (Graphlib.Generators.random ~rng:r ~n ~m))
+  | 1 ->
+    family_instance Graphlib.Generators.augmented_path
+      (3 + Graphlib.Rng.int r 5)
+      (if Graphlib.Rng.bool r then free else Encode.Fraction 0.5)
+      seed
+  | _ -> random_instance seed
+
+let gated_methods = [ Driver.Wcoj; Driver.Ghd ]
+
+let prop_attempt_matches_oracle =
+  qtest ~count:150 "gated methods = oracle, attempt answered or run out"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let db, cq = attempt_instance seed in
+      let expected = brute_answers db cq in
+      List.for_all
+        (fun meth ->
+          let compiled = Driver.prepare ~rng:(rng seed) meth db cq in
+          let ctx () = Relalg.Ctx.create ~limits:(Limits.create ()) () in
+          head_rows cq (Exec.materialize ~ctx:(ctx ()) db cq compiled) = expected
+          && head_rows cq
+               (Relalg.Cursor.to_relation
+                  (Exec.stream ~ctx:(ctx ()) db cq compiled))
+             = expected)
+        gated_methods)
+
+(* Both outcomes occur on the benchmark's cells, and the attempt's work
+   is bounded as promised. *)
+let test_attempt_outcomes () =
+  let outcome name meth =
+    let db, cq = List.assoc name paper_batch_instances in
+    let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
+    match Exec.attempt db cq compiled with
+    | Some { Exec.answer = Some _; bindings; allowance } ->
+      check_bool (name ^ ": within the allowance") true (bindings <= allowance);
+      "answered"
+    | Some { Exec.answer = None; bindings; allowance } ->
+      check_int (name ^ ": all of it spent") allowance bindings;
+      "exhausted"
+    | None -> "none"
+  in
+  List.iter
+    (fun (name, meth, expected) ->
+      Alcotest.(check string)
+        (name ^ " " ^ Driver.method_name meth)
+        expected (outcome name meth))
+    [
+      ("fig4", Driver.Ghd, "answered");
+      ("fig4", Driver.Wcoj, "answered");
+      ("fig6", Driver.Ghd, "exhausted");
+      ("fig8", Driver.Wcoj, "exhausted");
+    ];
+  (* With a route forced, and on other methods, nothing is tried. *)
+  let db, cq = List.assoc "fig4" paper_batch_instances in
+  with_gate "ghd" (fun () ->
+      check_bool "forced: no attempt" true
+        (Exec.attempt db cq (Driver.prepare ~rng:(rng 1000) Driver.Ghd db cq)
+        = None));
+  check_bool "bucket elimination: no attempt" true
+    (Exec.attempt db cq (Driver.prepare Driver.Bucket_elimination db cq) = None);
+  (* The allowance never exceeds half the tuple budget the scans leave,
+     so even a budget too small to answer is not tripped by the attempt. *)
+  let scans = 6 * List.length cq.Cq.atoms in
+  let limits = Limits.create ~max_total:(scans + 300) () in
+  match
+    Exec.attempt ~ctx:(Relalg.Ctx.create ~limits ()) db cq
+      (Driver.prepare ~rng:(rng 1000) Driver.Wcoj db cq)
+  with
+  | Some a ->
+    check_int "allowance = (remaining - scans) / 2" 150 a.Exec.allowance;
+    check_bool "not enough to answer" true (a.Exec.answer = None)
+  | None -> Alcotest.fail "fig4: the wcoj method tries the generic join"
+
+(* An attempt that runs out costs its scans and exactly its allowance;
+   the chosen route then charges what it charges alone. *)
+let test_attempt_charge () =
+  List.iter
+    (fun (name, meth) ->
+      let db, cq = List.assoc name paper_batch_instances in
+      let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
+      let charged f =
+        let limits = Limits.create () in
+        let r = f (Relalg.Ctx.create ~limits ()) in
+        (r, Limits.total_charged limits)
+      in
+      let tried, alone = charged (fun ctx -> Exec.attempt ~ctx db cq compiled) in
+      let scans = scan_charge db cq in
+      match tried with
+      | Some { Exec.answer = None; allowance; _ } ->
+        check_int (name ^ ": attempt = scans + allowance") (scans + allowance)
+          alone;
+        let forced, own =
+          with_gate "bucket" (fun () ->
+              charged (fun ctx -> Exec.materialize ~ctx db cq compiled))
+        in
+        let got, total =
+          charged (fun ctx -> Exec.materialize ~ctx db cq compiled)
+        in
+        check_int (name ^ ": total = attempt + the route's own charge")
+          (alone + own) total;
+        check_bool (name ^ ": the route's answer") true (Relation.equal forced got)
+      | _ -> Alcotest.failf "%s: the attempt should run out" name)
+    [ ("fig6", Driver.Ghd); ("fig6", Driver.Wcoj); ("fig8", Driver.Ghd);
+      ("fig8", Driver.Wcoj) ]
+
+(* A pool changes neither the outcome nor a row of the answer. *)
+let test_attempt_jobs () =
+  let pool = Parallel.Pool.create ~num_domains:2 () in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (name, (db, cq)) ->
+      List.iter
+        (fun meth ->
+          let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
+          let run ?pool () =
+            let limits = Limits.create ~max_tuples:300_000 ~max_total:3_000_000 () in
+            let o =
+              Driver.run ~compiled ~ctx:(Relalg.Ctx.create ?pool ~limits ()) meth db cq
+            in
+            (Option.map Relation.to_list o.Driver.result, Limits.total_charged limits)
+          in
+          let label = name ^ " " ^ Driver.method_name meth in
+          check_bool (label ^ ": jobs=1 = jobs=2, row for row") true
+            (run () = run ~pool ()))
+        gated_methods)
+    paper_batch_instances
+
 let () =
   Alcotest.run "core"
     [
@@ -1166,6 +1347,13 @@ let () =
             (test_plan_identity coloring_order_instances);
           Alcotest.test_case "more than 62 variables" `Quick
             test_plan_identity_wide;
+        ] );
+      ( "gate attempt",
+        [
+          prop_attempt_matches_oracle;
+          Alcotest.test_case "outcomes" `Quick test_attempt_outcomes;
+          Alcotest.test_case "charge when it runs out" `Quick test_attempt_charge;
+          Alcotest.test_case "jobs=1 = jobs=2" `Quick test_attempt_jobs;
         ] );
       ( "method agreement",
         [

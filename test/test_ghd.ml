@@ -22,12 +22,6 @@ let bucket_result ?ctx db cq =
 let coloring ~mode g =
   (coloring_db, Encode.coloring_query_of_graph ~mode ~rng:(rng 7) g)
 
-(* Force a gate route for the duration of [f]. putenv cannot unset, so
-   restoring writes "" — which the gate treats as "decide normally". *)
-let with_gate route f =
-  Unix.putenv "PPR_GHD_GATE" route;
-  Fun.protect ~finally:(fun () -> Unix.putenv "PPR_GHD_GATE" "") f
-
 (* ------------------------------------------------------------------ *)
 (* Decomposition search                                                 *)
 

@@ -361,6 +361,34 @@ let test_engine_boolean_and_truncation () =
     check_int "true cardinality still reported" 6 a.Wire.cardinality
   | r -> Alcotest.failf "truncated query failed: %s" (Wire.response_to_string r)
 
+let test_engine_capped_answer_route_independent () =
+  (* A capped answer is the first rows in head order, whichever route
+     computed the answer and whatever column order it came in. *)
+  let ask ?max_answers route text =
+    with_gate route @@ fun () ->
+    with_engine @@ fun e ->
+    match Serve.Engine.submit e (query_req ~meth:"ghd" ?max_answers text) with
+    | Wire.Answer (_, a) -> (a.Wire.answers, a.Wire.truncated)
+    | r -> Alcotest.failf "%s failed: %s" text (Wire.response_to_string r)
+  in
+  List.iter
+    (fun text ->
+      let capped, truncated = ask ~max_answers:4 "" text in
+      check_bool (text ^ ": capped") true truncated;
+      let full, _ = ask "" text in
+      check_bool (text ^ ": full answer sorted") true (List.sort compare full = full);
+      check_bool (text ^ ": the first rows") true
+        (capped = List.filteri (fun i _ -> i < 4) full);
+      List.iter
+        (fun route ->
+          check_bool (text ^ ": same rows under " ^ route) true
+            (ask ~max_answers:4 route text = (capped, truncated)))
+        [ "bucket"; "generic"; "ghd" ])
+    [
+      "p(A,C) :- edge(A,B), edge(B,C), edge(C,D).";
+      "q(D,B,A) :- edge(A,B), edge(B,C), edge(C,D), edge(D,A), edge(A,C).";
+    ]
+
 let test_engine_cache_hits_are_tuple_identical () =
   with_engine @@ fun e ->
   let ask text =
@@ -915,6 +943,32 @@ let admission_estimate_prop =
       Int64.equal (Int64.bits_of_float got)
         (Int64.bits_of_float (reference_estimate db cq)))
 
+(* A miss hands its AGM cover on; compiling with it prepares exactly the
+   artifact a compile that computes the cover itself prepares. *)
+let admission_cover_reuse_prop =
+  qtest ~count:60 "admission's cover = compile's cover"
+    QCheck.(pair graph_arbitrary bool)
+    (fun (g, boolean) ->
+      let mode =
+        if boolean then Conjunctive.Encode.Boolean
+        else Conjunctive.Encode.Fraction 0.4
+      in
+      let cq = coloring_query ~mode ~seed:3 g in
+      let admission = Serve.Admission.create () in
+      let cost, agm =
+        Serve.Admission.estimate_cover admission coloring_db ~key:"q" cq
+      in
+      let hit_cost, hit_agm =
+        Serve.Admission.estimate_cover admission coloring_db ~key:"q" cq
+      in
+      let prepare ?agm meth =
+        Ppr_core.Driver.prepare ~rng:(Graphlib.Rng.make 17) ?agm meth coloring_db cq
+      in
+      agm <> None && hit_agm = None && cost = hit_cost
+      && List.for_all
+           (fun meth -> prepare ?agm meth = prepare meth)
+           [ Ppr_core.Driver.Wcoj; Ppr_core.Driver.Ghd ])
+
 let test_engine_backlog_cost_shed () =
   let config =
     {
@@ -1340,6 +1394,8 @@ let () =
             test_engine_answers_match_direct_run;
           Alcotest.test_case "boolean and truncation" `Quick
             test_engine_boolean_and_truncation;
+          Alcotest.test_case "capped answers are route-independent" `Quick
+            test_engine_capped_answer_route_independent;
           Alcotest.test_case "cache hits are tuple-identical" `Quick
             test_engine_cache_hits_are_tuple_identical;
           engine_cache_identity_prop;
@@ -1371,6 +1427,7 @@ let () =
           Alcotest.test_case "cost estimate exact on single edge" `Quick
             test_engine_cost_estimate_is_exact_on_single_edge;
           admission_estimate_prop;
+          admission_cover_reuse_prop;
           Alcotest.test_case "backlog cost shed" `Quick
             test_engine_backlog_cost_shed;
           Alcotest.test_case "client quota sheds only the flooder" `Quick

@@ -416,6 +416,60 @@ let test_driver_telemetry_equivalence () =
   | Some (Metrics.Counter c) -> check_int "driver.runs" 1 (Metrics.value c)
   | _ -> Alcotest.fail "driver.runs not counted"
 
+
+let test_gate_attempt_attributes () =
+  (* The exec span reports the gate's attempt. On the pentagon the ghd
+     method's gate picks bucket and the generic join answers within the
+     plan's bound; on Figure 6's augmented path it picks the
+     decomposition and the generic join runs out of the bags' bound;
+     bucket elimination has no gate to try. *)
+  let aug_path =
+    Conjunctive.Encode.coloring_query_of_graph
+      ~mode:(Conjunctive.Encode.Fraction 0.2) ~rng:(Graphlib.Rng.make 1000)
+      (Graphlib.Generators.augmented_path 10)
+  in
+  List.iter
+    (fun (meth, cq, label) ->
+      let sink, spans = T.Sink.memory () in
+      let t = T.create sink in
+      let o =
+        Ppr_core.Driver.run
+          ~ctx:(Relalg.Ctx.create ~telemetry:t ())
+          ~rng:(Graphlib.Rng.make 1000) meth coloring_db cq
+      in
+      T.close t;
+      let name = Ppr_core.Driver.method_name meth ^ " " ^ label in
+      check_bool (name ^ ": completed") true (o.Ppr_core.Driver.status = Ppr_core.Driver.Completed);
+      let exec =
+        List.find
+          (fun s -> Span.name s = "exec:" ^ Ppr_core.Driver.method_name meth)
+          (spans ())
+      in
+      check_bool (name ^ ": gate.attempt") true
+        (Span.attr exec "gate.attempt" = Some (Attr.String label));
+      (match (Span.attr exec "gate.allowance", Span.attr exec "gate.attempt_bindings") with
+      | None, None -> check_bool (name ^ ": no allowance without an attempt") true (label = "none")
+      | Some (Attr.Int allowance), Some (Attr.Int bindings) ->
+        check_bool (name ^ ": bindings within the allowance") true (bindings <= allowance);
+        check_bool (name ^ ": a run-out attempt spent it all") true
+          (label <> "exhausted" || bindings = allowance)
+      | _ -> Alcotest.fail (name ^ ": allowance and bindings go together"));
+      let counted l =
+        match Metrics.find (T.metrics t) ("driver.gate.attempt." ^ l) with
+        | Some (Metrics.Counter c) -> Metrics.value c
+        | _ -> 0
+      in
+      check_int (name ^ ": answered counted") (if label = "answered" then 1 else 0)
+        (counted "answered");
+      check_int (name ^ ": exhausted counted") (if label = "exhausted" then 1 else 0)
+        (counted "exhausted"))
+    [
+      (Ppr_core.Driver.Ghd, pentagon_cq, "answered");
+      (Ppr_core.Driver.Ghd, aug_path, "exhausted");
+      (Ppr_core.Driver.Wcoj, aug_path, "exhausted");
+      (Ppr_core.Driver.Bucket_elimination, pentagon_cq, "none");
+    ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -451,5 +505,7 @@ let () =
             test_stats_facade_backed_by_registry;
           Alcotest.test_case "driver equivalence" `Quick
             test_driver_telemetry_equivalence;
+          Alcotest.test_case "gate attempt attributes" `Quick
+            test_gate_attempt_attributes;
         ] );
     ]

@@ -69,7 +69,7 @@ let test_gate_sanity () =
      while the AGM bound is ~|R|^(n/2) — the gate must keep the bucket
      plan. *)
   let is_generic = function
-    | Ppr_core.Driver.Generic_join _ -> true
+    | Ppr_core.Driver.Gated (_, None) -> true
     | _ -> false
   in
   let db, path_cq = coloring ~mode:Encode.Boolean (Gen.path 10) in
@@ -77,6 +77,10 @@ let test_gate_sanity () =
   check_bool "path -> bucket" true (Ghd.decide a = Ghd.Bucket);
   check_bool "path prepares the bucket plan" false
     (is_generic (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db path_cq));
+  (match Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db path_cq with
+  | Ppr_core.Driver.Gated (kept, Some _) ->
+    check_bool "the bucket plan keeps its analysis" true (kept = a)
+  | _ -> Alcotest.fail "path: the wcoj method prepares a gated bucket plan");
   (* A dense graph has induced width near n: the AGM bound (~n/2 atoms
      of weight 1) undercuts the binary worst case — generic join wins. *)
   let db, dense_cq =
@@ -201,6 +205,56 @@ let prop_parallel_matches_sequential =
         [ Encode.Boolean; Encode.Fraction 0.4 ])
 
 (* ------------------------------------------------------------------ *)
+(* The allowance                                                       *)
+
+let test_allowance () =
+  with_pool @@ fun p ->
+  List.iter
+    (fun (name, mode, g) ->
+      let db, cq = coloring ~mode g in
+      let scans = scan_charge db cq in
+      let run ?pool ?allowance () =
+        let limits = Limits.create () in
+        let r = Wcoj.evaluate ~ctx:(Ctx.create ?pool ~limits ()) ?allowance db cq in
+        (r, Limits.total_charged limits)
+      in
+      let unbounded, total = run () in
+      let bindings = total - scans in
+      check_bool (name ^ ": the search binds") true (bindings > 0);
+      (* Enough allowance: the same relation and charge, sequential even
+         with a pool, and the rest left over. *)
+      List.iter
+        (fun (extra, pool) ->
+          let left = ref (bindings + extra) in
+          let r, charged = run ?pool ~allowance:left () in
+          check_bool (name ^ ": same relation") true (Relation.equal unbounded r);
+          check_int (name ^ ": same charge") total charged;
+          check_int (name ^ ": the rest left over") extra !left)
+        [ (0, None); (1, None); (100, None); (0, Some p) ];
+      (* One binding short or less: Exhausted, with exactly the allowance
+         charged on top of the scans. *)
+      List.iter
+        (fun allowance ->
+          let limits = Limits.create () in
+          let left = ref allowance in
+          match
+            Wcoj.evaluate ~ctx:(Ctx.create ~limits ()) ~allowance:left db cq
+          with
+          | _ -> Alcotest.failf "%s: allowance %d should run out" name allowance
+          | exception Wcoj.Exhausted ->
+            check_int
+              (Printf.sprintf "%s: %d bindings charged" name allowance)
+              (scans + allowance) (Limits.total_charged limits);
+            check_int (name ^ ": allowance spent") 0 !left)
+        (List.sort_uniq compare [ 0; bindings / 2; bindings - 1 ]))
+    [
+      ("free dense", Encode.Fraction 0.5, random_graph ~seed:2 ~n:9 ~m:24);
+      ("free sparse", Encode.Fraction 0.5, Gen.path 8);
+      ("bool dense", Encode.Boolean, random_graph ~seed:2 ~n:9 ~m:24);
+      ("bool unsat", Encode.Boolean, random_graph ~seed:4 ~n:7 ~m:21);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Limits and validation                                               *)
 
 let test_abort_propagates () =
@@ -282,6 +336,7 @@ let () =
         ] );
       ( "guards",
         [
+          Alcotest.test_case "allowance" `Quick test_allowance;
           Alcotest.test_case "aborts propagate" `Quick
             test_abort_propagates;
           Alcotest.test_case "order validation" `Quick
