@@ -76,12 +76,19 @@ let bucket_result ?ctx db cq =
   Ppr_core.Exec.run ?ctx db (Ppr_core.Bucket.compile ~rng:(rng 11) cq)
 
 (* The gated path as Driver.run takes it, but with the relation back:
-   the three-bound gate, then the one materializing dispatcher. *)
+   the ghd method's artifact through the one materializing dispatcher
+   (the generic join's attempt, then the three-bound gate's route when
+   it runs out). *)
 let gated_result ?ctx db cq =
-  match Driver.prepare ~rng:(rng 11) Driver.Ghd db cq with
-  | Driver.Decomposed (prep, _) as compiled ->
-    (prep, Ppr_core.Exec.materialize ?ctx db cq compiled)
-  | _ -> invalid_arg "ghd_bench: the ghd method prepares a decomposition"
+  let compiled = Driver.prepare ~rng:(rng 11) Driver.Ghd db cq in
+  (compiled, Ppr_core.Exec.materialize ?ctx db cq compiled)
+
+(* The gate's decision for that artifact, resolving it if the run did
+   not. *)
+let resolved_prep db cq compiled =
+  match Ppr_core.Exec.resolve db cq compiled with
+  | Driver.Decomposed (prep, _) -> prep
+  | _ -> invalid_arg "ghd_bench: the ghd method resolves to a decomposition"
 
 let time_best ~reps f =
   let best = ref infinity in
@@ -135,13 +142,14 @@ let () =
     let db, cq = coloring ~mode ~seed g in
     let expected = bucket_result ?ctx db cq in
     let forced = Ghd.evaluate ?ctx db cq in
-    let prep, gated = gated_result ?ctx db cq in
+    let compiled, gated = gated_result ?ctx db cq in
     let ok =
       Relation.equal_modulo_order expected forced
       && Relation.equal_modulo_order expected gated
     in
     if not ok then begin
       incr failures;
+      let prep = resolved_prep db cq compiled in
       Printf.eprintf
         "IDENTITY FAIL: %s decision=%s htw=%d bucket=%d forced=%d gated=%d\n%!"
         name

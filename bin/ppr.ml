@@ -801,7 +801,7 @@ let query_cmd =
     else
     let compiled = Ppr_core.Driver.prepare meth db cq in
     (if show_sql then
-       match Ppr_core.Exec.route compiled with
+       match Ppr_core.Exec.route (Ppr_core.Exec.resolve db cq compiled) with
        | Ppr_core.Exec.Binary plan ->
          print_string
            (Sqlgen.Pretty.query

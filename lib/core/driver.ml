@@ -65,11 +65,6 @@ let abort_reason o =
 let result_cardinality o = Option.map Relalg.Relation.cardinality o.result
 let nonempty o = Option.map (fun r -> not (Relalg.Relation.is_empty r)) o.result
 
-(* The gated methods' bucket fallback: bucket elimination along the gate
-   analysis's variable order. *)
-let gated_bucket (a : Ghd.analysis) cq =
-  Bucket.compile ~order:(Array.of_list a.Ghd.var_order) cq
-
 let compile ?rng ?feedback meth db cq =
   match meth with
   | Naive search -> Naive.compile ~search ?feedback db cq
@@ -85,12 +80,13 @@ let compile ?rng ?feedback meth db cq =
        executes the generic join or the decomposition directly when the
        gate picks them. Only the shared analysis is needed: its order is
        the one the decomposition search would have come after. *)
-    gated_bucket (Ghd.analyze ?rng db cq) cq
+    Exec.bucket_fallback (Ghd.analyze ?rng db cq) cq
 
 type compiled = Exec.compiled =
   | Plan of Plan.t
   | Gated of Ghd.analysis * Plan.t option
   | Decomposed of Ghd.prep * Plan.t option
+  | Deferred of Exec.deferred
 
 let prepare ?rng ?feedback ?agm meth db cq =
   match meth with
@@ -103,15 +99,19 @@ let prepare ?rng ?feedback ?agm meth db cq =
       ( a,
         match Ghd.decide a with
         | Ghd.Generic -> None
-        | Ghd.Bucket | Ghd.Ghd -> Some (gated_bucket a cq) )
+        | Ghd.Bucket | Ghd.Ghd -> Some (Exec.bucket_fallback a cq) )
+  | Ghd when Ghd.override ~ghd_route:true = None ->
+    (* The generic join is tried before any route, so the decomposition
+       search waits until that attempt runs out. *)
+    Exec.defer ?rng (Ghd.analyze ?rng ?agm db cq)
   | Ghd ->
+    (* A forced route runs without an attempt: the whole prep now. The
+       bucket plan rides along only when the gate picked it, so a cached
+       artifact replays without recompiling. *)
     let prep = Ghd.prepare ?rng ?agm db cq in
-    (* The bucket plan rides along only when the gate picked it, so a
-       cached artifact replays without recompiling; the prep itself is
-       always kept — the three bounds become exec-span attributes. *)
     let plan =
       match prep.Ghd.decision with
-      | Ghd.Bucket -> Some (gated_bucket prep.Ghd.analysis cq)
+      | Ghd.Bucket -> Some (Exec.bucket_fallback prep.Ghd.analysis cq)
       | Ghd.Generic | Ghd.Ghd -> None
     in
     Decomposed (prep, plan)
@@ -307,6 +307,20 @@ let ghd_route_width cq prep =
     prep.Ghd.parent;
   !widest
 
+(* Analytic width of a route: for a binary plan, its largest node schema;
+   for the generic join, the widest unit it ever materializes — an atom
+   or the output; for a decomposition, the widest relation it joins. *)
+let generic_width cq =
+  List.fold_left
+    (fun acc a -> max acc (List.length (Conjunctive.Cq.atom_vars a)))
+    (List.length cq.Conjunctive.Cq.free)
+    cq.Conjunctive.Cq.atoms
+
+let route_width cq = function
+  | Exec.Binary plan -> Plan.width plan
+  | Exec.Generic _ -> generic_width cq
+  | Exec.Decomposition prep -> ghd_route_width cq prep
+
 (* The [wcoj] method's two-way decision, read off its artifact. *)
 let wcoj_decision = function None -> Ghd.Generic | Some _ -> Ghd.Bucket
 
@@ -355,22 +369,6 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
     | None -> in_span "compile" [] (fun _ -> prepare ?rng ?feedback meth db cq)
   in
   let t1 = clock () in
-  (* Analytic width: for a binary plan, its largest node schema; for the
-     generic join, the widest unit it ever materializes — an atom or the
-     output; for a decomposition, the widest relation its route joins
-     (the bucket fallback's plan width when the gate picked bucket). *)
-  let generic_width () =
-    List.fold_left
-      (fun acc a -> max acc (List.length (Conjunctive.Cq.atom_vars a)))
-      (List.length cq.Conjunctive.Cq.free)
-      cq.Conjunctive.Cq.atoms
-  in
-  let plan_width =
-    match Exec.route planned with
-    | Exec.Binary plan -> Plan.width plan
-    | Exec.Generic _ -> generic_width ()
-    | Exec.Decomposition prep -> ghd_route_width cq prep
-  in
   (match planned with
   | Plan plan ->
     Log.debug (fun m ->
@@ -395,7 +393,14 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
           name (t1 -. t0)
           (Ghd.decision_name prep.Ghd.decision)
           a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
-          prep.Ghd.ghd_bound_log2 prep.Ghd.htw a.Ghd.induced_width));
+          prep.Ghd.ghd_bound_log2 prep.Ghd.htw a.Ghd.induced_width)
+  | Deferred { Exec.analysis = a; _ } ->
+    Log.debug (fun m ->
+        m
+          "%s: prepared in %.4fs (gate deferred: bucket 2^%.2f vs generic \
+           2^%.2f, induced width %d)"
+          name (t1 -. t0) a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
+          a.Ghd.induced_width));
   let stats = Relalg.Stats.create () in
   let limits =
     match Relalg.Ctx.limits ctx with
@@ -405,10 +410,22 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let exec_ctx =
     Relalg.Ctx.with_limits (Relalg.Ctx.with_stats ctx stats) limits
   in
+  let ghd_attrs (prep : Ghd.prep) =
+    [
+      ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
+      ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
+      ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
+    ]
+  in
+  let analysis_attrs (a : Ghd.analysis) =
+    [
+      ("ghd.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
+      ("ghd.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
+      ("ghd.induced_width", Telemetry.Attr.Int a.Ghd.induced_width);
+    ]
+  in
   let exec_attrs =
-    ("plan.width", Telemetry.Attr.Int plan_width)
-    ::
-    (match planned with
+    match planned with
     | Gated (a, plan) ->
       [
         ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name (wcoj_decision plan)));
@@ -418,24 +435,20 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
     | Decomposed (prep, _) ->
       (* The three-bound gate: decision plus all three bounds, on the
          shared log2-tuples cost scale, land on every exec span. *)
-      let a = prep.Ghd.analysis in
-      [
-        ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
-        ("ghd.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
-        ("ghd.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
-        ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
-        ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
-        ("ghd.induced_width", Telemetry.Attr.Int a.Ghd.induced_width);
-      ]
-    | Plan _ -> [])
+      ghd_attrs prep @ analysis_attrs prep.Ghd.analysis
+    | Deferred { Exec.analysis = a; _ } ->
+      (* The decision and the bag bound follow once the artifact
+         resolves. *)
+      analysis_attrs a
+    | Plan _ -> []
   in
   let streamed = limit <> None || rank <> None in
   (* Node-cardinality collection for the harvest: post-order, so an
      abort leaves a clean prefix. Only armed when someone listens to a
-     binary-plan route, the one kind the harvest reads. *)
+     method's own plan, the one kind the harvest reads. *)
   let harvest_cards =
-    match (observer, Exec.route planned) with
-    | Some _, Exec.Binary _ -> Some (ref [])
+    match (observer, planned) with
+    | Some _, Plan _ -> Some (ref [])
     | _ -> None
   in
   let observe =
@@ -445,7 +458,11 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
      the exec span, the registry and the debug line. *)
   let tried = ref None in
   let on_attempt a = tried := Some a in
-  let result, complete, first_answer_seconds, time_to_k, status =
+  (* The route that ran after the attempt, if any: the width is its. *)
+  let ran = ref None in
+  let on_route r = ran := Some r in
+  let t2 = ref t1 in
+  let result, complete, first_answer_seconds, time_to_k, status, plan_width =
     in_span "exec" exec_attrs (fun span ->
         let outcome =
           try
@@ -456,7 +473,7 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
                  not O(answer). *)
               let cur =
                 Exec.stream ~ctx:exec_ctx ~semijoin:(exact_method meth)
-                  ~on_attempt db cq planned
+                  ~on_attempt ~on_route db cq planned
               in
               let rel, complete, first_at, ttk =
                 collect_stream ~clock ~limit ~rank cur
@@ -465,7 +482,8 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
             end
             else
               let r =
-                Exec.materialize ~ctx:exec_ctx ?observe ~on_attempt db cq planned
+                Exec.materialize ~ctx:exec_ctx ?observe ~on_attempt ~on_route db
+                  cq planned
               in
               (Some r, true, None, None, Completed)
           with Relalg.Limits.Abort reason ->
@@ -477,10 +495,34 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
               None,
               Aborted { reason; partial_stats = Relalg.Stats.copy stats } )
         in
+        t2 := clock ();
+        (* Analytic width, outside the execution time, of what ran: the
+           route after the attempt; else the generic join, when the
+           attempt answered or was cut; else (a stream closed unpulled)
+           the method's plan or the generic join. *)
+        let plan_width =
+          match (!ran, planned) with
+          | Some r, _ -> route_width cq r
+          | None, Plan plan -> Plan.width plan
+          | None, _ -> generic_width cq
+        in
         Option.iter
-          (fun sp -> Telemetry.Span.add_attrs sp (attempt_attrs !tried))
+          (fun sp ->
+            Telemetry.Span.add_attrs sp
+              (("plan.width", Telemetry.Attr.Int plan_width)
+              :: attempt_attrs !tried
+              @
+              match (planned, !ran) with
+              | Deferred d, Some _ -> (
+                (* This run read the decision: it resolved the artifact,
+                   or replayed its resolution. *)
+                match Atomic.get d.Exec.resolved with
+                | Some (prep, _) -> ghd_attrs prep
+                | None -> [])
+              | _ -> []))
           span;
-        outcome)
+        let result, complete, first_at, ttk, status = outcome in
+        (result, complete, first_at, ttk, status, plan_width))
   in
   (match telemetry with
   | None -> ()
@@ -527,9 +569,8 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
           (Telemetry.Metrics.counter (Telemetry.metrics t)
              "driver.feedback.harvests"));
       emit observations);
-  let t2 = clock () in
   Log.debug (fun m ->
-      m "%s: executed in %.4fs (attempt %s%s; %s)" name (t2 -. t1)
+      m "%s: executed in %.4fs (attempt %s%s; %s)" name (!t2 -. t1)
         (attempt_label !tried)
         (match !tried with
         | Some a ->
@@ -539,7 +580,7 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   {
     meth;
     compile_seconds = t1 -. t0;
-    exec_seconds = t2 -. t1;
+    exec_seconds = !t2 -. t1;
     plan_width;
     max_arity = Relalg.Stats.max_arity stats;
     max_cardinality = Relalg.Stats.max_cardinality stats;

@@ -28,9 +28,11 @@ type meth =
           routed among bucket elimination, the generic join and
           GHD-Yannakakis by comparing induced width, the AGM bound and
           the fractional-hypertree bag bound on one log2-tuples cost
-          scale; the decision and all three bounds land as exec-span
-          attributes. A bucket or ghd pick runs after the generic join's
-          {!Exec.attempt} within that route's bound runs out *)
+          scale; the bounds, and the decision once made, land as
+          exec-span attributes. The generic join's {!Exec.attempt} runs
+          first, within the smaller of the binary and AGM bounds; only
+          when it runs out do the decomposition search and the decision
+          run, and then the route they pick *)
 
 val all_paper_methods : meth list
 (** The five methods of the paper's experiments, naive first. *)
@@ -49,10 +51,13 @@ type outcome = {
   meth : meth;
   compile_seconds : float;
   exec_seconds : float;
+      (** the run alone: neither the width nor the feedback harvest *)
   plan_width : int;
-      (** analytic: largest node schema in the plan; on the
-          GHD-Yannakakis route, the widest cover-atom join or
-          parent-child bag join, free variables included *)
+      (** analytic, of the route that ran: largest node schema in the
+          plan; on the generic join (also a gated method's attempt that
+          answered), the widest atom or the head; on the GHD-Yannakakis
+          route, the widest cover-atom join or parent-child bag join,
+          free variables included *)
   max_arity : int;       (** measured: widest intermediate relation *)
   max_cardinality : int; (** measured: largest intermediate relation *)
   tuples_produced : int;
@@ -110,7 +115,15 @@ type compiled = Exec.compiled =
           atom assignment and the three gate bounds; the bucket fallback
           plan rides along exactly when the gate picked bucket, so a
           cache hit replays without re-running the GHD search or the
-          bucket compiler *)
+          bucket compiler. The {!Ghd} method prepares it when
+          [PPR_GHD_GATE] forces a route; {!Exec.resolve} turns a
+          [Deferred] artifact into it *)
+  | Deferred of Exec.deferred
+      (** the {!Ghd} method's artifact: the analysis alone, plus the rng
+          state the decomposition search would start from. The search,
+          bag bound and three-way decision run only when the generic
+          join's attempt runs out, once per artifact, so a cache hit
+          replays them *)
 (** Re-export of {!Exec.compiled}: the same artifact drives {!run},
     {!Exec.stream} and the serving layer's plan cache. *)
 
@@ -119,8 +132,9 @@ val prepare :
   meth -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   compiled
 (** The planning phase of {!run} as a reusable artifact: for {!Wcoj} the
-    two-way [Gated] artifact, for {!Ghd} the three-way [Decomposed]
-    artifact, for every other method its compiled plan. The artifact is
+    two-way [Gated] artifact, for {!Ghd} the [Deferred] artifact (the
+    three-way [Decomposed] one when [PPR_GHD_GATE] forces a route), for
+    every other method its compiled plan. The artifact is
     valid for re-execution of the same query against the same database
     — the serving layer's plan cache stores these so isomorphic template
     queries skip MCS ordering, AGM estimation and bucket construction
@@ -149,6 +163,10 @@ val run :
     ([answered], [exhausted] or [none]) and, when there was one,
     [gate.attempt_bindings] and [gate.allowance]; the registry counts
     [driver.gate.attempt.answered] and [driver.gate.attempt.exhausted].
+    It also carries [plan.width] and, on a [Deferred] artifact whose run
+    went past the attempt, the decision, bag bound and htw its
+    resolution found (the resolution itself runs in a [ghd.resolve]
+    span, on the first such run only).
 
     [compiled] (a {!prepare} artifact for the {e same} method, query and
     database — the caller's contract) skips the compile phase entirely:

@@ -15,8 +15,67 @@ type compiled =
   | Plan of Plan.t
   | Gated of Ghd.analysis * Plan.t option
   | Decomposed of Ghd.prep * Plan.t option
+  | Deferred of deferred
+
+and deferred = {
+  analysis : Ghd.analysis;
+  rng : Graphlib.Rng.t option;
+  resolved : (Ghd.prep * Plan.t option) option Atomic.t;
+}
 
 type route = Binary of Plan.t | Generic of int list | Decomposition of Ghd.prep
+
+let bucket_fallback (a : Ghd.analysis) cq =
+  Bucket.compile ~order:(Array.of_list a.Ghd.var_order) cq
+
+(* The rng is copied twice: here, so the caller's later draws cannot
+   move the state the search starts from, and at each resolution, so two
+   domains resolving at once draw from private copies of it. *)
+let defer ?rng analysis =
+  Deferred
+    { analysis; rng = Option.map Graphlib.Rng.copy rng; resolved = Atomic.make None }
+
+(* Compute, then publish with one compare-and-set. Two domains racing
+   here both compute the same value from the same analysis and rng
+   state; the loser adopts the winner's. A [Lazy.t] would raise when
+   forced from two domains at once. A decision [PPR_GHD_GATE] forces is
+   not published, so it does not outlive the override. *)
+let resolve_deferred ~ctx db cq d =
+  let forced = Ghd.override ~ghd_route:true <> None in
+  match Atomic.get d.resolved with
+  | Some r when not forced -> r
+  | _ ->
+    let compute () =
+      let prep =
+        Ghd.decompose ?rng:(Option.map Graphlib.Rng.copy d.rng) db cq d.analysis
+      in
+      ( prep,
+        match prep.Ghd.decision with
+        | Ghd.Bucket -> Some (bucket_fallback d.analysis cq)
+        | Ghd.Generic | Ghd.Ghd -> None )
+    in
+    let r =
+      match Ctx.telemetry ctx with
+      | None -> compute ()
+      | Some t ->
+        Telemetry.with_span t "ghd.resolve" (fun sp ->
+            let ((prep, _) as r) = compute () in
+            Telemetry.Span.add_attrs sp
+              [
+                ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
+                ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
+              ];
+            r)
+    in
+    if forced then r
+    else if Atomic.compare_and_set d.resolved None (Some r) then r
+    else Option.get (Atomic.get d.resolved)
+
+let resolve ?(ctx = Ctx.null) db cq = function
+  | Deferred d ->
+    let prep, plan = resolve_deferred ~ctx db cq d in
+    Decomposed (prep, plan)
+  | c -> c
 
 let route = function
   | Plan plan | Gated (_, Some plan) -> Binary plan
@@ -28,6 +87,7 @@ let route = function
     | Ghd.Bucket, Some plan -> Binary plan
     | Ghd.Bucket, None ->
       invalid_arg "Exec: a bucket decision must carry its plan")
+  | Deferred _ -> invalid_arg "Exec: resolve a deferred artifact first"
 
 (* Each plan node runs inside a [plan.*] span (the operator itself adds a
    nested [op.*] span), so a trace mirrors the plan tree: a join node's
@@ -82,6 +142,12 @@ type attempt = { allowance : int; bindings : int; answer : Relation.t option }
    generic join already chosen, or a route [PPR_GHD_GATE] forces. *)
 let attempt_bound = function
   | Plan _ | Gated (_, None) -> None
+  | Deferred { analysis = a; _ } ->
+    (* No route is chosen yet: the attempt is allowed the smaller of the
+       two bounds the analysis knows. *)
+    if Ghd.override ~ghd_route:true = None then
+      Some (a, Float.min a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2)
+    else None
   | Gated (a, Some _) ->
     if Ghd.override ~ghd_route:false = None then Some (a, a.Ghd.binary_bound_log2)
     else None
@@ -127,15 +193,19 @@ let run_attempt ~ctx db cq (a, bound_log2) =
 let attempt ?(ctx = Ctx.null) db cq compiled =
   Option.map (run_attempt ~ctx db cq) (attempt_bound compiled)
 
-let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore) db cq
-    compiled =
+let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore)
+    ?(on_route = ignore) db cq compiled =
   let tried = attempt ~ctx db cq compiled in
   Option.iter on_attempt tried;
-  match (tried, route compiled) with
-  | Some { answer = Some r; _ }, _ -> r
-  | _, Binary plan -> run ~ctx ?observe db plan
-  | _, Generic order -> Wcoj.evaluate ~ctx ~order db cq
-  | _, Decomposition prep -> Ghd.evaluate ~ctx ~prep db cq
+  match tried with
+  | Some { answer = Some r; _ } -> r
+  | _ -> (
+    let r = route (resolve ~ctx db cq compiled) in
+    on_route r;
+    match r with
+    | Binary plan -> run ~ctx ?observe db plan
+    | Generic order -> Wcoj.evaluate ~ctx ~order db cq
+    | Decomposition prep -> Ghd.evaluate ~ctx ~prep db cq)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming.                                                          *)
@@ -156,11 +226,12 @@ let tick ctx =
 let check_card ctx n =
   match Ctx.limits ctx with Some l -> Limits.check_cardinality l n | None -> ()
 
-(* Stream a plan from its root operator. Setup is eager and bounded by
-   the inputs: every atom materializes (as in the ordinary evaluator)
-   and every join's build side materializes through [run] — full
-   kernels, spans, stats — but join {e outputs} and projections are
-   never materialized; they stream, so the probe spine from the root
+(* Stream a plan from its root operator. Setup runs when this is called
+   and is bounded by the inputs: every atom materializes (as in the
+   ordinary evaluator) and every join's build side materializes through
+   [run] — full kernels, spans, stats — but join {e outputs} and
+   projections are never materialized; they stream, so the probe spine
+   from the root
    down to its leftmost leaf produces tuples on demand and stopping the
    consumer stops the work. On the left-deep plans the compilers emit,
    the build sides are single atoms and the whole join pipeline
@@ -237,21 +308,27 @@ let rec plan_stream ~ctx db plan : Schema.t * Tuple.t Seq.t =
     in
     (target, seq)
 
-(* Constant-delay route for an acyclic query: build the atom join tree,
-   reduce with the two semijoin sweeps, enumerate. [None] when cyclic. *)
-let acyclic_stream ~ctx db cq =
-  let hg = Hypergraph.of_query cq in
-  match Jointree.build hg with
-  | None -> None
-  | Some jt ->
-    let rels =
-      Array.map
-        (fun atom -> Database.eval_atom ~ctx db atom)
-        (Array.of_list cq.Cq.atoms)
-    in
-    Some
-      (Yannakakis.enumerate ~ctx ~parent:jt.Jointree.parent
-         ~order:jt.Jointree.order ~free:cq.Cq.free rels)
+(* The schema [plan_stream] (and [run]) give a plan's output, read off
+   the plan alone, so a cursor knows it before its first pull. *)
+let rec plan_schema = function
+  | Plan.Atom atom -> Schema.of_list (Cq.atom_vars atom)
+  | Plan.Join (l, r) -> Schema.union (plan_schema l) (plan_schema r)
+  | Plan.Project (sub, kept) ->
+    Schema.restrict (plan_schema sub) ~keep:(fun v -> List.mem v kept)
+
+(* Constant-delay route for an acyclic query: scan the atoms, reduce
+   them along the join tree with the two semijoin sweeps, enumerate. *)
+let acyclic_producer ~ctx db cq jt emit =
+  let rels =
+    Array.map
+      (fun atom -> Database.eval_atom ~ctx db atom)
+      (Array.of_list cq.Cq.atoms)
+  in
+  let _, it =
+    Yannakakis.enumerate ~ctx ~parent:jt.Jointree.parent
+      ~order:jt.Jointree.order ~free:cq.Cq.free rels
+  in
+  it emit
 
 let count ctx name =
   match Ctx.telemetry ctx with
@@ -282,41 +359,48 @@ let observe_first ~ctx produce =
         end;
         emit tup)
 
-let seq_to_iter seq emit = Seq.iter emit seq
-
 (* A route's producer, as a cursor over it needs it: the kind it counts
-   under, whether its emissions need dedup, its schema, the producer. *)
+   under, whether its emissions need dedup, its schema, the producer.
+   Only structure is read here — the join tree, the plan's schema; every
+   scan, sweep and index waits inside the producer for the first pull. *)
 let route_producer ~ctx ~semijoin db cq = function
   | Binary plan -> (
-    match (if semijoin then acyclic_stream ~ctx db cq else None) with
-    | Some (schema, it) -> ("yannakakis", true, schema, it)
+    match
+      if semijoin then Jointree.build (Hypergraph.of_query cq) else None
+    with
+    | Some jt ->
+      ("yannakakis", true, Schema.of_list cq.Cq.free, acyclic_producer ~ctx db cq jt)
     | None ->
-      let schema, seq = plan_stream ~ctx db plan in
-      ("plan", false, schema, seq_to_iter seq))
+      let schema = plan_schema plan in
+      ( "plan", false, schema,
+        fun emit ->
+          let built, seq = plan_stream ~ctx db plan in
+          assert (built = schema);
+          Seq.iter emit seq ))
   | Generic order ->
     ( "wcoj", false, Schema.of_list cq.Cq.free,
       fun emit -> Wcoj.iter ~ctx ~order db cq emit )
   | Decomposition prep ->
-    (* Setup (bags, sweeps, indexes) runs lazily inside the producer on
-       the first pull, so parking an unpulled cursor costs nothing. *)
     ( "ghd", true, Schema.of_list cq.Cq.free,
       fun emit ->
         let _, it = Ghd.enumerate ~ctx ~prep db cq in
         it emit )
 
-let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore) db cq
-    compiled =
+let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore)
+    ?(on_route = ignore) db cq compiled =
   match attempt_bound compiled with
   | None ->
-    let kind, dedup, schema, produce =
-      route_producer ~ctx ~semijoin db cq (route compiled)
-    in
+    let r = route (resolve ~ctx db cq compiled) in
+    let kind, dedup, schema, produce = route_producer ~ctx ~semijoin db cq r in
     count ctx ("ops.stream." ^ kind);
-    Cursor.of_iter ~dedup ~schema (observe_first ~ctx produce)
+    Cursor.of_iter ~dedup ~schema
+      (observe_first ~ctx (fun emit ->
+           on_route r;
+           produce emit))
   | Some bound ->
     (* The attempt runs on the first pull. Its answer streams as it
-       materialized; when it runs out, the chosen route's own cursor
-       opens and its tuples are put in head order. *)
+       materialized; when it runs out, the artifact resolves, the chosen
+       route's own cursor opens and its tuples are put in head order. *)
     let schema = Schema.of_list cq.Cq.free in
     Cursor.of_iter ~schema
       (observe_first ~ctx (fun emit ->
@@ -327,8 +411,10 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore) db cq
              count ctx "ops.stream.wcoj";
              Relation.iter emit r
            | None ->
+             let r = route (resolve ~ctx db cq compiled) in
+             on_route r;
              let kind, dedup, rschema, produce =
-               route_producer ~ctx ~semijoin db cq (route compiled)
+               route_producer ~ctx ~semijoin db cq r
              in
              count ctx ("ops.stream." ^ kind);
              let pos = Schema.positions schema rschema in

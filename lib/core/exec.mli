@@ -15,8 +15,45 @@ type compiled =
   | Decomposed of Ghd.prep * Plan.t option
       (** three-way structural gate; the plan is the pre-compiled bucket
           fallback, present exactly when the gate picks [Bucket] *)
+  | Deferred of deferred
+      (** the three-way gate with its decomposition half not yet run:
+          the generic join is tried first, and only when it runs out
+          does the artifact {!resolve} into its [Decomposed] form *)
 (** The artifact a compilation step produces and both consumption modes
-    accept — see {!Driver.prepare} for the per-method mapping. *)
+    accept — see {!Driver.prepare} for the per-method mapping. Every
+    form is plain data (no closure), so the serving layer's plan cache
+    can Marshal it. *)
+
+and deferred = private {
+  analysis : Ghd.analysis;
+  rng : Graphlib.Rng.t option;
+      (** the rng's state right after {!Ghd.analyze}, where
+          {!Ghd.prepare}'s search would start drawing *)
+  resolved : (Ghd.prep * Plan.t option) option Atomic.t;
+      (** set once, by the first resolution *)
+}
+
+val defer : ?rng:Graphlib.Rng.t -> Ghd.analysis -> compiled
+(** A [Deferred] artifact over the analysis; [rng] (copied) is the
+    generator {!Ghd.analyze} drew from, in the state it left it. *)
+
+val resolve :
+  ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
+  compiled -> compiled
+(** A [Deferred] artifact's [Decomposed] form: {!Ghd.decompose} from the
+    stored analysis and rng state — so the prep is exactly the one
+    {!Ghd.prepare} returns for that rng — plus the bucket fallback when
+    the gate picks bucket. Computed at most once per artifact (inside a
+    [ghd.resolve] span when the context has telemetry) and replayed after,
+    also on other domains: the result is published with one
+    compare-and-set, and two racing resolutions compute the same value.
+    While [PPR_GHD_GATE] forces a route, the resolution follows it and is
+    neither kept nor replayed. Every other artifact is returned as it
+    is. *)
+
+val bucket_fallback : Ghd.analysis -> Conjunctive.Cq.t -> Plan.t
+(** The gated methods' bucket route: bucket elimination along the
+    analysis's variable order. *)
 
 type route =
   | Binary of Plan.t  (** a binary join/project plan *)
@@ -26,8 +63,9 @@ type route =
 val route : compiled -> route
 (** What a compiled artifact runs: the one reading of the gate's
     decision that {!materialize}, {!stream} and {!Driver.run} share.
-    @raise Invalid_argument on a [Decomposed] bucket decision without
-    its plan (never produced by {!Driver.prepare}). *)
+    @raise Invalid_argument on a [Deferred] artifact (pass it through
+    {!resolve} first), or on a [Decomposed] bucket decision without its
+    plan (never produced by {!Driver.prepare}). *)
 
 type attempt = {
   allowance : int;
@@ -46,7 +84,11 @@ type attempt = {
     generic join runs first along the analysis's order, allowed as many
     bindings as the chosen route's own bound admits intermediate tuples
     ([binary_bound_log2] for bucket, [ghd_bound_log2] for ghd) and never
-    more than half the tuple budget its atom scans leave. The a-priori
+    more than half the tuple budget its atom scans leave. A [Deferred]
+    artifact has chosen no route yet: unless a route is forced, it always
+    tries, allowed the smaller of [binary_bound_log2] and the AGM bound,
+    and resolves only when the attempt runs out — whereupon a [Generic]
+    pick runs the generic join again, with no allowance. The a-priori
     bounds cannot see its early stop (free variables bound first, one
     witness per existence search), so it often answers far below them;
     when it runs out, the chosen route runs unchanged, with at least
@@ -90,15 +132,16 @@ val nonempty : ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Plan.t -> bool
 
 val materialize :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
-  ?on_attempt:(attempt -> unit) ->
+  ?on_attempt:(attempt -> unit) -> ?on_route:(route -> unit) ->
   Conjunctive.Database.t -> Conjunctive.Cq.t -> compiled -> Relalg.Relation.t
 (** Compute the full answer: the artifact's {!attempt}, if it has one
-    and it answers, else its {!route} — {!run} for a binary plan
-    ([observe] applies there only), {!Wcoj.evaluate} for the generic
-    join, {!Ghd.evaluate} for the decomposition. Each keeps {!run}'s
-    context contract (spans, stats, limits, pool). [on_attempt] hears
-    the attempt's outcome before the route runs. The materializing
-    counterpart of {!stream}.
+    and it answers, else the {!route} of its {!resolve}d form — {!run}
+    for a binary plan ([observe] applies there only), {!Wcoj.evaluate}
+    for the generic join, {!Ghd.evaluate} for the decomposition. Each
+    keeps {!run}'s context contract (spans, stats, limits, pool).
+    [on_attempt] hears the attempt's outcome, and [on_route] the route,
+    just before the route runs (never when the attempt answered). The
+    materializing counterpart of {!stream}.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 
@@ -106,6 +149,7 @@ val stream :
   ?ctx:Relalg.Ctx.t ->
   ?semijoin:bool ->
   ?on_attempt:(attempt -> unit) ->
+  ?on_route:(route -> unit) ->
   Conjunctive.Database.t ->
   Conjunctive.Cq.t ->
   compiled ->
@@ -116,8 +160,11 @@ val stream :
     differs.
 
     An artifact with an {!attempt} runs it on the first pull (telling
-    [on_attempt]) and streams its answer; when it runs out, the route's
-    own cursor opens and its tuples stream in head order.
+    [on_attempt]) and streams its answer; when it runs out, the artifact
+    {!resolve}s, the route's own cursor opens (telling [on_route]) and
+    its tuples stream in head order. A [Deferred] artifact with a route
+    forced by [PPR_GHD_GATE] has no attempt and resolves when the cursor
+    is built.
 
     Routing follows {!route}: the generic join streams the leapfrog
     search directly (distinct, lexicographic — no dedup state); the
@@ -134,8 +181,10 @@ val stream :
     to the query (mini-bucket approximations): the reroute answers the
     exact query and would mask the approximation.
 
-    Setup runs when the first tuple is pulled, never at cursor
-    construction, and every telemetry span closes before the first
+    Setup — every atom scan, semijoin sweep, build side and index —
+    runs when the first tuple is pulled, never at cursor construction
+    (which reads only the query's structure), so a cursor closed unpulled
+    ran no operator; and every telemetry span closes before the first
     emission — a parked cursor holds indexes, not open spans. Each
     opened cursor counts on [ops.stream] (and [ops.stream.<route>],
     [wcoj] when an attempt answers);

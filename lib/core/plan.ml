@@ -2,28 +2,30 @@ module Cq = Conjunctive.Cq
 
 type t = Atom of Cq.atom | Join of t * t | Project of t * int list
 
-let rec schema_set = function
-  | Atom atom -> List.sort_uniq Stdlib.compare (Cq.atom_vars atom)
+(* One bottom-up pass: each node's sorted schema from its children's,
+   with the widest schema seen so far. *)
+let rec measure = function
+  | Atom atom ->
+    let s = List.sort_uniq Stdlib.compare (Cq.atom_vars atom) in
+    (s, List.length s)
   | Join (l, r) ->
-    List.sort_uniq Stdlib.compare (schema_set l @ schema_set r)
+    let sl, wl = measure l and sr, wr = measure r in
+    let s = List.sort_uniq Stdlib.compare (sl @ sr) in
+    (s, max (List.length s) (max wl wr))
   | Project (sub, kept) ->
-    let inner = schema_set sub in
+    let inner, w = measure sub in
     List.iter
       (fun v ->
         if not (List.mem v inner) then
           invalid_arg
             (Printf.sprintf "Plan: projection keeps v%d, absent from input" v))
       kept;
-    List.sort_uniq Stdlib.compare kept
+    let s = List.sort_uniq Stdlib.compare kept in
+    (s, max (List.length s) w)
 
+let schema_set plan = fst (measure plan)
 let schema = schema_set
-
-let rec width plan =
-  let own = List.length (schema_set plan) in
-  match plan with
-  | Atom _ -> own
-  | Join (l, r) -> max own (max (width l) (width r))
-  | Project (sub, _) -> max own (width sub)
+let width plan = snd (measure plan)
 
 let rec join_count = function
   | Atom _ -> 0

@@ -252,11 +252,7 @@ let decide ?bag_log2 a =
     let h = Option.value bag_log2 ~default:Float.infinity in
     if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
 
-let prepare ?rng ?agm db cq =
-  (* The analysis draws its MCS tie-breaks from [rng] before the search
-     draws its restarts, so its variable order is the one [analyze ?rng]
-     alone returns. *)
-  let analysis = analyze ?rng ?agm db cq in
+let decompose ?rng db cq analysis =
   let hg = Hypergraph.of_query cq in
   let decomposition = search ?rng hg in
   let parent, order = root_tree decomposition.Hypertree.tree in
@@ -271,6 +267,11 @@ let prepare ?rng ?agm db cq =
     ghd_bound_log2;
     decision = decide ~bag_log2:ghd_bound_log2 analysis;
   }
+
+(* The analysis draws its MCS tie-breaks from [rng] before the search
+   draws its restarts, so its variable order is the one [analyze ?rng]
+   alone returns. *)
+let prepare ?rng ?agm db cq = decompose ?rng db cq (analyze ?rng ?agm db cq)
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator: materialize bags, run the Yannakakis sweeps.          *)

@@ -15,8 +15,10 @@
     elimination worst case (induced width), the AGM fractional-cover
     bound (generic join) and the fractional-hypertree-scale bag bound.
     {!analyze} computes the first two, which every gated method and
-    cost-aware admission share; only {!prepare} adds the decomposition
-    search and the bag bound. *)
+    cost-aware admission share; only {!decompose} (and {!prepare}, which
+    is {!analyze} then {!decompose}) adds the decomposition search and
+    the bag bound. The [ghd] method defers that half: it runs it only
+    when the generic join, tried first, runs out. *)
 
 type decision = Bucket | Generic | Ghd
 
@@ -89,16 +91,29 @@ val search :
     each checked with {!Hypergraphs.Hypertree.is_valid}, stopping early
     at the cyclic optimum (width 2). *)
 
+val decompose :
+  ?rng:Graphlib.Rng.t ->
+  Conjunctive.Database.t ->
+  Conjunctive.Cq.t ->
+  analysis ->
+  prep
+(** The rest of {!prepare} after its analysis: the decomposition, rooted
+    bag tree, atom assignment, bag bound and the three-way {!decide}.
+    [rng] feeds the search's restarts. *)
+
 val prepare :
   ?rng:Graphlib.Rng.t ->
   ?agm:Wcoj.Agm.t ->
   Conjunctive.Database.t ->
   Conjunctive.Cq.t ->
   prep
-(** The planning half: {!analyze}, then the decomposition, rooted bag
-    tree, atom assignment, bag bound and the three-way {!decide}. The
-    analysis is the one [analyze ?rng ?agm] returns on its own: it draws
-    from [rng] before the search does. *)
+(** The planning half, every bound and decision at once:
+    [decompose ?rng db cq (analyze ?rng ?agm db cq)]. The analysis is the
+    one [analyze ?rng ?agm] returns on its own: it draws from [rng]
+    before the search does. So a caller that keeps the rng's state from
+    right after {!analyze} can run {!decompose} later and get this very
+    prep (the [ghd] method's deferred artifact does). Admission, explain
+    and a route forced by [PPR_GHD_GATE] use it whole. *)
 
 val evaluate :
   ?ctx:Relalg.Ctx.t ->

@@ -6,6 +6,7 @@ let split t =
   let a = Random.State.bits t and b = Random.State.bits t in
   Random.State.make [| a; b; a lxor (b lsl 7) |]
 
+let copy = Random.State.copy
 let int t bound = Random.State.int t bound
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t

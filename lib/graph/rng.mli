@@ -13,6 +13,10 @@ val split : t -> t
 (** A new generator whose stream is independent of (but determined by)
     the current state of the parent. *)
 
+val copy : t -> t
+(** An independent generator in the same state: it draws what [t] would
+    draw next, and drawing from one does not advance the other. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). @raise Invalid_argument if
     [bound <= 0]. *)

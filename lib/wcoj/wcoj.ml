@@ -106,14 +106,20 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
       tries
   in
   let binding = Array.make (max 1 k) 0 in
+  (* Per-depth leapfrog cursors, allocated once: a scan at depth [d]
+     never re-enters depth [d] before it returns. *)
+  let curs = Array.map (fun p -> Array.make (Array.length p) 0) parts in
+  let his_d = Array.map (fun p -> Array.make (Array.length p) 0) parts in
+  (* [top_values] collects depth 0's values here instead of descending. *)
+  let collecting = ref false and top = ref [] in
   (* Leapfrog the participants of depth [d] over their current
-     windows. [on_value] runs with [binding.(d)] set and the matching
+     windows. [visit d] runs with [binding.(d)] set and the matching
      sub-windows pushed; returning [true] stops the scan early (the
      existence search found its witness). *)
-  let scan d on_value =
+  let rec scan d =
     let ps = parts.(d) in
     let m = Array.length ps in
-    let cur = Array.make m 0 and hi = Array.make m 0 in
+    let cur = curs.(d) and hi = his_d.(d) in
     let exhausted = ref false in
     for j = 0 to m - 1 do
       let i, l = ps.(j) in
@@ -149,7 +155,7 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
           his.(i).(l + 1) <-
             Trie.strictly_above tries.(i) ~level:l ~lo:cur.(j) ~hi:hi.(j) !x
         done;
-        if on_value () then stopped := true
+        if visit d then stopped := true
         else begin
           (* Advance the first participant past x; the next round
              re-aligns the others. *)
@@ -160,20 +166,26 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
       end
     done;
     !stopped
-  in
-  (* Depths >= n_free only need one witness: stop at first success. *)
-  let rec extension d = d = k || scan d (fun () -> extension (d + 1)) in
-  (* Depths < n_free enumerate every value; at the free/bound frontier
-     each free prefix is emitted iff some extension exists. *)
-  let rec enumerate d =
+  (* Depths < n_free enumerate every value; depths >= n_free only need
+     one witness, so the scan stops at the first success. *)
+  and visit d =
+    if !collecting then begin
+      top := binding.(0) :: !top;
+      false
+    end
+    else if d < n_free then begin
+      enumerate (d + 1);
+      false
+    end
+    else extension (d + 1)
+  and extension d = d = k || scan d
+  (* At the free/bound frontier each free prefix is emitted iff some
+     extension exists. *)
+  and enumerate d =
     if d = n_free then begin
       if extension d then emit binding
     end
-    else
-      ignore
-        (scan d (fun () ->
-             enumerate (d + 1);
-             false))
+    else ignore (scan d)
   in
   (* External depth-0 binding, for the pool partitions: the value is
      already known to be in the top-level intersection. *)
@@ -194,12 +206,11 @@ let make_engine ~tries ~parts ~k ~n_free ~tick ~emit =
     !ok
   in
   let top_values () =
-    let acc = ref [] in
-    ignore
-      (scan 0 (fun () ->
-           acc := binding.(0) :: !acc;
-           false));
-    List.rev !acc
+    collecting := true;
+    top := [];
+    ignore (scan 0);
+    collecting := false;
+    List.rev !top
   in
   { run_enumerate = enumerate; run_extension = extension; bind_top;
     top_values; binding }

@@ -2,7 +2,8 @@
    ({!Gate_instances}): for each gated method, the route its gate picks,
    the generic join's allowance, the bindings it spent and whether it
    answered or ran out ([none] when the gate picked the generic join
-   itself). The attempt runs alone, under the figures' caps (300k tuples
+   itself). The ghd method's route is the one its artifact resolves to;
+   its attempt comes before that choice, so it runs on every instance. The attempt runs alone, under the figures' caps (300k tuples
    per relation, 3M in all), so any change to an allowance or to the
    search's binding count shows up as a diff against
    [route_attempt.expected]. *)
@@ -13,7 +14,7 @@ module Exec = Ppr_core.Exec
 let attempt ~rng meth db cq =
   let compiled = Driver.prepare ~rng:(rng ()) meth db cq in
   let route =
-    match Exec.route compiled with
+    match Exec.route (Exec.resolve db cq compiled) with
     | Exec.Binary _ -> "bucket"
     | Exec.Generic _ -> "generic"
     | Exec.Decomposition _ -> "ghd"

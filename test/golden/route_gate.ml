@@ -16,13 +16,9 @@ let report name ~rng db cq =
     match Driver.prepare ~rng:(rng ()) Driver.Wcoj db cq with
     | Driver.Gated (_, None) -> "generic"
     | Driver.Gated (_, Some _) -> "bucket"
-    | Driver.Plan _ | Driver.Decomposed _ -> failwith "wcoj prepares a gated artifact"
+    | _ -> failwith "wcoj prepares a gated artifact"
   in
-  let prep =
-    match Driver.prepare ~rng:(rng ()) Driver.Ghd db cq with
-    | Driver.Decomposed (prep, _) -> prep
-    | _ -> failwith "ghd prepares a decomposition"
-  in
+  let prep = Ghd.prepare ~rng:(rng ()) db cq in
   let estimate = Serve.Admission.estimate (Serve.Admission.create ()) db ~key:name cq in
   Printf.printf
     "%s wcoj=%s ghd=%s binary=%h agm=%h bag=%h htw=%d estimate=%h plan.wcoj=%s \

@@ -1263,9 +1263,12 @@ let test_attempt_charge () =
       | Some { Exec.answer = None; allowance; _ } ->
         check_int (name ^ ": attempt = scans + allowance") (scans + allowance)
           alone;
+        (* The route alone: the resolved artifact with a route forced,
+           which skips the attempt and runs the route resolved. *)
+        let resolved = Exec.resolve db cq compiled in
         let forced, own =
           with_gate "bucket" (fun () ->
-              charged (fun ctx -> Exec.materialize ~ctx db cq compiled))
+              charged (fun ctx -> Exec.materialize ~ctx db cq resolved))
         in
         let got, total =
           charged (fun ctx -> Exec.materialize ~ctx db cq compiled)
@@ -1298,6 +1301,98 @@ let test_attempt_jobs () =
             (run () = run ~pool ()))
         gated_methods)
     paper_batch_instances
+
+(* The ghd method's deferred artifact: the attempt runs first, within the
+   smaller of the analysis's two bounds, and the decomposition search only
+   when it runs out. Whichever way the attempt goes, the answers are the
+   oracle's, the charge is exact, and the artifact resolves to the very
+   prep [Ghd.prepare] computes for the same rng. *)
+let charged f =
+  let limits = Limits.create () in
+  let r = f (Relalg.Ctx.create ~limits ()) in
+  (r, Limits.total_charged limits)
+
+let deferred_attempt db cq compiled =
+  match (compiled, Exec.attempt db cq compiled) with
+  | Driver.Deferred _, Some a -> a
+  | _ -> Alcotest.fail "the ghd method defers its search behind an attempt"
+
+let prop_deferred_matches_oracle =
+  qtest ~count:150 "deferred ghd artifact: oracle, exact charge, prep"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let db, cq = attempt_instance seed in
+      let expected = brute_answers db cq in
+      let compiled = Driver.prepare ~rng:(rng seed) Driver.Ghd db cq in
+      let tried, attempt_charge =
+        charged (fun ctx -> Exec.attempt ~ctx db cq compiled)
+      in
+      let answer, total =
+        charged (fun ctx -> Exec.materialize ~ctx db cq compiled)
+      in
+      let streamed =
+        Relalg.Cursor.to_relation
+          (Exec.stream ~ctx:(Relalg.Ctx.create ~limits:(Limits.create ()) ())
+             db cq compiled)
+      in
+      let resolved = Exec.resolve db cq compiled in
+      let charge_ok =
+        match tried with
+        | Some { Exec.answer = Some _; _ } -> total = attempt_charge
+        | Some { Exec.answer = None; allowance; _ } ->
+          (* A forced route skips the attempt: the route's own charge. *)
+          let _, own =
+            with_gate "bucket" (fun () ->
+                charged (fun ctx -> Exec.materialize ~ctx db cq resolved))
+          in
+          attempt_charge = scan_charge db cq + allowance
+          && total = attempt_charge + own
+        | None -> false
+      in
+      let prep_ok =
+        match resolved with
+        | Driver.Decomposed (prep, plan) ->
+          prep = Ghd.prepare ~rng:(rng seed) db cq
+          && (plan <> None) = (prep.Ghd.decision = Ghd.Bucket)
+        | _ -> false
+      in
+      (match compiled with Driver.Deferred _ -> true | _ -> false)
+      && head_rows cq answer = expected
+      && head_rows cq streamed = expected
+      && charge_ok && prep_ok)
+
+(* The property above sees both outcomes: the first seeds already hold
+   an attempt that answers and one that runs out. *)
+let test_deferred_outcomes () =
+  let outcomes =
+    List.init 40 (fun seed ->
+        let db, cq = attempt_instance seed in
+        let compiled = Driver.prepare ~rng:(rng seed) Driver.Ghd db cq in
+        (deferred_attempt db cq compiled).Exec.answer = None)
+  in
+  check_bool "an attempt answers" true (List.mem false outcomes);
+  check_bool "an attempt runs out" true (List.mem true outcomes)
+
+(* Two domains running, and so resolving, one exhausted artifact at
+   once: the same route and answer on both, and nothing raises. *)
+let test_deferred_race () =
+  let db, cq = List.assoc "fig6" paper_batch_instances in
+  for round = 1 to 4 do
+    let compiled = Driver.prepare ~rng:(rng 1000) Driver.Ghd db cq in
+    check_bool "the attempt runs out" true
+      ((deferred_attempt db cq compiled).Exec.answer = None);
+    let run () =
+      let answer = Exec.materialize db cq compiled in
+      (Exec.route (Exec.resolve db cq compiled), head_rows cq answer)
+    in
+    let other = Domain.spawn run in
+    let mine = run () in
+    let theirs = Domain.join other in
+    check_bool (Printf.sprintf "round %d: same route and answer" round) true
+      (mine = theirs);
+    check_bool (Printf.sprintf "round %d: the route's answer" round) true
+      (snd mine = head_rows cq (Ghd.evaluate db cq))
+  done
 
 let () =
   Alcotest.run "core"
@@ -1354,6 +1449,9 @@ let () =
           Alcotest.test_case "outcomes" `Quick test_attempt_outcomes;
           Alcotest.test_case "charge when it runs out" `Quick test_attempt_charge;
           Alcotest.test_case "jobs=1 = jobs=2" `Quick test_attempt_jobs;
+          prop_deferred_matches_oracle;
+          Alcotest.test_case "deferred: both outcomes" `Quick test_deferred_outcomes;
+          Alcotest.test_case "deferred: racing domains" `Quick test_deferred_race;
         ] );
       ( "method agreement",
         [

@@ -247,7 +247,9 @@ let prop_parallel_matches_sequential =
 
 let test_prepared_replay () =
   (* The serving layer's cache-hit path: prepare once, re-execute the
-     compiled artifact many times. Every route must replay identically. *)
+     compiled artifact many times. Every route must replay identically,
+     and the artifact resolves to a prep with its bucket plan exactly
+     when the gate picked bucket. *)
   List.iter
     (fun (name, g) ->
       let db, cq = coloring ~mode:Encode.Boolean g in
@@ -255,13 +257,18 @@ let test_prepared_replay () =
       let compiled =
         Ppr_core.Driver.prepare ~rng:(rng 2) Ppr_core.Driver.Ghd db cq
       in
+      let check_resolved () =
+        match Ppr_core.Exec.resolve db cq compiled with
+        | Ppr_core.Driver.Decomposed (prep, plan) ->
+          check_bool
+            (name ^ ": bucket plan rides along iff the gate picked bucket")
+            (prep.Ghd.decision = Ghd.Bucket)
+            (plan <> None)
+        | _ -> Alcotest.fail (name ^ ": Ghd prepare must resolve to Decomposed")
+      in
       (match compiled with
-      | Ppr_core.Driver.Decomposed (prep, plan) ->
-        check_bool
-          (name ^ ": bucket plan rides along iff the gate picked bucket")
-          (prep.Ghd.decision = Ghd.Bucket)
-          (plan <> None)
-      | _ -> Alcotest.fail (name ^ ": Ghd prepare must return Decomposed"));
+      | Ppr_core.Driver.Deferred _ -> ()
+      | _ -> Alcotest.fail (name ^ ": Ghd prepare must return Deferred"));
       List.iter
         (fun i ->
           let outcome =
@@ -273,7 +280,8 @@ let test_prepared_replay () =
             true
             (Ppr_core.Driver.result_cardinality outcome
             = Some (Relation.cardinality expected)))
-        [ 0; 1 ])
+        [ 0; 1 ];
+      check_resolved ())
     [
       ("acyclic", Gen.path 8);
       ("cyclic low htw", Gen.augmented_ladder 4);

@@ -149,7 +149,7 @@ let prop_measured_within_analytic =
           o.Driver.max_arity <= o.Driver.plan_width)
         [
           Driver.Straightforward; Driver.Early_projection; Driver.Reorder;
-          Driver.Bucket_elimination; Driver.Hybrid;
+          Driver.Bucket_elimination; Driver.Hybrid; Driver.Wcoj; Driver.Ghd;
         ])
 
 module G = Graphlib.Graph

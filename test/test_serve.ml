@@ -291,6 +291,62 @@ let test_cache_save_load_roundtrip () =
     && Serve.Plan_cache.find tiny "old" <> None
     && Serve.Plan_cache.find tiny "new" <> None)
 
+(* A snapshot holds the ghd method's deferred artifact as it is: before
+   it resolves (the search has not run: the restored copy resolves on its
+   own first run out) and after (the restored copy replays the
+   resolution without running the search again). *)
+let test_cache_deferred_roundtrip () =
+  let path = Filename.temp_file "ppr-cache-test" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let cq =
+    Conjunctive.Encode.coloring_query_of_graph
+      ~mode:(Conjunctive.Encode.Fraction 0.2) ~rng:(Graphlib.Rng.make 1000)
+      (Graphlib.Generators.augmented_path 10)
+  in
+  let meth = Ppr_core.Driver.Ghd in
+  let expected = Ghd.evaluate coloring_db cq in
+  let roundtrip compiled =
+    let c = Serve.Plan_cache.create ~capacity:4 () in
+    ignore (Serve.Plan_cache.add c "q" compiled);
+    check_int "one entry saved" 1 (Serve.Plan_cache.save c path);
+    let c' = Serve.Plan_cache.create ~capacity:4 () in
+    check_int "one entry restored" 1 (Serve.Plan_cache.load c' path);
+    match Serve.Plan_cache.find c' "q" with
+    | Some (Ppr_core.Driver.Deferred d) -> d
+    | _ -> Alcotest.fail "the restored entry is the deferred artifact"
+  in
+  (* Runs [d] with telemetry: its answer, and the resolutions it ran. *)
+  let run d =
+    let sink, spans = Telemetry.Sink.memory () in
+    let t = Telemetry.create sink in
+    let o =
+      Ppr_core.Driver.run ~compiled:(Ppr_core.Driver.Deferred d)
+        ~ctx:(Relalg.Ctx.create ~telemetry:t ()) meth coloring_db cq
+    in
+    Telemetry.close t;
+    ( o.Ppr_core.Driver.result,
+      List.length
+        (List.filter (fun s -> Telemetry.Span.name s = "ghd.resolve") (spans ())) )
+  in
+  let answers_ok label = function
+    | Some r -> check_bool label true (Relalg.Relation.equal_modulo_order expected r)
+    | None -> Alcotest.fail (label ^ ": the run aborted")
+  in
+  let compiled = Ppr_core.Driver.prepare ~rng:(Graphlib.Rng.make 17) meth coloring_db cq in
+  let before = roundtrip compiled in
+  check_bool "restored unresolved" true
+    (Atomic.get before.Ppr_core.Exec.resolved = None);
+  let r, resolutions = run before in
+  answers_ok "unresolved copy: the answer" r;
+  check_int "unresolved copy: resolves on its run" 1 resolutions;
+  let after = roundtrip (Ppr_core.Driver.Deferred before) in
+  check_bool "restored resolved" true
+    (Atomic.get after.Ppr_core.Exec.resolved = Atomic.get before.Ppr_core.Exec.resolved);
+  let r, resolutions = run after in
+  answers_ok "resolved copy: the answer" r;
+  check_int "resolved copy: replays" 0 resolutions
+
 let test_cache_load_rejects_corrupt () =
   let path = Filename.temp_file "ppr-cache-test" ".bin" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -1385,6 +1441,8 @@ let () =
             test_cache_key_injective_on_templates;
           Alcotest.test_case "save/load roundtrip" `Quick
             test_cache_save_load_roundtrip;
+          Alcotest.test_case "save/load a deferred artifact" `Quick
+            test_cache_deferred_roundtrip;
           Alcotest.test_case "load rejects corrupt" `Quick
             test_cache_load_rejects_corrupt;
         ] );

@@ -470,6 +470,88 @@ let test_gate_attempt_attributes () =
       (Ppr_core.Driver.Bucket_elimination, pentagon_cq, "none");
     ]
 
+(* The ghd method's artifact resolves (runs its decomposition search)
+   only when the attempt runs out, and once per artifact: an answered run
+   records no [ghd.resolve] span, and two runs of one exhausted artifact
+   record exactly one, the decision landing on the exec span. *)
+let test_deferred_resolve_span () =
+  let aug_path =
+    Conjunctive.Encode.coloring_query_of_graph
+      ~mode:(Conjunctive.Encode.Fraction 0.2) ~rng:(Graphlib.Rng.make 1000)
+      (Graphlib.Generators.augmented_path 10)
+  in
+  List.iter
+    (fun (cq, label, resolves) ->
+      let compiled =
+        Ppr_core.Driver.prepare ~rng:(Graphlib.Rng.make 1000)
+          Ppr_core.Driver.Ghd coloring_db cq
+      in
+      let sink, spans = T.Sink.memory () in
+      let t = T.create sink in
+      for _ = 1 to 2 do
+        ignore
+          (Ppr_core.Driver.run ~compiled
+             ~ctx:(Relalg.Ctx.create ~telemetry:t ())
+             Ppr_core.Driver.Ghd coloring_db cq)
+      done;
+      T.close t;
+      let named n = List.filter (fun s -> Span.name s = n) (spans ()) in
+      check_int (label ^ ": ghd.resolve spans") resolves
+        (List.length (named "ghd.resolve"));
+      List.iter
+        (fun exec ->
+          check_bool (label ^ ": the decision on the exec span iff resolved")
+            (resolves > 0)
+            (Span.attr exec "ghd.decision" <> None))
+        (named "exec:ghd"))
+    [ (pentagon_cq, "answered", 0); (aug_path, "exhausted", 1) ]
+
+(* A stream's setup waits for its first pull: building a bucket-
+   elimination cursor records no operator span, over the semijoin
+   reroute or the plan's own stream, and closing it unpulled records
+   none at all. *)
+let test_stream_setup_on_first_pull () =
+  let path =
+    Conjunctive.Cq.make
+      ~atoms:
+        [
+          { Conjunctive.Cq.rel = "edge"; vars = [ 0; 1 ] };
+          { Conjunctive.Cq.rel = "edge"; vars = [ 1; 2 ] };
+        ]
+      ~free:[ 0; 2 ]
+  in
+  let compiled =
+    Ppr_core.Driver.prepare Ppr_core.Driver.Bucket_elimination coloring_db path
+  in
+  List.iter
+    (fun semijoin ->
+      let label = if semijoin then "reroute" else "plan stream" in
+      let ops spans =
+        List.length
+          (List.filter
+             (fun s -> String.starts_with ~prefix:"op." (Span.name s))
+             (spans ()))
+      in
+      let open_cursor t =
+        Ppr_core.Exec.stream
+          ~ctx:(Relalg.Ctx.create ~telemetry:t ())
+          ~semijoin coloring_db path compiled
+      in
+      let sink, spans = T.Sink.memory () in
+      let t = T.create sink in
+      let cur = open_cursor t in
+      check_int (label ^ ": no op span before the first pull") 0 (ops spans);
+      check_bool (label ^ ": an answer") true (Relalg.Cursor.next cur <> None);
+      check_bool (label ^ ": the setup ran on the pull") true (ops spans > 0);
+      Relalg.Cursor.close cur;
+      T.close t;
+      let sink, spans = T.Sink.memory () in
+      let t = T.create sink in
+      Relalg.Cursor.close (open_cursor t);
+      T.close t;
+      check_int (label ^ ": closed unpulled, no op span") 0 (ops spans))
+    [ true; false ]
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -507,5 +589,9 @@ let () =
             test_driver_telemetry_equivalence;
           Alcotest.test_case "gate attempt attributes" `Quick
             test_gate_attempt_attributes;
+          Alcotest.test_case "deferred resolve span" `Quick
+            test_deferred_resolve_span;
+          Alcotest.test_case "stream setup on first pull" `Quick
+            test_stream_setup_on_first_pull;
         ] );
     ]
