@@ -530,7 +530,10 @@ let experiment_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FIGURE"
-          ~doc:"Figure to reproduce: 2-9, sat, minibucket, yannakakis, all.")
+          ~doc:
+            ("Figure to reproduce: "
+            ^ String.concat ", " Experiments.Figures.names
+            ^ "."))
   in
   let scale_arg =
     Arg.(value & opt float 0.7 & info [ "scale" ] ~docv:"S" ~doc:"Instance-size scale.")

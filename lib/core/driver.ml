@@ -326,6 +326,7 @@ let wcoj_decision = function None -> Ghd.Generic | Some _ -> Ghd.Bucket
 
 let attempt_label = function
   | None -> "none"
+  | Some { Exec.skipped = true; _ } -> "skipped"
   | Some { Exec.answer = Some _; _ } -> "answered"
   | Some { Exec.answer = None; _ } -> "exhausted"
 

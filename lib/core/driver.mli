@@ -160,9 +160,11 @@ val run :
     own [op.*] spans underneath, and the registry tallies [driver.runs]
     plus one [driver.aborts.<reason>] counter per typed abort. The exec
     span carries the gate's {!Exec.attempt}: [gate.attempt]
-    ([answered], [exhausted] or [none]) and, when there was one,
+    ([answered], [exhausted], [skipped] — an earlier run of the same
+    artifact ran out within at least this allowance — or [none]) and, when there was one,
     [gate.attempt_bindings] and [gate.allowance]; the registry counts
-    [driver.gate.attempt.answered] and [driver.gate.attempt.exhausted].
+    [driver.gate.attempt.answered], [driver.gate.attempt.exhausted] and
+    [driver.gate.attempt.skipped].
     It also carries [plan.width] and, on a [Deferred] artifact whose run
     went past the attempt, the decision, bag bound and htw its
     resolution found (the resolution itself runs in a [ghd.resolve]

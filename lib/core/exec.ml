@@ -89,50 +89,67 @@ let route = function
       invalid_arg "Exec: a bucket decision must carry its plan")
   | Deferred _ -> invalid_arg "Exec: resolve a deferred artifact first"
 
+(* The projection target of [kept] over [schema]: the input's column
+   order for the retained variables — the variable set, not the order,
+   is what projection means here. *)
+let kept_schema schema kept =
+  let kept_set = Hashtbl.create (List.length kept) in
+  List.iter (fun v -> Hashtbl.replace kept_set v ()) kept;
+  let target = Schema.restrict schema ~keep:(Hashtbl.mem kept_set) in
+  if Schema.arity target <> Hashtbl.length kept_set then
+    invalid_arg "Exec: projection keeps a variable absent from its input";
+  target
+
 (* Each plan node runs inside a [plan.*] span (the operator itself adds a
    nested [op.*] span), so a trace mirrors the plan tree: a join node's
    span contains both input subtrees and the join work. [observe] fires
    once per completed node, in completion (post-) order, with the node's
-   measured output cardinality — the adaptive layer's harvest hook. *)
+   measured output cardinality — the adaptive layer's harvest hook.
+
+   A projection of a join runs as one fused kernel ([Ops.join_project]),
+   which never writes the join: the [plan.join] span then holds the
+   fused [op.join.project] span, and the join node is observed with the
+   join's logical size, before the projection node. *)
 let rec run ?(ctx = Ctx.null) ?observe db plan =
-  let eval () =
+  let note node n = match observe with Some f -> f node n | None -> () in
+  let within name f =
+    match Ctx.telemetry ctx with
+    | Some t -> Telemetry.with_span t name (fun _ -> f ())
+    | None -> f ()
+  in
+  let result =
     match plan with
     | Plan.Atom atom -> Database.eval_atom ~ctx db atom
     | Plan.Join (l, r) ->
-      let rl = run ~ctx ?observe db l in
-      let rr = run ~ctx ?observe db r in
-      Ops.natural_join ~ctx rl rr
+      within "plan.join" (fun () ->
+          let rl = run ~ctx ?observe db l in
+          let rr = run ~ctx ?observe db r in
+          Ops.natural_join ~ctx rl rr)
+    | Plan.Project ((Plan.Join (l, r) as join), kept) ->
+      within "plan.project" (fun () ->
+          within "plan.join" (fun () ->
+              let rl = run ~ctx ?observe db l in
+              let rr = run ~ctx ?observe db r in
+              let joined = Schema.union (Relation.schema rl) (Relation.schema rr) in
+              Ops.join_project ~ctx ~on_join:(note join) rl rr
+                (kept_schema joined kept)))
     | Plan.Project (sub, kept) ->
-      let rsub = run ~ctx ?observe db sub in
-      (* Keep the input's column order for the retained variables; the
-         variable set, not the order, is what projection means here. Build
-         the kept-set once instead of scanning the list per variable. *)
-      let kept_set = Hashtbl.create (List.length kept) in
-      List.iter (fun v -> Hashtbl.replace kept_set v ()) kept;
-      let target =
-        Schema.restrict (Relation.schema rsub) ~keep:(Hashtbl.mem kept_set)
-      in
-      if Schema.arity target <> Hashtbl.length kept_set then
-        invalid_arg "Exec: projection keeps a variable absent from its input";
-      Ops.project ~ctx rsub target
+      within "plan.project" (fun () ->
+          let rsub = run ~ctx ?observe db sub in
+          Ops.project ~ctx rsub (kept_schema (Relation.schema rsub) kept))
   in
-  let result =
-    match (Ctx.telemetry ctx, plan) with
-    | Some t, Plan.Join _ ->
-      Telemetry.with_span t "plan.join" (fun _ -> eval ())
-    | Some t, Plan.Project _ ->
-      Telemetry.with_span t "plan.project" (fun _ -> eval ())
-    | _, _ -> eval ()
-  in
-  (match observe with
-  | Some f -> f plan (Relation.cardinality result)
-  | None -> ());
+  note plan (Relation.cardinality result);
   result
 
 (* ------------------------------------------------------------------ *)
 (* The gate's attempt.                                                 *)
 
-type attempt = { allowance : int; bindings : int; answer : Relation.t option }
+type attempt = {
+  allowance : int;
+  bindings : int;
+  answer : Relation.t option;
+  skipped : bool;
+}
 
 (* The a-priori bounds cannot see the generic join's early stop (free
    variables first, one witness per existence search), so when the
@@ -180,22 +197,45 @@ let allowance_of ~ctx db cq bound_log2 =
     in
     max 0 (min (min worst (Limits.max_tuples l)) ((Limits.remaining l - scans) / 2))
 
-let run_attempt ~ctx db cq (a, bound_log2) =
-  let allowance = allowance_of ~ctx db cq bound_log2 in
+let run_attempt ~ctx db cq a allowance =
   let left = ref allowance in
   let answer =
     match Wcoj.evaluate ~ctx ~order:a.Ghd.var_order ~allowance:left db cq with
     | r -> Some r
     | exception Wcoj.Exhausted -> None
   in
-  { allowance; bindings = allowance - !left; answer }
+  { allowance; bindings = allowance - !left; answer; skipped = false }
 
 let attempt ?(ctx = Ctx.null) db cq compiled =
-  Option.map (run_attempt ~ctx db cq) (attempt_bound compiled)
+  Option.map
+    (fun (a, bound_log2) ->
+      run_attempt ~ctx db cq a (allowance_of ~ctx db cq bound_log2))
+    (attempt_bound compiled)
+
+(* A run's attempt. The search is deterministic, so within an allowance
+   no larger than one it already ran out within along the analysis's
+   order it would run out again: it is skipped, and the route runs at
+   once. An attempt that runs out raises the analysis's record with a
+   compare-and-set, so racing domains keep the largest. *)
+let replay_attempt ~ctx db cq (a, bound_log2) =
+  let allowance = allowance_of ~ctx db cq bound_log2 in
+  let ran_out = a.Ghd.ran_out in
+  if allowance <= Atomic.get ran_out then
+    { allowance; bindings = 0; answer = None; skipped = true }
+  else begin
+    let tried = run_attempt ~ctx db cq a allowance in
+    let rec record () =
+      let seen = Atomic.get ran_out in
+      if allowance > seen && not (Atomic.compare_and_set ran_out seen allowance)
+      then record ()
+    in
+    if tried.answer = None then record ();
+    tried
+  end
 
 let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore)
     ?(on_route = ignore) db cq compiled =
-  let tried = attempt ~ctx db cq compiled in
+  let tried = Option.map (replay_attempt ~ctx db cq) (attempt_bound compiled) in
   Option.iter on_attempt tried;
   match tried with
   | Some { answer = Some r; _ } -> r
@@ -285,11 +325,7 @@ let rec plan_stream ~ctx db plan : Schema.t * Tuple.t Seq.t =
     (schema, seq)
   | Plan.Project (sub, kept) ->
     let sschema, sseq = plan_stream ~ctx db sub in
-    let kept_set = Hashtbl.create (List.length kept) in
-    List.iter (fun v -> Hashtbl.replace kept_set v ()) kept;
-    let target = Schema.restrict sschema ~keep:(Hashtbl.mem kept_set) in
-    if Schema.arity target <> Hashtbl.length kept_set then
-      invalid_arg "Exec: projection keeps a variable absent from its input";
+    let target = kept_schema sschema kept in
     let pos = Schema.positions target sschema in
     tick ctx;
     let seen = Seen.create 64 in
@@ -404,7 +440,7 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore)
     let schema = Schema.of_list cq.Cq.free in
     Cursor.of_iter ~schema
       (observe_first ~ctx (fun emit ->
-           let tried = run_attempt ~ctx db cq bound in
+           let tried = replay_attempt ~ctx db cq bound in
            on_attempt tried;
            match tried.answer with
            | Some r ->

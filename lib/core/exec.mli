@@ -76,7 +76,11 @@ type attempt = {
   bindings : int;  (** bindings the generic join charged *)
   answer : Relalg.Relation.t option;
       (** the answer, over the free variables in head order; [None] when
-          the allowance ran out *)
+          the allowance ran out, or the attempt was skipped *)
+  skipped : bool;
+      (** the attempt did not run: an earlier run of the same artifact
+          ran out within at least this allowance (then [bindings] is 0
+          and [answer] [None]) *)
 }
 (** The gate's attempt. When the comparison picks bucket or ghd for a
     gated artifact ([Gated] with its plan, [Decomposed] with a [Bucket]
@@ -95,13 +99,21 @@ type attempt = {
     half of that budget left. The attempt can trip the tuple budget or
     the cardinality cap only in its scans, which every route makes (its
     answer has no more rows than it made bindings). An exhausted attempt
-    has charged its scans and exactly [allowance] bindings. *)
+    has charged its scans and exactly [allowance] bindings.
+
+    {!materialize} and {!stream} record the largest allowance the
+    attempt ran out within in the artifact's analysis
+    ({!Ghd.analysis.ran_out}); the search is deterministic, so a later
+    run whose allowance is no larger skips the attempt — charging
+    nothing for it — and runs the route at once. *)
 
 val attempt :
   ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   compiled -> attempt option
 (** Run the artifact's attempt alone under the context; [None] when it
-    has none. {!materialize} and {!stream} run it before their route. *)
+    has none. It always runs, whatever earlier runs recorded, and
+    records nothing. {!materialize} and {!stream} run it before their
+    route, unless it is skipped. *)
 
 val run :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
@@ -117,7 +129,12 @@ val run :
     from them. With telemetry in the context, every plan node opens a
     [plan.join]/[plan.project] span and every operator a nested [op.*]
     span, so the resulting trace mirrors the plan tree (see
-    {!Telemetry}). Boolean plans (empty schema) evaluate to the
+    {!Telemetry}). A projection of a join runs as one fused kernel,
+    {!Relalg.Ops.join_project}, which never writes the join: the join
+    node is still observed, with the join's size, before its projection,
+    and its [plan.join] span, inside [plan.project], holds the kernel's
+    [op.join.project] span. That kernel runs sequentially under a pool;
+    the other joins may run partitioned. Boolean plans (empty schema) evaluate to the
     0-ary relation containing the empty tuple when the join is nonempty
     and to the empty relation otherwise.
     @raise Relalg.Limits.Abort when a resource guard trips.

@@ -27,6 +27,7 @@ type analysis = {
   induced_width : int;
   domain_estimate : int;
   binary_bound_log2 : float;
+  ran_out : int Atomic.t;
 }
 
 type prep = {
@@ -215,6 +216,7 @@ let analyze ?rng ?agm db cq =
     domain_estimate = d;
     binary_bound_log2 =
       float_of_int (induced_width + 1) *. Float.log2 (float_of_int (max 2 d));
+    ran_out = Atomic.make (-1);
   }
 
 (* fhtw-scale cost: the largest bag materialization, bounded per bag by
@@ -278,29 +280,34 @@ let prepare ?rng ?agm db cq = decompose ?rng db cq (analyze ?rng ?agm db cq)
 
 let materialize_bag ~ctx ~rels ~assignment htd b =
   let lambda = htd.Hypertree.lambda.(b) in
-  let joined =
-    match lambda with
-    | [] -> invalid_arg "Ghd: bag with an empty cover"
-    | e0 :: rest ->
-      List.fold_left
-        (fun acc e -> Ops.natural_join ~ctx acc rels.(e))
-        rels.(e0) rest
-  in
-  (* Enforce the assigned atoms that are not already join factors: their
+  let chi = htd.Hypertree.chi.(b) in
+  let target schema = Schema.restrict schema ~keep:(fun v -> Iset.mem v chi) in
+  (* The assigned atoms that are not already join factors: their
      variables all lie inside the joined schema, so a semijoin filters
      exactly the tuples violating them. Without this, the projected bag
      is a superset and the sweeps would overcount. *)
-  let joined = ref joined in
-  Array.iteri
-    (fun j b' ->
-      if b' = b && not (List.mem j lambda) then
-        joined := Ops.semijoin ~ctx !joined rels.(j))
-    assignment;
-  let chi = htd.Hypertree.chi.(b) in
-  let target =
-    Schema.restrict (Relation.schema !joined) ~keep:(fun v -> Iset.mem v chi)
+  let filters =
+    List.filter_map
+      (fun (j, b') -> if b' = b && not (List.mem j lambda) then Some rels.(j) else None)
+      (List.mapi (fun j b' -> (j, b')) (Array.to_list assignment))
   in
-  Ops.project ~ctx !joined target
+  let join_all = function
+    | [] -> invalid_arg "Ghd: bag with an empty cover"
+    | e0 :: rest ->
+      List.fold_left (fun acc e -> Ops.natural_join ~ctx acc rels.(e)) rels.(e0) rest
+  in
+  match (List.rev lambda, filters) with
+  | last :: (_ :: _ as before), [] ->
+    (* No filter between the last cover join and the projection: fuse
+       them, so the bag's full join is never written. *)
+    let left = join_all (List.rev before) and right = rels.(last) in
+    Ops.join_project ~ctx left right
+      (target (Schema.union (Relation.schema left) (Relation.schema right)))
+  | _ ->
+    let joined =
+      List.fold_left (fun acc f -> Ops.semijoin ~ctx acc f) (join_all lambda) filters
+    in
+    Ops.project ~ctx joined (target (Relation.schema joined))
 
 (* Shared front half of both evaluation modes: validate the prep, tick
    fuel, and materialize every bag (inside the given [span]). *)

@@ -31,6 +31,16 @@ type analysis = {
   domain_estimate : int;  (** max per-column distinct values over atoms *)
   binary_bound_log2 : float;
       (** bucket-elimination worst case, [(induced_width + 1) * log2 d] *)
+  ran_out : int Atomic.t;
+      (** the largest allowance within which the generic join along
+          [var_order] has run out on an artifact carrying this analysis,
+          [-1] until one has. The search is deterministic, so it runs
+          out again within any allowance up to this one: a replay of the
+          artifact skips its attempt then (see [Exec.attempt]). The
+          one field that is run state, not analysis: a [Deferred]
+          artifact's resolved prep shares it, and two analyses compared
+          with [=] compare it too. An [Atomic.t], not a closure, so an
+          artifact still Marshals *)
 }
 (** The gate's shared analysis: everything but the decomposition. *)
 
@@ -41,8 +51,9 @@ val analyze :
   Conjunctive.Cq.t ->
   analysis
 (** MCS order (ties broken by [rng]), induced width, domain estimate, AGM
-    cover and binary bound. Pure — touches only relation contents, never
-    runs a join — and far cheaper than {!search}. [agm], when given, is
+    cover and binary bound, with nothing yet run out. Pure — touches only
+    relation contents, never runs a join — and far cheaper than
+    {!search}. [agm], when given, is
     the query's cover already computed against the same database (the
     serving layer's admission pricing computes it first); it is used
     as-is instead of being computed again. *)

@@ -45,13 +45,13 @@ let sweeps ?ctx ~parent ~order ~vars ~free rels =
       let p = parent.(i) in
       if p < 0 then components := rels.(i) :: !components
       else begin
-        let joined = Ops.natural_join ?ctx rels.(p) rels.(i) in
         let keep = needed_later () in
         let target =
-          Schema.restrict (Relation.schema joined) ~keep:(fun v ->
-              Iset.mem v keep)
+          Schema.restrict
+            (Schema.union (Relation.schema rels.(p)) (Relation.schema rels.(i)))
+            ~keep:(fun v -> Iset.mem v keep)
         in
-        rels.(p) <- Ops.project ?ctx joined target
+        rels.(p) <- Ops.join_project ?ctx rels.(p) rels.(i) target
       end)
     order;
   let project_free rel =

@@ -7,11 +7,10 @@
    inserting hashes a candidate exactly once and stores nothing but the
    row number.
 
-   The index is lazy. Operators that cannot produce a duplicate (join,
-   semijoin, selection) [extend] the arena and fill rows without hashing
-   them; the index is allocated on the first [add], [mem] or
-   [commit_staged] and caught up incrementally from row [indexed] on
-   every later one.
+   The index is lazy. Kernels [extend] the arena and fill rows without
+   hashing them (projection dedups before it writes, in its own index);
+   the index is allocated on the first [add] or [mem] and caught up
+   incrementally from row [indexed] on every later one.
 
    Cells are copied with plain [int array] loops, never blits: on OCaml 5
    a blit into a major-heap array runs the write barrier on every cell,
@@ -155,41 +154,6 @@ let add t (tup : int array) =
     t.indexed <- t.count;
     true
   end
-
-(* Reserve room for one row and return its base offset; the caller fills
-   data.(base..base+arity-1) then calls [commit_staged]. Lets the
-   projection kernel build candidate tuples in place with zero scratch
-   copies. *)
-let stage t =
-  grow_data t (t.count + 1);
-  t.count * t.arity
-
-let commit_staged t =
-  sync_index t (t.count + 1);
-  let row = t.count in
-  let base = row * t.arity in
-  let rec go i =
-    let s = Array.unsafe_get t.slots i in
-    if s = 0 then begin
-      t.slots.(i) <- row + 1;
-      t.count <- row + 1;
-      t.indexed <- t.count;
-      true
-    end
-    else if
-      (* compare staged row against resident row s-1, both in the arena *)
-      let rbase = (s - 1) * t.arity in
-      let rec eq j =
-        j >= t.arity
-        || Array.unsafe_get t.data (rbase + j)
-           = Array.unsafe_get t.data (base + j)
-           && eq (j + 1)
-      in
-      eq 0
-    then false
-    else go ((i + 1) land t.mask)
-  in
-  go (hash_row t row land t.mask)
 
 (* Claim [n] rows at once for the caller to fill in place, resizing
    [data] to exactly [count + n] rows when it holds fewer (no doubling

@@ -9,8 +9,8 @@
     candidate tuple exactly once and allocates nothing.
 
     The index is built lazily. Rows claimed with {!extend} and filled in
-    place are not hashed at all; the first {!add}, {!mem} or
-    {!commit_staged} allocates the index (sized from the data capacity,
+    place are not hashed at all; the first {!add} or {!mem} allocates
+    the index (sized from the data capacity,
     so filling an arena through {!add} rehashes no more often than its
     data grows), and every later one first indexes the rows filled
     since. An arena that is only ever extended and filled never pays
@@ -67,25 +67,14 @@ val copy : t -> t
     once; two different pairs differ in their [r] columns or, agreeing
     on the shared columns, in [s]'s remaining ones. A semijoin, an
     antijoin and a selection each keep a subset of the rows of one
-    relation. Projection and union can collapse rows, so they build each
-    candidate with {!stage} and keep it with {!commit_staged}, which
-    probes the dedup index. *)
+    relation. Projection can collapse rows, so it finds its distinct
+    rows first, in an index of its own over its input's columns, and
+    then extends and fills exactly those; union goes through {!add}. *)
 
 val data : t -> int array
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
     meaningful; treat as read-only. The array is replaced wholesale when
     the arena grows, so re-fetch it after any insert. *)
-
-val stage : t -> int
-(** Reserve space for one candidate row and return its base offset into
-    {!data}. The caller writes the [arity] cells at that offset, then
-    calls {!commit_staged}. Staging again without committing simply
-    overwrites the candidate. *)
-
-val commit_staged : t -> bool
-(** Dedup-insert the staged row: hashes it in place, returns [true] (and
-    keeps the row) if it was new, [false] (row space is reused) if an
-    equal row already exists. *)
 
 val extend : t -> int -> int
 (** [extend t n] adds [n] rows to {!count} at once and returns the base
@@ -98,8 +87,8 @@ val extend : t -> int -> int
     array is not replaced again until the arena next grows, so disjoint
     row ranges of the new rows may be filled concurrently from several
     domains: the partitioned join fills one shard's output per range.
-    The new rows are left out of the dedup index until the next {!add},
-    {!mem} or {!commit_staged} catches it up.
+    The new rows are left out of the dedup index until the next {!add}
+    or {!mem} catches it up.
 
     Precondition: the filled rows are pairwise distinct and equal no row
     already stored. Nothing checks this; breaking it leaves a duplicate

@@ -77,11 +77,11 @@ val check_deadline : t -> unit
 val set_hook : t -> hook option -> unit
 (** Install (or clear) the fault-injection hook. The hook runs after
     each {!charge} call, not after each tuple. The natural join,
-    semijoin, antijoin and selections settle their whole output with
-    {!charge_rows}, in at most two calls, before writing a row; so a
-    hook that fires once [k] tuples are charged, with [k] inside one such
-    operator's output, fires before that operator writes a row, and
-    {!total_charged} may then exceed [k]. Projection, union and the
+    semijoin, antijoin, selections and projections settle their whole
+    output with {!charge_rows}, in at most two calls, before writing a
+    row; so a hook that fires once [k] tuples are charged, with [k]
+    inside one such operator's output, fires before that operator writes
+    a row, and {!total_charged} may then exceed [k]. Union and the
     explicit equijoin still charge each kept row in its own call. *)
 
 val total_charged : t -> int

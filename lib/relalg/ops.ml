@@ -79,24 +79,28 @@ let span telemetry name =
 
 let fanout_bounds = [| 0.05; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 32.0; 128.0 |]
 
-let finish_join sp r s out =
+(* [joined]: the join's size, when a fused kernel projected it without
+   writing it; [out] is then the projection. *)
+let finish_join ?joined sp r s out =
   match sp with
   | None -> ()
   | Some (t, sp) ->
     let left = Relation.cardinality r and right = Relation.cardinality s in
     let produced = Relation.cardinality out in
     Telemetry.Span.add_attrs sp
-      [
-        ("rows.left", Telemetry.Attr.Int left);
-        ("rows.right", Telemetry.Attr.Int right);
-        ("rows.out", Telemetry.Attr.Int produced);
-        ("arity.out", Telemetry.Attr.Int (Relation.arity out));
-        ("hash.probes", Telemetry.Attr.Int (max left right));
-      ];
+      ([
+         ("rows.left", Telemetry.Attr.Int left);
+         ("rows.right", Telemetry.Attr.Int right);
+         ("rows.out", Telemetry.Attr.Int produced);
+         ("arity.out", Telemetry.Attr.Int (Relation.arity out));
+         ("hash.probes", Telemetry.Attr.Int (max left right));
+       ]
+      @ Option.fold joined ~none:[] ~some:(fun n -> [ ("rows.join", Telemetry.Attr.Int n) ]));
     Telemetry.Metrics.observe
       (Telemetry.Metrics.histogram ~bounds:fanout_bounds (Telemetry.metrics t)
          "ops.join_fanout")
-      (float_of_int produced /. float_of_int (max 1 (max left right)));
+      (float_of_int (Option.value joined ~default:produced)
+      /. float_of_int (max 1 (max left right)));
     Telemetry.stop t sp
 
 let finish_unary sp r out =
@@ -258,7 +262,11 @@ let fill_row f row r_row s_row =
   done;
   poll_fill f.limits row
 
-let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+(* A join's build index and count pass, before any row is written:
+   [(build_on_r, next, heads, size)], where [heads.(prow)] is probe row
+   [prow]'s chain head in [next] ([-1]: no match), [size] the join's
+   exact row count and [build_on_r] whether the build rows are [r]'s. *)
+let count_join ~ar ~as_ ~key_r ~key_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
   let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
   let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
@@ -268,9 +276,9 @@ let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
   let slots, mask, next, lens =
     build_key_index ~chain_lengths:true db wb key_b nb
   in
-  (* Count pass: each probe row's chain head ([-1]: no match), and the
-     output size as the sum of the matched keys' row counts. *)
-  let heads = Array.make (max 1 np) (-1) in
+  (* Each probe row's chain head, and the output size as the sum of the
+     matched keys' row counts. *)
+  let heads = Array.make np (-1) in
   let size = ref 0 in
   let matched prow head =
     Array.unsafe_set heads prow head;
@@ -308,8 +316,12 @@ let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
         else i := (!i + 1) land mask
       done
     done;
+  (build_on_r, next, heads, !size)
+
+let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+  let build_on_r, next, heads, size = count_join ~ar ~as_ ~key_r ~key_s in
   (* Fill pass: follow the recorded heads. *)
-  let f = join_fill limits aout ~ar ~as_ ~rest_s !size in
+  let f = join_fill limits aout ~ar ~as_ ~rest_s size in
   let row = ref 0 in
   let rec fill_chain brow prow =
     if brow >= 0 then begin
@@ -319,7 +331,7 @@ let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       fill_chain (Array.unsafe_get next brow) prow
     end
   in
-  for prow = 0 to np - 1 do
+  for prow = 0 to Array.length heads - 1 do
     fill_chain (Array.unsafe_get heads prow) prow
   done
 
@@ -602,30 +614,152 @@ let equijoin ?(ctx = Ctx.null) ~on r s =
   finish_join sp r s out;
   out
 
+(* ------------------------------------------------------------------ *)
+(* Dedup kernel: count, settle, fill.
+
+   Projection collapses rows, so its output size is known only once
+   duplicates are found. A candidate row is named by a pair of input
+   rows, [a] of [da] and [b] of [db] (widths [wa], [wb]); its columns
+   are the [ka] columns of the [a] row and the [kb] columns of the [b]
+   row. [dedup] offers every candidate [offer] yields (at most [n]) to
+   an index that hashes those columns straight out of the inputs — its
+   slots hold [i + 1] for the [i]-th distinct candidate — and returns
+   the distinct candidates' pairs in first-occurrence order, so nothing
+   is written until every duplicate is dropped. When no column is kept
+   from the [b] side (a lone projection has none), its rows are not
+   recorded. *)
+let dedup ~da ~wa ~ka ~db ~wb ~kb n offer =
+  let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
+  let mask = slot_len - 1 and slots = Array.make slot_len 0 in
+  let first_a = Array.make n 0 in
+  let keep_b = Array.length kb > 0 in
+  let first_b = if keep_b then Array.make n 0 else [||] in
+  let kept = ref 0 in
+  offer (fun a b ->
+      let abase = a * wa and bbase = b * wb in
+      let h = ref fnv_seed in
+      for k = 0 to Array.length ka - 1 do
+        h := (!h lxor Array.unsafe_get da (abase + Array.unsafe_get ka k)) * fnv_prime
+      done;
+      for k = 0 to Array.length kb - 1 do
+        h := (!h lxor Array.unsafe_get db (bbase + Array.unsafe_get kb k)) * fnv_prime
+      done;
+      let i = ref (!h land mask) in
+      let probing = ref true in
+      while !probing do
+        let s = Array.unsafe_get slots !i in
+        if s = 0 then begin
+          Array.unsafe_set first_a !kept a;
+          if keep_b then Array.unsafe_set first_b !kept b;
+          incr kept;
+          Array.unsafe_set slots !i !kept;
+          probing := false
+        end
+        else if
+          keys_equal da (Array.unsafe_get first_a (s - 1) * wa) ka da abase ka
+          && ((not keep_b)
+             || keys_equal db (Array.unsafe_get first_b (s - 1) * wb) kb db bbase kb)
+        then probing := false
+        else i := (!i + 1) land mask
+      done);
+  (first_a, first_b, !kept)
+
+(* Settle the [kept] distinct candidates into the fresh output [aout]
+   and gather them: output column [j] is column [cols.(j)] of the [a]
+   row, or column [-cols.(j) - 1] of the [b] row when negative. *)
+let gather limits aout ~da ~wa ~db ~wb cols (first_a, first_b, kept) =
+  let base = settle limits aout kept in
+  let od = Arena.data aout and w = Arena.arity aout in
+  for i = 0 to kept - 1 do
+    let cell = base + (i * w) in
+    let abase = Array.unsafe_get first_a i * wa in
+    let bbase = if Array.length first_b = 0 then 0 else Array.unsafe_get first_b i * wb in
+    for j = 0 to w - 1 do
+      let c = Array.unsafe_get cols j in
+      Array.unsafe_set od (cell + j)
+        (if c >= 0 then Array.unsafe_get da (abase + c)
+         else Array.unsafe_get db (bbase - c - 1))
+    done;
+    poll_fill limits i
+  done
+
 let project ?(ctx = Ctx.null) r sub =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
   let sp = span (Ctx.telemetry ctx) "op.project" in
   tick limits;
   Option.iter Stats.record_projection stats;
   let positions = Schema.positions sub (Relation.schema r) in
-  let out = Relation.create ~size_hint:(max 16 (Relation.cardinality r)) sub in
-  (* Gather the kept columns of each row straight into a staged output
-     row — no intermediate tuple. *)
-  let ain = Relation.arena r and aout = Relation.arena out in
-  let d = Arena.data ain and w = Arena.arity ain in
-  let np = Array.length positions in
-  for row = 0 to Arena.count ain - 1 do
-    let base = row * w in
-    let obase = Arena.stage aout in
-    let od = Arena.data aout in
-    for k = 0 to np - 1 do
-      Array.unsafe_set od (obase + k)
-        (Array.unsafe_get d (base + Array.unsafe_get positions k))
-    done;
-    if Arena.commit_staged aout then charge_new limits out
-  done;
+  let ain = Relation.arena r in
+  let da = Arena.data ain and wa = Arena.arity ain and n = Arena.count ain in
+  let distinct =
+    dedup ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] n (fun add ->
+        for row = 0 to n - 1 do
+          add row 0;
+          poll_fill limits row
+        done)
+  in
+  let out = Relation.create ~size_hint:0 sub in
+  gather limits (Relation.arena out) ~da ~wa ~db:[||] ~wb:0 positions distinct;
   note_result stats limits out;
   finish_unary sp r out;
+  out
+
+(* The fused join and projection: [natural_join]'s build index and count
+   pass give the join's exact size, which is settled, recorded and
+   reported as the unfused join would be; then the recorded chains are
+   walked once, every match is offered to the dedup index as its pair
+   of input rows, and only the distinct projected rows are written.
+   Sequential under any pool, so its rows come out in the sequential
+   join's order at every pool size. *)
+let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
+  let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
+  let sp = span (Ctx.telemetry ctx) "op.join.project" in
+  tick limits;
+  Option.iter Stats.record_join stats;
+  let sr = Relation.schema r and ss = Relation.schema s in
+  let common = Schema.inter sr ss in
+  let ar = Relation.arena r and as_ = Relation.arena s in
+  let build_on_r, next, heads, n =
+    count_join ~ar ~as_ ~key_r:(Schema.positions common sr)
+      ~key_s:(Schema.positions common ss)
+  in
+  Option.iter (fun l -> Limits.charge_rows l n) limits;
+  Option.iter
+    (fun st ->
+      Stats.record_relation st ~arity:(Schema.arity (Schema.union sr ss)) ~cardinality:n)
+    stats;
+  on_join n;
+  tick limits;
+  Option.iter Stats.record_projection stats;
+  let da = Arena.data ar and wa = Arena.arity ar in
+  let db = Arena.data as_ and wb = Arena.arity as_ in
+  let distinct =
+    dedup ~da ~wa ~db ~wb n
+      ~ka:(Schema.positions (Schema.restrict sub ~keep:(Schema.mem sr)) sr)
+      ~kb:(Schema.positions (Schema.diff sub sr) ss)
+      (fun add ->
+        let walked = ref 0 in
+        let rec walk brow prow =
+          if brow >= 0 then begin
+            if build_on_r then add brow prow else add prow brow;
+            poll_fill limits !walked;
+            incr walked;
+            walk (Array.unsafe_get next brow) prow
+          end
+        in
+        for prow = 0 to Array.length heads - 1 do
+          walk (Array.unsafe_get heads prow) prow
+        done)
+  in
+  let cols =
+    Array.map
+      (fun a -> if Schema.mem sr a then Schema.index sr a else -Schema.index ss a - 1)
+      (Schema.to_array sub)
+  in
+  let out = Relation.create ~size_hint:0 sub in
+  gather limits (Relation.arena out) ~da ~wa ~db ~wb cols distinct;
+  note_result stats limits out;
+  finish_join ~joined:n sp r s out;
   out
 
 let project_away ?ctx r dropped =

@@ -21,12 +21,16 @@
     natural join, semijoin, antijoin and every selection ([select],
     [inter], [diff]) — count the rows they keep, settle their charges
     with one {!Limits.charge_rows}, claim them with one {!Arena.extend}
-    and fill them with plain int loops, with no dedup probe. The settle
+    and fill them with plain int loops, with no dedup probe. Projection
+    and the fused {!join_project} count too: they index the kept columns
+    straight out of their inputs, keep each row's first occurrence, then
+    settle and fill the distinct rows the same way. The settle
     commits the same total and raises the same reason as charging each
     row as it is kept would, before the output is sized or a row
     written; the {!Limits} hook runs after each of its (at most two)
-    charges, and fills poll the deadline every 1024 rows. Projection,
-    union and rename deduplicate, charging each kept row.
+    charges, and fills poll the deadline every 1024 rows. Union, rename
+    and the explicit equijoin deduplicate row by row, charging each kept
+    row.
 
     @raise Limits.Abort when a guard trips (see {!Limits.reason}). *)
 
@@ -71,7 +75,34 @@ val equijoin :
 
 val project : ?ctx:Ctx.t -> Relation.t -> Schema.t -> Relation.t
 (** [project r s] keeps the columns of [s] (in [s]'s order), eliminating
-    duplicates. @raise Not_found if [s] is not a subset of [r]'s schema. *)
+    duplicates; rows come out in the order of their first occurrence in
+    [r]. The kernel counts, settles, then fills: a dedup index over the
+    kept columns, read in place from [r]'s arena, marks each distinct
+    row's first occurrence; {!Limits.charge_rows} settles the distinct
+    count, the output is extended once by exactly that many rows, and a
+    gather writes them. Traced as [op.project].
+    @raise Not_found if [s] is not a subset of [r]'s schema. *)
+
+val join_project :
+  ?ctx:Ctx.t -> ?on_join:(int -> unit) -> Relation.t -> Relation.t ->
+  Schema.t -> Relation.t
+(** [join_project r s sub] is [project (natural_join r s) sub], row for
+    row and in the same order as with no pool, without writing the
+    join. {!natural_join}'s build index and count pass give the join's
+    exact size [n]; the kernel then settles the join as the unfused pair
+    would — a fuel tick, {!Limits.charge_rows} [n] (a doomed join raises
+    here), one {!Stats.record_join} and a {!Stats.record_relation} of
+    arity [|r ∪ s|] and cardinality [n] — and calls [on_join n]. Then,
+    as the projection, it ticks again, records a projection and walks
+    the join's matches once, offering each one's kept columns, read
+    straight from its [r] and [s] rows, to {!project}'s dedup index;
+    only the distinct rows are settled and written. So the stats,
+    charges, fuel and abort reason are the unfused pair's, though the
+    join's [n] rows are charged and recorded but never materialized.
+    It runs sequentially whatever pool the context holds. Traced as
+    [op.join.project], with the join's size as [rows.join].
+    @raise Not_found if [sub] is not a subset of [r]'s and [s]'s
+    attributes. *)
 
 val project_away : ?ctx:Ctx.t -> Relation.t -> Schema.attr list -> Relation.t
 (** Drop the listed attributes, keeping the rest in relation order.

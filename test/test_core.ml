@@ -1205,10 +1205,10 @@ let test_attempt_outcomes () =
     let db, cq = List.assoc name paper_batch_instances in
     let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
     match Exec.attempt db cq compiled with
-    | Some { Exec.answer = Some _; bindings; allowance } ->
+    | Some { Exec.answer = Some _; bindings; allowance; _ } ->
       check_bool (name ^ ": within the allowance") true (bindings <= allowance);
       "answered"
-    | Some { Exec.answer = None; bindings; allowance } ->
+    | Some { Exec.answer = None; bindings; allowance; _ } ->
       check_int (name ^ ": all of it spent") allowance bindings;
       "exhausted"
     | None -> "none"
@@ -1280,7 +1280,9 @@ let test_attempt_charge () =
     [ ("fig6", Driver.Ghd); ("fig6", Driver.Wcoj); ("fig8", Driver.Ghd);
       ("fig8", Driver.Wcoj) ]
 
-(* A pool changes neither the outcome nor a row of the answer. *)
+(* A pool changes neither the outcome nor a row of the answer. Each run
+   has an artifact of its own: a replay would skip an attempt that ran
+   out on the first. *)
 let test_attempt_jobs () =
   let pool = Parallel.Pool.create ~num_domains:2 () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
@@ -1288,8 +1290,8 @@ let test_attempt_jobs () =
     (fun (name, (db, cq)) ->
       List.iter
         (fun meth ->
-          let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
           let run ?pool () =
+            let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
             let limits = Limits.create ~max_tuples:300_000 ~max_total:3_000_000 () in
             let o =
               Driver.run ~compiled ~ctx:(Relalg.Ctx.create ?pool ~limits ()) meth db cq
@@ -1311,6 +1313,11 @@ let charged f =
   let limits = Limits.create () in
   let r = f (Relalg.Ctx.create ~limits ()) in
   (r, Limits.total_charged limits)
+
+(* Preps compared as the search computed them: the analysis's record of
+   exhausted attempts is run state, so a fresh prep's is left out. *)
+let same_prep (p : Ghd.prep) (q : Ghd.prep) =
+  { p with analysis = { p.analysis with ran_out = q.analysis.ran_out } } = q
 
 let deferred_attempt db cq compiled =
   match (compiled, Exec.attempt db cq compiled) with
@@ -1352,7 +1359,7 @@ let prop_deferred_matches_oracle =
       let prep_ok =
         match resolved with
         | Driver.Decomposed (prep, plan) ->
-          prep = Ghd.prepare ~rng:(rng seed) db cq
+          same_prep prep (Ghd.prepare ~rng:(rng seed) db cq)
           && (plan <> None) = (prep.Ghd.decision = Ghd.Bucket)
         | _ -> false
       in
@@ -1393,6 +1400,149 @@ let test_deferred_race () =
     check_bool (Printf.sprintf "round %d: the route's answer" round) true
       (snd mine = head_rows cq (Ghd.evaluate db cq))
   done
+
+(* A replay of an artifact whose attempt ran out skips it: the same
+   answer, no bindings, and a charge lower by exactly the attempt's
+   (its scans and its allowance). A larger allowance tries again. *)
+let test_attempt_skipped_on_replay () =
+  List.iter
+    (fun (name, meth) ->
+      let db, cq = List.assoc name paper_batch_instances in
+      let label what = Printf.sprintf "%s %s: %s" name (Driver.method_name meth) what in
+      let run_twice compiled =
+        let run () =
+          let heard = ref None in
+          let r, total =
+            charged (fun ctx ->
+                Exec.materialize ~ctx ~on_attempt:(fun a -> heard := Some a) db cq compiled)
+          in
+          (head_rows cq r, total, !heard)
+        in
+        let first = run () in
+        (first, run ())
+      in
+      let compiled = Driver.prepare ~rng:(rng 1000) meth db cq in
+      let _, attempt_charge = charged (fun ctx -> Exec.attempt ~ctx db cq compiled) in
+      let (rows, total, first), (rows', total', second) = run_twice compiled in
+      (match first with
+      | Some { Exec.answer = None; skipped = false; bindings; allowance } ->
+        check_int (label "the first attempt runs out") allowance bindings
+      | _ -> Alcotest.fail (label "the first run's attempt should run out"));
+      (match second with
+      | Some { Exec.skipped = true; bindings; answer; _ } ->
+        check_int (label "no bindings on the replay") 0 bindings;
+        check_bool (label "no answer from it") true (answer = None)
+      | _ -> Alcotest.fail (label "the replay's attempt should be skipped"));
+      check_bool (label "the same answer") true (rows = rows');
+      check_int (label "lower by exactly the attempt's charge") attempt_charge
+        (total - total');
+      (* A stream of the same artifact skips it too. *)
+      let streamed = ref None in
+      let cur =
+        Exec.stream ~ctx:(Relalg.Ctx.create ~limits:(Limits.create ()) ())
+          ~on_attempt:(fun a -> streamed := Some a.Exec.skipped) db cq compiled
+      in
+      check_bool (label "the stream's answer") true
+        (head_rows cq (Relalg.Cursor.to_relation cur) = rows);
+      check_bool (label "the stream skips it") true (!streamed = Some true);
+      (* A deferred artifact's resolved form shares its analysis, and so
+         the record: it skips an attempt no larger than the one that ran
+         out. *)
+      (match (compiled, first) with
+      | Driver.Deferred _, Some { Exec.allowance = ran_out; _ } -> (
+        let (_, _, resolved), _ = run_twice (Exec.resolve db cq compiled) in
+        match resolved with
+        | Some { Exec.skipped; allowance; _ } ->
+          check_bool (label "resolved: skipped within the record") (allowance <= ran_out)
+            skipped
+        | None -> ())
+      | _ -> ());
+      (* An allowance that grows tries again: a first run under a budget
+         that halves it, then one under the default budget. *)
+      let fresh = Driver.prepare ~rng:(rng 1000) meth db cq in
+      let small = scan_charge db cq + 8 in
+      let skipped limits =
+        let heard = ref None in
+        (try
+           ignore
+             (Exec.materialize ~ctx:(Relalg.Ctx.create ~limits ())
+                ~on_attempt:(fun a -> heard := Some a.Exec.skipped) db cq fresh)
+         with Limits.Abort _ -> ());
+        !heard
+      in
+      check_bool (label "a small allowance runs out") true
+        (skipped (Limits.create ~max_total:small ()) = Some false);
+      check_bool (label "a larger one tries again") true
+        (skipped (Limits.create ()) = Some false);
+      check_bool (label "then a smaller one skips") true
+        (skipped (Limits.create ~max_total:small ()) = Some true))
+    [ ("fig6", Driver.Ghd); ("fig6", Driver.Wcoj); ("fig8", Driver.Ghd);
+      ("fig8", Driver.Wcoj) ]
+
+(* Driver.run names a skipped attempt on its exec span and counts it. *)
+let test_attempt_skipped_label () =
+  let db, cq = List.assoc "fig6" paper_batch_instances in
+  let compiled = Driver.prepare ~rng:(rng 1000) Driver.Ghd db cq in
+  let labels =
+    List.init 2 (fun _ ->
+        let sink, spans = Telemetry.Sink.memory () in
+        let t = Telemetry.create sink in
+        ignore (Driver.run ~compiled ~ctx:(Relalg.Ctx.create ~telemetry:t ()) Driver.Ghd db cq);
+        Telemetry.close t;
+        List.filter_map
+          (fun s ->
+            if Telemetry.Span.name s = "exec:ghd" then Telemetry.Span.attr s "gate.attempt"
+            else None)
+          (spans ()))
+  in
+  check_bool "exhausted, then skipped" true
+    (labels
+    = [ [ Telemetry.Attr.String "exhausted" ]; [ Telemetry.Attr.String "skipped" ] ])
+
+(* The fused join-project kernel leaves [Exec.run] observing what the
+   unfused evaluation does: every node, the join under a projection
+   with the join's size, in post-order, and the same answer row for
+   row. *)
+let rec unfused_run ~observe db plan =
+  let result =
+    match plan with
+    | Plan.Atom atom -> Conjunctive.Database.eval_atom db atom
+    | Plan.Join (l, r) ->
+      let rl = unfused_run ~observe db l in
+      let rr = unfused_run ~observe db r in
+      Relalg.Ops.natural_join rl rr
+    | Plan.Project (sub, kept) ->
+      let rs = unfused_run ~observe db sub in
+      Relalg.Ops.project rs
+        (Relalg.Schema.restrict (Relation.schema rs) ~keep:(fun v -> List.mem v kept))
+  in
+  observe plan (Relation.cardinality result);
+  result
+
+let binary_methods =
+  Driver.
+    [
+      Naive Naive.default_search; Straightforward; Early_projection; Reorder;
+      Bucket_elimination; Minibucket 2; Hybrid;
+    ]
+
+let prop_fused_observations =
+  qtest ~count:100 "fused run observes as the unfused one"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let db, cq = random_instance seed in
+      List.for_all
+        (fun meth ->
+          let plan = Driver.compile ~rng:(rng seed) meth db cq in
+          let seen f =
+            let acc = ref [] in
+            let r = f (fun node n -> acc := (node, n) :: !acc) in
+            (List.init (Relation.cardinality r) (Relalg.Arena.read (Relation.arena r)),
+             List.rev !acc)
+          in
+          seen (fun observe -> Exec.run ~observe db plan)
+          = seen (fun observe -> unfused_run ~observe db plan))
+        binary_methods)
 
 let () =
   Alcotest.run "core"
@@ -1452,6 +1602,9 @@ let () =
           prop_deferred_matches_oracle;
           Alcotest.test_case "deferred: both outcomes" `Quick test_deferred_outcomes;
           Alcotest.test_case "deferred: racing domains" `Quick test_deferred_race;
+          Alcotest.test_case "skipped on replay" `Quick test_attempt_skipped_on_replay;
+          Alcotest.test_case "skipped: exec span label" `Quick test_attempt_skipped_label;
+          prop_fused_observations;
         ] );
       ( "method agreement",
         [

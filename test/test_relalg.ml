@@ -467,35 +467,27 @@ let test_arena_many_rows () =
   let sum = Arena.fold (fun row acc -> acc + row.(0)) a 0 in
   check_int "fold visits every row" (n * (n - 1) / 2) sum
 
-let test_arena_staged_commit () =
-  let a = Arena.create 3 in
-  let base = Arena.stage a in
-  let data = Arena.data a in
-  data.(base) <- 1;
-  data.(base + 1) <- 2;
-  data.(base + 2) <- 3;
-  check_bool "committed" true (Arena.commit_staged a);
-  let base = Arena.stage a in
-  let data = Arena.data a in
-  data.(base) <- 1;
-  data.(base + 1) <- 2;
-  data.(base + 2) <- 3;
-  check_bool "staged duplicate dropped" false (Arena.commit_staged a);
-  check_int "count" 1 (Arena.count a);
-  check_bool "mem" true (Arena.mem a [| 1; 2; 3 |])
+(* Projection's dedup: the first of two rows equal on the kept columns
+   is kept, the second dropped. *)
+let test_project_dedup () =
+  let sub = Schema.of_list [ 0; 1; 2 ] in
+  let projected rows = Ops.project (relation [ 0; 1; 2; 3 ] rows) sub in
+  check_int "kept" 1 (Relation.cardinality (projected [ [ 1; 2; 3; 0 ] ]));
+  let r = projected [ [ 1; 2; 3; 0 ]; [ 1; 2; 3; 1 ] ] in
+  check_int "duplicate dropped: count" 1 (Relation.cardinality r);
+  check_bool "mem" true (Relation.mem r [| 1; 2; 3 |])
 
 (* Model test for the lazy dedup index: random sequences of inserts,
    in-place fills of extended rows (which skip the index), membership
    probes and copies against a plain list of rows. Fills between probes
-   leave rows unindexed, so every [add], [commit_staged] and [mem] after
-   one exercises the incremental catch-up; small arenas grow and rehash
+   leave rows unindexed, so every [add] and [mem] after one exercises
+   the incremental catch-up; small arenas grow and rehash
    on the way. Extensions come one row at a time, as random row lists,
    and as [n] rows drawn outside the other ops' value range, which
    resize the data array exactly. *)
 
 type arena_op =
   | Op_add of int array
-  | Op_commit of int array
   | Op_extend_one of int array
   | Op_mem of int array
   | Op_extend_new of int
@@ -506,7 +498,6 @@ let print_arena_op =
   let row r = QCheck.Print.(array int) r in
   function
   | Op_add r -> "add " ^ row r
-  | Op_commit r -> "commit " ^ row r
   | Op_extend_one r -> "extend one " ^ row r
   | Op_mem r -> "mem " ^ row r
   | Op_extend_new n -> Printf.sprintf "extend %d new rows" n
@@ -522,8 +513,7 @@ let arena_ops_arbitrary arity =
     QCheck.Gen.(
       frequency
         [
-          (3, map (fun r -> Op_add r) row);
-          (3, map (fun r -> Op_commit r) row);
+          (6, map (fun r -> Op_add r) row);
           (4, map (fun r -> Op_extend_one r) row);
           (3, map (fun r -> Op_mem r) row);
           (1, map (fun n -> Op_extend_new n) (int_range 0 40));
@@ -534,10 +524,6 @@ let arena_ops_arbitrary arity =
   QCheck.make
     ~print:QCheck.Print.(list print_arena_op)
     QCheck.Gen.(list_size (int_range 0 200) op)
-
-let stage_row a r =
-  let base = Arena.stage a in
-  Array.blit r 0 (Arena.data a) base (Array.length r)
 
 let run_arena_model arity ops =
   let a = ref (Arena.create ~size_hint:1 arity) in
@@ -570,11 +556,6 @@ let run_arena_model arity ops =
       let fresh = not (present r) in
       if fresh then model := r :: !model;
       Arena.add !a r = fresh
-    | Op_commit r ->
-      let fresh = not (present r) in
-      if fresh then model := r :: !model;
-      stage_row !a r;
-      Arena.commit_staged !a = fresh
     | Op_extend_one r -> extend_fill [ r ]
     | Op_mem r -> Arena.mem !a r = present r
     | Op_extend_new n ->
@@ -602,6 +583,31 @@ let prop_arena_lazy_index arity =
   qtest ~count:200
     (Printf.sprintf "lazy index = list model (arity %d)" arity)
     (arena_ops_arbitrary arity) (run_arena_model arity)
+
+(* The dedup kernel against a list model: projecting rows drawn with
+   many repeats in the kept columns keeps each distinct row once, in
+   the order of its first occurrence. *)
+let prop_project_first_occurrence arity =
+  let hi = if arity = 1 then 40 else 3 in
+  qtest ~count:200
+    (Printf.sprintf "project = first-occurrence list model (arity %d)" arity)
+    QCheck.(
+      make
+        ~print:Print.(list (list int))
+        Gen.(list_size (int_range 0 200) (list_repeat (arity + 1) (int_range 0 hi))))
+    (fun rows ->
+      let r = relation (List.init (arity + 1) Fun.id) rows in
+      let input = List.init (Relation.cardinality r) (Arena.read (Relation.arena r)) in
+      let model =
+        List.fold_left
+          (fun acc row ->
+            let kept = Array.sub row 0 arity in
+            if List.mem kept acc then acc else kept :: acc)
+          [] input
+        |> List.rev
+      in
+      let p = Ops.project r (Schema.of_list (List.init arity Fun.id)) in
+      List.init (Relation.cardinality p) (Arena.read (Relation.arena p)) = model)
 
 (* ------------------------------------------------------------------ *)
 (* Cursor: the pull-based answer stream                                *)
@@ -1002,6 +1008,113 @@ let prop_kernels_under_limits =
       reason = reason' && total = total'
       && (reason <> None || !got = Some expected))
 
+(* The fused join and projection against the unfused pair, on random
+   schemas (the empty one, the zero-column witness, disjoint and nested
+   ones among them), random rows (none among them) and random keep-sets
+   (the empty one among them), under random caps, run budgets and fuel:
+   so a guard trips at the join's charge, at the projection's, or at
+   either tick. The same rows in the same order, the same abort reason,
+   charge, operator count and every [Stats] field; and the fused kernel
+   gives all of it again with a 2-domain pool. *)
+let fused_pool = lazy (Parallel.Pool.create ~num_domains:2 ~grain:1 ())
+
+let () =
+  at_exit (fun () ->
+      if Lazy.is_val fused_pool then Parallel.Pool.shutdown (Lazy.force fused_pool))
+
+type fused_case = {
+  r_attrs : int list;
+  r_rows : int list list;
+  s_attrs : int list;
+  s_rows : int list list;
+  keep : int list;
+  budget : budget;
+  fuel : int;
+}
+
+let fused_case_gen =
+  QCheck.Gen.(
+    let attrs = map (List.filteri (fun i _ -> i < 3)) (shuffle_l [ 0; 1; 2; 3; 4 ]) in
+    let schema =
+      int_range 0 3 >>= fun k -> map (List.filteri (fun i _ -> i < k)) attrs
+    in
+    let rows attrs =
+      list_size (int_range 0 25) (list_repeat (List.length attrs) (int_range 0 3))
+    in
+    schema >>= fun r_attrs ->
+    schema >>= fun s_attrs ->
+    rows r_attrs >>= fun r_rows ->
+    rows s_attrs >>= fun s_rows ->
+    let union = List.sort_uniq compare (r_attrs @ s_attrs) in
+    shuffle_l union >>= fun order ->
+    int_range 0 (List.length union) >>= fun k ->
+    budget_gen >>= fun budget ->
+    frequency [ (1, int_range 0 2); (3, return max_int) ] >>= fun fuel ->
+    return
+      {
+        r_attrs; r_rows; s_attrs; s_rows;
+        keep = List.filteri (fun i _ -> i < k) order;
+        budget; fuel;
+      })
+
+let print_fused_case c =
+  Printf.sprintf "r %s = %s; s %s = %s; keep %s; %s; fuel %d"
+    QCheck.Print.(list int c.r_attrs) QCheck.Print.(list (list int) c.r_rows)
+    QCheck.Print.(list int c.s_attrs) QCheck.Print.(list (list int) c.s_rows)
+    QCheck.Print.(list int c.keep) (print_budget c.budget) c.fuel
+
+(* Rows in arena order, the abort reason, charge, operators run and the
+   stats of one evaluation. *)
+let fused_outcome ?pool c eval =
+  let b = c.budget in
+  let limits =
+    Limits.create ~max_tuples:b.max_tuples ~max_total:b.max_total ~fuel:c.fuel ()
+  in
+  Limits.charge limits (min b.spent b.max_total);
+  let stats = Relalg.Stats.create () in
+  let ctx = Relalg.Ctx.create ~stats ~limits ?pool () in
+  let rows =
+    match
+      eval ctx (relation c.r_attrs c.r_rows) (relation c.s_attrs c.s_rows)
+        (Schema.of_list c.keep)
+    with
+    | out -> Ok (List.init (Relation.cardinality out) (Arena.read (Relation.arena out)))
+    | exception Limits.Abort reason -> Error reason
+  in
+  let module S = Relalg.Stats in
+  ( rows,
+    Limits.total_charged limits,
+    Limits.operators_run limits,
+    ( S.joins stats, S.projections stats, S.selections stats,
+      S.max_cardinality stats, S.max_arity stats, S.tuples_produced stats ) )
+
+let prop_join_project_is_fused_pair =
+  qtest ~count:1000 "join_project = project (natural_join)"
+    (QCheck.make ~print:print_fused_case fused_case_gen)
+    (fun c ->
+      let fused ctx r s sub = Ops.join_project ~ctx r s sub in
+      let unfused ctx r s sub = Ops.project ~ctx (Ops.natural_join ~ctx r s) sub in
+      let expected = fused_outcome c unfused in
+      fused_outcome c fused = expected
+      && fused_outcome ~pool:(Lazy.force fused_pool) c fused = expected)
+
+(* The fused kernel reports the join it never wrote: [on_join] hears its
+   size, and the trips land where the unfused pair's do (the join's
+   charge, the projection's tick). *)
+let test_join_project_reports_join () =
+  let r = relation [ 0; 1 ] [ [ 1; 1 ]; [ 2; 1 ]; [ 3; 2 ] ] in
+  let s = relation [ 1; 2 ] [ [ 1; 5 ]; [ 1; 6 ]; [ 2; 5 ] ] in
+  let heard = ref (-1) in
+  let out = Ops.join_project ~on_join:(fun n -> heard := n) r s (Schema.of_list [ 2 ]) in
+  check_int "on_join hears the join's size" 5 !heard;
+  check_rows "the projection" [ [ 5 ]; [ 6 ] ] out;
+  let fuel_out = Limits.create ~fuel:1 () in
+  Alcotest.check_raises "the projection's tick" (Limits.Abort Limits.Fuel) (fun () ->
+      ignore
+        (Ops.join_project ~ctx:(Relalg.Ctx.create ~limits:fuel_out ()) r s
+           (Schema.of_list [ 2 ])));
+  check_int "the join was charged first" 5 (Limits.total_charged fuel_out)
+
 (* A fake clock that passes the deadline only once the operator has
    settled its output (the hook runs after the settle's charges): the
    entry polls read time 0, so the abort can only come from a poll
@@ -1113,6 +1226,9 @@ let () =
           Alcotest.test_case "stats recording" `Quick test_stats_recording;
           prop_charge_rows_per_row;
           prop_kernels_under_limits;
+          prop_join_project_is_fused_pair;
+          Alcotest.test_case "join_project reports the join" `Quick
+            test_join_project_reports_join;
           Alcotest.test_case "deadline during a fill" `Quick
             test_deadline_in_fill;
         ] );
@@ -1122,11 +1238,13 @@ let () =
           Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
           Alcotest.test_case "growth and rehash (70k rows)" `Quick
             test_arena_many_rows;
-          Alcotest.test_case "staged commit dedup" `Quick
-            test_arena_staged_commit;
+          Alcotest.test_case "project dedup" `Quick test_project_dedup;
           prop_arena_lazy_index 0;
           prop_arena_lazy_index 1;
           prop_arena_lazy_index 5;
+          prop_project_first_occurrence 0;
+          prop_project_first_occurrence 1;
+          prop_project_first_occurrence 5;
         ] );
       cursor_suite;
       oracle_suite;

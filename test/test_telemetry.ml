@@ -94,10 +94,25 @@ let check_well_formed spans =
           (Span.stop_time s <= Span.stop_time p))
     spans
 
+(* A plan whose projection sits over a scan and whose join has no
+   projection above it, so both run their own kernels: op.project and
+   op.join.hash. *)
+let run_unfused ?telemetry () =
+  match pentagon_cq.Conjunctive.Cq.atoms with
+  | a0 :: a1 :: _ ->
+    let plan =
+      Ppr_core.Plan.Join
+        ( Ppr_core.Plan.Project (Ppr_core.Plan.Atom a0, [ List.hd a0.Conjunctive.Cq.vars ]),
+          Ppr_core.Plan.Atom a1 )
+    in
+    Ppr_core.Exec.run ~ctx:(Relalg.Ctx.create ?telemetry ()) coloring_db plan
+  | _ -> Alcotest.fail "the pentagon has five atoms"
+
 let test_span_nesting_well_formed () =
   let sink, spans = T.Sink.memory () in
   let t = T.create ~clock:(ticking_clock ()) sink in
   ignore (run_pentagon ~telemetry:t ());
+  ignore (run_unfused ~telemetry:t ());
   T.close t;
   let spans = spans () in
   check_bool "spans recorded" true (List.length spans > 5);
@@ -105,19 +120,47 @@ let test_span_nesting_well_formed () =
     (T.started_spans t);
   check_well_formed spans;
   (* The bucket plan is projections over joins over scans: all three
-     span kinds must appear, and op.* spans sit under plan.* spans. *)
+     span kinds must appear, and op.* spans sit under plan.* spans. A
+     projection of a join runs as the fused kernel, whose span sits in
+     the join node's, itself inside the projection node's; the second
+     plan runs the unfused kernels. *)
   let names = List.map Span.name spans in
   List.iter
     (fun n -> check_bool ("has " ^ n) true (List.mem n names))
-    [ "plan.join"; "plan.project"; "op.scan"; "op.join.hash"; "op.project" ];
+    [ "plan.join"; "plan.project"; "op.scan"; "op.join.project"; "op.join.hash";
+      "op.project" ];
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace by_id (Span.id s) s) spans;
+  let parent_name s =
+    Option.map (fun p -> Span.name (Hashtbl.find by_id p)) (Span.parent s)
+  in
+  let under = [ ("op.join.project", "plan.join"); ("op.join.hash", "plan.join");
+                ("op.project", "plan.project") ] in
   List.iter
     (fun s ->
-      if Span.name s = "op.join.hash" then begin
-        check_bool "join has rows.out" true (Span.attr s "rows.out" <> None);
-        check_bool "join has arity.out" true (Span.attr s "arity.out" <> None);
-        check_bool "join has hash.probes" true
-          (Span.attr s "hash.probes" <> None)
-      end)
+      match List.assoc_opt (Span.name s) under with
+      | Some p -> check_bool (Span.name s ^ " under " ^ p) true (parent_name s = Some p)
+      | None -> ())
+    spans;
+  check_bool "a plan.join under a plan.project" true
+    (List.exists
+       (fun s -> Span.name s = "plan.join" && parent_name s = Some "plan.project")
+       spans);
+  let int_attr s a = match Span.attr s a with Some (Attr.Int n) -> Some n | _ -> None in
+  List.iter
+    (fun s ->
+      let has a = check_bool (Span.name s ^ " has " ^ a) true (Span.attr s a <> None) in
+      match Span.name s with
+      | "op.join.hash" | "op.join.project" ->
+        List.iter has [ "rows.out"; "arity.out"; "hash.probes" ];
+        if Span.name s = "op.join.project" then
+          (* The join's size, never written, bounds its projection's. *)
+          check_bool "op.join.project has rows.join >= rows.out" true
+            (match (int_attr s "rows.join", int_attr s "rows.out") with
+            | Some j, Some o -> j >= o
+            | _ -> false)
+      | "op.project" -> List.iter has [ "rows.in"; "rows.out"; "arity.out" ]
+      | _ -> ())
     spans
 
 let test_span_unwinding_marks_spans () =
@@ -334,7 +377,8 @@ let test_chrome_trace_valid () =
   check_bool "a join event carries rows.out" true
     (List.exists
        (fun ev ->
-         Mini_json.member "name" ev = Some (Mini_json.Str "op.join.hash")
+         (Mini_json.member "name" ev = Some (Mini_json.Str "op.join.hash")
+         || Mini_json.member "name" ev = Some (Mini_json.Str "op.join.project"))
          && match Mini_json.member "args" ev with
             | Some args -> Mini_json.member "rows.out" args <> None
             | None -> false)
