@@ -2,9 +2,9 @@
    algorithms on queries constructed from 3-SAT and 2-SAT").
 
    Encodes random 3-SAT formulas as project-join queries, decides them
-   with bucket elimination, cross-checks against brute force and the
-   CSP backtracking solver, and finally extracts a model through the
-   decision procedure alone.
+   with bucket elimination, cross-checks against brute force, and
+   finally reads a model off one answer of the query that keeps every
+   variable.
 
      dune exec examples/sat.exe *)
 
@@ -34,25 +34,34 @@ let () =
         dt)
     [ 1.0; 2.0; 3.0; 4.26; 6.0; 8.0 ];
 
-  (* Model extraction via the CSP bridge. *)
-  Printf.printf "\nExtracting a model through the decision procedure:\n";
+  (* Model extraction: keep every variable in the answer, evaluate by
+     bucket elimination, and read one answer row as a model. *)
+  Printf.printf "\nExtracting a model from one answer:\n";
   let cnf =
     Conjunctive.Cnf.random_ksat ~rng:(Graphlib.Rng.split rng) ~k:3 ~num_vars:10
       ~num_clauses:25
   in
-  let cq = Conjunctive.Encode.sat_query ~mode:Conjunctive.Encode.Boolean cnf in
+  let cq =
+    Conjunctive.Encode.sat_query ~mode:(Conjunctive.Encode.Fraction 1.0)
+      ~rng:(Graphlib.Rng.split rng) cnf
+  in
   let db = Conjunctive.Encode.sat_database cnf in
-  let instance = Csp.Instance.of_query db cq in
-  (match Csp.Bucket_solver.solution instance with
-  | Some assignment ->
+  let answers = Ppr_core.Exec.run db (Ppr_core.Bucket.compile cq) in
+  (match Relalg.Relation.to_list answers with
+  | row :: _ ->
+    (* A variable no clause mentions is not in the answer: set it false. *)
+    let model = Array.make cnf.Conjunctive.Cnf.num_vars false in
+    Array.iteri
+      (fun i v -> model.(v) <- Relalg.Tuple.get row i = 1)
+      (Relalg.Schema.to_array (Relalg.Relation.schema answers));
     Printf.printf "  model: %s\n"
       (String.concat ""
-         (List.map
-            (fun v -> if v = 1 then "1" else "0")
-            (Array.to_list assignment)));
-    assert (Conjunctive.Cnf.eval cnf (Array.map (fun v -> v = 1) assignment));
+         (List.map (fun b -> if b then "1" else "0") (Array.to_list model)));
+    assert (Conjunctive.Cnf.eval cnf model);
     Printf.printf "  verified against the formula.\n"
-  | None -> Printf.printf "  formula is unsatisfiable.\n");
+  | [] ->
+    assert (not (Conjunctive.Cnf.brute_force_satisfiable cnf));
+    Printf.printf "  formula is unsatisfiable.\n");
 
   (* 2-SAT for contrast: binary constraint scopes, thin join graph. *)
   Printf.printf "\n2-SAT (20 variables, ratio 2.0):\n";

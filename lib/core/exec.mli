@@ -134,9 +134,9 @@ val run :
     node is still observed, with the join's size, before its projection,
     and its [plan.join] span, inside [plan.project], holds the kernel's
     [op.join.project] span. That kernel runs sequentially under a pool;
-    the other joins may run partitioned. Boolean plans (empty schema) evaluate to the
-    0-ary relation containing the empty tuple when the join is nonempty
-    and to the empty relation otherwise.
+    the other joins may split their probe side across it. Boolean plans
+    (empty schema) evaluate to the 0-ary relation containing the empty
+    tuple when the join is nonempty and to the empty relation otherwise.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 

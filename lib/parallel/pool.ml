@@ -54,7 +54,7 @@ let shutdown t =
   Array.iter Domain.join workers
 
 (* The default advisory grain. PPR_PAR_GRAIN overrides it so the
-   sequential-fallback threshold of every consumer (partitioned joins,
+   sequential-fallback threshold of every consumer (range-split joins,
    sweep fan-outs) can be tuned per deployment without code changes; an
    explicit [~grain] argument still wins. *)
 let default_grain () =

@@ -27,8 +27,8 @@ val create : ?num_domains:int -> ?grain:int -> unit -> t
     clamped to at least 1; it counts the calling domain, so it is the
     degree of parallelism a batch can reach. [grain] is advisory:
     kernels consult {!grain} and stay sequential below that many input
-    rows, where partitioning costs more than it buys, and the experiment
-    sweeps read it as a probe-measured work budget. It defaults to the
+    rows, where splitting the work costs more than it buys, and the
+    experiment sweeps read it as a probe-measured work budget. It defaults to the
     [PPR_PAR_GRAIN] environment variable when that holds a positive
     integer, else [16384]; an explicit argument beats the environment.
     Workers idle on a condition variable — a pool at rest burns no

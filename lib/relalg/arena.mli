@@ -86,7 +86,7 @@ val extend : t -> int -> int
     reads them — until then they hold stale or zero cells. The data
     array is not replaced again until the arena next grows, so disjoint
     row ranges of the new rows may be filled concurrently from several
-    domains: the partitioned join fills one shard's output per range.
+    domains: a pooled join fills one probe range's output per range.
     The new rows are left out of the dedup index until the next {!add}
     or {!mem} catches it up.
 

@@ -262,31 +262,41 @@ let fill_row f row r_row s_row =
   done;
   poll_fill f.limits row
 
-(* A join's build index and count pass, before any row is written:
-   [(build_on_r, next, heads, size)], where [heads.(prow)] is probe row
-   [prow]'s chain head in [next] ([-1]: no match), [size] the join's
-   exact row count and [build_on_r] whether the build rows are [r]'s. *)
-let count_join ~ar ~as_ ~key_r ~key_s =
+(* A join's build index, before its count pass: the key index over the
+   smaller side's rows ([build_on_r]: they are [r]'s), the probe side's
+   key columns, and [heads], where the count pass records probe row
+   [prow]'s chain head in [next] ([-1]: no match). *)
+type join_index = {
+  build_on_r : bool;
+  db : int array; wb : int; key_b : int array; (* build side *)
+  dp : int array; wp : int; key_p : int array; (* probe side *)
+  slots : int array; mask : int; next : int array; lens : int array;
+  heads : int array;
+}
+
+let index_join ~ar ~as_ ~key_r ~key_s =
   let build_on_r = Arena.count ar <= Arena.count as_ in
   let ab, key_b = if build_on_r then (ar, key_r) else (as_, key_s) in
   let ap, key_p = if build_on_r then (as_, key_s) else (ar, key_r) in
-  let nb = Arena.count ab and np = Arena.count ap in
-  let db = Arena.data ab and dp = Arena.data ap in
-  let wb = Arena.arity ab and wp = Arena.arity ap in
+  let db = Arena.data ab and wb = Arena.arity ab in
   let slots, mask, next, lens =
-    build_key_index ~chain_lengths:true db wb key_b nb
+    build_key_index ~chain_lengths:true db wb key_b (Arena.count ab)
   in
-  (* Each probe row's chain head, and the output size as the sum of the
-     matched keys' row counts. *)
-  let heads = Array.make np (-1) in
+  { build_on_r; db; wb; key_b; dp = Arena.data ap; wp = Arena.arity ap; key_p;
+    slots; mask; next; lens; heads = Array.make (Arena.count ap) (-1) }
+
+(* The count pass over probe rows [lo, hi): record each one's chain head
+   and return the rows they match, summed from the matched keys' row
+   counts without walking a chain. Ranges write disjoint slices of
+   [heads], so they may run on several domains at once. *)
+let count_range j lo hi =
+  let db = j.db and wb = j.wb and key_b = j.key_b in
+  let dp = j.dp and wp = j.wp and key_p = j.key_p in
+  let slots = j.slots and mask = j.mask and lens = j.lens and heads = j.heads in
   let size = ref 0 in
-  let matched prow head =
-    Array.unsafe_set heads prow head;
-    size := !size + Array.unsafe_get lens head
-  in
   if Array.length key_b = 1 then begin
     let kb0 = key_b.(0) and kp0 = key_p.(0) in
-    for prow = 0 to np - 1 do
+    for prow = lo to hi - 1 do
       let v = Array.unsafe_get dp ((prow * wp) + kp0) in
       let i = ref (hash1 v land mask) in
       let probing = ref true in
@@ -294,7 +304,8 @@ let count_join ~ar ~as_ ~key_r ~key_s =
         let s = Array.unsafe_get slots !i in
         if s = 0 then probing := false
         else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
-          matched prow (s - 1);
+          Array.unsafe_set heads prow (s - 1);
+          size := !size + Array.unsafe_get lens (s - 1);
           probing := false
         end
         else i := (!i + 1) land mask
@@ -302,7 +313,7 @@ let count_join ~ar ~as_ ~key_r ~key_s =
     done
   end
   else
-    for prow = 0 to np - 1 do
+    for prow = lo to hi - 1 do
       let pbase = prow * wp in
       let i = ref (hash_key dp pbase key_p land mask) in
       let probing = ref true in
@@ -310,19 +321,20 @@ let count_join ~ar ~as_ ~key_r ~key_s =
         let s = Array.unsafe_get slots !i in
         if s = 0 then probing := false
         else if keys_equal db ((s - 1) * wb) key_b dp pbase key_p then begin
-          matched prow (s - 1);
+          Array.unsafe_set heads prow (s - 1);
+          size := !size + Array.unsafe_get lens (s - 1);
           probing := false
         end
         else i := (!i + 1) land mask
       done
     done;
-  (build_on_r, next, heads, !size)
+  !size
 
-let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
-  let build_on_r, next, heads, size = count_join ~ar ~as_ ~key_r ~key_s in
-  (* Fill pass: follow the recorded heads. *)
-  let f = join_fill limits aout ~ar ~as_ ~rest_s size in
-  let row = ref 0 in
+(* The fill pass over probe rows [lo, hi): follow the recorded heads and
+   write their matches in probe order, from output row [first] on. *)
+let fill_range j f first lo hi =
+  let build_on_r = j.build_on_r and next = j.next and heads = j.heads in
+  let row = ref first in
   let rec fill_chain brow prow =
     if brow >= 0 then begin
       if build_on_r then fill_row f !row brow prow
@@ -331,217 +343,43 @@ let columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
       fill_chain (Array.unsafe_get next brow) prow
     end
   in
-  for prow = 0 to Array.length heads - 1 do
+  for prow = lo to hi - 1 do
     fill_chain (Array.unsafe_get heads prow) prow
   done
 
-(* ------------------------------------------------------------------ *)
-(* Hash-partitioned parallel join: count, settle, fill in place.
-
-   Radix-partition both sides by join-key hash into one shard per pool
-   domain. Pass 1 hashes every key once, in parallel by row range. Pass
-   2, one task per shard, gathers the shard's rows, indexes its smaller
-   side and counts its output exactly, as [columnar_join]'s count pass
-   does. The submitting domain sums the counts, settles the budget once
-   and extends the output by exactly that many rows. Pass 3 fills them
-   in place: shard [i] writes the row range right after shards
-   [0 .. i - 1]'s, so the output is the shard joins in shard order,
-   with no staging arena and no fan-in copy. Equal keys hash equally,
-   so matching rows always land in the same shard and the union of the
-   shard joins is exactly the sequential join's tuple set.
-
-   Sharding uses a Fibonacci remix of the key hash's high bits while the
-   in-shard table indexes with the low bits ([land mask]), so the two
-   hash uses stay independent and shard tables don't degenerate.
-
-   Guards: the budget and cardinality cap are settled from the exact
-   count before any row is written ([settle]), as in the sequential
-   kernel, so the partitioned join trips the same guard, with the same
-   [Limits.reason], on the same inputs. Workers never write the
-   caller's [Limits.t]; while filling they only poll its deadline
-   ([Limits.check_deadline] reads no mutable state), and [Pool.run]
-   re-raises the abort on the submitting domain. *)
-
 module Pool = Parallel.Pool
 
-let shard_of h p = ((h * 0x9e3779b97f4a7c1) land max_int) lsr 30 mod p
-
-(* One shard between its count and fill passes. Build and probe rows
-   are named by their index into [brows] and [prows]. *)
-type shard = {
-  build_on_r : bool;
-  brows : int array; (* the shard's build-side row ids *)
-  prows : int array; (* the shard's probe-side row ids *)
-  next : int array; (* previous build index with the same key, or -1 *)
-  heads : int array; (* per probe index: its chain head, or -1 *)
-  rows : int; (* exact output rows *)
-}
-
-let empty_shard =
-  {
-    build_on_r = true;
-    brows = [||];
-    prows = [||];
-    next = [||];
-    heads = [||];
-    rows = 0;
-  }
-
-let parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
-  let nr = Arena.count ar and ns = Arena.count as_ in
-  let dr = Arena.data ar and wr = Arena.arity ar in
-  let ds = Arena.data as_ and ws = Arena.arity as_ in
-  let klen = Array.length key_r in
-  let p = Pool.size pool in
-  (* Pass 1: key hash of every row of both sides, in parallel by range.
-     The hashes drive the shard split and are reused by the in-shard
-     tables, so each key is hashed exactly once, as in the sequential
-     kernel. *)
-  let hash_r = Array.make (max 1 nr) 0 in
-  let hash_s = Array.make (max 1 ns) 0 in
-  let hash_range d w key target lo hi =
-    if klen = 1 then begin
-      let k0 = key.(0) in
-      for row = lo to hi - 1 do
-        Array.unsafe_set target row
-          (hash1 (Array.unsafe_get d ((row * w) + k0)))
-      done
-    end
-    else
-      for row = lo to hi - 1 do
-        Array.unsafe_set target row (hash_key d (row * w) key)
-      done
-  in
-  let ranges n =
-    List.filter
-      (fun (lo, hi) -> hi > lo)
-      (List.init p (fun i -> (i * n / p, (i + 1) * n / p)))
-  in
-  ignore
-    (Pool.run pool
-       (List.map
-          (fun (lo, hi) () -> hash_range dr wr key_r hash_r lo hi)
-          (ranges nr)
-       @ List.map
-           (fun (lo, hi) () -> hash_range ds ws key_s hash_s lo hi)
-           (ranges ns)));
-  (* Pass 2: one task per shard — gather the shard's row ids on both
-     sides, index the smaller side, count the shard's output. *)
-  let gather hashes n shard =
-    let count = ref 0 in
-    for row = 0 to n - 1 do
-      if shard_of (Array.unsafe_get hashes row) p = shard then incr count
-    done;
-    let rows = Array.make !count 0 in
-    let fill = ref 0 in
-    for row = 0 to n - 1 do
-      if shard_of (Array.unsafe_get hashes row) p = shard then begin
-        Array.unsafe_set rows !fill row;
-        incr fill
-      end
-    done;
-    rows
-  in
-  let count_shard shard =
-    let rrows = gather hash_r nr shard in
-    let srows = gather hash_s ns shard in
-    let crp = Array.length rrows and csp = Array.length srows in
-    if crp = 0 || csp = 0 then empty_shard
-    else begin
-      let build_on_r = crp <= csp in
-      let brows, bhash, db, wb, key_b =
-        if build_on_r then (rrows, hash_r, dr, wr, key_r)
-        else (srows, hash_s, ds, ws, key_s)
-      in
-      let prows, phash, dp, wp, key_p =
-        if build_on_r then (srows, hash_s, ds, ws, key_s)
-        else (rrows, hash_r, dr, wr, key_r)
-      in
-      let nb = Array.length brows and np = Array.length prows in
-      let slot_len = pow2_at_least (max 16 (2 * nb)) 16 in
-      let mask = slot_len - 1 in
-      let slots = Array.make slot_len 0 in
-      let next = Array.make nb (-1) in
-      let lens = Array.make nb 1 in
-      for i = 0 to nb - 1 do
-        let row = Array.unsafe_get brows i in
-        let base = row * wb in
-        let j = ref (Array.unsafe_get bhash row land mask) in
-        let placing = ref true in
-        while !placing do
-          let s = Array.unsafe_get slots !j in
-          if s = 0 then begin
-            Array.unsafe_set slots !j (i + 1);
-            placing := false
-          end
-          else if
-            keys_equal db
-              (Array.unsafe_get brows (s - 1) * wb)
-              key_b db base key_b
-          then begin
-            Array.unsafe_set next i (s - 1);
-            Array.unsafe_set lens i (Array.unsafe_get lens (s - 1) + 1);
-            Array.unsafe_set slots !j (i + 1);
-            placing := false
-          end
-          else j := (!j + 1) land mask
-        done
-      done;
-      let heads = Array.make np (-1) in
-      let rows = ref 0 in
-      for i = 0 to np - 1 do
-        let prow = Array.unsafe_get prows i in
-        let pbase = prow * wp in
-        let j = ref (Array.unsafe_get phash prow land mask) in
-        let probing = ref true in
-        while !probing do
-          let s = Array.unsafe_get slots !j in
-          if s = 0 then probing := false
-          else if
-            keys_equal db
-              (Array.unsafe_get brows (s - 1) * wb)
-              key_b dp pbase key_p
-          then begin
-            Array.unsafe_set heads i (s - 1);
-            rows := !rows + Array.unsafe_get lens (s - 1);
-            probing := false
-          end
-          else j := (!j + 1) land mask
-        done
-      done;
-      { build_on_r; brows; prows; next; heads; rows = !rows }
-    end
-  in
-  let shards = Pool.run pool (List.init p (fun i () -> count_shard i)) in
-  let size = List.fold_left (fun acc sh -> acc + sh.rows) 0 shards in
-  let f = join_fill limits aout ~ar ~as_ ~rest_s size in
-  (* Pass 3: shard [sh] fills output rows [first .. first + sh.rows - 1]
-     and nothing else. *)
-  let fill_shard sh first () =
-    let stop = first + sh.rows in
-    let row = ref first in
-    let rec fill_chain i prow =
-      if i >= 0 then begin
-        if !row >= stop then
-          failwith "Ops.natural_join: shard overran its rows";
-        let brow = Array.unsafe_get sh.brows i in
-        if sh.build_on_r then fill_row f !row brow prow
-        else fill_row f !row prow brow;
-        incr row;
-        fill_chain (Array.unsafe_get sh.next i) prow
-      end
+(* The join kernel, for every pool size: index, count, settle, fill.
+   Without a pool the probe side is one range. With one, it is split
+   into up to [Pool.size] contiguous ranges that count in parallel over
+   the shared, read-only index; the submitting domain sums their counts
+   and settles once, and range [i] fills the output rows right after
+   ranges [0 .. i - 1]'s. Either way the rows come out in probe order,
+   the same relation row for row at every pool size. Workers never
+   write the caller's [Limits.t]: while filling they only poll its
+   deadline ([Limits.check_deadline] reads no mutable state), and
+   [Pool.run] re-raises the abort on the submitting domain. Returns the
+   number of ranges. *)
+let columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s =
+  let j = index_join ~ar ~as_ ~key_r ~key_s in
+  let np = Array.length j.heads in
+  match pool with
+  | None ->
+    let f = join_fill limits aout ~ar ~as_ ~rest_s (count_range j 0 np) in
+    fill_range j f 0 0 np;
+    1
+  | Some pool ->
+    let p = min (Pool.size pool) np in
+    let ranges = List.init p (fun i -> (i * np / p, (i + 1) * np / p)) in
+    let counts = Pool.map pool (fun (lo, hi) -> count_range j lo hi) ranges in
+    let f = join_fill limits aout ~ar ~as_ ~rest_s (List.fold_left ( + ) 0 counts) in
+    let _, fills =
+      List.fold_left_map
+        (fun first ((lo, hi), n) -> (first + n, fun () -> fill_range j f first lo hi))
+        0 (List.combine ranges counts)
     in
-    Array.iteri
-      (fun i head -> fill_chain head (Array.unsafe_get sh.prows i))
-      sh.heads;
-    if !row <> stop then failwith "Ops.natural_join: shard left rows unfilled"
-  in
-  let _, fills =
-    List.fold_left_map
-      (fun first sh -> (first + sh.rows, fill_shard sh first))
-      0 shards
-  in
-  ignore (Pool.run pool fills)
+    ignore (Pool.run pool fills);
+    p
 
 (* Hash join. The build side is the smaller input; the probe side streams.
    Output columns are always [r] then [s \ r], regardless of which side was
@@ -557,22 +395,23 @@ let natural_join ?(ctx = Ctx.null) r s =
   let key_r = Schema.positions common sr in
   let key_s = Schema.positions common ss in
   let rest_s = Schema.positions (Schema.diff ss sr) ss in
-  (* No size hint: both kernels size the output exactly once counted. *)
+  (* No size hint: the kernel sizes the output exactly once counted. *)
   let out = Relation.create ~size_hint:0 out_schema in
   let ar = Relation.arena r and as_ = Relation.arena s in
-  let aout = Relation.arena out in
-  (match Ctx.pool ctx with
-  | Some pool
-    when Pool.size pool > 1
-         && Array.length key_r > 0
-         && Arena.count ar + Arena.count as_ >= Pool.grain pool ->
-    parallel_columnar_join pool limits aout ~ar ~as_ ~key_r ~key_s ~rest_s;
-    (match sp with
-    | Some (_, sp) ->
-      Telemetry.Span.set_attr sp "parallel.shards"
-        (Telemetry.Attr.Int (Pool.size pool))
-    | None -> ())
-  | _ -> columnar_join limits aout ~ar ~as_ ~key_r ~key_s ~rest_s);
+  let pool =
+    match Ctx.pool ctx with
+    | Some p as pool
+      when Pool.size p > 1 && Arena.count ar + Arena.count as_ >= Pool.grain p ->
+      pool
+    | _ -> None
+  in
+  let ranges =
+    columnar_join pool limits (Relation.arena out) ~ar ~as_ ~key_r ~key_s ~rest_s
+  in
+  (match (pool, sp) with
+  | Some _, Some (_, sp) ->
+    Telemetry.Span.set_attr sp "parallel.ranges" (Telemetry.Attr.Int ranges)
+  | _ -> ());
   note_result stats limits out;
   finish_join sp r s out;
   out
@@ -709,8 +548,7 @@ let project ?(ctx = Ctx.null) r sub =
    reported as the unfused join would be; then the recorded chains are
    walked once, every match is offered to the dedup index as its pair
    of input rows, and only the distinct projected rows are written.
-   Sequential under any pool, so its rows come out in the sequential
-   join's order at every pool size. *)
+   Sequential under any pool: the probe side is one range. *)
 let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
   let sp = span (Ctx.telemetry ctx) "op.join.project" in
@@ -719,10 +557,11 @@ let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   let sr = Relation.schema r and ss = Relation.schema s in
   let common = Schema.inter sr ss in
   let ar = Relation.arena r and as_ = Relation.arena s in
-  let build_on_r, next, heads, n =
-    count_join ~ar ~as_ ~key_r:(Schema.positions common sr)
+  let j =
+    index_join ~ar ~as_ ~key_r:(Schema.positions common sr)
       ~key_s:(Schema.positions common ss)
   in
+  let n = count_range j 0 (Array.length j.heads) in
   Option.iter (fun l -> Limits.charge_rows l n) limits;
   Option.iter
     (fun st ->
@@ -741,14 +580,14 @@ let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
         let walked = ref 0 in
         let rec walk brow prow =
           if brow >= 0 then begin
-            if build_on_r then add brow prow else add prow brow;
+            if j.build_on_r then add brow prow else add prow brow;
             poll_fill limits !walked;
             incr walked;
-            walk (Array.unsafe_get next brow) prow
+            walk (Array.unsafe_get j.next brow) prow
           end
         in
-        for prow = 0 to Array.length heads - 1 do
-          walk (Array.unsafe_get heads prow) prow
+        for prow = 0 to Array.length j.heads - 1 do
+          walk (Array.unsafe_get j.heads prow) prow
         done)
   in
   let cols =

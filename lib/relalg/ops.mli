@@ -50,16 +50,12 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     the matches.
 
     With a pool in the context ([Ctx.with_pool]) and operands at least
-    [Pool.grain] rows big, the join runs hash-partitioned across the
-    pool's domains: both sides are radix-split on the join-key hash
-    into one shard per domain, each shard counts its output, the
-    submitting domain settles the total once and extends the result by
-    exactly that many rows ({!Arena.extend}), and each shard fills its
-    own disjoint row range in place, in shard order, with the
-    sequential fill's row-copy helper. The tuple set is
-    the sequential kernel's, and a guard trips with the same
-    {!Limits.reason}: [Tuple_budget] when the run budget is the lower
-    threshold, else [Cardinality (max_tuples + 1)]. *)
+    [Pool.grain] rows big, the probe side is split into up to
+    [Pool.size] contiguous ranges that count and then fill in parallel,
+    each range's output rows right after the earlier ranges'. The result
+    is the sequential join's, row for row, and a guard trips with the
+    same {!Limits.reason}: [Tuple_budget] when the run budget is the
+    lower threshold, else [Cardinality (max_tuples + 1)]. *)
 
 val product : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
 (** Cartesian product. @raise Invalid_argument if schemas intersect. *)

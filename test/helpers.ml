@@ -10,7 +10,7 @@ let rng seed = Graphlib.Rng.make seed
 (* Independent oracles.                                                *)
 
 (* 3-colorability by backtracking directly on the graph — shares no code
-   with the relational engine, the planners, or the CSP solver. *)
+   with the relational engine or the planners. *)
 let brute_force_colorable ?(colors = 3) g =
   let n = G.order g in
   let assignment = Array.make (max n 1) 0 in

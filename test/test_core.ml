@@ -1280,11 +1280,12 @@ let test_attempt_charge () =
     [ ("fig6", Driver.Ghd); ("fig6", Driver.Wcoj); ("fig8", Driver.Ghd);
       ("fig8", Driver.Wcoj) ]
 
-(* A pool changes neither the outcome nor a row of the answer. Each run
-   has an artifact of its own: a replay would skip an attempt that ran
-   out on the first. *)
+(* A pool changes neither the outcome nor a row of the answer, for the
+   binary methods and the gated ones. Grain 1 splits every join's probe
+   side, however small. Each run has an artifact of its own: a replay
+   would skip an attempt that ran out on the first. *)
 let test_attempt_jobs () =
-  let pool = Parallel.Pool.create ~num_domains:2 () in
+  let pool = Parallel.Pool.create ~num_domains:2 ~grain:1 () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) @@ fun () ->
   List.iter
     (fun (name, (db, cq)) ->
@@ -1296,12 +1297,15 @@ let test_attempt_jobs () =
             let o =
               Driver.run ~compiled ~ctx:(Relalg.Ctx.create ?pool ~limits ()) meth db cq
             in
-            (Option.map Relation.to_list o.Driver.result, Limits.total_charged limits)
+            ( Option.map Relation.to_list o.Driver.result,
+              Driver.abort_reason o,
+              Limits.total_charged limits )
           in
           let label = name ^ " " ^ Driver.method_name meth in
           check_bool (label ^ ": jobs=1 = jobs=2, row for row") true
             (run () = run ~pool ()))
-        gated_methods)
+        (Driver.[ Straightforward; Early_projection; Reorder; Bucket_elimination ]
+        @ gated_methods))
     paper_batch_instances
 
 (* The ghd method's deferred artifact: the attempt runs first, within the
