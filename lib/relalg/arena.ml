@@ -52,9 +52,11 @@ let hash_row t row =
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
+(* A [size_hint] of 0 allocates no data: kernels size their output with
+   one [extend] once they know it. *)
 let create ?(size_hint = 16) arity =
   if arity < 0 then invalid_arg "Arena.create: negative arity";
-  let cap = max 8 size_hint in
+  let cap = if size_hint <= 0 then 0 else max 8 size_hint in
   {
     arity;
     data = Array.make (cap * arity) 0;
@@ -129,10 +131,11 @@ let resize t cells =
   done;
   t.data <- data
 
-(* Make room in [data] for [rows] rows, at least doubling it. *)
+(* Make room in [data] for [rows] rows, at least doubling it and at
+   least 8 rows. *)
 let grow_data t rows =
   if t.arity > 0 && rows * t.arity > Array.length t.data then
-    resize t (max (rows * t.arity) (2 * Array.length t.data))
+    resize t (max (max rows 8 * t.arity) (2 * Array.length t.data))
 
 let add t (tup : int array) =
   if Array.length tup <> t.arity then

@@ -28,7 +28,10 @@ type t
 
 val create : ?size_hint:int -> int -> t
 (** [create ?size_hint arity] — an empty arena for tuples of the given
-    arity. @raise Invalid_argument on a negative arity. *)
+    arity, with room for [size_hint] rows (default 16, at least 8). A
+    [size_hint] of 0 allocates no storage: the first {!extend} sizes it
+    exactly, the first {!add} to 8 rows.
+    @raise Invalid_argument on a negative arity. *)
 
 val arity : t -> int
 val count : t -> int
@@ -68,8 +71,9 @@ val copy : t -> t
     on the shared columns, in [s]'s remaining ones. A semijoin, an
     antijoin and a selection each keep a subset of the rows of one
     relation. Projection can collapse rows, so it finds its distinct
-    rows first, in an index of its own over its input's columns, and
-    then extends and fills exactly those; union goes through {!add}. *)
+    rows first, with a dedup of its own over its input's columns
+    ([Ops.dedup]), and then extends and fills exactly those; union goes
+    through {!add}. *)
 
 val data : t -> int array
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are

@@ -454,65 +454,181 @@ let equijoin ?(ctx = Ctx.null) ~on r s =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Dedup kernel: count, settle, fill.
+(* Dedup kernel: record, partition, link, verify, compact; then settle,
+   fill.
 
    Projection collapses rows, so its output size is known only once
    duplicates are found. A candidate row is named by a pair of input
    rows, [a] of [da] and [b] of [db] (widths [wa], [wb]); its columns
    are the [ka] columns of the [a] row and the [kb] columns of the [b]
-   row. [dedup] offers every candidate [offer] yields (at most [n]) to
-   an index that hashes those columns straight out of the inputs — its
-   slots hold [i + 1] for the [i]-th distinct candidate — and returns
-   the distinct candidates' pairs in first-occurrence order, so nothing
-   is written until every duplicate is dropped. When no column is kept
-   from the [b] side (a lone projection has none), its rows are not
-   recorded. *)
-let dedup ~da ~wa ~ka ~db ~wb ~kb n offer =
-  let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
-  let mask = slot_len - 1 and slots = Array.make slot_len 0 in
-  let first_a = Array.make n 0 in
-  let keep_b = Array.length kb > 0 in
-  let first_b = if keep_b then Array.make n 0 else [||] in
-  let kept = ref 0 in
-  offer (fun a b ->
-      let abase = a * wa and bbase = b * wb in
-      let h = ref fnv_seed in
-      for k = 0 to Array.length ka - 1 do
-        h := (!h lxor Array.unsafe_get da (abase + Array.unsafe_get ka k)) * fnv_prime
-      done;
-      for k = 0 to Array.length kb - 1 do
-        h := (!h lxor Array.unsafe_get db (bbase + Array.unsafe_get kb k)) * fnv_prime
-      done;
-      let i = ref (!h land mask) in
-      let probing = ref true in
-      while !probing do
-        let s = Array.unsafe_get slots !i in
-        if s = 0 then begin
-          Array.unsafe_set first_a !kept a;
-          if keep_b then Array.unsafe_set first_b !kept b;
-          incr kept;
-          Array.unsafe_set slots !i !kept;
-          probing := false
-        end
-        else if
-          keys_equal da (Array.unsafe_get first_a (s - 1) * wa) ka da abase ka
-          && ((not keep_b)
-             || keys_equal db (Array.unsafe_get first_b (s - 1) * wb) kb db bbase kb)
-        then probing := false
-        else i := (!i + 1) land mask
-      done);
-  (first_a, first_b, !kept)
+   row. An operator records every candidate's pair and hash in match
+   order; the hash is [pair_hash] of the two sides' FNV-1a hashes, so a
+   fused join hashes each input row's kept columns once, not each
+   match's. [dedup] then scatters the candidates into [2^p] partitions
+   by the hash's top [p] bits, [p] chosen from the candidate count so a
+   partition holds about [partition_rows]. Each partition gets an
+   open-addressing table sized from its own count, small enough to stay
+   in cache (one table over every candidate took about one cache miss
+   per probe). A slot packs the hash's low bits (a tag) with the
+   candidate's index, and a candidate whose tag an earlier one already
+   holds is linked to it, without reading a row. Equal candidates hash
+   alike, so they share a partition, where they stay in match order:
+   the first of them is never linked and each later one is. A pass in
+   match order then compares each linked candidate with its link,
+   reading the candidate's rows in the order the operator walked them,
+   and a last pass compacts the pairs of the candidates that are not
+   duplicates, in match order. So the distinct rows come out in
+   first-occurrence order, and nothing is written until every duplicate
+   is dropped. Every pass polls the deadline every [fill_poll_rows]
+   candidates. *)
 
-(* Settle the [kept] distinct candidates into the fresh output [aout]
-   and gather them: output column [j] is column [cols.(j)] of the [a]
-   row, or column [-cols.(j) - 1] of the [b] row when negative. *)
-let gather limits aout ~da ~wa ~db ~wb cols (first_a, first_b, kept) =
+(* Candidates a partition aims to hold: at most this many on average,
+   so its table has at most 4096 slots, 32 KB. *)
+let partition_rows = 2048
+
+(* The least [p] that leaves at most [partition_rows] of [n] candidates
+   per partition on average. *)
+let partition_bits n =
+  let rec go p = if n <= partition_rows lsl p then p else go (p + 1) in
+  go 0
+
+let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
+
+(* A candidate's hash from [hash_key] over its [a] row's and its [b]
+   row's kept columns: one multiply and xorshift, so both the top bits
+   (the partition) and the low bits (the tag and the slot) depend on
+   every kept column. Nonnegative and below [2^62]. *)
+let pair_hash ha hb =
+  let h = ((ha * fnv_prime) lxor hb) * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+(* [dedup] without its argument checks: the operators' own candidates
+   are valid by construction. *)
+let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
+  let bits = partition_bits n in
+  let shift = 62 - bits and parts = 1 lsl bits in
+  (* Count each partition's candidates (one partition holds them all)
+     and sum them: [start.(q)] is where partition [q] ends in the
+     scatter. Scattering from the last candidate down then leaves it
+     where partition [q] begins, and each partition in match order. *)
+  let start = Array.make (parts + 1) n in
+  if bits > 0 then begin
+    Array.fill start 0 parts 0;
+    for i = 0 to n - 1 do
+      let q = Array.unsafe_get h i lsr shift in
+      Array.unsafe_set start q (Array.unsafe_get start q + 1);
+      poll_fill limits i
+    done
+  end;
+  let largest = ref start.(0) in
+  for q = 1 to parts - 1 do
+    largest := max !largest start.(q);
+    start.(q) <- start.(q) + start.(q - 1)
+  done;
+  (* A scattered candidate is the table slot it would fill: its tag, the
+     hash's low [62 - index_bits] bits, above its index plus one. *)
+  let index_bits = bit_length n in
+  let index_mask = (1 lsl index_bits) - 1 in
+  let tag_mask = (1 lsl (62 - index_bits)) - 1 in
+  let scattered = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let hi = Array.unsafe_get h i in
+    let q = hi lsr shift in
+    let at = Array.unsafe_get start q - 1 in
+    Array.unsafe_set scattered at (((hi land tag_mask) lsl index_bits) lor (i + 1));
+    Array.unsafe_set start q at;
+    poll_fill limits (n - 1 - i)
+  done;
+  (* Link each candidate whose tag an earlier candidate [j] of its
+     partition already holds to [j]: [h.(i)] becomes [-(j + 1)]. One
+     table for the call, cleared after each partition; partition [q]
+     uses its first [pow2_at_least (2 * count) 16] slots. *)
+  let table = Array.make (pow2_at_least (2 * !largest) 16) 0 in
+  let rec probe mask c tag s =
+    let slot = Array.unsafe_get table s in
+    if slot = 0 then Array.unsafe_set table s c
+    else if slot lsr index_bits = tag then
+      Array.unsafe_set h ((c land index_mask) - 1) (-(slot land index_mask))
+    else probe mask c tag ((s + 1) land mask)
+  in
+  for q = 0 to parts - 1 do
+    let lo = start.(q) and hi = start.(q + 1) in
+    if hi > lo then begin
+      let len = pow2_at_least (2 * (hi - lo)) 16 in
+      let mask = len - 1 in
+      for k = lo to hi - 1 do
+        let c = Array.unsafe_get scattered k in
+        let tag = c lsr index_bits in
+        probe mask c tag (tag land mask);
+        poll_fill limits k
+      done;
+      Array.fill table 0 len 0
+    end
+  done;
+  (* Verify the links in match order: a linked candidate equal to its
+     link is a duplicate ([h.(i)] becomes [-1]). One that is not shares
+     only a tag, and is a duplicate iff it equals an earlier candidate
+     of its partition; otherwise it is kept ([h.(i)] becomes [0]). A
+     link's target is never linked, so its hash names the partition. *)
+  let keep_b = Array.length kb > 0 in
+  let same i j =
+    keys_equal da (Array.unsafe_get a i * wa) ka da (Array.unsafe_get a j * wa) ka
+    && ((not keep_b)
+       || keys_equal db (Array.unsafe_get b i * wb) kb db (Array.unsafe_get b j * wb) kb)
+  in
+  let rec equals_earlier i k hi =
+    k < hi
+    && (let e = (Array.unsafe_get scattered k land index_mask) - 1 in
+        (e < i && same i e) || equals_earlier i (k + 1) hi)
+  in
+  for i = 0 to n - 1 do
+    let link = Array.unsafe_get h i in
+    if link < 0 then begin
+      let j = -link - 1 in
+      Array.unsafe_set h i
+        (if same i j
+            || (let q = Array.unsafe_get h j lsr shift in
+                equals_earlier i start.(q) start.(q + 1))
+         then -1
+         else 0)
+    end;
+    poll_fill limits i
+  done;
+  (* Compact the kept pairs to the front, in match order. *)
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get h i >= 0 then begin
+      Array.unsafe_set a !kept (Array.unsafe_get a i);
+      if keep_b then Array.unsafe_set b !kept (Array.unsafe_get b i);
+      incr kept
+    end;
+    poll_fill limits i
+  done;
+  !kept
+
+let dedup ?limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
+  let row_ok d w cols row =
+    Array.for_all (fun c -> c >= 0 && c < w && row >= 0 && (row * w) + c < Array.length d) cols
+  in
+  if Array.length a < n || Array.length h < n || (Array.length kb > 0 && Array.length b < n)
+  then invalid_arg "Ops.dedup: fewer than n candidates";
+  for i = 0 to n - 1 do
+    if h.(i) < 0 || not (row_ok da wa ka a.(i) && (kb = [||] || row_ok db wb kb b.(i))) then
+      invalid_arg "Ops.dedup: candidate out of range"
+  done;
+  partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n
+
+(* Settle the [kept] distinct candidates, pairs [a.(i)] and [b.(i)],
+   into the fresh output [aout] and gather them: output column [j] is
+   column [cols.(j)] of the [a] row, or column [-cols.(j) - 1] of the
+   [b] row when negative. *)
+let gather limits aout ~da ~wa ~db ~wb cols a b kept =
   let base = settle limits aout kept in
   let od = Arena.data aout and w = Arena.arity aout in
   for i = 0 to kept - 1 do
     let cell = base + (i * w) in
-    let abase = Array.unsafe_get first_a i * wa in
-    let bbase = if Array.length first_b = 0 then 0 else Array.unsafe_get first_b i * wb in
+    let abase = Array.unsafe_get a i * wa in
+    let bbase = if Array.length b = 0 then 0 else Array.unsafe_get b i * wb in
     for j = 0 to w - 1 do
       let c = Array.unsafe_get cols j in
       Array.unsafe_set od (cell + j)
@@ -530,24 +646,68 @@ let project ?(ctx = Ctx.null) r sub =
   let positions = Schema.positions sub (Relation.schema r) in
   let ain = Relation.arena r in
   let da = Arena.data ain and wa = Arena.arity ain and n = Arena.count ain in
-  let distinct =
-    dedup ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] n (fun add ->
-        for row = 0 to n - 1 do
-          add row 0;
-          poll_fill limits row
-        done)
+  let a = Array.make n 0 and h = Array.make n 0 in
+  for row = 0 to n - 1 do
+    Array.unsafe_set a row row;
+    Array.unsafe_set h row (pair_hash (hash_key da (row * wa) positions) fnv_seed);
+    poll_fill limits row
+  done;
+  let kept =
+    partitioned_dedup limits ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n
   in
   let out = Relation.create ~size_hint:0 sub in
-  gather limits (Relation.arena out) ~da ~wa ~db:[||] ~wb:0 positions distinct;
+  gather limits (Relation.arena out) ~da ~wa ~db:[||] ~wb:0 positions a [||] kept;
   note_result stats limits out;
   finish_unary sp r out;
   out
 
+(* The fused join's record pass: walk the join's recorded chains in the
+   sequential join's order and record each of its [n] matches' [r] row
+   in [a], [s] row in [b] (only when [kb] keeps a column of [s]) and
+   [pair_hash] in [h]. The build side's kept columns are hashed once per
+   build row ([nbuild] of them), the probe side's once per probe row
+   that matches. *)
+let record_matches limits j ~ka ~kb ~nbuild n =
+  let build_on_r = j.build_on_r and next = j.next and heads = j.heads in
+  let k_build, k_probe = if build_on_r then (ka, kb) else (kb, ka) in
+  let build_hash = Array.make nbuild 0 in
+  for brow = 0 to nbuild - 1 do
+    Array.unsafe_set build_hash brow (hash_key j.db (brow * j.wb) k_build);
+    poll_fill limits brow
+  done;
+  let keep_b = Array.length kb > 0 in
+  let a = Array.make n 0 and h = Array.make n 0 in
+  let b = if keep_b then Array.make n 0 else [||] in
+  let i = ref 0 in
+  for prow = 0 to Array.length heads - 1 do
+    let brow = ref (Array.unsafe_get heads prow) in
+    if !brow >= 0 then begin
+      let hp = hash_key j.dp (prow * j.wp) k_probe in
+      while !brow >= 0 do
+        let hb = Array.unsafe_get build_hash !brow in
+        if build_on_r then begin
+          Array.unsafe_set a !i !brow;
+          if keep_b then Array.unsafe_set b !i prow;
+          Array.unsafe_set h !i (pair_hash hb hp)
+        end
+        else begin
+          Array.unsafe_set a !i prow;
+          if keep_b then Array.unsafe_set b !i !brow;
+          Array.unsafe_set h !i (pair_hash hp hb)
+        end;
+        poll_fill limits !i;
+        incr i;
+        brow := Array.unsafe_get next !brow
+      done
+    end
+  done;
+  (a, b, h)
+
 (* The fused join and projection: [natural_join]'s build index and count
    pass give the join's exact size, which is settled, recorded and
    reported as the unfused join would be; then the recorded chains are
-   walked once, every match is offered to the dedup index as its pair
-   of input rows, and only the distinct projected rows are written.
+   walked once, every match is recorded as its pair of input rows and
+   deduplicated, and only the distinct projected rows are written.
    Sequential under any pool: the probe side is one range. *)
 let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
@@ -572,31 +732,18 @@ let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   Option.iter Stats.record_projection stats;
   let da = Arena.data ar and wa = Arena.arity ar in
   let db = Arena.data as_ and wb = Arena.arity as_ in
-  let distinct =
-    dedup ~da ~wa ~db ~wb n
-      ~ka:(Schema.positions (Schema.restrict sub ~keep:(Schema.mem sr)) sr)
-      ~kb:(Schema.positions (Schema.diff sub sr) ss)
-      (fun add ->
-        let walked = ref 0 in
-        let rec walk brow prow =
-          if brow >= 0 then begin
-            if j.build_on_r then add brow prow else add prow brow;
-            poll_fill limits !walked;
-            incr walked;
-            walk (Array.unsafe_get j.next brow) prow
-          end
-        in
-        for prow = 0 to Array.length j.heads - 1 do
-          walk (Array.unsafe_get j.heads prow) prow
-        done)
-  in
+  let ka = Schema.positions (Schema.restrict sub ~keep:(Schema.mem sr)) sr in
+  let kb = Schema.positions (Schema.diff sub sr) ss in
+  let nbuild = Arena.count (if j.build_on_r then ar else as_) in
+  let a, b, h = record_matches limits j ~ka ~kb ~nbuild n in
+  let kept = partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n in
   let cols =
     Array.map
       (fun a -> if Schema.mem sr a then Schema.index sr a else -Schema.index ss a - 1)
       (Schema.to_array sub)
   in
   let out = Relation.create ~size_hint:0 sub in
-  gather limits (Relation.arena out) ~da ~wa ~db ~wb cols distinct;
+  gather limits (Relation.arena out) ~da ~wa ~db ~wb cols a b kept;
   note_result stats limits out;
   finish_join ~joined:n sp r s out;
   out

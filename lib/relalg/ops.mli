@@ -22,9 +22,10 @@
     [inter], [diff]) — count the rows they keep, settle their charges
     with one {!Limits.charge_rows}, claim them with one {!Arena.extend}
     and fill them with plain int loops, with no dedup probe. Projection
-    and the fused {!join_project} count too: they index the kept columns
-    straight out of their inputs, keep each row's first occurrence, then
-    settle and fill the distinct rows the same way. The settle
+    and the fused {!join_project} count too: they record each candidate
+    row as its pair of input rows and a hash of its kept columns, find
+    each distinct row's first occurrence with {!dedup}, then settle and
+    fill the distinct rows the same way. The settle
     commits the same total and raises the same reason as charging each
     row as it is kept would, before the output is sized or a row
     written; the {!Limits} hook runs after each of its (at most two)
@@ -72,9 +73,9 @@ val equijoin :
 val project : ?ctx:Ctx.t -> Relation.t -> Schema.t -> Relation.t
 (** [project r s] keeps the columns of [s] (in [s]'s order), eliminating
     duplicates; rows come out in the order of their first occurrence in
-    [r]. The kernel counts, settles, then fills: a dedup index over the
-    kept columns, read in place from [r]'s arena, marks each distinct
-    row's first occurrence; {!Limits.charge_rows} settles the distinct
+    [r]. The kernel counts, settles, then fills: it hashes each row's
+    kept columns in place in [r]'s arena, {!dedup} finds each distinct
+    row's first occurrence, {!Limits.charge_rows} settles the distinct
     count, the output is extended once by exactly that many rows, and a
     gather writes them. Traced as [op.project].
     @raise Not_found if [s] is not a subset of [r]'s schema. *)
@@ -90,8 +91,9 @@ val join_project :
     here), one {!Stats.record_join} and a {!Stats.record_relation} of
     arity [|r ∪ s|] and cardinality [n] — and calls [on_join n]. Then,
     as the projection, it ticks again, records a projection and walks
-    the join's matches once, offering each one's kept columns, read
-    straight from its [r] and [s] rows, to {!project}'s dedup index;
+    the join's matches once, recording each as its pair of [r] and [s]
+    rows with a hash of its kept columns (each input row's kept columns
+    are hashed once, not each match's), and hands them to {!dedup};
     only the distinct rows are settled and written. So the stats,
     charges, fuel and abort reason are the unfused pair's, though the
     join's [n] rows are charged and recorded but never materialized.
@@ -99,6 +101,34 @@ val join_project :
     [op.join.project], with the join's size as [rows.join].
     @raise Not_found if [sub] is not a subset of [r]'s and [s]'s
     attributes. *)
+
+val dedup :
+  ?limits:Limits.t -> da:int array -> wa:int -> ka:int array ->
+  db:int array -> wb:int -> kb:int array ->
+  a:int array -> b:int array -> h:int array -> int -> int
+(** The duplicate elimination under {!project} and {!join_project},
+    exposed for its tests. [dedup ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n]
+    takes [n] candidate rows: candidate [i] is the [ka] columns of row
+    [a.(i)] of the row-major array [da] (width [wa]) followed by the
+    [kb] columns of row [b.(i)] of [db] (width [wb]); [b] is not read
+    when [kb] is empty. [h.(i)] is its hash: nonnegative, and equal for
+    equal candidates. It keeps the first occurrence of each distinct
+    candidate, compacts their pairs to the front of [a] and [b] in
+    candidate order, and returns how many it kept; [h] is overwritten.
+    So it returns what one hash table over every candidate, probed in
+    order, would: the semantics of the single-table dedup it replaced.
+
+    The candidates are scattered into [2^p] partitions by the hash's top
+    [p] bits, [p] chosen from [n] so a partition holds at most 2048 on
+    average ([p = 0] up to 2048), and each partition is deduplicated in
+    an open-addressing table sized from its own count, whose slots pack
+    the hash's low bits with the candidate's index: a table of one
+    partition stays in cache. Candidates are compared column by column
+    only when those bits match. Every pass polls [limits]' deadline every
+    1024 candidates; nothing is charged.
+    @raise Invalid_argument when [a], [b] or [h] holds fewer than [n]
+    candidates, a hash is negative, or a kept column or row is out of
+    range. *)
 
 val project_away : ?ctx:Ctx.t -> Relation.t -> Schema.attr list -> Relation.t
 (** Drop the listed attributes, keeping the rest in relation order.

@@ -1146,6 +1146,333 @@ let test_deadline_in_fill () =
   (* Every row of [r] has a key in [s]: 3000 kept. *)
   deadline_in_fill (fun ctx -> Ops.semijoin ~ctx r s) 3000
 
+(* ------------------------------------------------------------------ *)
+(* The partitioned dedup against the flat dedup it replaced.           *)
+
+(* The oracle: the single-table dedup [Ops.project] and
+   [Ops.join_project] used before the partitioned one. Every candidate
+   [offer] yields, a pair of an [a] row of [da] and a [b] row of [db], is
+   hashed over its kept columns and probed in one open-addressing table
+   sized for all [n]; the first occurrence of each distinct candidate is
+   recorded. Returns the kept pairs and their count. *)
+let flat_dedup ~da ~wa ~ka ~db ~wb ~kb n offer =
+  let fnv_seed = 0x1000193 and fnv_prime = 0x100000001b3 in
+  let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k) in
+  let rec keys_equal k d1 b1 k1 d2 b2 k2 =
+    k >= Array.length k1
+    || d1.(b1 + k1.(k)) = d2.(b2 + k2.(k)) && keys_equal (k + 1) d1 b1 k1 d2 b2 k2
+  in
+  let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
+  let mask = slot_len - 1 and slots = Array.make slot_len 0 in
+  let first_a = Array.make n 0 in
+  let keep_b = Array.length kb > 0 in
+  let first_b = if keep_b then Array.make n 0 else [||] in
+  let kept = ref 0 in
+  offer (fun a b ->
+      let abase = a * wa and bbase = b * wb in
+      let h = ref fnv_seed in
+      for k = 0 to Array.length ka - 1 do
+        h := (!h lxor da.(abase + ka.(k))) * fnv_prime
+      done;
+      for k = 0 to Array.length kb - 1 do
+        h := (!h lxor db.(bbase + kb.(k))) * fnv_prime
+      done;
+      let i = ref (!h land max_int land mask) in
+      let probing = ref true in
+      while !probing do
+        let s = slots.(!i) in
+        if s = 0 then begin
+          first_a.(!kept) <- a;
+          if keep_b then first_b.(!kept) <- b;
+          incr kept;
+          slots.(!i) <- !kept;
+          probing := false
+        end
+        else if
+          keys_equal 0 da (first_a.(s - 1) * wa) ka da abase ka
+          && ((not keep_b) || keys_equal 0 db (first_b.(s - 1) * wb) kb db bbase kb)
+        then probing := false
+        else i := (!i + 1) land mask
+      done);
+  (first_a, first_b, !kept)
+
+(* The kept rows of [rel]'s [positions] columns, by the oracle. *)
+let flat_project rel positions =
+  let ain = Relation.arena rel in
+  let da = Arena.data ain and wa = Arena.arity ain and n = Arena.count ain in
+  let first_a, _, kept =
+    flat_dedup ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] n (fun add ->
+        for row = 0 to n - 1 do
+          add row 0
+        done)
+  in
+  List.init kept (fun i -> Array.map (fun c -> da.((first_a.(i) * wa) + c)) positions)
+
+let rows_of rel = List.init (Relation.cardinality rel) (Arena.read (Relation.arena rel))
+
+(* How a dedup case hashes its candidates; every kind gives equal
+   candidates equal hashes, which is all [Ops.dedup] may assume.
+   [Spread]: 62 well-mixed bits. [Skewed]: as [Spread], but half the
+   distinct candidates have their top bits cleared, so one partition
+   holds far more than the rest. [Constant]: one hash for all, so every
+   tag matches and only the column comparison tells candidates apart. *)
+type hash_kind = Spread | Skewed | Constant
+
+let candidate_hash kind cols =
+  let spread =
+    ((Hashtbl.seeded_hash 1 cols lsl 32) lxor Hashtbl.seeded_hash 2 cols) land max_int
+  in
+  match kind with
+  | Spread -> spread
+  | Skewed -> if spread land 1 = 0 then spread land 0xFF_FFFF_FFFF else spread
+  | Constant -> 12345
+
+type dedup_case = {
+  kind : hash_kind;
+  wa : int;
+  da : int array;
+  ka : int array;
+  wb : int;
+  db : int array;
+  kb : int array;
+  pairs : (int * int) array;
+}
+
+let print_dedup_case c =
+  Printf.sprintf "%s; wa %d ka %s (%d rows); wb %d kb %s (%d rows); %d candidates"
+    (match c.kind with Spread -> "spread" | Skewed -> "skewed" | Constant -> "constant")
+    c.wa QCheck.Print.(array int c.ka) (Array.length c.da / c.wa)
+    c.wb QCheck.Print.(array int c.kb) (Array.length c.db / c.wb)
+    (Array.length c.pairs)
+
+(* Two row arrays over a 2- or 3-value domain, keep sets of 0 to all of
+   each side's columns (so one side only, or neither, among them), and
+   20k to 24k candidates: with few kept columns nearly every candidate is
+   a duplicate, with many most are distinct; both span 8 to 16
+   partitions. A constant hash compares every candidate with every
+   earlier distinct one, so it gets at most 600. *)
+let dedup_case_gen =
+  QCheck.Gen.(
+    let side =
+      int_range 1 5 >>= fun w ->
+      int_range 2 3 >>= fun dom ->
+      int_range 1 80 >>= fun rows ->
+      array_repeat (w * rows) (int_range 0 (dom - 1)) >>= fun d ->
+      int_range 0 w >>= fun k ->
+      shuffle_l (List.init w Fun.id) >>= fun cols ->
+      return (w, d, Array.of_list (List.filteri (fun i _ -> i < k) cols))
+    in
+    frequency [ (3, return Spread); (2, return Skewed); (1, return Constant) ]
+    >>= fun kind ->
+    side >>= fun (wa, da, ka) ->
+    side >>= fun (wb, db, kb) ->
+    (if kind = Constant then int_range 0 600 else int_range 20_000 24_000) >>= fun n ->
+    let na = Array.length da / wa and nb = Array.length db / wb in
+    array_repeat n (pair (int_range 0 (na - 1)) (int_range 0 (nb - 1))) >>= fun pairs ->
+    return { kind; wa; da; ka; wb; db; kb; pairs })
+
+let prop_dedup_is_flat =
+  qtest ~count:60 "dedup = flat dedup (rows in order, kept)"
+    (QCheck.make ~print:print_dedup_case dedup_case_gen)
+    (fun c ->
+      let n = Array.length c.pairs in
+      let expected_a, expected_b, expected =
+        flat_dedup ~da:c.da ~wa:c.wa ~ka:c.ka ~db:c.db ~wb:c.wb ~kb:c.kb n (fun add ->
+            Array.iter (fun (a, b) -> add a b) c.pairs)
+      in
+      let a = Array.map fst c.pairs and b = Array.map snd c.pairs in
+      let h =
+        Array.map
+          (fun (a, b) ->
+            candidate_hash c.kind
+              (Array.to_list (Array.map (fun k -> c.da.((a * c.wa) + k)) c.ka)
+              @ Array.to_list (Array.map (fun k -> c.db.((b * c.wb) + k)) c.kb)))
+          c.pairs
+      in
+      let kept =
+        Ops.dedup ~da:c.da ~wa:c.wa ~ka:c.ka ~db:c.db ~wb:c.wb ~kb:c.kb ~a ~b ~h n
+      in
+      kept = expected
+      && Array.sub a 0 kept = Array.sub expected_a 0 kept
+      && (Array.length c.kb = 0 || Array.sub b 0 kept = Array.sub expected_b 0 kept))
+
+(* [Ops.project] on 20k to 24k rows: an id column that is dropped and
+   five columns over a 3-value domain, of which a random subset (the
+   empty one among them) is kept. *)
+let prop_project_is_flat =
+  qtest ~count:20 "project = flat dedup (20k rows)"
+    QCheck.(
+      make
+        ~print:(fun (n, keep, _) ->
+          Printf.sprintf "%d rows, keep %s" n (Print.(list int) keep))
+        Gen.(
+          int_range 20_000 24_000 >>= fun n ->
+          int_range 0 5 >>= fun k ->
+          shuffle_l [ 1; 2; 3; 4; 5 ] >>= fun cols ->
+          map (fun seed -> (n, List.filteri (fun i _ -> i < k) cols, seed)) int))
+    (fun (n, keep, seed) ->
+      let st = Random.State.make [| seed |] in
+      let r =
+        relation [ 0; 1; 2; 3; 4; 5 ]
+          (List.init n (fun i -> i :: List.init 5 (fun _ -> Random.State.int st 3)))
+      in
+      rows_of (Ops.project r (Schema.of_list keep))
+      = flat_project r (Array.of_list keep))
+
+(* A 50k-row join of [r(0, 1, 2)] and [s(1, 3, 4)] over a 7-value key,
+   projected on a random subset of [{0, 2, 3, 4}]: [r]'s columns only,
+   [s]'s only, both or none. The fused kernel gives the oracle's
+   projection of the join, and the same rows under a 2-domain pool. *)
+let prop_join_project_is_flat =
+  qtest ~count:20 "join_project = flat dedup of the join (50k matches)"
+    QCheck.(
+      make
+        ~print:(fun (keep, _) -> Printf.sprintf "keep %s" (Print.(list int) keep))
+        Gen.(
+          int_range 0 4 >>= fun k ->
+          shuffle_l [ 0; 2; 3; 4 ] >>= fun cols ->
+          map (fun seed -> (List.filteri (fun i _ -> i < k) cols, seed)) int))
+    (fun (keep, seed) ->
+      let st = Random.State.make [| seed |] in
+      let r = relation [ 0; 1; 2 ] (List.init 1000 (fun i -> [ i; i mod 7; Random.State.int st 3 ])) in
+      let s =
+        relation [ 1; 3; 4 ]
+          (List.init 350 (fun i -> [ i mod 7; i; Random.State.int st 2 ]))
+      in
+      let sub = Schema.of_list keep in
+      let join = Ops.natural_join r s in
+      let expected = flat_project join (Schema.positions sub (Relation.schema join)) in
+      rows_of (Ops.join_project r s sub) = expected
+      && rows_of
+           (Ops.join_project ~ctx:(Relalg.Ctx.create ~pool:(Lazy.force fused_pool) ()) r s sub)
+         = expected)
+
+(* An empty keep set: one distinct row at most, and every candidate in
+   one partition. *)
+let test_dedup_empty_keep () =
+  let r = relation [ 0; 1 ] (List.init 30_000 (fun i -> [ i; i mod 3 ])) in
+  let s = relation [ 1; 2 ] (List.init 6 (fun i -> [ i mod 3; i ])) in
+  check_rows "project" [ [] ] (Ops.project r Schema.empty);
+  check_rows "join_project" [ [] ] (Ops.join_project r s Schema.empty);
+  check_rows "empty input" [] (Ops.project (relation [ 0 ] []) Schema.empty)
+
+(* A skewed input: 20k of 24k rows share their kept columns, so their
+   partition holds far more candidates than any other; the other 4k
+   are distinct. *)
+let test_dedup_skewed () =
+  let r =
+    relation [ 0; 1; 2 ]
+      (List.init 24_000 (fun i -> if i < 20_000 then [ i; 7; 7 ] else [ i; i; -i ]))
+  in
+  let keep = [| 1; 2 |] in
+  let out = Ops.project r (Schema.of_list [ 1; 2 ]) in
+  check_int "distinct rows" 4_001 (Relation.cardinality out);
+  check_bool "first-occurrence order" true (rows_of out = flat_project r keep)
+
+(* A partition far larger than the rest, of distinct candidates: its
+   table must be sized from its own count. 20k candidates make 16
+   partitions; 18k of them hash into partition 0. *)
+let test_dedup_large_partition () =
+  let n = 20_000 in
+  let da = Array.init n Fun.id in
+  let a = Array.init n Fun.id in
+  let h = Array.init n (fun i -> if i < 18_000 then i else (i lsl 40) lor i) in
+  let kept = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
+  check_int "all distinct" n kept;
+  check_bool "in order" true (a = Array.init n Fun.id);
+  let dedup ~a ~h n = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
+  Alcotest.check_raises "a negative hash" (Invalid_argument "Ops.dedup: candidate out of range")
+    (fun () -> ignore (dedup ~a:[| 0 |] ~h:[| -1 |] 1));
+  Alcotest.check_raises "a row out of range" (Invalid_argument "Ops.dedup: candidate out of range")
+    (fun () -> ignore (dedup ~a:[| n |] ~h:[| 0 |] 1));
+  Alcotest.check_raises "too few candidates" (Invalid_argument "Ops.dedup: fewer than n candidates")
+    (fun () -> ignore (dedup ~a:[| 0 |] ~h:[| 0 |] 2))
+
+(* The dedup's passes poll the deadline: a clock that passes the
+   deadline at its [k]-th read, for every [k], makes the fused kernel
+   raise [Deadline] with the total the flat kernel left at a poll in the
+   same phase: nothing before the join's charge, the join's [n] rows
+   from its charge to the projection's settle, and [n] plus the kept
+   rows in the gather. Between the join's charge and the settle the
+   clock is read by the projection's tick, once per 1024 rows of the
+   build-side hash pass, once per 1024 candidates of each of the six
+   passes over the [n] candidates (record, count, scatter, link, verify,
+   compact), and by the settle. *)
+let test_dedup_deadline_polls () =
+  (* 12k matches (build side [s], 2000 rows), 3000 distinct. *)
+  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 500 ])) in
+  let s = relation [ 1; 2 ] (List.init 2000 (fun i -> [ i mod 500; i ])) in
+  let sub = Schema.of_list [ 0 ] in
+  let run k =
+    (* Reads are counted once the deadline is set. *)
+    let reads = ref 0 and armed = ref false in
+    let limits =
+      Limits.create ~deadline_seconds:1.0
+        ~clock:(fun () ->
+          if !armed then incr reads;
+          if !reads >= k then 10.0 else 0.0)
+        ()
+    in
+    armed := true;
+    match Ops.join_project ~ctx:(Relalg.Ctx.create ~limits ()) r s sub with
+    | out -> (None, Limits.total_charged limits, Relation.cardinality out)
+    | exception Limits.Abort reason -> (Some reason, Limits.total_charged limits, 0)
+  in
+  let n = 12_000 and kept = 3_000 in
+  let rec sweep k acc =
+    match run k with
+    | None, total, card ->
+      check_int "charged" (n + kept) total;
+      check_int "kept" kept card;
+      List.rev acc
+    | Some reason, total, _ ->
+      check_bool "deadline" true (reason = Limits.Deadline);
+      sweep (k + 1) (total :: acc)
+  in
+  let totals = sweep 1 [] in
+  let count t = List.length (List.filter (( = ) t) totals) in
+  check_int "polls before the join's charge" 2 (count 0);
+  check_int "polls between the join's charge and the settle"
+    (1 + (2000 / 1024) + (6 * (n / 1024)) + 1)
+    (count n);
+  check_int "polls in the gather" (kept / 1024) (count (n + kept));
+  check_int "no other total" (List.length totals) (count 0 + count n + count (n + kept))
+
+(* Fuel trips at the projection's tick, after the join's charge and
+   before any dedup pass, as it did before the fused kernel
+   partitioned. *)
+let test_dedup_fuel () =
+  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 500 ])) in
+  let s = relation [ 1; 2 ] (List.init 2000 (fun i -> [ i mod 500; i ])) in
+  let limits = Limits.create ~fuel:1 () in
+  Alcotest.check_raises "fuel" (Limits.Abort Limits.Fuel) (fun () ->
+      ignore
+        (Ops.join_project ~ctx:(Relalg.Ctx.create ~limits ()) r s (Schema.of_list [ 0 ])));
+  check_int "the join's rows were charged" 12_000 (Limits.total_charged limits)
+
+(* An arena created with no size hint holds no storage until [extend] or
+   [add] sizes it, then grows as before. *)
+let test_arena_no_hint () =
+  let a = Arena.create ~size_hint:0 3 in
+  check_int "no storage" 0 (Array.length (Arena.data a));
+  check_bool "mem on empty" false (Arena.mem a [| 1; 2; 3 |]);
+  let base = Arena.extend a 2 in
+  check_int "extend sizes it exactly" 6 (Array.length (Arena.data a));
+  check_int "first row at 0" 0 base;
+  Array.iteri (fun i v -> (Arena.data a).(i) <- v) [| 1; 2; 3; 4; 5; 6 |];
+  for k = 0 to 99 do
+    check_bool "fresh" true (Arena.add a [| k; k; k + 100 |])
+  done;
+  check_bool "extended rows stay distinct" false (Arena.add a [| 4; 5; 6 |]);
+  check_int "count" 102 (Arena.count a);
+  let b = Arena.create ~size_hint:0 3 in
+  check_bool "add to an empty arena" true (Arena.add b [| 1; 2; 3 |]);
+  check_int "first add makes room for 8" 24 (Array.length (Arena.data b));
+  let z = Arena.create ~size_hint:0 0 in
+  check_bool "0-ary add" true (Arena.add z [||]);
+  check_bool "0-ary duplicate" false (Arena.add z [||]);
+  check_int "0-ary count" 1 (Arena.count z)
+
 let () =
   Alcotest.run "relalg"
     [
@@ -1232,9 +1559,21 @@ let () =
           Alcotest.test_case "deadline during a fill" `Quick
             test_deadline_in_fill;
         ] );
+      ( "dedup",
+        [
+          prop_dedup_is_flat;
+          prop_project_is_flat;
+          prop_join_project_is_flat;
+          Alcotest.test_case "empty keep set" `Quick test_dedup_empty_keep;
+          Alcotest.test_case "skewed input" `Quick test_dedup_skewed;
+          Alcotest.test_case "one large partition" `Quick test_dedup_large_partition;
+          Alcotest.test_case "deadline polls" `Quick test_dedup_deadline_polls;
+          Alcotest.test_case "fuel" `Quick test_dedup_fuel;
+        ] );
       ( "arena",
         [
           Alcotest.test_case "0-ary tuples" `Quick test_arena_zero_ary;
+          Alcotest.test_case "no size hint" `Quick test_arena_no_hint;
           Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
           Alcotest.test_case "growth and rehash (70k rows)" `Quick
             test_arena_many_rows;
