@@ -1,7 +1,6 @@
-(* Adaptive-planning gate: run a skewed workload twice through the
-   feedback loop and check that the second pass plans measurably better.
-
-     dune exec bench/adaptive_bench.exe -- [--reps K] [--json FILE]
+(* Adaptive-planning gate ("adaptive_comparison"): run a skewed
+   workload twice through the feedback loop and check that the second
+   pass plans measurably better.
 
    The database is adversarial for the textbook independence model, in
    both directions at once:
@@ -20,40 +19,19 @@
    observer feeding an Adapt.Store; pass 2 recompiles under the learned
    corrections and must flip to the g-side start.
 
-   Obligations:
+   Checks:
 
-   - Output identity, enforced always: both passes produce exactly the
-     same tuple set — feedback moves the plan inside the same plan
-     space, never the answer.
+   - Output identity: both passes produce exactly the same tuple set —
+     feedback moves the plan inside the same plan space, never the
+     answer.
 
    - Measured-work improvement: the corrected plan's total intermediate
-     tuples must undercut the uncorrected plan's by the threshold
-     (default 1.2x, override with PPR_ADAPT_GATE_MIN; 0 disables), and
-     its execution must not be slower than 1.05x the uncorrected wall
-     time.
+     tuples must undercut the uncorrected plan's by 1.2x, and its
+     execution must not be slower than 1.05x the uncorrected wall
+     time. *)
 
-   The verdict lands in BENCH_results.json under
-   "adaptive_comparison". *)
-
-let reps = ref 3
-let json_path = ref "BENCH_results.json"
-
-let usage () =
-  prerr_endline "usage: adaptive_bench.exe [--reps K] [--json FILE]";
-  exit 2
-
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--reps" :: v :: rest ->
-      (try reps := int_of_string v with _ -> usage ());
-      go rest
-    | "--json" :: v :: rest ->
-      json_path := v;
-      go rest
-    | _ -> usage ()
-  in
-  go (List.tl (Array.to_list Sys.argv))
+let reps = 3
+let threshold = 1.2
 
 module Driver = Ppr_core.Driver
 module Relation = Relalg.Relation
@@ -90,18 +68,6 @@ let query () =
       ]
     ~free:[ 1; 5 ]
 
-let time_best ~reps f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
-
 (* Execute a plan counting every intermediate (and final) cardinality —
    the model-free cost the two passes are compared on. *)
 let measured_work db plan =
@@ -111,13 +77,7 @@ let measured_work db plan =
   in
   (result, !total)
 
-let () =
-  parse_args ();
-  let threshold =
-    match Sys.getenv_opt "PPR_ADAPT_GATE_MIN" with
-    | Some s -> ( try float_of_string (String.trim s) with _ -> 1.2)
-    | None -> 1.2
-  in
+let run r =
   let db = database () in
   let cq = query () in
   let meth = Driver.Naive Ppr_core.Naive.Dp in
@@ -131,28 +91,27 @@ let () =
   let result_of label o =
     match (o.Driver.status, o.Driver.result) with
     | Driver.Completed, Some r -> r
-    | _ ->
-      Printf.eprintf "adaptive: %s pass did not complete\n%!" label;
-      exit 1
+    | _ -> failwith (label ^ " pass did not complete")
   in
   let r1 = result_of "first" outcome1 in
   let r2 = result_of "second" outcome2 in
   let identical = Relation.equal_modulo_order r1 r2 in
-  if not identical then
-    Printf.eprintf "adaptive: FAIL corrected plan changed the answer\n%!";
+  Harness.check r identical "corrected plan changed the answer";
   (* Re-derive both plans deterministically (DP) for the comparison. *)
   let plan1 = Driver.compile meth db cq in
   let plan2 = Driver.compile ~feedback meth db cq in
   let rw1, work1 = measured_work db plan1 in
   let rw2, work2 = measured_work db plan2 in
-  assert (Relation.equal_modulo_order rw1 r1);
-  assert (Relation.equal_modulo_order rw2 r2);
-  let _, wall1 = time_best ~reps:!reps (fun () -> Ppr_core.Exec.run db plan1) in
-  let _, wall2 = time_best ~reps:!reps (fun () -> Ppr_core.Exec.run db plan2) in
+  Harness.check r
+    (Relation.equal_modulo_order rw1 r1 && Relation.equal_modulo_order rw2 r2)
+    "a re-derived plan changed its pass's answer";
+  let _, wall1 =
+    Harness.time_best ~reps (fun () -> Ppr_core.Exec.run db plan1)
+  in
+  let _, wall2 =
+    Harness.time_best ~reps (fun () -> Ppr_core.Exec.run db plan2)
+  in
   let improvement = float_of_int work1 /. float_of_int (max 1 work2) in
-  let enforced = threshold > 0. in
-  let improvement_ok = (not enforced) || improvement >= threshold in
-  let wall_ok = (not enforced) || wall2 <= wall1 *. 1.05 in
   let env = Ppr_core.Cost.environment db cq in
   let corrected_env = Ppr_core.Cost.environment ~feedback db cq in
   let pp_plan plan = Format.asprintf "%a" (Ppr_core.Plan.pp ()) plan in
@@ -165,48 +124,26 @@ let () =
     (Ppr_core.Cost.estimate corrected_env plan2)
     wall2;
   Printf.printf
-    "improvement %.2fx (threshold %.2fx%s)   identity %s   store %d keys / \
-     %d samples\n%!"
-    improvement threshold
-    (if enforced then "" else ", disabled")
-    (if identical then "ok" else "FAIL")
-    (Adapt.Store.size store) (Adapt.Store.samples store);
-  if not improvement_ok then
-    Printf.eprintf "adaptive: FAIL corrected plan not %.2fx cheaper\n%!"
-      threshold;
-  if not wall_ok then
-    Printf.eprintf "adaptive: FAIL corrected plan slower in wall time\n%!";
-  let pass = identical && improvement_ok && wall_ok in
-  let verdict =
-    let open Telemetry.Json in
-    Obj
-      [
-        ("reps", Int !reps);
-        ("work_uncorrected", Int work1);
-        ("work_corrected", Int work2);
-        ("improvement", Float improvement);
-        ("threshold", Float threshold);
-        ("threshold_enforced", Bool enforced);
-        ("wall_uncorrected_seconds", Float wall1);
-        ("wall_corrected_seconds", Float wall2);
-        ("est_uncorrected", Float (Ppr_core.Cost.estimate env plan1));
-        ("est_corrected", Float (Ppr_core.Cost.estimate corrected_env plan2));
-        ("plan_uncorrected", String (pp_plan plan1));
-        ("plan_corrected", String (pp_plan plan2));
-        ("identity", Bool identical);
-        ("feedback_keys", Int (Adapt.Store.size store));
-        ("feedback_samples", Int (Adapt.Store.samples store));
-        ("pass", Bool pass);
-      ]
-  in
-  (if Sys.file_exists !json_path then
-     Bench_json.update_file !json_path ~key:"adaptive_comparison"
-       ~value:verdict
-   else begin
-     let oc = open_out !json_path in
-     Telemetry.Json.to_channel oc
-       (Telemetry.Json.Obj [ ("adaptive_comparison", verdict) ]);
-     output_char oc '\n';
-     close_out oc
-   end);
-  if not pass then exit 1
+    "improvement %.2fx (threshold %.2fx)   store %d keys / %d samples\n%!"
+    improvement threshold (Adapt.Store.size store) (Adapt.Store.samples store);
+  Harness.check r (improvement >= threshold)
+    "corrected plan %.2fx cheaper, not %.2fx" improvement threshold;
+  Harness.check r (wall2 <= wall1 *. 1.05)
+    "corrected plan slower in wall time: %.4fs vs %.4fs" wall2 wall1;
+  let open Telemetry.Json in
+  [
+    ("reps", Int reps);
+    ("work_uncorrected", Int work1);
+    ("work_corrected", Int work2);
+    ("improvement", Float improvement);
+    ("threshold", Float threshold);
+    ("wall_uncorrected_seconds", Float wall1);
+    ("wall_corrected_seconds", Float wall2);
+    ("est_uncorrected", Float (Ppr_core.Cost.estimate env plan1));
+    ("est_corrected", Float (Ppr_core.Cost.estimate corrected_env plan2));
+    ("plan_uncorrected", String (pp_plan plan1));
+    ("plan_corrected", String (pp_plan plan2));
+    ("identity", Bool identical);
+    ("feedback_keys", Int (Adapt.Store.size store));
+    ("feedback_samples", Int (Adapt.Store.samples store));
+  ]

@@ -1,53 +1,28 @@
-(* Enumeration gate: time-to-first-answer through the streaming result
-   surface against the materialize-everything path, on a large-output
-   acyclic panel, and append the verdict to BENCH_results.json under
-   "enumeration_comparison".
+(* Enumeration gate ("enumeration_comparison"): time-to-first-answer
+   through the streaming result surface against the
+   materialize-everything path, on a large-output acyclic panel.
 
-     dune exec bench/enum_bench.exe -- [--order N] [--reps K] [--json FILE]
+   The panel is the 3-coloring of the path P_16 with every variable
+   free: acyclic, width 2, and 3*2^15 answers, so the answer set dwarfs
+   every intermediate. The materializing path must pay for all of it
+   before the first tuple is visible; the streaming path (Exec.stream
+   routes the acyclic plan through the semijoin reduction and enumerates
+   constant-delay from the reduced bag tree) must produce its first
+   tuple after setup that is linear in the input, not the output.
 
-   The panel is the 3-coloring of the path P_N with every variable free:
-   acyclic, width 2, and 3*2^(N-1) answers (~100k at the default N=16),
-   so the answer set dwarfs every intermediate. The materializing path
-   must pay for all of it before the first tuple is visible; the
-   streaming path (Exec.stream routes the acyclic plan through the
-   semijoin reduction and enumerates constant-delay from the reduced bag
-   tree) must produce its first tuple after setup that is linear in the
-   input, not the output.
+   Two checks:
 
-   Two obligations:
-
-   - Output identity, enforced always: draining the stream must yield
-     exactly the tuple set the materialized evaluator produces, on the
-     bucket-elimination plan and on the GHD route.
+   - Output identity: draining the stream must yield exactly the tuple
+     set the materialized evaluator produces, on the bucket-elimination
+     plan and on the GHD route.
 
    - Time-to-first speedup: first-tuple latency must beat the full
-     materialization by the threshold (default 5x, override with
-     PPR_ENUM_GATE_MIN; 0 disables). The --limit 10 page shape
-     (stream + take 10) is timed and reported alongside. *)
+     materialization by 5x. The --limit 10 page shape (stream + take 10)
+     is timed and reported alongside. *)
 
-let order = ref 16
-let reps = ref 5
-let json_path = ref "BENCH_results.json"
-
-let usage () =
-  prerr_endline "usage: enum_bench.exe [--order N] [--reps K] [--json FILE]";
-  exit 2
-
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--order" :: v :: rest ->
-      (try order := int_of_string v with _ -> usage ());
-      go rest
-    | "--reps" :: v :: rest ->
-      (try reps := int_of_string v with _ -> usage ());
-      go rest
-    | "--json" :: v :: rest ->
-      json_path := v;
-      go rest
-    | _ -> usage ()
-  in
-  go (List.tl (Array.to_list Sys.argv))
+let order = 16
+let reps = 5
+let threshold = 5.0
 
 module Encode = Conjunctive.Encode
 module Relation = Relalg.Relation
@@ -58,18 +33,6 @@ module Driver = Ppr_core.Driver
 module Exec = Ppr_core.Exec
 
 let rng seed = Graphlib.Rng.make seed
-
-let time_best ~reps f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
 
 (* Streamed and materialized routes may order the free variables
    differently in their output schemas; identity is on assignment sets. *)
@@ -96,14 +59,8 @@ let drain_assignment_rows cur =
     cur;
   List.sort_uniq compare !rows
 
-let () =
-  parse_args ();
-  let n = !order in
-  let threshold =
-    match Sys.getenv_opt "PPR_ENUM_GATE_MIN" with
-    | Some s -> ( try float_of_string (String.trim s) with _ -> 5.0)
-    | None -> 5.0
-  in
+let run r =
+  let n = order in
   let db = Encode.coloring_database () in
   let cq =
     Encode.coloring_query_of_graph ~mode:(Encode.Fraction 1.0)
@@ -113,7 +70,7 @@ let () =
   (* ---------------------------------------------------------------- *)
   (* Identity: the drained stream is the materialized answer.          *)
   let materialized, full_s =
-    time_best ~reps:!reps (fun () ->
+    Harness.time_best ~reps (fun () ->
         match (Driver.run ~compiled Driver.Bucket_elimination db cq).Driver.result with
         | Some r -> r
         | None -> failwith "materialized run failed")
@@ -124,30 +81,30 @@ let () =
   let ghd_compiled = Driver.prepare Driver.Ghd db cq in
   let ghd_drained = drain_assignment_rows (Exec.stream db cq ghd_compiled) in
   let identical = drained = expected && ghd_drained = expected in
-  if not identical then
-    Printf.eprintf
-      "IDENTITY FAIL: materialized=%d streamed(plan)=%d streamed(ghd)=%d\n%!"
-      answers (List.length drained)
-      (List.length ghd_drained);
+  Harness.check r identical
+    "streamed answers differ from the materialized path: materialized=%d \
+     streamed(plan)=%d streamed(ghd)=%d"
+    answers (List.length drained)
+    (List.length ghd_drained);
   (* ---------------------------------------------------------------- *)
   (* Latency: first tuple, and the --limit 10 page shape.              *)
   let first, first_s =
-    time_best ~reps:!reps (fun () ->
+    Harness.time_best ~reps (fun () ->
         let cur = Exec.stream db cq compiled in
         let t = Cursor.next cur in
         Cursor.close cur;
         t)
   in
-  if first = None then failwith "streamed route produced no first tuple";
+  Harness.check r (first <> None) "streamed route produced no first tuple";
   let page10, page10_s =
-    time_best ~reps:!reps (fun () ->
+    Harness.time_best ~reps (fun () ->
         let cur = Exec.stream db cq compiled in
         let page = Cursor.take cur 10 in
         Cursor.close cur;
         page)
   in
-  if List.length page10 <> 10 then
-    failwith "streamed route produced a short --limit 10 page";
+  Harness.check r (List.length page10 = 10)
+    "streamed route produced a short --limit 10 page";
   let ratio = full_s /. Float.max first_s 1e-12 in
   Printf.printf
     "enum panel (path P_%d, all %d vars free): %d answers\n\
@@ -155,47 +112,18 @@ let () =
     \  stream first answer:    %.6fs   (%.1fx faster)\n\
     \  stream --limit 10 page: %.6fs\n%!"
     n n answers full_s first_s ratio page10_s;
-  let enforced = threshold > 0.0 in
-  let ratio_ok = (not enforced) || ratio >= threshold in
-  let pass = identical && ratio_ok in
-  let verdict =
-    let open Telemetry.Json in
-    Obj
-      [
-        ("order", Int n);
-        ("reps", Int !reps);
-        ("answers", Int answers);
-        ("full_seconds", Float full_s);
-        ("first_answer_seconds", Float first_s);
-        ("page10_seconds", Float page10_s);
-        ("first_answer_speedup", Float ratio);
-        ("threshold", Float threshold);
-        ("speedup_enforced", Bool enforced);
-        ("identical_output", Bool identical);
-        ("pass", Bool pass);
-      ]
-  in
-  (if Sys.file_exists !json_path then
-     Bench_json.update_file !json_path ~key:"enumeration_comparison"
-       ~value:verdict
-   else begin
-     let oc = open_out !json_path in
-     Telemetry.Json.to_channel oc
-       (Telemetry.Json.Obj [ ("enumeration_comparison", verdict) ]);
-     output_char oc '\n';
-     close_out oc
-   end);
-  Printf.printf "updated %s with enumeration_comparison\n%!" !json_path;
-  if not identical then begin
-    prerr_endline "FAIL: streamed answers differ from the materialized path";
-    exit 1
-  end;
-  if not ratio_ok then begin
-    Printf.eprintf
-      "FAIL: time-to-first speedup %.2fx < %.2fx on the enumeration panel\n"
-      ratio threshold;
-    exit 1
-  end;
-  if not enforced then
-    print_endline
-      "note: speedup threshold disabled; gate passed on output identity"
+  Harness.check r (ratio >= threshold)
+    "time-to-first speedup %.2fx < %.2fx on the enumeration panel" ratio
+    threshold;
+  let open Telemetry.Json in
+  [
+    ("order", Int n);
+    ("reps", Int reps);
+    ("answers", Int answers);
+    ("full_seconds", Float full_s);
+    ("first_answer_seconds", Float first_s);
+    ("page10_seconds", Float page10_s);
+    ("first_answer_speedup", Float ratio);
+    ("threshold", Float threshold);
+    ("identical_output", Bool identical);
+  ]

@@ -1,9 +1,7 @@
-(* Serving soak gate: hammer an in-process daemon over its real socket
-   transport with ~200 concurrent sessions of mixed health and verify
-   the robustness contract end to end.
-
-     dune exec bench/serve_soak.exe -- [--clients N] [--per-client K]
-         [--tcp] [--json FILE]
+(* Serving soak gate ("serve_soak"): hammer an in-process daemon with
+   200 concurrent sessions of mixed health (40 clients x 5 requests),
+   once over a Unix socket and once over TCP, and verify the robustness
+   contract end to end.
 
    The mix (deterministic per request index): ~60% well-formed template
    queries whose variable names vary per request (so the structural plan
@@ -32,49 +30,25 @@
      occupier, N identical fresh-structure queries arrive on separate
      connections; all N must be answered with tuple-identical rows,
      carrying batched flags, while the plan cache compiles the
-     structure at most PPR_BATCH_GATE times (default 2) — the batch
-     coalesced, it did not fan N compiles;
+     structure at most twice — the batch coalesced, it did not fan N
+     compiles;
    - a flooding client: one connection bursts 20 queued-up queries and
      must be quota-shed (typed "shed-quota") for the overflow while a
      polite client on another connection is answered normally;
    - a cost probe: a 12-way cross product whose analytic lower bound
      towers over --max-cost-log2 must be refused with the typed
-     "shed-cost" error, never executed and never "internal".
-
-   The verdict lands in BENCH_results.json under "serve_soak". *)
+     "shed-cost" error, never executed and never "internal". *)
 
 module Json = Telemetry.Json
 module Jsonl = Serve.Jsonl
 module Wire = Serve.Wire
 
-let clients = ref 40
-let per_client = ref 5
-let use_tcp = ref false
-let json_path = ref "BENCH_results.json"
+let clients = 40
+let per_client = 5
 
-let usage () =
-  prerr_endline
-    "usage: serve_soak.exe [--clients N] [--per-client K] [--tcp] [--json FILE]";
-  exit 2
-
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--clients" :: v :: rest ->
-      (try clients := int_of_string v with _ -> usage ());
-      go rest
-    | "--per-client" :: v :: rest ->
-      (try per_client := int_of_string v with _ -> usage ());
-      go rest
-    | "--tcp" :: rest ->
-      use_tcp := true;
-      go rest
-    | "--json" :: v :: rest ->
-      json_path := v;
-      go rest
-    | _ -> usage ()
-  in
-  go (List.tl (Array.to_list Sys.argv))
+(* The duplicate flood's compile budget: the leader's compile, plus one
+   slack for a straggler that arrived after its batch was popped. *)
+let batch_compiles = 2
 
 (* ------------------------------------------------------------------ *)
 (* The request mix.                                                    *)
@@ -283,15 +257,15 @@ let client address c =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      for i = 0 to !per_client - 1 do
-        output_string oc (request_line ((c * !per_client) + i));
+      for i = 0 to per_client - 1 do
+        output_string oc (request_line ((c * per_client) + i));
         output_char oc '\n'
       done;
       flush oc;
       (* responses arrive out of request order; classification keys off
          each response's own echoed id, so reading count-many lines is
          all the pairing needed *)
-      for _ = 1 to !per_client do
+      for _ = 1 to per_client do
         match input_line ic with
         | line -> record_response line
         | exception End_of_file ->
@@ -453,15 +427,9 @@ let release_occupiers label conns =
 (* Duplicate-query flood: N identical fresh-structure queries admitted
    while the workers are pinned must coalesce into (nearly) one
    execution — tuple-identical answers on every connection, batched
-   flags on the wire, and a plan-cache miss delta bounded by
-   PPR_BATCH_GATE (default 2: the leader's compile, plus one slack for
-   a straggler that arrived after its batch was popped). *)
+   flags on the wire, and a plan-cache miss delta of at most
+   [batch_compiles]. *)
 let batching_phase address =
-  let gate =
-    match Sys.getenv_opt "PPR_BATCH_GATE" with
-    | Some v -> ( try int_of_string v with _ -> 2)
-    | None -> 2
-  in
   let occupiers = pin_workers address ~stall_seconds:0.6 in
   (* let the occupiers compile and reach their stalls, so the snapshot
      below sees every miss the duplicates did not cause *)
@@ -524,10 +492,10 @@ let batching_phase address =
   if !batched_flags = 0 then
     violation "batching phase: no answer carried the batched flag";
   let compile_delta = fetch_stat address "cache_misses" - misses0 in
-  if compile_delta > gate then
+  if compile_delta > batch_compiles then
     violation
-      "batching phase: %d compiles for %d duplicate requests (gate %d)"
-      compile_delta n gate;
+      "batching phase: %d compiles for %d duplicate requests (at most %d)"
+      compile_delta n batch_compiles;
   release_occupiers "batching phase" occupiers;
   (!batched_flags, compile_delta)
 
@@ -624,21 +592,17 @@ let cost_phase address =
 (* ------------------------------------------------------------------ *)
 (* Gate.                                                               *)
 
-let append_verdict verdict =
-  (if Sys.file_exists !json_path then
-     Bench_json.update_file !json_path ~key:"serve_soak" ~value:verdict
-   else begin
-     let oc = open_out !json_path in
-     Telemetry.Json.to_channel oc (Json.Obj [ ("serve_soak", verdict) ]);
-     output_char oc '\n';
-     close_out oc
-   end);
-  Printf.printf "verdict appended to %s\n%!" !json_path
-
-let () =
-  parse_args ();
+(* One soak over one transport, from a fresh tally. *)
+let soak r ~tcp =
+  tally.answered <- 0;
+  tally.typed_errors <- 0;
+  tally.shed <- 0;
+  tally.wrong <- [];
+  Hashtbl.reset tally.first_rows;
+  Hashtbl.reset tally.responses_by_id;
+  paginated_sessions := 0;
   let address =
-    if !use_tcp then Serve.Server.Tcp ("127.0.0.1", 0)
+    if tcp then Serve.Server.Tcp ("127.0.0.1", 0)
     else
       Serve.Server.Unix_socket
         (Filename.concat
@@ -666,13 +630,13 @@ let () =
       address
   in
   let address = Serve.Server.bound_address server in
-  let total = !clients * !per_client in
-  Printf.printf "soak: %d clients x %d requests over %s\n%!" !clients
-    !per_client
+  let total = clients * per_client in
+  Printf.printf "soak: %d clients x %d requests over %s\n%!" clients
+    per_client
     (Format.asprintf "%a" Serve.Server.pp_address address);
   let started = Unix.gettimeofday () in
   let threads =
-    List.init !clients (fun c -> Thread.create (client address) c)
+    List.init clients (fun c -> Thread.create (client address) c)
   in
   List.iter Thread.join threads;
   let elapsed = Unix.gettimeofday () -. started in
@@ -684,7 +648,7 @@ let () =
   List.iter Thread.join pag_threads;
 
   (* cost-aware admission phases *)
-  let batched_flags, batch_compiles = batching_phase address in
+  let batched_flags, compiles = batching_phase address in
   let quota_shed = quota_phase address in
   cost_phase address;
 
@@ -763,33 +727,35 @@ let () =
     "soak: batching %d flags / %d compiles; quota shed %d; daemon counters \
      batched=%d shed_cost=%d shed_quota=%d\n\
      %!"
-    batched_flags batch_compiles quota_shed (stat "batched")
+    batched_flags compiles quota_shed (stat "batched")
     (stat "shed_cost") (stat "shed_quota");
-  append_verdict
-    (Json.Obj
-       [
-         ("requests", Json.Int total);
-         ("clients", Json.Int !clients);
-         ("wall_seconds", Json.Float elapsed);
-         ("answered", Json.Int tally.answered);
-         ("typed_errors", Json.Int tally.typed_errors);
-         ("shed", Json.Int tally.shed);
-         ("cache_hits", Json.Int hits);
-         ("cache_misses", Json.Int misses);
-         ("drained_in_flight", Json.Int !drained);
-         ("paginated_sessions", Json.Int !paginated_sessions);
-         ("batched_flags", Json.Int batched_flags);
-         ("batch_compiles", Json.Int batch_compiles);
-         ("quota_shed", Json.Int quota_shed);
-         ("batched_counter", Json.Int (stat "batched"));
-         ("shed_cost_counter", Json.Int (stat "shed_cost"));
-         ("shed_quota_counter", Json.Int (stat "shed_quota"));
-         ("violations", Json.Int (List.length tally.wrong));
-         ("passed", Json.Bool (tally.wrong = []));
-       ]);
-  if tally.wrong <> [] then begin
-    prerr_endline "SOAK GATE FAILED:";
-    List.iter (fun m -> prerr_endline ("  - " ^ m)) tally.wrong;
-    exit 1
-  end;
-  print_endline "SOAK GATE PASSED"
+  let transport = if tcp then "tcp" else "unix" in
+  List.iter
+    (fun m -> Harness.fail r "soak over %s: %s" transport m)
+    (List.rev tally.wrong);
+  ( transport,
+    Json.Obj
+      [
+        ("requests", Json.Int total);
+        ("clients", Json.Int clients);
+        ("wall_seconds", Json.Float elapsed);
+        ("answered", Json.Int tally.answered);
+        ("typed_errors", Json.Int tally.typed_errors);
+        ("shed", Json.Int tally.shed);
+        ("cache_hits", Json.Int hits);
+        ("cache_misses", Json.Int misses);
+        ("drained_in_flight", Json.Int !drained);
+        ("paginated_sessions", Json.Int !paginated_sessions);
+        ("batched_flags", Json.Int batched_flags);
+        ("batch_compiles", Json.Int compiles);
+        ("quota_shed", Json.Int quota_shed);
+        ("batched_counter", Json.Int (stat "batched"));
+        ("shed_cost_counter", Json.Int (stat "shed_cost"));
+        ("shed_quota_counter", Json.Int (stat "shed_quota"));
+        ("violations", Json.Int (List.length tally.wrong));
+      ] )
+
+let run r =
+  let unix = soak r ~tcp:false in
+  let tcp = soak r ~tcp:true in
+  [ unix; tcp ]

@@ -17,13 +17,6 @@ type cell = {
   median_max_arity : int;
 }
 
-type row = {
-  row_panel : string;
-  row_x : string;
-  row_method : string;
-  row_cell : cell;
-}
-
 let aborted s =
   match s.status with
   | Ppr_core.Driver.Completed -> false
@@ -83,10 +76,10 @@ let aggregate samples =
     median_max_arity = int_median (List.map (fun s -> s.max_arity) samples);
   }
 
-(* Experiment-wide domain pool, installed by the CLI/bench alongside the
-   CSV channel and recorder hooks: the figure drivers call into Sweep
-   without a context, so the pool travels the same way. A context with
-   its own pool takes precedence. *)
+(* Experiment-wide domain pool, installed by the CLI alongside the CSV
+   channel: the figure drivers call into Sweep without a context, so the
+   pool travels the same way. A context with its own pool takes
+   precedence. *)
 let pool = ref (None : Parallel.Pool.t option)
 let set_pool p = pool := p
 
@@ -178,23 +171,20 @@ let column_width = 16
 
    All of this is shared mutable state, and with a pool installed the
    figure drivers run cells — and, in principle, whole rows — on worker
-   domains. One mutex serializes every emission: a row's table line, CSV
-   line(s) and recorder calls happen as one atomic section, so a CSV
-   written under [--jobs N] is a row-permutation of the sequential one
-   rather than an interleaving of half-written lines. *)
+   domains. One mutex serializes every emission: a row's table line and
+   CSV line(s) happen as one atomic section, so a CSV written under
+   [--jobs N] is a row-permutation of the sequential one rather than an
+   interleaving of half-written lines. *)
 let sink_mutex = Mutex.create ()
 let locked f = Mutex.protect sink_mutex f
 let csv_channel = ref None
 let csv_header_written = ref false
-let recorder = ref (None : (row -> unit) option)
 let current_panel = ref ("", ([] : string list))
 
 let set_csv_channel ch =
   locked (fun () ->
       csv_channel := ch;
       csv_header_written := false)
-
-let set_recorder r = locked (fun () -> recorder := r)
 
 (* RFC 4180: a field containing a separator, a quote, or a line break
    must be quoted — an embedded newline in a panel title would otherwise
@@ -234,17 +224,6 @@ let csv_row ~x cells =
           cell.median_max_arity)
       columns cells
 
-let record_row ~x cells =
-  match !recorder with
-  | None -> ()
-  | Some record ->
-    let title, columns = !current_panel in
-    List.iter2
-      (fun column cell ->
-        record
-          { row_panel = title; row_x = x; row_method = column; row_cell = cell })
-      columns cells
-
 let print_header ~title ~columns ~x_label =
   locked (fun () ->
       current_panel := (title, columns);
@@ -272,8 +251,7 @@ let print_row ~x ~cells =
         (fun c -> Printf.printf "%*s" column_width (format_cell c))
         cells;
       print_newline ();
-      csv_row ~x cells;
-      record_row ~x cells)
+      csv_row ~x cells)
 
 let print_width_summary ~cells =
   (* "predicted vs. measured": the analytic plan width next to the widest

@@ -30,16 +30,6 @@ type cell = {
   median_max_arity : int;  (** measured width, median over seeds *)
 }
 
-type row = {
-  row_panel : string;
-  row_x : string;
-  row_method : string;
-  row_cell : cell;
-}
-(** One printed cell with its coordinates — what {!set_recorder}
-    receives. Field names are prefixed so the record can be opened next
-    to {!cell}. *)
-
 val median : float list -> float
 (** @raise Invalid_argument on the empty list. *)
 
@@ -78,9 +68,9 @@ val print_row : x:string -> cells:cell list -> unit
     reasons are mixed); otherwise the median time in seconds with the
     nonempty fraction.
 
-    Concurrency contract: all output sinks (the table printer, the CSV
-    channel, the recorder) share one mutex, and a row is emitted as one
-    atomic section — table line, CSV line(s) and recorder calls together.
+    Concurrency contract: both output sinks (the table printer and the
+    CSV channel) share one mutex, and a row is emitted as one atomic
+    section — table line and CSV line(s) together.
     Rows of the {e same} panel may therefore be printed from concurrent
     pool workers; interleaving can only reorder whole rows, so a CSV
     written under [--jobs N] parses cleanly and is a row permutation of
@@ -130,8 +120,3 @@ val map_cells : ('a -> 'b) -> 'a list -> 'b list
     [PPR_PAR_GRAIN] rescales the budget (it is the default pool grain;
     see {!Parallel.Pool.create}). The same policy governs the per-seed
     fan-out inside {!run_cell}. *)
-
-val set_recorder : (row -> unit) option -> unit
-(** When set, every {!print_row} also passes each cell — with its panel,
-    x value and method — to the callback. The benchmark harness uses this
-    to accumulate rows for [BENCH_results.json]. *)

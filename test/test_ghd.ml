@@ -136,11 +136,18 @@ let test_gate_low_htw_panel () =
 (* ------------------------------------------------------------------ *)
 (* Output identity vs bucket elimination                                *)
 
+(* The forced decomposition evaluator and the three-bound gated path
+   (the ghd method's artifact) against bucket elimination. *)
 let check_same_answer name db cq =
   let expected = bucket_result db cq in
-  let got = Ghd.evaluate db cq in
-  check_bool (name ^ ": same tuples as bucket elimination") true
-    (Relation.equal_modulo_order expected got)
+  check_bool (name ^ ": forced = bucket elimination") true
+    (Relation.equal_modulo_order expected (Ghd.evaluate db cq));
+  let gated =
+    Ppr_core.Exec.materialize db cq
+      (Ppr_core.Driver.prepare ~rng:(rng 11) Ppr_core.Driver.Ghd db cq)
+  in
+  check_bool (name ^ ": gated = bucket elimination") true
+    (Relation.equal_modulo_order expected gated)
 
 let test_fixed_instances () =
   List.iter
@@ -164,6 +171,43 @@ let test_fixed_instances () =
       ("sparse", random_graph ~seed:10 ~n:9 ~m:9);
       ("unsat clique", Gen.clique 5);
     ]
+
+(* Random cells at order 10 (densities 2/5/8, seeds 1-3, Boolean and
+   30%-free) and the structured Figure 1 families, each query drawn with
+   rng (seed + 71); one case per cell. bench/ghd_bench.ml times its
+   pooled sweep over the same cells. *)
+let gate_sweep_cases =
+  let random_cells =
+    List.concat_map
+      (fun density ->
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun (mname, mode) ->
+                ( Printf.sprintf "random d=%d s=%d %s" density seed mname,
+                  mode,
+                  seed,
+                  random_graph ~seed ~n:10 ~m:(density * 5) ))
+              [ ("bool", Encode.Boolean); ("free30", Encode.Fraction 0.3) ])
+          [ 1; 2; 3 ])
+      [ 2; 5; 8 ]
+  in
+  let structured_cells =
+    [
+      ("path", Encode.Boolean, 1, Gen.path 8);
+      ("cycle", Encode.Fraction 0.3, 1, Gen.cycle 7);
+      ("ladder", Encode.Boolean, 1, Gen.ladder 4);
+      ("augmented ladder", Encode.Fraction 0.3, 1, Gen.augmented_ladder 4);
+      ("clique", Encode.Boolean, 1, Gen.clique 5);
+    ]
+  in
+  List.map
+    (fun (name, mode, seed, g) ->
+      let name = "gate sweep " ^ name in
+      Alcotest.test_case name `Quick (fun () ->
+          check_same_answer name coloring_db
+            (Encode.coloring_query_of_graph ~mode ~rng:(rng (seed + 71)) g)))
+    (random_cells @ structured_cells)
 
 let test_oracle_agreement () =
   (* Independent of the relational engine entirely: the free-variable
@@ -394,7 +438,8 @@ let () =
           Alcotest.test_case "oracle agreement" `Quick
             test_oracle_agreement;
           prop_matches_bucket;
-        ] );
+        ]
+        @ gate_sweep_cases );
       ( "parallel",
         [
           Alcotest.test_case "pool identity" `Quick test_parallel_identity;

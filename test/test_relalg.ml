@@ -309,28 +309,6 @@ let prop_project_composition =
         (Ops.project r (Schema.of_list [ 0 ])))
 
 (* ------------------------------------------------------------------ *)
-(* Aggregation                                                         *)
-
-let test_aggregate_counts () =
-  let r = relation [ 0; 1 ] [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ] in
-  check_int "count" 3 (Relalg.Aggregate.count r);
-  check_int "distinct first column" 2 (Relalg.Aggregate.count_distinct r 0);
-  check_int "distinct second column" 2 (Relalg.Aggregate.count_distinct r 1);
-  Alcotest.(check (list (pair (list int) int)))
-    "group count"
-    [ ([ 1 ], 2); ([ 2 ], 1) ]
-    (List.map
-       (fun (t, n) -> (Tuple.to_list t, n))
-       (Relalg.Aggregate.group_count r (Schema.of_list [ 0 ])))
-
-let test_aggregate_extremes () =
-  let r = relation [ 0 ] [ [ 5 ]; [ 2 ]; [ 9 ] ] in
-  Alcotest.(check (option int)) "min" (Some 2) (Relalg.Aggregate.min_value r 0);
-  Alcotest.(check (option int)) "max" (Some 9) (Relalg.Aggregate.max_value r 0);
-  let empty = relation [ 0 ] [] in
-  Alcotest.(check (option int)) "empty min" None (Relalg.Aggregate.min_value empty 0)
-
-(* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
 let test_io_roundtrip () =
@@ -1531,11 +1509,6 @@ let () =
           prop_union_laws;
           prop_inter_via_diff;
           prop_project_composition;
-        ] );
-      ( "aggregation",
-        [
-          Alcotest.test_case "counts" `Quick test_aggregate_counts;
-          Alcotest.test_case "extremes" `Quick test_aggregate_extremes;
         ] );
       ( "serialization",
         [

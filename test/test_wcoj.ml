@@ -108,11 +108,18 @@ let test_gate_sanity () =
 (* ------------------------------------------------------------------ *)
 (* Output identity vs bucket elimination                               *)
 
+(* The forced generic join and the gated driver path (the structural
+   gate with the GHD route left out) against bucket elimination. *)
 let check_same_answer name db cq =
   let expected = bucket_result db cq in
-  let got = Wcoj.evaluate db cq in
-  check_bool (name ^ ": same tuples as bucket elimination") true
-    (Relation.equal_modulo_order expected got)
+  check_bool (name ^ ": forced = bucket elimination") true
+    (Relation.equal_modulo_order expected (Wcoj.evaluate db cq));
+  let gated =
+    Ppr_core.Exec.materialize db cq
+      (Ppr_core.Driver.prepare ~rng:(rng 11) Ppr_core.Driver.Wcoj db cq)
+  in
+  check_bool (name ^ ": gated = bucket elimination") true
+    (Relation.equal_modulo_order expected gated)
 
 let test_fixed_instances () =
   List.iter
@@ -133,6 +140,27 @@ let test_fixed_instances () =
       ("dense", random_graph ~seed:9 ~n:8 ~m:22);
       ("sparse", random_graph ~seed:10 ~n:9 ~m:9);
     ]
+
+(* Random cells at order 10: densities 2/5/8, seeds 1-3, Boolean and
+   30%-free, each query drawn with rng (seed + 71); one case per cell. *)
+let gate_sweep_cases =
+  List.concat_map
+    (fun density ->
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun (mname, mode) ->
+              let name =
+                Printf.sprintf "gate sweep d=%d s=%d %s" density seed mname
+              in
+              Alcotest.test_case name `Quick (fun () ->
+                  let g = random_graph ~seed ~n:10 ~m:(density * 5) in
+                  check_same_answer name coloring_db
+                    (Encode.coloring_query_of_graph ~mode
+                       ~rng:(rng (seed + 71)) g)))
+            [ ("bool", Encode.Boolean); ("free30", Encode.Fraction 0.3) ])
+        [ 1; 2; 3 ])
+    [ 2; 5; 8 ]
 
 let test_oracle_agreement () =
   (* Independent of the relational engine entirely: the generic join's
@@ -328,7 +356,8 @@ let () =
           Alcotest.test_case "oracle agreement" `Quick
             test_oracle_agreement;
           prop_matches_bucket;
-        ] );
+        ]
+        @ gate_sweep_cases );
       ( "parallel",
         [
           Alcotest.test_case "pool identity" `Quick test_parallel_identity;
