@@ -195,6 +195,31 @@ let method_arg =
            bucket elimination, the generic join and GHD-Yannakakis by a \
            three-bound structural gate.")
 
+(* --route forces the ghd method's structural gate. It is checked
+   against --method here, so using it with another method is a usage
+   error, as an unknown route is. *)
+let method_route_arg =
+  let route =
+    Arg.(
+      value
+      & opt
+          (some
+             (enum
+                [ ("bucket", Ghd.Bucket); ("generic", Ghd.Generic); ("ghd", Ghd.Ghd) ]))
+          None
+      & info [ "route" ] ~docv:"ROUTE"
+          ~doc:
+            "Force the ghd method's structural gate onto ROUTE (bucket, \
+             generic or ghd), with no generic-join attempt first: the way \
+             to time one route on its own. Requires --method ghd.")
+  in
+  let check meth route =
+    match (route, meth) with
+    | None, _ | Some _, Some "ghd" -> `Ok (meth, route)
+    | Some _, _ -> `Error (true, "--route requires --method ghd")
+  in
+  Term.(ret (const check $ method_arg $ route))
+
 let sql_of_method cq name =
   let rng = Graphlib.Rng.make 17 in
   match name with
@@ -373,8 +398,8 @@ let run_cmd =
             stall:N:SECONDS or stall-tuples:K:SECONDS)"
            spec)
   in
-  let run family order density seed free_fraction meth max_tuples deadline fuel
-      use_ladder chaos trace metrics jobs planner =
+  let run family order density seed free_fraction (meth, route) max_tuples
+      deadline fuel use_ladder chaos trace metrics jobs planner =
     guarded @@ fun () ->
     let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
@@ -413,8 +438,15 @@ let run_cmd =
       (fun m ->
         let rng = Graphlib.Rng.make (seed + 31) in
         if use_ladder then begin
+          (* Rung 0 runs the forced route; deeper rungs are other
+             methods. *)
+          let compiled =
+            Option.map
+              (fun route -> Ppr_core.Driver.prepare ~rng ~route m db cq)
+              route
+          in
           let report =
-            Supervise.run ~rng ~budget ?chaos
+            Supervise.run ~rng ~budget ?chaos ?compiled
               ~ctx:(Relalg.Ctx.create ?telemetry ?pool ())
               m db cq
           in
@@ -426,7 +458,7 @@ let run_cmd =
           | Some c -> Supervise.Chaos.arm c ~attempt:0 limits
           | None -> ());
           let outcome =
-            Ppr_core.Driver.run ~rng
+            Ppr_core.Driver.run ~rng ?route
               ~ctx:(Relalg.Ctx.create ~limits ?telemetry ?pool ())
               m db cq
           in
@@ -438,7 +470,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run evaluation methods on an instance and report.")
     Term.(
       const run $ family_arg $ order_arg $ density_arg $ seed_arg
-      $ free_fraction_arg $ method_arg $ max_tuples $ deadline $ fuel
+      $ free_fraction_arg $ method_route_arg $ max_tuples $ deadline $ fuel
       $ ladder $ chaos $ trace_arg $ metrics_arg $ jobs_arg $ planner_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -679,8 +711,8 @@ let query_cmd =
       | 0 -> Relalg.Tuple.compare a b
       | c -> c
   in
-  let run query_text query_file data_dir meth show_sql limit rank page trace
-      metrics jobs planner =
+  let run query_text query_file data_dir (meth, route) show_sql limit rank page
+      trace metrics jobs planner =
     guarded @@ fun () ->
     let pool = make_pool jobs in
     with_telemetry ~trace ~metrics @@ fun telemetry ->
@@ -741,7 +773,7 @@ let query_cmd =
       if show_sql then
         prerr_endline "query: --show-sql is ignored when streaming";
       let t0 = Unix.gettimeofday () in
-      let compiled = Ppr_core.Driver.prepare meth db cq in
+      let compiled = Ppr_core.Driver.prepare ?route meth db cq in
       let cur = Ppr_core.Exec.stream ~ctx db cq compiled in
       let schema = Relalg.Cursor.schema cur in
       let cmp = Option.map (rank_of_spec ~namer ~free ~schema) rank in
@@ -802,9 +834,9 @@ let query_cmd =
         (Unix.gettimeofday () -. t1)
     end
     else
-    let compiled = Ppr_core.Driver.prepare meth db cq in
+    let compiled = Ppr_core.Driver.prepare ?route meth db cq in
     (if show_sql then
-       match Ppr_core.Exec.route (Ppr_core.Exec.resolve db cq compiled) with
+       match Ppr_core.Exec.route db cq compiled with
        | Ppr_core.Exec.Binary plan ->
          print_string
            (Sqlgen.Pretty.query
@@ -835,7 +867,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Datalog-style project-join query.")
     Term.(
-      const run $ query_text $ query_file $ data_dir $ method_arg $ sql_flag
+      const run $ query_text $ query_file $ data_dir $ method_route_arg $ sql_flag
       $ limit_arg $ rank_arg $ page_arg $ trace_arg $ metrics_arg $ jobs_arg
       $ planner_arg)
 

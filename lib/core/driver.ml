@@ -84,38 +84,28 @@ let compile ?rng ?feedback meth db cq =
 
 type compiled = Exec.compiled =
   | Plan of Plan.t
-  | Gated of Ghd.analysis * Plan.t option
-  | Decomposed of Ghd.prep * Plan.t option
   | Deferred of Exec.deferred
+  | Decomposed of Ghd.prep * Plan.t option
 
-let prepare ?rng ?feedback ?agm meth db cq =
-  match meth with
-  | Wcoj ->
-    (* The one gate with the GHD route left out: no decomposition search.
-       The analysis stays next to the bucket plan: its order and bound
-       drive the generic join's attempt. *)
-    let a = Ghd.analyze ?rng ?agm db cq in
-    Gated
-      ( a,
-        match Ghd.decide a with
-        | Ghd.Generic -> None
-        | Ghd.Bucket | Ghd.Ghd -> Some (Exec.bucket_fallback a cq) )
-  | Ghd when Ghd.override ~ghd_route:true = None ->
-    (* The generic join is tried before any route, so the decomposition
-       search waits until that attempt runs out. *)
-    Exec.defer ?rng (Ghd.analyze ?rng ?agm db cq)
-  | Ghd ->
+let prepare ?rng ?feedback ?agm ?route meth db cq =
+  match (meth, route) with
+  | Ghd, Some route ->
     (* A forced route runs without an attempt: the whole prep now. The
-       bucket plan rides along only when the gate picked it, so a cached
+       bucket plan rides along only when it is the route, so a cached
        artifact replays without recompiling. *)
-    let prep = Ghd.prepare ?rng ?agm db cq in
+    let prep = Ghd.prepare ?rng ?agm ~route db cq in
     let plan =
-      match prep.Ghd.decision with
+      match route with
       | Ghd.Bucket -> Some (Exec.bucket_fallback prep.Ghd.analysis cq)
       | Ghd.Generic | Ghd.Ghd -> None
     in
     Decomposed (prep, plan)
-  | _ -> Plan (compile ?rng ?feedback meth db cq)
+  | _, Some _ -> invalid_arg "Driver.prepare: only the ghd method takes a route"
+  | (Wcoj | Ghd), None ->
+    (* The generic join is tried before any route, so the ghd method's
+       decomposition search waits until that attempt runs out. *)
+    Exec.defer ?rng ~ghd_route:(meth = Ghd) cq (Ghd.analyze ?rng ?agm db cq)
+  | _, None -> Plan (compile ?rng ?feedback meth db cq)
 
 (* Minibucket plans are deliberately approximate (a superset of the
    answer): the semijoin reroute in [Exec.stream] answers the exact
@@ -321,9 +311,6 @@ let route_width cq = function
   | Exec.Generic _ -> generic_width cq
   | Exec.Decomposition prep -> ghd_route_width cq prep
 
-(* The [wcoj] method's two-way decision, read off its artifact. *)
-let wcoj_decision = function None -> Ghd.Generic | Some _ -> Ghd.Bucket
-
 let attempt_label = function
   | None -> "none"
   | Some { Exec.skipped = true; _ } -> "skipped"
@@ -345,7 +332,7 @@ let attempt_attrs tried =
    ([driver.runs], [driver.aborts.<reason>]) land in the caller's telemetry
    registry; the per-run [Stats.t] keeps its own private registry so the
    outcome's measurements never mix across runs. *)
-let run ?rng ?feedback ?observer ?compiled ?limit ?rank
+let run ?rng ?feedback ?observer ?compiled ?route ?limit ?rank
     ?(ctx = Relalg.Ctx.null) meth db cq =
   let limit = Option.map (max 0) limit in
   let telemetry = Relalg.Ctx.telemetry ctx in
@@ -367,7 +354,8 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let planned =
     match compiled with
     | Some c -> c
-    | None -> in_span "compile" [] (fun _ -> prepare ?rng ?feedback meth db cq)
+    | None ->
+      in_span "compile" [] (fun _ -> prepare ?rng ?feedback ?route meth db cq)
   in
   let t1 = clock () in
   (match planned with
@@ -376,32 +364,27 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
         m "%s: compiled in %.4fs (width %d, %d joins, %d projections)" name
           (t1 -. t0) (Plan.width plan) (Plan.join_count plan)
           (Plan.projection_count plan))
-  | Gated (a, plan) ->
+  | Deferred { Exec.analysis = a; resolved; _ } ->
     Log.debug (fun m ->
         m
-          "%s: prepared in %.4fs (gate %s: AGM bound 2^%.2f vs binary 2^%.2f, \
-           rho %.2f, induced width %d)"
+          "%s: prepared in %.4fs (gate %s: bucket 2^%.2f vs generic 2^%.2f, \
+           induced width %d)"
           name (t1 -. t0)
-          (Ghd.decision_name (wcoj_decision plan))
-          a.Ghd.agm.Wcoj.Agm.bound_log2 a.Ghd.binary_bound_log2
-          a.Ghd.agm.Wcoj.Agm.rho a.Ghd.induced_width)
+          (match Atomic.get resolved with
+          | Some r -> Ghd.decision_name (Exec.decision r)
+          | None -> "deferred")
+          a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
+          a.Ghd.induced_width)
   | Decomposed (prep, _) ->
     let a = prep.Ghd.analysis in
     Log.debug (fun m ->
         m
-          "%s: prepared in %.4fs (gate %s: bucket 2^%.2f vs generic 2^%.2f \
-           vs ghd 2^%.2f, htw %d, induced width %d)"
+          "%s: prepared in %.4fs (gate forced %s: bucket 2^%.2f vs generic \
+           2^%.2f vs ghd 2^%.2f, htw %d, induced width %d)"
           name (t1 -. t0)
           (Ghd.decision_name prep.Ghd.decision)
           a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
-          prep.Ghd.ghd_bound_log2 prep.Ghd.htw a.Ghd.induced_width)
-  | Deferred { Exec.analysis = a; _ } ->
-    Log.debug (fun m ->
-        m
-          "%s: prepared in %.4fs (gate deferred: bucket 2^%.2f vs generic \
-           2^%.2f, induced width %d)"
-          name (t1 -. t0) a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2
-          a.Ghd.induced_width));
+          prep.Ghd.ghd_bound_log2 prep.Ghd.htw a.Ghd.induced_width));
   let stats = Relalg.Stats.create () in
   let limits =
     match Relalg.Ctx.limits ctx with
@@ -411,12 +394,19 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   let exec_ctx =
     Relalg.Ctx.with_limits (Relalg.Ctx.with_stats ctx stats) limits
   in
-  let ghd_attrs (prep : Ghd.prep) =
-    [
-      ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
-      ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
-      ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
-    ]
+  (* One attribute set for the gate, whichever method runs it: the
+     analysis's two bounds at the start, the decision (and, with a
+     decomposition, its bag bound and htw) once it is made. *)
+  let decision_attrs decision prep =
+    ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name decision))
+    ::
+    (match prep with
+    | None -> []
+    | Some (prep : Ghd.prep) ->
+      [
+        ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
+        ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
+      ])
   in
   let analysis_attrs (a : Ghd.analysis) =
     [
@@ -427,20 +417,9 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
   in
   let exec_attrs =
     match planned with
-    | Gated (a, plan) ->
-      [
-        ("wcoj.decision", Telemetry.Attr.String (Ghd.decision_name (wcoj_decision plan)));
-        ("wcoj.agm_bound_log2", Telemetry.Attr.Float a.Ghd.agm.Wcoj.Agm.bound_log2);
-        ("wcoj.binary_bound_log2", Telemetry.Attr.Float a.Ghd.binary_bound_log2);
-      ]
+    | Deferred { Exec.analysis = a; _ } -> analysis_attrs a
     | Decomposed (prep, _) ->
-      (* The three-bound gate: decision plus all three bounds, on the
-         shared log2-tuples cost scale, land on every exec span. *)
-      ghd_attrs prep @ analysis_attrs prep.Ghd.analysis
-    | Deferred { Exec.analysis = a; _ } ->
-      (* The decision and the bag bound follow once the artifact
-         resolves. *)
-      analysis_attrs a
+      decision_attrs prep.Ghd.decision (Some prep) @ analysis_attrs prep.Ghd.analysis
     | Plan _ -> []
   in
   let streamed = limit <> None || rank <> None in
@@ -513,12 +492,14 @@ let run ?rng ?feedback ?observer ?compiled ?limit ?rank
               (("plan.width", Telemetry.Attr.Int plan_width)
               :: attempt_attrs !tried
               @
-              match (planned, !ran) with
-              | Deferred d, Some _ -> (
-                (* This run read the decision: it resolved the artifact,
-                   or replayed its resolution. *)
+              match planned with
+              | Deferred d -> (
+                (* The decision, once the artifact has one: made at
+                   prepare time without the GHD route, else by this or
+                   an earlier run that went past the attempt. *)
                 match Atomic.get d.Exec.resolved with
-                | Some (prep, _) -> ghd_attrs prep
+                | Some (Exec.Decomposition prep) -> decision_attrs Ghd.Ghd (Some prep)
+                | Some r -> decision_attrs (Exec.decision r) None
                 | None -> [])
               | _ -> []))
           span;

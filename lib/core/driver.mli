@@ -32,7 +32,8 @@ type meth =
           exec-span attributes. The generic join's {!Exec.attempt} runs
           first, within the smaller of the binary and AGM bounds; only
           when it runs out do the decomposition search and the decision
-          run, and then the route they pick *)
+          run, and then the route they pick. {!prepare}'s [route] forces
+          one of the three *)
 
 val all_paper_methods : meth list
 (** The five methods of the paper's experiments, naive first. *)
@@ -104,48 +105,46 @@ val compile :
 
 type compiled = Exec.compiled =
   | Plan of Plan.t  (** a binary project-join plan *)
-  | Gated of Ghd.analysis * Plan.t option
-      (** the {!Wcoj} method's two-way gate: the analysis (order and
-          bounds) and, exactly when the gate picked bucket, the bucket
-          plan along its order; [None] means the generic join runs. The
-          analysis rides along with the plan because the bucket pick
-          tries the generic join first, within the plan's own bound *)
-  | Decomposed of Ghd.prep * Plan.t option
-      (** a {!Ghd.prepare} artifact — decomposition, rooted bag tree,
-          atom assignment and the three gate bounds; the bucket fallback
-          plan rides along exactly when the gate picked bucket, so a
-          cache hit replays without re-running the GHD search or the
-          bucket compiler. The {!Ghd} method prepares it when
-          [PPR_GHD_GATE] forces a route; {!Exec.resolve} turns a
-          [Deferred] artifact into it *)
   | Deferred of Exec.deferred
-      (** the {!Ghd} method's artifact: the analysis alone, plus the rng
-          state the decomposition search would start from. The search,
-          bag bound and three-way decision run only when the generic
-          join's attempt runs out, once per artifact, so a cache hit
-          replays them *)
+      (** a gated method's artifact: the gate's analysis (order and
+          bounds), the rng state the decomposition search would start
+          from, and the route once the gate has picked it — at prepare
+          time for {!Wcoj}, when the generic join's attempt first runs
+          out for {!Ghd}, once per artifact, so a cache hit replays it *)
+  | Decomposed of Ghd.prep * Plan.t option
+      (** a {!Ghd.prepare} artifact with its route forced ({!prepare}'s
+          [route]) — decomposition, rooted bag tree, atom assignment and
+          the three gate bounds; the bucket plan rides along exactly when
+          the route is bucket, so a cache hit replays without re-running
+          the GHD search or the bucket compiler. It has no attempt *)
 (** Re-export of {!Exec.compiled}: the same artifact drives {!run},
     {!Exec.stream} and the serving layer's plan cache. *)
 
 val prepare :
   ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback -> ?agm:Wcoj.Agm.t ->
+  ?route:Ghd.decision ->
   meth -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
   compiled
-(** The planning phase of {!run} as a reusable artifact: for {!Wcoj} the
-    two-way [Gated] artifact, for {!Ghd} the [Deferred] artifact (the
-    three-way [Decomposed] one when [PPR_GHD_GATE] forces a route), for
-    every other method its compiled plan. The artifact is
+(** The planning phase of {!run} as a reusable artifact: for {!Wcoj} and
+    {!Ghd} the [Deferred] artifact (the {!Wcoj} one already resolved to
+    its two-way decision), for every other method its compiled plan.
+    [route] forces the {!Ghd} method's gate: the artifact is then the
+    [Decomposed] one, on that route, with no attempt ([Bucket] and
+    [Generic] run along the same analysis order as the {!Wcoj} method's
+    routes, and give the same answer). The artifact is
     valid for re-execution of the same query against the same database
     — the serving layer's plan cache stores these so isomorphic template
     queries skip MCS ordering, AGM estimation and bucket construction
     entirely. [agm], the query's cover already computed against the same
     database, spares the gated methods' analysis computing it again
-    ({!Ghd.analyze}); other methods ignore it. *)
+    ({!Ghd.analyze}); other methods ignore it.
+    @raise Invalid_argument when [route] is given with any method but
+    {!Ghd}. *)
 
 val run :
   ?rng:Graphlib.Rng.t -> ?feedback:Cost.feedback ->
   ?observer:(Cost.observation list -> unit) ->
-  ?compiled:compiled ->
+  ?compiled:compiled -> ?route:Ghd.decision ->
   ?limit:int -> ?rank:(Relalg.Tuple.t -> Relalg.Tuple.t -> int) ->
   ?ctx:Relalg.Ctx.t ->
   meth -> Conjunctive.Database.t -> Conjunctive.Cq.t -> outcome
@@ -165,14 +164,19 @@ val run :
     [gate.attempt_bindings] and [gate.allowance]; the registry counts
     [driver.gate.attempt.answered], [driver.gate.attempt.exhausted] and
     [driver.gate.attempt.skipped].
-    It also carries [plan.width] and, on a [Deferred] artifact whose run
-    went past the attempt, the decision, bag bound and htw its
-    resolution found (the resolution itself runs in a [ghd.resolve]
-    span, on the first such run only).
+    It also carries [plan.width] and, on a gated method's run, the gate
+    under one attribute set: [ghd.binary_bound_log2],
+    [ghd.agm_bound_log2] and [ghd.induced_width], plus [ghd.decision]
+    once the artifact has its route, with [ghd.ghd_bound_log2] and
+    [ghd.htw] when that route is the decomposition or forced (a
+    resolution runs in a [ghd.resolve] span, on the first run past the
+    attempt only, which names the decision, bag bound and htw whatever
+    the route).
 
     [compiled] (a {!prepare} artifact for the {e same} method, query and
     database — the caller's contract) skips the compile phase entirely:
     [compile_seconds] then measures only the (near-zero) reuse cost.
+    Otherwise [route] is handed to {!prepare}.
 
     With neither [limit] nor [rank] the run materializes the full answer
     through {!Exec.materialize}, along the artifact's route. Either

@@ -11,75 +11,80 @@ module Yannakakis = Hypergraphs.Yannakakis
 module Jointree = Hypergraphs.Jointree
 module Hypergraph = Hypergraphs.Hypergraph
 
+type route = Binary of Plan.t | Generic of int list | Decomposition of Ghd.prep
+
 type compiled =
   | Plan of Plan.t
-  | Gated of Ghd.analysis * Plan.t option
-  | Decomposed of Ghd.prep * Plan.t option
   | Deferred of deferred
+  | Decomposed of Ghd.prep * Plan.t option
 
 and deferred = {
   analysis : Ghd.analysis;
   rng : Graphlib.Rng.t option;
-  resolved : (Ghd.prep * Plan.t option) option Atomic.t;
+  resolved : route option Atomic.t;
 }
-
-type route = Binary of Plan.t | Generic of int list | Decomposition of Ghd.prep
 
 let bucket_fallback (a : Ghd.analysis) cq =
   Bucket.compile ~order:(Array.of_list a.Ghd.var_order) cq
 
-(* The rng is copied twice: here, so the caller's later draws cannot
-   move the state the search starts from, and at each resolution, so two
-   domains resolving at once draw from private copies of it. *)
-let defer ?rng analysis =
+let decision = function
+  | Binary _ -> Ghd.Bucket
+  | Generic _ -> Ghd.Generic
+  | Decomposition _ -> Ghd.Ghd
+
+(* Without the GHD route the two-way decision needs no search, so the
+   artifact is resolved now. With it, the rng is copied twice: here, so
+   the caller's later draws cannot move the state the search starts
+   from, and at each resolution, so two domains resolving at once draw
+   from private copies of it. *)
+let defer ?rng ~ghd_route cq a =
+  let two_way () =
+    if Ghd.decide a = Ghd.Bucket then Binary (bucket_fallback a cq)
+    else Generic a.Ghd.var_order
+  in
   Deferred
-    { analysis; rng = Option.map Graphlib.Rng.copy rng; resolved = Atomic.make None }
+    (if ghd_route then
+       { analysis = a; rng = Option.map Graphlib.Rng.copy rng; resolved = Atomic.make None }
+     else { analysis = a; rng = None; resolved = Atomic.make (Some (two_way ())) })
 
 (* Compute, then publish with one compare-and-set. Two domains racing
    here both compute the same value from the same analysis and rng
    state; the loser adopts the winner's. A [Lazy.t] would raise when
-   forced from two domains at once. A decision [PPR_GHD_GATE] forces is
-   not published, so it does not outlive the override. *)
-let resolve_deferred ~ctx db cq d =
-  let forced = Ghd.override ~ghd_route:true <> None in
+   forced from two domains at once. *)
+let resolve ~ctx db cq d =
   match Atomic.get d.resolved with
-  | Some r when not forced -> r
-  | _ ->
+  | Some r -> r
+  | None ->
     let compute () =
       let prep =
         Ghd.decompose ?rng:(Option.map Graphlib.Rng.copy d.rng) db cq d.analysis
       in
       ( prep,
         match prep.Ghd.decision with
-        | Ghd.Bucket -> Some (bucket_fallback d.analysis cq)
-        | Ghd.Generic | Ghd.Ghd -> None )
+        | Ghd.Bucket -> Binary (bucket_fallback d.analysis cq)
+        | Ghd.Generic -> Generic d.analysis.Ghd.var_order
+        | Ghd.Ghd -> Decomposition prep )
     in
     let r =
       match Ctx.telemetry ctx with
-      | None -> compute ()
+      | None -> snd (compute ())
       | Some t ->
         Telemetry.with_span t "ghd.resolve" (fun sp ->
-            let ((prep, _) as r) = compute () in
+            let prep, r = compute () in
             Telemetry.Span.add_attrs sp
               [
                 ("ghd.decision", Telemetry.Attr.String (Ghd.decision_name prep.Ghd.decision));
+                ("ghd.ghd_bound_log2", Telemetry.Attr.Float prep.Ghd.ghd_bound_log2);
                 ("ghd.htw", Telemetry.Attr.Int prep.Ghd.htw);
               ];
             r)
     in
-    if forced then r
-    else if Atomic.compare_and_set d.resolved None (Some r) then r
+    if Atomic.compare_and_set d.resolved None (Some r) then r
     else Option.get (Atomic.get d.resolved)
 
-let resolve ?(ctx = Ctx.null) db cq = function
-  | Deferred d ->
-    let prep, plan = resolve_deferred ~ctx db cq d in
-    Decomposed (prep, plan)
-  | c -> c
-
-let route = function
-  | Plan plan | Gated (_, Some plan) -> Binary plan
-  | Gated (a, None) -> Generic a.Ghd.var_order
+let route ?(ctx = Ctx.null) db cq = function
+  | Plan plan -> Binary plan
+  | Deferred d -> resolve ~ctx db cq d
   | Decomposed (prep, plan) -> (
     match (prep.Ghd.decision, plan) with
     | Ghd.Ghd, _ -> Decomposition prep
@@ -87,7 +92,6 @@ let route = function
     | Ghd.Bucket, Some plan -> Binary plan
     | Ghd.Bucket, None ->
       invalid_arg "Exec: a bucket decision must carry its plan")
-  | Deferred _ -> invalid_arg "Exec: resolve a deferred artifact first"
 
 (* The projection target of [kept] over [schema]: the input's column
    order for the retained variables — the variable set, not the order,
@@ -152,28 +156,19 @@ type attempt = {
 }
 
 (* The a-priori bounds cannot see the generic join's early stop (free
-   variables first, one witness per existence search), so when the
-   comparison picked bucket or ghd the generic join is tried first,
-   within the chosen route's own bound: the analysis's order and that
-   bound, or [None] when there is nothing to try — another method, the
-   generic join already chosen, or a route [PPR_GHD_GATE] forces. *)
+   variables first, one witness per existence search), so a gated
+   artifact tries the generic join first, within the smaller of the two
+   bounds the analysis knows: the analysis's order and that bound. There
+   is nothing to try on a plan, on a forced route, or once the gate has
+   picked the generic join itself. *)
 let attempt_bound = function
-  | Plan _ | Gated (_, None) -> None
-  | Deferred { analysis = a; _ } ->
-    (* No route is chosen yet: the attempt is allowed the smaller of the
-       two bounds the analysis knows. *)
-    if Ghd.override ~ghd_route:true = None then
-      Some (a, Float.min a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2)
-    else None
-  | Gated (a, Some _) ->
-    if Ghd.override ~ghd_route:false = None then Some (a, a.Ghd.binary_bound_log2)
-    else None
-  | Decomposed (prep, _) -> (
-    let a = prep.Ghd.analysis in
-    match (Ghd.override ~ghd_route:true, prep.Ghd.decision) with
-    | Some _, _ | None, Ghd.Generic -> None
-    | None, Ghd.Bucket -> Some (a, a.Ghd.binary_bound_log2)
-    | None, Ghd.Ghd -> Some (a, prep.Ghd.ghd_bound_log2))
+  | Plan _ | Decomposed _ -> None
+  | Deferred d -> (
+    match Atomic.get d.resolved with
+    | Some (Generic _) -> None
+    | Some (Binary _ | Decomposition _) | None ->
+      let a = d.analysis in
+      Some (a, Float.min a.Ghd.binary_bound_log2 a.Ghd.agm.Wcoj.Agm.bound_log2))
 
 (* At most the route's worst-case largest intermediate, and at most half
    the tuple budget the attempt's atom scans leave (they are charged
@@ -240,7 +235,7 @@ let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore)
   match tried with
   | Some { answer = Some r; _ } -> r
   | _ -> (
-    let r = route (resolve ~ctx db cq compiled) in
+    let r = route ~ctx db cq compiled in
     on_route r;
     match r with
     | Binary plan -> run ~ctx ?observe db plan
@@ -426,7 +421,7 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore)
     ?(on_route = ignore) db cq compiled =
   match attempt_bound compiled with
   | None ->
-    let r = route (resolve ~ctx db cq compiled) in
+    let r = route ~ctx db cq compiled in
     let kind, dedup, schema, produce = route_producer ~ctx ~semijoin db cq r in
     count ctx ("ops.stream." ^ kind);
     Cursor.of_iter ~dedup ~schema
@@ -447,7 +442,7 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore)
              count ctx "ops.stream.wcoj";
              Relation.iter emit r
            | None ->
-             let r = route (resolve ~ctx db cq compiled) in
+             let r = route ~ctx db cq compiled in
              on_route r;
              let kind, dedup, rschema, produce =
                route_producer ~ctx ~semijoin db cq r

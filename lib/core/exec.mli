@@ -6,19 +6,23 @@
     answer set, so a consumer that wants ten tuples — or one — pays for
     ten, not for everything. *)
 
+type route =
+  | Binary of Plan.t  (** a binary join/project plan *)
+  | Generic of int list  (** the generic join along this variable order *)
+  | Decomposition of Ghd.prep  (** Yannakakis over the decomposition *)
+(** What a compiled artifact runs. *)
+
 type compiled =
   | Plan of Plan.t  (** a binary join/project tree from any compiler *)
-  | Gated of Ghd.analysis * Plan.t option
-      (** the [wcoj] method's two-way gate: the plan is the bucket
-          fallback along [var_order], present exactly when the gate
-          picks [Bucket]; without it the generic join runs *)
-  | Decomposed of Ghd.prep * Plan.t option
-      (** three-way structural gate; the plan is the pre-compiled bucket
-          fallback, present exactly when the gate picks [Bucket] *)
   | Deferred of deferred
-      (** the three-way gate with its decomposition half not yet run:
-          the generic join is tried first, and only when it runs out
-          does the artifact {!resolve} into its [Decomposed] form *)
+      (** a gated method's artifact: the structural gate's analysis, and
+          the route it resolves to. The generic join's {!attempt} runs
+          first, unless that is the route; the route runs only when the
+          attempt runs out *)
+  | Decomposed of Ghd.prep * Plan.t option
+      (** a route forced on the three-way gate: the whole prep, run on
+          its decision with no attempt; the plan is the bucket route,
+          present exactly when the decision is [Bucket] *)
 (** The artifact a compilation step produces and both consumption modes
     accept — see {!Driver.prepare} for the per-method mapping. Every
     form is plain data (no closure), so the serving layer's plan cache
@@ -28,49 +32,53 @@ and deferred = private {
   analysis : Ghd.analysis;
   rng : Graphlib.Rng.t option;
       (** the rng's state right after {!Ghd.analyze}, where
-          {!Ghd.prepare}'s search would start drawing *)
-  resolved : (Ghd.prep * Plan.t option) option Atomic.t;
-      (** set once, by the first resolution *)
+          {!Ghd.prepare}'s search would start drawing; [None] without
+          an rng or the GHD route *)
+  resolved : route option Atomic.t;
+      (** the route the gate picked; set once, by the first resolution,
+          or when the artifact is made if the GHD route is left out *)
 }
 
-val defer : ?rng:Graphlib.Rng.t -> Ghd.analysis -> compiled
-(** A [Deferred] artifact over the analysis; [rng] (copied) is the
-    generator {!Ghd.analyze} drew from, in the state it left it. *)
-
-val resolve :
-  ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
-  compiled -> compiled
-(** A [Deferred] artifact's [Decomposed] form: {!Ghd.decompose} from the
-    stored analysis and rng state — so the prep is exactly the one
-    {!Ghd.prepare} returns for that rng — plus the bucket fallback when
-    the gate picks bucket. Computed at most once per artifact (inside a
-    [ghd.resolve] span when the context has telemetry) and replayed after,
-    also on other domains: the result is published with one
-    compare-and-set, and two racing resolutions compute the same value.
-    While [PPR_GHD_GATE] forces a route, the resolution follows it and is
-    neither kept nor replayed. Every other artifact is returned as it
-    is. *)
+val defer :
+  ?rng:Graphlib.Rng.t -> ghd_route:bool -> Conjunctive.Cq.t -> Ghd.analysis ->
+  compiled
+(** A [Deferred] artifact over the analysis. Without the GHD route
+    ([ghd_route = false], the [wcoj] method) it is resolved at once, to
+    the two-way {!Ghd.decide}'s route, since that decision needs no
+    search. With it (the [ghd] method) it is resolved later, by {!route};
+    [rng] (copied) is the generator {!Ghd.analyze} drew from, in the
+    state it left it. *)
 
 val bucket_fallback : Ghd.analysis -> Conjunctive.Cq.t -> Plan.t
 (** The gated methods' bucket route: bucket elimination along the
     analysis's variable order. *)
 
-type route =
-  | Binary of Plan.t  (** a binary join/project plan *)
-  | Generic of int list  (** the generic join along this variable order *)
-  | Decomposition of Ghd.prep  (** Yannakakis over the decomposition *)
+val decision : route -> Ghd.decision
+(** The gate decision a gated artifact's route carries out: [Bucket] for
+    a binary plan, [Generic] for the generic join, [Ghd] for the
+    decomposition. *)
 
-val route : compiled -> route
+val route :
+  ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Conjunctive.Cq.t ->
+  compiled -> route
 (** What a compiled artifact runs: the one reading of the gate's
-    decision that {!materialize}, {!stream} and {!Driver.run} share.
-    @raise Invalid_argument on a [Deferred] artifact (pass it through
-    {!resolve} first), or on a [Decomposed] bucket decision without its
+    decision that {!materialize}, {!stream} and {!Driver.run} share. An
+    unresolved [Deferred] artifact resolves here: {!Ghd.decompose} from
+    the stored analysis and rng state — so the decomposition is exactly
+    the one {!Ghd.prepare} returns for that rng — then the three-way
+    decision's route. That runs at most once per artifact (inside a
+    [ghd.resolve] span, with the decision, bag bound and htw, when the
+    context has telemetry) and is replayed after, also on other domains:
+    the route is published with one compare-and-set, and two racing
+    resolutions compute the same value.
+    @raise Invalid_argument on a [Decomposed] bucket decision without its
     plan (never produced by {!Driver.prepare}). *)
 
 type attempt = {
   allowance : int;
       (** [min ⌈2^bound⌉ ((remaining - scans) / 2) cap] bindings:
-          [bound] is the chosen route's gate bound, [remaining] the tuple
+          [bound] is the smaller of the analysis's binary and AGM
+          bounds, [remaining] the tuple
           budget left, [scans] the base relations' tuples its atoms read,
           [cap] the per-relation cardinality cap *)
   bindings : int;  (** bindings the generic join charged *)
@@ -82,24 +90,21 @@ type attempt = {
           ran out within at least this allowance (then [bindings] is 0
           and [answer] [None]) *)
 }
-(** The gate's attempt. When the comparison picks bucket or ghd for a
-    gated artifact ([Gated] with its plan, [Decomposed] with a [Bucket]
-    or [Ghd] decision, and no route forced by [PPR_GHD_GATE]), the
-    generic join runs first along the analysis's order, allowed as many
-    bindings as the chosen route's own bound admits intermediate tuples
-    ([binary_bound_log2] for bucket, [ghd_bound_log2] for ghd) and never
-    more than half the tuple budget its atom scans leave. A [Deferred]
-    artifact has chosen no route yet: unless a route is forced, it always
-    tries, allowed the smaller of [binary_bound_log2] and the AGM bound,
-    and resolves only when the attempt runs out — whereupon a [Generic]
-    pick runs the generic join again, with no allowance. The a-priori
-    bounds cannot see its early stop (free variables bound first, one
-    witness per existence search), so it often answers far below them;
-    when it runs out, the chosen route runs unchanged, with at least
-    half of that budget left. The attempt can trip the tuple budget or
-    the cardinality cap only in its scans, which every route makes (its
-    answer has no more rows than it made bindings). An exhausted attempt
-    has charged its scans and exactly [allowance] bindings.
+(** The gate's attempt. A [Deferred] artifact runs the generic join
+    first along the analysis's order, allowed as many bindings as the
+    smaller of [binary_bound_log2] and the AGM bound admits intermediate
+    tuples, and never more than half the tuple budget its atom scans
+    leave. Only when it runs out does the artifact resolve and its route
+    run. An artifact whose route is the generic join has no attempt: the
+    route would try the same search. Nor has a [Plan] or a [Decomposed]
+    artifact. The a-priori bounds cannot see the search's early stop
+    (free variables bound first, one witness per existence search), so
+    it often answers far below them; when it runs out, the route runs
+    unchanged, with at least half of that budget left. The attempt can
+    trip the tuple budget or the cardinality cap only in its scans,
+    which every route makes (its answer has no more rows than it made
+    bindings). An exhausted attempt has charged its scans and exactly
+    [allowance] bindings.
 
     {!materialize} and {!stream} record the largest allowance the
     attempt ran out within in the artifact's analysis
@@ -152,7 +157,7 @@ val materialize :
   ?on_attempt:(attempt -> unit) -> ?on_route:(route -> unit) ->
   Conjunctive.Database.t -> Conjunctive.Cq.t -> compiled -> Relalg.Relation.t
 (** Compute the full answer: the artifact's {!attempt}, if it has one
-    and it answers, else the {!route} of its {!resolve}d form — {!run}
+    and it answers, else its {!route} — {!run}
     for a binary plan ([observe] applies there only), {!Wcoj.evaluate}
     for the generic join, {!Ghd.evaluate} for the decomposition. Each
     keeps {!run}'s context contract (spans, stats, limits, pool).
@@ -178,10 +183,9 @@ val stream :
 
     An artifact with an {!attempt} runs it on the first pull (telling
     [on_attempt]) and streams its answer; when it runs out, the artifact
-    {!resolve}s, the route's own cursor opens (telling [on_route]) and
-    its tuples stream in head order. A [Deferred] artifact with a route
-    forced by [PPR_GHD_GATE] has no attempt and resolves when the cursor
-    is built.
+    resolves ({!route}), the route's own cursor opens (telling
+    [on_route]) and its tuples stream in head order. An artifact with no
+    attempt resolves when the cursor is built.
 
     Routing follows {!route}: the generic join streams the leapfrog
     search directly (distinct, lexicographic — no dedup state); the

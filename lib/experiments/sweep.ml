@@ -88,8 +88,8 @@ let set_pool p = pool := p
    than sequential. The first item is the probe — it runs inline and is
    timed, and the remainder fans out only when the measured per-item
    cost times the remaining count clears the pool's advisory grain,
-   read as a work budget of [grain] × 100ns (the default 16384 ≈ 1.6ms;
-   PPR_PAR_GRAIN rescales it, see {!Parallel.Pool.create}). *)
+   read as a work budget of [grain] × 100ns (the default 16384 ≈ 1.6ms,
+   see {!Parallel.Pool.create}). *)
 let adaptive_map p f = function
   | [] -> []
   | [ x ] -> [ f x ]

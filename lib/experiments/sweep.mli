@@ -116,7 +116,7 @@ val map_cells : ('a -> 'b) -> 'a list -> 'b list
     the rest go to the pool only when the measured per-item cost times
     the remaining count exceeds the pool's grain read as a work budget
     ([grain] × 100ns) — batches of sub-millisecond cells stay
-    sequential, where domain wakeups cost more than they buy. Setting
-    [PPR_PAR_GRAIN] rescales the budget (it is the default pool grain;
-    see {!Parallel.Pool.create}). The same policy governs the per-seed
+    sequential, where domain wakeups cost more than they buy. A pool
+    created with another [~grain] rescales the budget (see
+    {!Parallel.Pool.create}). The same policy governs the per-seed
     fan-out inside {!run_cell}. *)

@@ -231,28 +231,18 @@ let bag_bound_log2 db cq decomposition =
       Float.max acc bag.Agm.bound_log2)
     0.0 decomposition.Hypertree.lambda
 
-let override ~ghd_route =
-  match Sys.getenv_opt "PPR_GHD_GATE" with
-  | Some "bucket" -> Some Bucket
-  | Some "generic" -> Some Generic
-  | Some "ghd" when ghd_route -> Some Ghd
-  | _ -> None
-
+(* One cost scale — log2 tuples of the worst intermediate each route can
+   materialize. Ties prefer the cheapest machinery (bucket), then the
+   generic join: when the best bag costs as much as the whole-query AGM
+   bound (dense queries collapse to one bag), the variable-at-a-time join
+   prunes within that bound while the bag would materialize its full
+   cover join first. Without a decomposition the GHD route is out of the
+   running. *)
 let decide ?bag_log2 a =
-  match override ~ghd_route:(bag_log2 <> None) with
-  | Some d -> d
-  | None ->
-    (* One cost scale — log2 tuples of the worst intermediate each
-       route can materialize. Ties prefer the cheapest machinery
-       (bucket), then the generic join: when the best bag costs as much
-       as the whole-query AGM bound (dense queries collapse to one bag),
-       the variable-at-a-time join prunes within that bound while the
-       bag would materialize its full cover join first. Without a
-       decomposition the GHD route is out of the running. *)
-    let b = a.binary_bound_log2 in
-    let g = a.agm.Agm.bound_log2 in
-    let h = Option.value bag_log2 ~default:Float.infinity in
-    if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
+  let b = a.binary_bound_log2 in
+  let g = a.agm.Agm.bound_log2 in
+  let h = Option.value bag_log2 ~default:Float.infinity in
+  if b <= g && b <= h then Bucket else if h < g then Ghd else Generic
 
 let decompose ?rng db cq analysis =
   let hg = Hypergraph.of_query cq in
@@ -273,7 +263,9 @@ let decompose ?rng db cq analysis =
 (* The analysis draws its MCS tie-breaks from [rng] before the search
    draws its restarts, so its variable order is the one [analyze ?rng]
    alone returns. *)
-let prepare ?rng ?agm db cq = decompose ?rng db cq (analyze ?rng ?agm db cq)
+let prepare ?rng ?agm ?route db cq =
+  let prep = decompose ?rng db cq (analyze ?rng ?agm db cq) in
+  match route with Some decision -> { prep with decision } | None -> prep
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator: materialize bags, run the Yannakakis sweeps.          *)

@@ -62,16 +62,7 @@ val decide : ?bag_log2:float -> analysis -> decision
 (** The gate: the smallest of [binary_bound_log2], [agm.bound_log2] and
     [bag_log2], ties preferring bucket, then the generic join. Without
     [bag_log2] the GHD route is left out, so the answer is [Bucket] or
-    [Generic] (the [wcoj] method's gate). The [PPR_GHD_GATE] environment
-    variable overrides it: ["bucket"] and ["generic"] force a route,
-    ["ghd"] forces the decomposition when [bag_log2] is given; anything
-    else (or unset) leaves the comparison in charge. *)
-
-val override : ghd_route:bool -> decision option
-(** The route [PPR_GHD_GATE] forces on a gate with ([ghd_route]) or
-    without the GHD route, read now; [None] when the comparison decides.
-    A gated run tries the generic join before its route only when the
-    comparison picked that route. *)
+    [Generic] (the [wcoj] method's gate). *)
 
 type prep = {
   analysis : analysis;
@@ -85,7 +76,9 @@ type prep = {
           evaluator enforces the atom there *)
   ghd_bound_log2 : float;
       (** largest per-bag fractional-cover bound — the fhtw cost scale *)
-  decision : decision;  (** [decide ~bag_log2:ghd_bound_log2 analysis] *)
+  decision : decision;
+      (** [decide ~bag_log2:ghd_bound_log2 analysis], or the route
+          {!prepare} was given *)
 }
 
 val bag_bound_log2 :
@@ -115,6 +108,7 @@ val decompose :
 val prepare :
   ?rng:Graphlib.Rng.t ->
   ?agm:Wcoj.Agm.t ->
+  ?route:decision ->
   Conjunctive.Database.t ->
   Conjunctive.Cq.t ->
   prep
@@ -123,8 +117,10 @@ val prepare :
     one [analyze ?rng ?agm] returns on its own: it draws from [rng]
     before the search does. So a caller that keeps the rng's state from
     right after {!analyze} can run {!decompose} later and get this very
-    prep (the [ghd] method's deferred artifact does). Admission, explain
-    and a route forced by [PPR_GHD_GATE] use it whole. *)
+    prep (the [ghd] method's deferred artifact does). [route], when
+    given, replaces the comparison's decision: the prep then runs that
+    route, whatever the bounds say (the [ghd] method's forced routes).
+    Admission, explain and the forced routes use it whole. *)
 
 val evaluate :
   ?ctx:Relalg.Ctx.t ->

@@ -53,20 +53,12 @@ let shutdown t =
   Mutex.unlock t.lock;
   Array.iter Domain.join workers
 
-(* The default advisory grain. PPR_PAR_GRAIN overrides it so the
-   sequential-fallback threshold of every consumer (range-split joins,
-   sweep fan-outs) can be tuned per deployment without code changes; an
-   explicit [~grain] argument still wins. *)
-let default_grain () =
-  match Sys.getenv_opt "PPR_PAR_GRAIN" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some g when g > 0 -> g
-    | _ -> 16384)
-  | None -> 16384
+(* The default advisory grain: below this many input rows a kernel stays
+   sequential. *)
+let default_grain = 16384
 
 let create ?num_domains ?grain () =
-  let grain = match grain with Some g -> g | None -> default_grain () in
+  let grain = Option.value grain ~default:default_grain in
   let size =
     max 1
       (match num_domains with

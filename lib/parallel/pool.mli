@@ -28,9 +28,8 @@ val create : ?num_domains:int -> ?grain:int -> unit -> t
     degree of parallelism a batch can reach. [grain] is advisory:
     kernels consult {!grain} and stay sequential below that many input
     rows, where splitting the work costs more than it buys, and the
-    experiment sweeps read it as a probe-measured work budget. It defaults to the
-    [PPR_PAR_GRAIN] environment variable when that holds a positive
-    integer, else [16384]; an explicit argument beats the environment.
+    experiment sweeps read it as a probe-measured work budget. It
+    defaults to [16384].
     Workers idle on a condition variable — a pool at rest burns no
     CPU. *)
 

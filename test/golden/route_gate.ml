@@ -14,8 +14,10 @@ let digest plan =
 let report name ~rng db cq =
   let wcoj =
     match Driver.prepare ~rng:(rng ()) Driver.Wcoj db cq with
-    | Driver.Gated (_, None) -> "generic"
-    | Driver.Gated (_, Some _) -> "bucket"
+    | Driver.Deferred { Ppr_core.Exec.resolved; _ } -> (
+      match Atomic.get resolved with
+      | Some r -> Ghd.decision_name (Ppr_core.Exec.decision r)
+      | None -> failwith "wcoj resolves its gate at prepare time")
     | _ -> failwith "wcoj prepares a gated artifact"
   in
   let prep = Ghd.prepare ~rng:(rng ()) db cq in

@@ -106,13 +106,6 @@ let check_rows msg expected rel =
 let qtest ?(count = 100) name arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary prop)
 
-(* Force a structural gate route for the duration of [f]. putenv cannot
-   unset, so restoring writes "" — which the gate treats as "decide
-   normally". *)
-let with_gate route f =
-  Unix.putenv "PPR_GHD_GATE" route;
-  Fun.protect ~finally:(fun () -> Unix.putenv "PPR_GHD_GATE" "") f
-
 (* What a query's atom scans charge: every evaluation pays it before it
    joins anything. *)
 let scan_charge db (cq : Conjunctive.Cq.t) =

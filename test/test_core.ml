@@ -1226,10 +1226,12 @@ let test_attempt_outcomes () =
     ];
   (* With a route forced, and on other methods, nothing is tried. *)
   let db, cq = List.assoc "fig4" paper_batch_instances in
-  with_gate "ghd" (fun () ->
-      check_bool "forced: no attempt" true
-        (Exec.attempt db cq (Driver.prepare ~rng:(rng 1000) Driver.Ghd db cq)
-        = None));
+  List.iter
+    (fun route ->
+      check_bool ("forced " ^ Ghd.decision_name route ^ ": no attempt") true
+        (Exec.attempt db cq (Driver.prepare ~rng:(rng 1000) ~route Driver.Ghd db cq)
+        = None))
+    [ Ghd.Bucket; Ghd.Generic; Ghd.Ghd ];
   check_bool "bucket elimination: no attempt" true
     (Exec.attempt db cq (Driver.prepare Driver.Bucket_elimination db cq) = None);
   (* The allowance never exceeds half the tuple budget the scans leave,
@@ -1244,6 +1246,12 @@ let test_attempt_outcomes () =
     check_int "allowance = (remaining - scans) / 2" 150 a.Exec.allowance;
     check_bool "not enough to answer" true (a.Exec.answer = None)
   | None -> Alcotest.fail "fig4: the wcoj method tries the generic join"
+
+(* A route run on its own, with no attempt before it. *)
+let run_route ~ctx db cq = function
+  | Exec.Binary plan -> Exec.run ~ctx db plan
+  | Exec.Generic order -> Wcoj.evaluate ~ctx ~order db cq
+  | Exec.Decomposition prep -> Ghd.evaluate ~ctx ~prep db cq
 
 (* An attempt that runs out costs its scans and exactly its allowance;
    the chosen route then charges what it charges alone. *)
@@ -1263,13 +1271,9 @@ let test_attempt_charge () =
       | Some { Exec.answer = None; allowance; _ } ->
         check_int (name ^ ": attempt = scans + allowance") (scans + allowance)
           alone;
-        (* The route alone: the resolved artifact with a route forced,
-           which skips the attempt and runs the route resolved. *)
-        let resolved = Exec.resolve db cq compiled in
-        let forced, own =
-          with_gate "bucket" (fun () ->
-              charged (fun ctx -> Exec.materialize ~ctx db cq resolved))
-        in
+        (* The route alone, run directly. *)
+        let route = Exec.route db cq compiled in
+        let forced, own = charged (fun ctx -> run_route ~ctx db cq route) in
         let got, total =
           charged (fun ctx -> Exec.materialize ~ctx db cq compiled)
         in
@@ -1311,8 +1315,8 @@ let test_attempt_jobs () =
 (* The ghd method's deferred artifact: the attempt runs first, within the
    smaller of the analysis's two bounds, and the decomposition search only
    when it runs out. Whichever way the attempt goes, the answers are the
-   oracle's, the charge is exact, and the artifact resolves to the very
-   prep [Ghd.prepare] computes for the same rng. *)
+   oracle's, the charge is exact, and the artifact resolves to the route
+   of the very prep [Ghd.prepare] computes for the same rng. *)
 let charged f =
   let limits = Limits.create () in
   let r = f (Relalg.Ctx.create ~limits ()) in
@@ -1346,26 +1350,22 @@ let prop_deferred_matches_oracle =
           (Exec.stream ~ctx:(Relalg.Ctx.create ~limits:(Limits.create ()) ())
              db cq compiled)
       in
-      let resolved = Exec.resolve db cq compiled in
+      let route = Exec.route db cq compiled in
       let charge_ok =
         match tried with
         | Some { Exec.answer = Some _; _ } -> total = attempt_charge
         | Some { Exec.answer = None; allowance; _ } ->
-          (* A forced route skips the attempt: the route's own charge. *)
-          let _, own =
-            with_gate "bucket" (fun () ->
-                charged (fun ctx -> Exec.materialize ~ctx db cq resolved))
-          in
+          (* The route run directly: its own charge. *)
+          let _, own = charged (fun ctx -> run_route ~ctx db cq route) in
           attempt_charge = scan_charge db cq + allowance
           && total = attempt_charge + own
         | None -> false
       in
       let prep_ok =
-        match resolved with
-        | Driver.Decomposed (prep, plan) ->
-          same_prep prep (Ghd.prepare ~rng:(rng seed) db cq)
-          && (plan <> None) = (prep.Ghd.decision = Ghd.Bucket)
-        | _ -> false
+        let p = Ghd.prepare ~rng:(rng seed) db cq in
+        match route with
+        | Exec.Decomposition prep -> same_prep prep p
+        | r -> Exec.decision r = p.Ghd.decision
       in
       (match compiled with Driver.Deferred _ -> true | _ -> false)
       && head_rows cq answer = expected
@@ -1394,7 +1394,7 @@ let test_deferred_race () =
       ((deferred_attempt db cq compiled).Exec.answer = None);
     let run () =
       let answer = Exec.materialize db cq compiled in
-      (Exec.route (Exec.resolve db cq compiled), head_rows cq answer)
+      (Exec.route db cq compiled, head_rows cq answer)
     in
     let other = Domain.spawn run in
     let mine = run () in
@@ -1449,18 +1449,6 @@ let test_attempt_skipped_on_replay () =
       check_bool (label "the stream's answer") true
         (head_rows cq (Relalg.Cursor.to_relation cur) = rows);
       check_bool (label "the stream skips it") true (!streamed = Some true);
-      (* A deferred artifact's resolved form shares its analysis, and so
-         the record: it skips an attempt no larger than the one that ran
-         out. *)
-      (match (compiled, first) with
-      | Driver.Deferred _, Some { Exec.allowance = ran_out; _ } -> (
-        let (_, _, resolved), _ = run_twice (Exec.resolve db cq compiled) in
-        match resolved with
-        | Some { Exec.skipped; allowance; _ } ->
-          check_bool (label "resolved: skipped within the record") (allowance <= ran_out)
-            skipped
-        | None -> ())
-      | _ -> ());
       (* An allowance that grows tries again: a first run under a budget
          that halves it, then one under the default budget. *)
       let fresh = Driver.prepare ~rng:(rng 1000) meth db cq in

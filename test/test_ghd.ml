@@ -103,23 +103,32 @@ let test_gate_routes () =
       (db, dense_cq);
     ]
 
-let test_gate_env_override () =
+let test_gate_forced_route () =
+  (* Each route forced on the ghd method: the whole prep, on that
+     decision, with no attempt. *)
   let db, cq = coloring ~mode:Encode.Boolean (Gen.cycle 8) in
-  let analysis = Ghd.analyze ~rng:(rng 1) db cq in
-  let two_way = Ghd.decide analysis in
   List.iter
-    (fun (route, expected, wcoj_expected) ->
-      with_gate route (fun () ->
-          let p = Ghd.prepare ~rng:(rng 1) db cq in
-          check_bool ("PPR_GHD_GATE=" ^ route) true (p.Ghd.decision = expected);
-          (* The wcoj method's gate has no decomposition to force. *)
-          check_bool ("PPR_GHD_GATE=" ^ route ^ " without the GHD route") true
-            (Ghd.decide analysis = wcoj_expected)))
-    [
-      ("bucket", Ghd.Bucket, Ghd.Bucket);
-      ("generic", Ghd.Generic, Ghd.Generic);
-      ("ghd", Ghd.Ghd, two_way);
-    ]
+    (fun route ->
+      let name = "--route " ^ Ghd.decision_name route in
+      let compiled =
+        Ppr_core.Driver.prepare ~rng:(rng 1) ~route Ppr_core.Driver.Ghd db cq
+      in
+      (match compiled with
+      | Ppr_core.Driver.Decomposed (p, plan) ->
+        check_bool (name ^ ": the decision") true (p.Ghd.decision = route);
+        check_bool (name ^ ": the bucket plan iff bucket") (route = Ghd.Bucket)
+          (plan <> None)
+      | _ -> Alcotest.fail (name ^ ": a forced route prepares Decomposed"));
+      check_bool (name ^ ": no attempt") true
+        (Ppr_core.Exec.attempt db cq compiled = None))
+    [ Ghd.Bucket; Ghd.Generic; Ghd.Ghd ];
+  (* Only the ghd method takes a route. *)
+  check_bool "the wcoj method refuses a route" true
+    (match
+       Ppr_core.Driver.prepare ~route:Ghd.Bucket Ppr_core.Driver.Wcoj db cq
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_gate_low_htw_panel () =
   (* Cyclic low-htw structure: augmented ladders have treewidth >= 3 but
@@ -292,8 +301,8 @@ let prop_parallel_matches_sequential =
 let test_prepared_replay () =
   (* The serving layer's cache-hit path: prepare once, re-execute the
      compiled artifact many times. Every route must replay identically,
-     and the artifact resolves to a prep with its bucket plan exactly
-     when the gate picked bucket. *)
+     and the artifact resolves to the route the three-way gate picks,
+     after which a generic pick tries no attempt first. *)
   List.iter
     (fun (name, g) ->
       let db, cq = coloring ~mode:Encode.Boolean g in
@@ -302,13 +311,12 @@ let test_prepared_replay () =
         Ppr_core.Driver.prepare ~rng:(rng 2) Ppr_core.Driver.Ghd db cq
       in
       let check_resolved () =
-        match Ppr_core.Exec.resolve db cq compiled with
-        | Ppr_core.Driver.Decomposed (prep, plan) ->
-          check_bool
-            (name ^ ": bucket plan rides along iff the gate picked bucket")
-            (prep.Ghd.decision = Ghd.Bucket)
-            (plan <> None)
-        | _ -> Alcotest.fail (name ^ ": Ghd prepare must resolve to Decomposed")
+        let decision = Ppr_core.Exec.decision (Ppr_core.Exec.route db cq compiled) in
+        check_bool (name ^ ": resolves to the route Ghd.prepare decides") true
+          (decision = (Ghd.prepare ~rng:(rng 2) db cq).Ghd.decision);
+        check_bool (name ^ ": no attempt once the route is the generic join")
+          (decision = Ghd.Generic)
+          (Ppr_core.Exec.attempt db cq compiled = None)
       in
       (match compiled with
       | Ppr_core.Driver.Deferred _ -> ()
@@ -338,14 +346,13 @@ let test_forced_routes_agree () =
   let expected = bucket_result db cq in
   List.iter
     (fun route ->
-      with_gate route (fun () ->
-          let outcome =
-            Ppr_core.Driver.run ~rng:(rng 3) Ppr_core.Driver.Ghd db cq
-          in
-          check_bool (route ^ " route same cardinality") true
-            (Ppr_core.Driver.result_cardinality outcome
-            = Some (Relation.cardinality expected))))
-    [ "bucket"; "generic"; "ghd" ]
+      let outcome =
+        Ppr_core.Driver.run ~rng:(rng 3) ~route Ppr_core.Driver.Ghd db cq
+      in
+      check_bool (Ghd.decision_name route ^ " route same cardinality") true
+        (Ppr_core.Driver.result_cardinality outcome
+        = Some (Relation.cardinality expected)))
+    [ Ghd.Bucket; Ghd.Generic; Ghd.Ghd ]
 
 let test_supervised_ladder () =
   (* Ghd sits at the top of its own degradation ladder; an impossible
@@ -365,8 +372,7 @@ let test_supervised_ladder () =
    join-project pass, so a prediction of the widest bag falls short. *)
 let ghd_width_holds ?(seed = 3) db cq =
   let o =
-    with_gate "ghd" (fun () ->
-        Ppr_core.Driver.run ~rng:(rng seed) Ppr_core.Driver.Ghd db cq)
+    Ppr_core.Driver.run ~rng:(rng seed) ~route:Ghd.Ghd Ppr_core.Driver.Ghd db cq
   in
   o.Ppr_core.Driver.max_arity <= o.Ppr_core.Driver.plan_width
 
@@ -428,7 +434,7 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "routes" `Quick test_gate_routes;
-          Alcotest.test_case "env override" `Quick test_gate_env_override;
+          Alcotest.test_case "forced route" `Quick test_gate_forced_route;
           Alcotest.test_case "cyclic low-htw panel" `Quick
             test_gate_low_htw_panel;
         ] );

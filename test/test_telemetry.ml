@@ -550,6 +550,38 @@ let test_deferred_resolve_span () =
         (named "exec:ghd"))
     [ (pentagon_cq, "answered", 0); (aug_path, "exhausted", 1) ]
 
+(* Both gated methods report the gate under one attribute set: the
+   analysis's bounds, and the decision once the artifact has one (the
+   wcoj method's from its prepare on). A forced route adds its bag bound
+   and htw. *)
+let test_gate_attribute_set () =
+  List.iter
+    (fun (label, meth, route, extra) ->
+      let sink, spans = T.Sink.memory () in
+      let t = T.create sink in
+      ignore
+        (Ppr_core.Driver.run ?route ~ctx:(Relalg.Ctx.create ~telemetry:t ()) meth
+           coloring_db pentagon_cq);
+      T.close t;
+      let exec =
+        List.find
+          (fun s -> Span.name s = "exec:" ^ Ppr_core.Driver.method_name meth)
+          (spans ())
+      in
+      List.iter
+        (fun key -> check_bool (label ^ ": " ^ key) true (Span.attr exec key <> None))
+        ([ "ghd.decision"; "ghd.binary_bound_log2"; "ghd.agm_bound_log2";
+           "ghd.induced_width" ] @ extra);
+      check_bool (label ^ ": no wcoj.* attribute") true
+        (List.for_all
+           (fun (k, _) -> not (String.starts_with ~prefix:"wcoj." k))
+           (Span.attrs exec)))
+    [
+      ("wcoj", Ppr_core.Driver.Wcoj, None, []);
+      ("ghd --route generic", Ppr_core.Driver.Ghd, Some Ghd.Generic,
+       [ "ghd.ghd_bound_log2"; "ghd.htw" ]);
+    ]
+
 (* A stream's setup waits for its first pull: building a bucket-
    elimination cursor records no operator span, over the semijoin
    reroute or the plan's own stream, and closing it unpulled records
@@ -635,6 +667,8 @@ let () =
             test_gate_attempt_attributes;
           Alcotest.test_case "deferred resolve span" `Quick
             test_deferred_resolve_span;
+          Alcotest.test_case "one gate attribute set" `Quick
+            test_gate_attribute_set;
           Alcotest.test_case "stream setup on first pull" `Quick
             test_stream_setup_on_first_pull;
         ] );

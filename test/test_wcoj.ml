@@ -68,19 +68,26 @@ let test_gate_sanity () =
      left out. A path has treewidth 1: the binary plan's bound is tiny
      while the AGM bound is ~|R|^(n/2) — the gate must keep the bucket
      plan. *)
-  let is_generic = function
-    | Ppr_core.Driver.Gated (_, None) -> true
+  let is_generic db cq =
+    match
+      Ppr_core.Exec.route db cq
+        (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db cq)
+    with
+    | Ppr_core.Exec.Generic _ -> true
     | _ -> false
   in
   let db, path_cq = coloring ~mode:Encode.Boolean (Gen.path 10) in
   let a = Ghd.analyze ~rng:(rng 1) db path_cq in
   check_bool "path -> bucket" true (Ghd.decide a = Ghd.Bucket);
-  check_bool "path prepares the bucket plan" false
-    (is_generic (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db path_cq));
+  check_bool "path prepares the bucket plan" false (is_generic db path_cq);
   (match Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db path_cq with
-  | Ppr_core.Driver.Gated (kept, Some _) ->
-    check_bool "the bucket plan keeps its analysis" true (kept = a)
-  | _ -> Alcotest.fail "path: the wcoj method prepares a gated bucket plan");
+  | Ppr_core.Driver.Deferred d -> (
+    check_bool "the bucket plan keeps its analysis" true
+      (d.Ppr_core.Exec.analysis = a);
+    match Atomic.get d.Ppr_core.Exec.resolved with
+    | Some (Ppr_core.Exec.Binary _) -> ()
+    | _ -> Alcotest.fail "path: the gate is resolved to the bucket plan at prepare")
+  | _ -> Alcotest.fail "path: the wcoj method prepares a gated artifact");
   (* A dense graph has induced width near n: the AGM bound (~n/2 atoms
      of weight 1) undercuts the binary worst case — generic join wins. *)
   let db, dense_cq =
@@ -88,8 +95,7 @@ let test_gate_sanity () =
   in
   let a = Ghd.analyze ~rng:(rng 1) db dense_cq in
   check_bool "dense -> generic" true (Ghd.decide a = Ghd.Generic);
-  check_bool "dense prepares the generic join" true
-    (is_generic (Ppr_core.Driver.prepare ~rng:(rng 1) Ppr_core.Driver.Wcoj db dense_cq));
+  check_bool "dense prepares the generic join" true (is_generic db dense_cq);
   check_bool "bound comparison agrees" true
     (a.Ghd.agm.Agm.bound_log2 < a.Ghd.binary_bound_log2);
   (* The order the gate hands out is usable as-is: a permutation with
