@@ -269,21 +269,34 @@ let metrics_arg =
 
 (* --jobs: degree of parallelism. PPR_JOBS supplies the default so CI
    can matrix the whole test/bench entry points without editing every
-   invocation; an explicit flag wins. 0 means one domain per core. *)
-let default_jobs =
-  match Sys.getenv_opt "PPR_JOBS" with
-  | Some s -> ( try int_of_string (String.trim s) with _ -> 1)
-  | None -> 1
-
+   invocation; an explicit flag wins. 0 means one domain per core. A
+   negative flag or a PPR_JOBS that is not such a count is a usage
+   error (exit 124), not a silent fall back to one domain. *)
 let jobs_arg =
-  Arg.(
-    value & opt int default_jobs
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Run with N domains: large joins hash-partition across them and \
-           experiment sweeps fan their cells/seeds out. 1 (the default, or \
-           the \\$(b,PPR_JOBS) environment variable) is strictly \
-           sequential; 0 means one domain per core.")
+  let flag =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Run with N domains: a large join splits its probe side into \
+             ranges that count and fill on separate domains over one shared \
+             build index, and experiment sweeps fan their cells/seeds out. \
+             1 (the default, or the $(b,PPR_JOBS) environment variable) is \
+             strictly sequential; 0 means one domain per core.")
+  in
+  let check = function
+    | Some jobs when jobs >= 0 -> `Ok jobs
+    | Some _ -> `Error (true, "--jobs must be 0 or more")
+    | None -> (
+      match Sys.getenv_opt "PPR_JOBS" with
+      | None -> `Ok 1
+      | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some jobs when jobs >= 0 -> `Ok jobs
+        | _ -> `Error (false, Printf.sprintf "PPR_JOBS=%S is not a count of domains (0 or more)" s)))
+  in
+  Term.(ret (const check $ flag))
 
 let make_pool jobs =
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in

@@ -15,7 +15,18 @@
    Cells are copied with plain [int array] loops, never blits: on OCaml 5
    a blit into a major-heap array runs the write barrier on every cell,
    while a loop over an array the compiler knows holds ints is a plain
-   store (docs/INTERNALS.md, "Storage layer"). *)
+   store (docs/INTERNALS.md, "Storage layer").
+
+   Every arena's data is a malloc chunk, so the layer that owns it sets
+   the process's allocator policy, once, as this module initialises
+   ([arena_stubs.c]; docs/INTERNALS.md, "Memory policy"). *)
+
+type malloc_policy = Pinned | Unsupported | Refused
+
+external set_malloc_policy : unit -> int = "ppr_arena_malloc_policy" [@@noalloc]
+
+let malloc_policy =
+  match set_malloc_policy () with 1 -> Pinned | 0 -> Unsupported | _ -> Refused
 
 type t = {
   arity : int;

@@ -26,6 +26,21 @@
 
 type t
 
+(** The allocator policy this module sets as it initialises. OCaml 5
+    allocates every block over 256 words with [malloc], so each arena's
+    data and every kernel's scratch array is a malloc chunk, which
+    glibc's dynamic thresholds hand back to the kernel when it is freed;
+    the next output then faults its pages in and zeroes them again. On
+    glibc the library pins [M_MMAP_THRESHOLD] at 32 MiB and
+    [M_TRIM_THRESHOLD] at 256 MiB, so freed storage stays mapped and is
+    reused. Nothing reads the environment and there is no option. *)
+type malloc_policy =
+  | Pinned  (** Both thresholds are set. *)
+  | Unsupported  (** Not glibc: the allocator's own policy stands. *)
+  | Refused  (** glibc's [mallopt] refused a value. *)
+
+val malloc_policy : malloc_policy
+
 val create : ?size_hint:int -> int -> t
 (** [create ?size_hint arity] — an empty arena for tuples of the given
     arity, with room for [size_hint] rows (default 16, at least 8). A

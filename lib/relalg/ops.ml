@@ -526,22 +526,41 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
     start.(q) <- start.(q) + start.(q - 1)
   done;
   (* A scattered candidate is the table slot it would fill: its tag, the
-     hash's low [62 - index_bits] bits, above its index plus one. *)
+     hash's low [62 - index_bits] bits, above its index plus one. At
+     [p = 0] the scatter is the identity, so it is not run: the [k]-th
+     scattered candidate is candidate [k], whose slot the link pass
+     reads off [h.(k)] before it links [k]. *)
   let index_bits = bit_length n in
   let index_mask = (1 lsl index_bits) - 1 in
   let tag_mask = (1 lsl (62 - index_bits)) - 1 in
-  let scattered = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    let hi = Array.unsafe_get h i in
-    let q = hi lsr shift in
-    let at = Array.unsafe_get start q - 1 in
-    Array.unsafe_set scattered at (((hi land tag_mask) lsl index_bits) lor (i + 1));
-    Array.unsafe_set start q at;
-    poll_fill limits (n - 1 - i)
-  done;
+  let slot_of hi i = ((hi land tag_mask) lsl index_bits) lor (i + 1) in
+  let scattered =
+    if bits = 0 then begin
+      start.(0) <- 0;
+      [||]
+    end
+    else begin
+      let scattered = Array.make n 0 in
+      for i = n - 1 downto 0 do
+        let hi = Array.unsafe_get h i in
+        let q = hi lsr shift in
+        let at = Array.unsafe_get start q - 1 in
+        Array.unsafe_set scattered at (slot_of hi i);
+        Array.unsafe_set start q at;
+        poll_fill limits (n - 1 - i)
+      done;
+      scattered
+    end
+  in
+  let scattered_at k =
+    if bits = 0 then slot_of (Array.unsafe_get h k) k else Array.unsafe_get scattered k
+  in
+  let index_at k =
+    if bits = 0 then k else (Array.unsafe_get scattered k land index_mask) - 1
+  in
   (* Link each candidate whose tag an earlier candidate [j] of its
      partition already holds to [j]: [h.(i)] becomes [-(j + 1)]. One
-     table for the call, cleared after each partition; partition [q]
+     table for the call, cleared between partitions; partition [q]
      uses its first [pow2_at_least (2 * count) 16] slots. *)
   let table = Array.make (pow2_at_least (2 * !largest) 16) 0 in
   let rec probe mask c tag s =
@@ -557,12 +576,12 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
       let len = pow2_at_least (2 * (hi - lo)) 16 in
       let mask = len - 1 in
       for k = lo to hi - 1 do
-        let c = Array.unsafe_get scattered k in
+        let c = scattered_at k in
         let tag = c lsr index_bits in
         probe mask c tag (tag land mask);
         poll_fill limits k
       done;
-      Array.fill table 0 len 0
+      if q + 1 < parts then Array.fill table 0 len 0
     end
   done;
   (* Verify the links in match order: a linked candidate equal to its
@@ -578,7 +597,7 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
   in
   let rec equals_earlier i k hi =
     k < hi
-    && (let e = (Array.unsafe_get scattered k land index_mask) - 1 in
+    && (let e = index_at k in
         (e < i && same i e) || equals_earlier i (k + 1) hi)
   in
   for i = 0 to n - 1 do

@@ -1228,8 +1228,9 @@ let print_dedup_case c =
    20k to 24k candidates: with few kept columns nearly every candidate is
    a duplicate, with many most are distinct; both span 8 to 16
    partitions. A constant hash compares every candidate with every
-   earlier distinct one, so it gets at most 600. *)
-let dedup_case_gen =
+   earlier distinct one, so it gets at most 600. [~small] draws at most
+   2048 candidates instead, one partition with no scatter. *)
+let dedup_case_gen ~small =
   QCheck.Gen.(
     let side =
       int_range 1 5 >>= fun w ->
@@ -1244,14 +1245,19 @@ let dedup_case_gen =
     >>= fun kind ->
     side >>= fun (wa, da, ka) ->
     side >>= fun (wb, db, kb) ->
-    (if kind = Constant then int_range 0 600 else int_range 20_000 24_000) >>= fun n ->
+    (if kind = Constant then int_range 0 600
+     else if small then int_range 0 2048
+     else int_range 20_000 24_000)
+    >>= fun n ->
     let na = Array.length da / wa and nb = Array.length db / wb in
     array_repeat n (pair (int_range 0 (na - 1)) (int_range 0 (nb - 1))) >>= fun pairs ->
     return { kind; wa; da; ka; wb; db; kb; pairs })
 
-let prop_dedup_is_flat =
-  qtest ~count:60 "dedup = flat dedup (rows in order, kept)"
-    (QCheck.make ~print:print_dedup_case dedup_case_gen)
+let prop_dedup_is_flat ~small =
+  qtest ~count:60
+    (if small then "dedup = flat dedup (at most 2048 candidates)"
+     else "dedup = flat dedup (rows in order, kept)")
+    (QCheck.make ~print:print_dedup_case (dedup_case_gen ~small))
     (fun c ->
       let n = Array.length c.pairs in
       let expected_a, expected_b, expected =
@@ -1451,9 +1457,52 @@ let test_arena_no_hint () =
   check_bool "0-ary duplicate" false (Arena.add z [||]);
   check_int "0-ary count" 1 (Arena.count z)
 
+(* The allocator policy keeps freed arena storage mapped: 20 rounds of
+   eight ~1 MiB arenas, each round dropped and collected, fault fewer
+   pages together than the first round alone, which faults its 8 MiB
+   in. Without the policy glibc hands each round back to the kernel and
+   every round faults it in again. The case runs first, so the first
+   round finds no free heap that earlier cases left. Skipped where
+   /proc/self/stat cannot be read and off glibc. *)
+let minor_faults () =
+  match In_channel.with_open_bin "/proc/self/stat" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+    (* minflt is the 8th field after the parenthesised command name. *)
+    let after = String.index_from stat (String.rindex stat ')') ' ' + 1 in
+    let fields = String.split_on_char ' ' (String.sub stat after (String.length stat - after)) in
+    match List.nth_opt fields 7 with Some f -> int_of_string_opt f | None -> None)
+
+let[@inline never] allocate_arenas () =
+  let arenas =
+    List.init 8 (fun _ ->
+        let a = Arena.create ~size_hint:0 4 in
+        ignore (Arena.extend a 32_768);
+        a)
+  in
+  ignore (Sys.opaque_identity arenas)
+
+let test_freed_storage_reused () =
+  if Arena.malloc_policy = Arena.Unsupported then Alcotest.skip ();
+  check_bool "glibc accepted the policy" true (Arena.malloc_policy = Arena.Pinned);
+  let round () =
+    let before = minor_faults () in
+    allocate_arenas ();
+    Gc.full_major ();
+    match (before, minor_faults ()) with
+    | Some b, Some a -> a - b
+    | _ -> Alcotest.skip ()
+  in
+  let first = round () in
+  let rest = List.fold_left (fun acc _ -> acc + round ()) 0 (List.init 20 Fun.id) in
+  if rest >= first then
+    Alcotest.failf "rounds 2-21 faulted %d pages, round 1 faulted %d" rest first
+
 let () =
   Alcotest.run "relalg"
     [
+      ( "memory policy",
+        [ Alcotest.test_case "freed storage reused" `Quick test_freed_storage_reused ] );
       ( "symbol",
         [
           Alcotest.test_case "roundtrip" `Quick test_symbol_roundtrip;
@@ -1534,7 +1583,8 @@ let () =
         ] );
       ( "dedup",
         [
-          prop_dedup_is_flat;
+          prop_dedup_is_flat ~small:false;
+          prop_dedup_is_flat ~small:true;
           prop_project_is_flat;
           prop_join_project_is_flat;
           Alcotest.test_case "empty keep set" `Quick test_dedup_empty_keep;
