@@ -178,9 +178,6 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* sql                                                                 *)
 
-let method_names =
-  [ "naive"; "straightforward"; "early-projection"; "reordering"; "bucket-elimination" ]
-
 let method_arg =
   Arg.(
     value
@@ -188,8 +185,8 @@ let method_arg =
     & info [ "method"; "m" ] ~docv:"METHOD"
         ~doc:
           "Evaluation method (naive, straightforward, early-projection, \
-           reordering, bucket-elimination, hybrid, wcoj, ghd); the paper's \
-           five when omitted. wcoj is the worst-case-optimal generic join, \
+           reordering, bucket-elimination, minibucket:I, hybrid, wcoj, ghd); \
+           the paper's five when omitted. wcoj is the worst-case-optimal generic join, \
            gated per query by the AGM bound; ghd is Yannakakis over a \
            generalized hypertree decomposition, routed per query among \
            bucket elimination, the generic join and GHD-Yannakakis by a \
@@ -220,24 +217,36 @@ let method_route_arg =
   in
   Term.(ret (const check $ method_arg $ route))
 
-let sql_of_method cq name =
+let parse_method name =
+  match Ppr_core.Driver.method_of_string name with
+  | Some m -> m
+  | None -> failwith (Printf.sprintf "unknown method %S" name)
+
+let sql_of_method cq meth =
   let rng = Graphlib.Rng.make 17 in
-  match name with
-  | "naive" -> Sqlgen.Translate.naive cq
-  | "straightforward" -> Sqlgen.Translate.straightforward cq
-  | "early-projection" -> Sqlgen.Translate.early_projection cq
-  | "reordering" -> Sqlgen.Translate.reordering ~rng cq
-  | "bucket-elimination" -> Sqlgen.Translate.bucket_elimination ~rng cq
-  | other -> failwith (Printf.sprintf "unknown method %S" other)
+  match meth with
+  | Ppr_core.Driver.Naive _ -> Sqlgen.Translate.naive cq
+  | Straightforward -> Sqlgen.Translate.straightforward cq
+  | Early_projection -> Sqlgen.Translate.early_projection cq
+  | Reorder -> Sqlgen.Translate.reordering ~rng cq
+  | Bucket_elimination -> Sqlgen.Translate.bucket_elimination ~rng cq
+  | m ->
+    failwith
+      (Printf.sprintf "no SQL translation for method %S" (Ppr_core.Driver.method_name m))
 
 let sql_cmd =
   let run family order density seed free_fraction meth =
     guarded @@ fun () ->
     let _db, cq = build_instance family ~order ~density ~seed ~free_fraction in
-    let chosen = match meth with Some m -> [ m ] | None -> method_names in
+    let chosen =
+      match meth with
+      | Some m -> [ parse_method m ]
+      | None -> Ppr_core.Driver.all_paper_methods
+    in
     List.iter
-      (fun name ->
-        Printf.printf "-- %s\n%s\n" name (Sqlgen.Pretty.query (sql_of_method cq name)))
+      (fun m ->
+        Printf.printf "-- %s\n%s\n" (Ppr_core.Driver.method_name m)
+          (Sqlgen.Pretty.query (sql_of_method cq m)))
       chosen
   in
   Cmd.v
@@ -320,14 +329,7 @@ let planner_arg =
           "Join-order search for the naive method's large queries (above \
            its DP threshold): 'genetic' (the default) or 'gradient' \
            (gradient-guided search over the same left-deep plan space). \
-           Defaults to the \\$(b,PPR_PLANNER) environment variable.")
-
-let apply_planner planner meth =
-  match (planner, meth) with
-  | Some name, Ppr_core.Driver.Naive (Ppr_core.Naive.Auto (threshold, _))
-    when name <> "genetic" ->
-    Ppr_core.Driver.Naive (Ppr_core.Naive.Plugin (name, threshold))
-  | _ -> meth
+           Defaults to the $(b,PPR_PLANNER) environment variable.")
 
 (* Build a telemetry context from the flags, hand it to the body, and
    flush it afterwards — also when the body raises, so aborted runs
@@ -421,19 +423,12 @@ let run_cmd =
       (Conjunctive.Cq.var_count cq)
       (List.length cq.Conjunctive.Cq.free);
     let methods =
-      match meth with
-      | Some "naive" -> [ Ppr_core.Driver.Naive Ppr_core.Naive.default_search ]
-      | Some "straightforward" -> [ Ppr_core.Driver.Straightforward ]
-      | Some "early-projection" -> [ Ppr_core.Driver.Early_projection ]
-      | Some "reordering" -> [ Ppr_core.Driver.Reorder ]
-      | Some "bucket-elimination" -> [ Ppr_core.Driver.Bucket_elimination ]
-      | Some "hybrid" -> [ Ppr_core.Driver.Hybrid ]
-      | Some "wcoj" -> [ Ppr_core.Driver.Wcoj ]
-      | Some "ghd" -> [ Ppr_core.Driver.Ghd ]
-      | Some other -> failwith (Printf.sprintf "unknown method %S" other)
-      | None -> Ppr_core.Driver.all_paper_methods
+      List.map
+        (Ppr_core.Driver.apply_planner planner)
+        (match meth with
+        | Some m -> [ parse_method m ]
+        | None -> Ppr_core.Driver.all_paper_methods)
     in
-    let methods = List.map (apply_planner planner) methods in
     let chaos = Option.map parse_chaos chaos in
     let budget =
       let b =
@@ -540,15 +535,7 @@ let explain_cmd =
     guarded @@ fun () ->
     let db, cq = build_instance family ~order ~density ~seed ~free_fraction in
     let meth =
-      match meth with
-      | Some "naive" -> Ppr_core.Driver.Naive Ppr_core.Naive.default_search
-      | Some "straightforward" -> Ppr_core.Driver.Straightforward
-      | Some "early-projection" -> Ppr_core.Driver.Early_projection
-      | Some "reordering" -> Ppr_core.Driver.Reorder
-      | Some "bucket-elimination" | None -> Ppr_core.Driver.Bucket_elimination
-      | Some "wcoj" -> Ppr_core.Driver.Wcoj
-      | Some "ghd" -> Ppr_core.Driver.Ghd
-      | Some other -> failwith (Printf.sprintf "unknown method %S" other)
+      Option.fold ~none:Ppr_core.Driver.Bucket_elimination ~some:parse_method meth
     in
     let plan = Ppr_core.Driver.compile ~rng:(Graphlib.Rng.make (seed + 31)) meth db cq in
     let node, result = Ppr_core.Explain.analyze db plan in
@@ -749,17 +736,9 @@ let query_cmd =
     in
     let cq = parsed.Conjunctive.Parse.query in
     let meth =
-      match meth with
-      | Some "naive" -> Ppr_core.Driver.Naive Ppr_core.Naive.default_search
-      | Some "straightforward" -> Ppr_core.Driver.Straightforward
-      | Some "early-projection" -> Ppr_core.Driver.Early_projection
-      | Some "reordering" -> Ppr_core.Driver.Reorder
-      | Some "bucket-elimination" | None -> Ppr_core.Driver.Bucket_elimination
-      | Some "wcoj" -> Ppr_core.Driver.Wcoj
-      | Some "ghd" -> Ppr_core.Driver.Ghd
-      | Some other -> failwith (Printf.sprintf "unknown method %S" other)
+      Ppr_core.Driver.apply_planner planner
+        (Option.fold ~none:Ppr_core.Driver.Bucket_elimination ~some:parse_method meth)
     in
-    let meth = apply_planner planner meth in
     let ctx = Relalg.Ctx.create ?telemetry ?pool () in
     let head_name = parsed.Conjunctive.Parse.head_name in
     let namer = parsed.Conjunctive.Parse.namer in
@@ -787,7 +766,10 @@ let query_cmd =
         prerr_endline "query: --show-sql is ignored when streaming";
       let t0 = Unix.gettimeofday () in
       let compiled = Ppr_core.Driver.prepare ?route meth db cq in
-      let cur = Ppr_core.Exec.stream ~ctx db cq compiled in
+      let cur =
+        Ppr_core.Exec.stream ~ctx ~semijoin:(Ppr_core.Driver.exact_method meth) db
+          cq compiled
+      in
       let schema = Relalg.Cursor.schema cur in
       let cmp = Option.map (rank_of_spec ~namer ~free ~schema) rank in
       let t1 = Unix.gettimeofday () in

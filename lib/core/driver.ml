@@ -35,6 +35,32 @@ let method_name = function
   | Wcoj -> "wcoj"
   | Ghd -> "ghd"
 
+(* No naive search by name: exhaustive DP is exponential in the atom
+   count, and a request must not be able to pick it. *)
+let method_of_string s =
+  match s with
+  | "naive" -> Some (Naive Naive.default_search)
+  | "straightforward" -> Some Straightforward
+  | "early-projection" -> Some Early_projection
+  | "reordering" -> Some Reorder
+  | "bucket-elimination" -> Some Bucket_elimination
+  | "hybrid" -> Some Hybrid
+  | "wcoj" -> Some Wcoj
+  | "ghd" -> Some Ghd
+  | _ -> (
+    let number fmt = Scanf.sscanf_opt s fmt Fun.id in
+    match
+      (number "minibucket(%u)%!", number "minibucket:%u%!", number "hybrid#%u%!")
+    with
+    | Some i, _, _ | None, Some i, _ -> if i > 0 then Some (Minibucket i) else None
+    | None, None, n -> Option.map (fun n -> Hybrid_rank n) n)
+
+let apply_planner planner meth =
+  match (planner, meth) with
+  | Some name, Naive (Naive.Auto (threshold, _)) when name <> "genetic" ->
+    Naive (Naive.Plugin (name, threshold))
+  | _ -> meth
+
 type abort = {
   reason : Relalg.Limits.reason;
   partial_stats : Relalg.Stats.t;

@@ -40,6 +40,29 @@ val all_paper_methods : meth list
 
 val method_name : meth -> string
 
+val method_of_string : string -> meth option
+(** The one parser of method names, for the CLI's [--method] and the
+    wire's [method]: the inverse of {!method_name}
+    ([method_of_string (method_name m) = Some m]) on every method but
+    the naive method's explicit searches — those are a planner setting
+    ({!apply_planner}), and exhaustive DP is exponential in the atom
+    count, so no request names one. [naive] is {!Naive.default_search};
+    mini-bucket also reads as [minibucket:I]. [None] on anything else,
+    an i-bound below 1 included. *)
+
+val apply_planner : string option -> meth -> meth
+(** Substitute a named order search ({!Naive.register_order_search}) for
+    the genetic one in the naive method's default DP/genetic split,
+    keeping its DP threshold. ["genetic"] (the built-in) and [None]
+    substitute nothing, and an explicitly chosen naive search is left
+    as it is. *)
+
+val exact_method : meth -> bool
+(** Whether the method's plans answer the query exactly: every method
+    but {!Minibucket}, whose plans are deliberately approximate. Only an
+    exact method's stream may take {!Exec.stream}'s semijoin reroute,
+    which answers the exact query. *)
+
 type abort = {
   reason : Relalg.Limits.reason;  (** why the run died *)
   partial_stats : Relalg.Stats.t;

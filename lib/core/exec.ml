@@ -245,102 +245,8 @@ let materialize ?(ctx = Ctx.null) ?observe ?(on_attempt = ignore)
 (* ------------------------------------------------------------------ *)
 (* Streaming.                                                          *)
 
-module Seen = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-let charge_limits ctx n =
-  match Ctx.limits ctx with Some l -> Limits.charge l n | None -> ()
-
-let tick ctx =
-  match Ctx.limits ctx with Some l -> Limits.tick_operator l | None -> ()
-
-let check_card ctx n =
-  match Ctx.limits ctx with Some l -> Limits.check_cardinality l n | None -> ()
-
-(* Stream a plan from its root operator. Setup runs when this is called
-   and is bounded by the inputs: every atom materializes (as in the
-   ordinary evaluator) and every join's build side materializes through
-   [run] — full kernels, spans, stats — but join {e outputs} and
-   projections are never materialized; they stream, so the probe spine
-   from the root
-   down to its leftmost leaf produces tuples on demand and stopping the
-   consumer stops the work. On the left-deep plans the compilers emit,
-   the build sides are single atoms and the whole join pipeline
-   streams. Projections dedup locally (set semantics per node, like the
-   materialized path); joins of duplicate-free streams are duplicate-
-   free, so the root stream needs no further dedup. *)
-let rec plan_stream ~ctx db plan : Schema.t * Tuple.t Seq.t =
-  match plan with
-  | Plan.Atom atom ->
-    let rel = Database.eval_atom ~ctx db atom in
-    (Relation.schema rel, Relation.to_seq rel)
-  | Plan.Join (l, r) ->
-    let lschema, lseq = plan_stream ~ctx db l in
-    let build = run ~ctx db r in
-    let rschema = Relation.schema build in
-    let shared = Schema.inter lschema rschema in
-    let key_l = Schema.positions shared lschema in
-    let key_r = Schema.positions shared rschema in
-    let rest = Schema.diff rschema lschema in
-    let rest_r = Schema.positions rest rschema in
-    let schema = Schema.union lschema rest in
-    tick ctx;
-    let index = lazy begin
-      let tbl = Seen.create (max 16 (Relation.cardinality build)) in
-      Relation.iter
-        (fun tup ->
-          let key = Tuple.project tup key_r in
-          let prev = try Seen.find tbl key with Not_found -> [] in
-          Seen.replace tbl key (Tuple.project tup rest_r :: prev))
-        build;
-      tbl
-    end in
-    let produced = ref 0 in
-    let seq =
-      Seq.concat_map
-        (fun ltup ->
-          let key = Tuple.project ltup key_l in
-          let matches =
-            try Seen.find (Lazy.force index) key with Not_found -> []
-          in
-          List.to_seq
-            (List.rev_map
-               (fun rrest ->
-                 charge_limits ctx 1;
-                 incr produced;
-                 check_card ctx !produced;
-                 Tuple.concat ltup rrest)
-               matches))
-        lseq
-    in
-    (schema, seq)
-  | Plan.Project (sub, kept) ->
-    let sschema, sseq = plan_stream ~ctx db sub in
-    let target = kept_schema sschema kept in
-    let pos = Schema.positions target sschema in
-    tick ctx;
-    let seen = Seen.create 64 in
-    let seq =
-      Seq.filter_map
-        (fun tup ->
-          let out = Tuple.project tup pos in
-          if Seen.mem seen out then None
-          else begin
-            Seen.replace seen out ();
-            charge_limits ctx 1;
-            check_card ctx (Seen.length seen);
-            Some out
-          end)
-        sseq
-    in
-    (target, seq)
-
-(* The schema [plan_stream] (and [run]) give a plan's output, read off
-   the plan alone, so a cursor knows it before its first pull. *)
+(* The schema [run] gives a plan's output, read off the plan alone, so a
+   cursor knows it before its first pull. *)
 let rec plan_schema = function
   | Plan.Atom atom -> Schema.of_list (Cq.atom_vars atom)
   | Plan.Join (l, r) -> Schema.union (plan_schema l) (plan_schema r)
@@ -402,12 +308,14 @@ let route_producer ~ctx ~semijoin db cq = function
     | Some jt ->
       ("yannakakis", true, Schema.of_list cq.Cq.free, acyclic_producer ~ctx db cq jt)
     | None ->
+      (* A cyclic or approximate plan has no delay bound to keep: it
+         materializes through [run], kernels and all, on the first pull. *)
       let schema = plan_schema plan in
       ( "plan", false, schema,
         fun emit ->
-          let built, seq = plan_stream ~ctx db plan in
-          assert (built = schema);
-          Seq.iter emit seq ))
+          let rel = run ~ctx db plan in
+          assert (Relation.schema rel = schema);
+          Relation.iter emit rel ))
   | Generic order ->
     ( "wcoj", false, Schema.of_list cq.Cq.free,
       fun emit -> Wcoj.iter ~ctx ~order db cq emit )
@@ -453,12 +361,7 @@ let stream ?(ctx = Ctx.null) ?(semijoin = true) ?(on_attempt = ignore)
                (fun tup -> emit (Tuple.project tup pos))
                (Cursor.of_iter ~dedup ~schema:rschema produce)))
 
-(* The Boolean answer streams: one pull decides nonemptiness, so an
-   existence check never pays for the full result. The compiled plan's
-   own stream is used (never the semijoin reroute — the caller may hand
-   us a deliberately approximate mini-bucket plan, and this must answer
-   exactly what [run plan] would). *)
-let nonempty ?(ctx = Ctx.null) db plan =
-  let schema, seq = plan_stream ~ctx db plan in
-  ignore schema;
-  match seq () with Seq.Nil -> false | Seq.Cons _ -> true
+(* The paper's Boolean question, answered by the plan itself (never the
+   semijoin reroute: the caller may hand us a deliberately approximate
+   mini-bucket plan). *)
+let nonempty ?ctx db plan = not (Relation.is_empty (run ?ctx db plan))

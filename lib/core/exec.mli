@@ -3,7 +3,8 @@
     Two ways to consume an answer: {!materialize} (over a binary plan,
     {!run}) computes the full relation, as the paper's experiments
     require; {!stream} opens a pull {!Relalg.Cursor} over the same
-    answer set, so a consumer that wants ten tuples — or one — pays for
+    answer set, so on the streaming routes (acyclic, generic join,
+    decomposition) a consumer that wants ten tuples — or one — pays for
     ten, not for everything. *)
 
 type route =
@@ -146,11 +147,11 @@ val run :
     @raise Not_found if an atom names an unregistered relation. *)
 
 val nonempty : ?ctx:Relalg.Ctx.t -> Conjunctive.Database.t -> Plan.t -> bool
-(** The Boolean answer: whether the plan's result is nonempty, decided
-    by pulling a single tuple from the plan's own root-operator stream
-    (no semijoin reroute — faithful to the plan even when the plan is
-    deliberately approximate). Never materializes the answer above the
-    plan's build sides, so existence checks on huge results stay cheap. *)
+(** The paper's Boolean question: whether [run plan] is nonempty. It
+    runs the plan itself (no semijoin reroute — faithful to the plan
+    even when the plan is deliberately approximate), under {!run}'s
+    context contract.
+    @raise Relalg.Limits.Abort when a resource guard trips. *)
 
 val materialize :
   ?ctx:Relalg.Ctx.t -> ?observe:(Plan.t -> int -> unit) ->
@@ -194,15 +195,15 @@ val stream :
     rerouted (when [semijoin], the default) through the join-tree
     semijoin reduction, giving
     constant-delay enumeration after a linear-time reduction; otherwise
-    — cyclic query, or [~semijoin:false] — the plan streams from its
-    root operator: atoms and join build sides materialize exactly as
-    {!run} would, but join probe pipelines and projections are lazy, so
-    abandoning the cursor skips the unconsumed work. Pass
-    [~semijoin:false] when the plan is deliberately {e not} equivalent
-    to the query (mini-bucket approximations): the reroute answers the
+    — cyclic query, or [~semijoin:false] — the first pull runs the plan
+    through {!run} (same kernels, spans, stats and limit charges as a
+    materialized run) and the cursor emits that relation's rows: such a
+    route carries no delay guarantee. Pass [~semijoin:false] when the
+    plan is deliberately {e not} equivalent to the query (mini-bucket
+    approximations, see {!Driver.exact_method}): the reroute answers the
     exact query and would mask the approximation.
 
-    Setup — every atom scan, semijoin sweep, build side and index —
+    Setup — every atom scan, semijoin sweep, plan run and index —
     runs when the first tuple is pulled, never at cursor construction
     (which reads only the query's structure), so a cursor closed unpulled
     ran no operator; and every telemetry span closes before the first

@@ -77,9 +77,6 @@ let seq_of_iter produce : Tuple.t Seq.t =
 let of_iter ?dedup ?on_close ~schema produce =
   of_seq ?dedup ?on_close ~schema (seq_of_iter produce)
 
-let of_relation rel =
-  of_seq ~schema:(Relation.schema rel) (Relation.to_seq rel)
-
 let next c =
   if c.closed then None
   else

@@ -35,10 +35,6 @@ val of_iter :
     free; abandoning the cursor (close before exhaustion) abandons the
     suspended fiber. *)
 
-val of_relation : Relation.t -> t
-(** Stream a materialized relation (already duplicate-free; no dedup
-    state is allocated). *)
-
 val schema : t -> Schema.t
 val next : t -> Tuple.t option
 (** The next answer tuple, or [None] once the stream is exhausted (the

@@ -143,36 +143,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* ------------------------------------------------------------------ *)
 (* Request-level parsing helpers.                                      *)
 
-let method_of_string = function
-  | "naive" -> Some (Driver.Naive Ppr_core.Naive.default_search)
-  | "straightforward" -> Some Driver.Straightforward
-  | "early-projection" -> Some Driver.Early_projection
-  | "reordering" -> Some Driver.Reorder
-  | "bucket-elimination" -> Some Driver.Bucket_elimination
-  | "hybrid" -> Some Driver.Hybrid
-  | "wcoj" -> Some Driver.Wcoj
-  | "ghd" -> Some Driver.Ghd
-  | s -> (
-    match String.split_on_char ':' s with
-    | [ "minibucket"; i ] -> (
-      match int_of_string_opt i with
-      | Some i when i > 0 -> Some (Driver.Minibucket i)
-      | _ -> None)
-    | _ -> None)
-
-(* Daemon-wide planner substitution: with [--planner gradient] (or any
-   registered order-search plugin), naive requests using the default
-   DP/genetic split keep their DP threshold but search large queries
-   with the plugin instead of the genetic pool. ["genetic"] is the
-   built-in default and substitutes nothing; explicitly non-default
-   naive searches (a client asking for dp or geqo by name) are
-   respected. *)
-let apply_planner planner meth =
-  match (planner, meth) with
-  | Some name, Driver.Naive (Ppr_core.Naive.Auto (threshold, _))
-    when name <> "genetic" ->
-    Driver.Naive (Ppr_core.Naive.Plugin (name, threshold))
-  | _ -> meth
+let method_of_string = Driver.method_of_string
 
 let chaos_of_spec spec =
   let int s = int_of_string_opt s in
@@ -330,7 +301,7 @@ let classify t (q : Wire.query) : (work, Wire.error_kind * string) result =
           Error
             (Wire.Parse_error, Format.asprintf "%a" Conjunctive.Parse.pp_error e)
         | Ok parsed ->
-          let meth = apply_planner t.cfg.planner meth in
+          let meth = Driver.apply_planner t.cfg.planner meth in
           let canon =
             Hypergraphs.Canon.canonicalize parsed.Conjunctive.Parse.query
           in
@@ -474,15 +445,15 @@ let run_session t (q : Wire.query) (work : work) ~queue_seconds ~deadline_abs
           | Some c -> Supervise.Chaos.arm c ~attempt:0 limits
           | None -> ());
           let sctx = Relalg.Ctx.create ~limits () in
-          let semijoin =
-            match meth with Driver.Minibucket _ -> false | _ -> true
-          in
           count t "serve.streams";
           (* The execution clock starts before the stream opens:
              cursor-open work (semijoin reduction, index build) is
              execution, not compilation. *)
           let exec_started = Unix.gettimeofday () in
-          let cur = Ppr_core.Exec.stream ~ctx:sctx ~semijoin t.db cq compiled in
+          let cur =
+            Ppr_core.Exec.stream ~ctx:sctx
+              ~semijoin:(Driver.exact_method meth) t.db cq compiled
+          in
           let schema = Relalg.Cursor.schema cur in
           let columns =
             List.map (Relalg.Schema.index schema) cq.Conjunctive.Cq.free
@@ -766,7 +737,7 @@ let warm_line t line =
             f "warm: %a, line skipped" Conjunctive.Parse.pp_error e);
         false
       | Ok parsed ->
-        let meth = apply_planner t.cfg.planner meth in
+        let meth = Driver.apply_planner t.cfg.planner meth in
         let canon =
           Hypergraphs.Canon.canonicalize parsed.Conjunctive.Parse.query
         in

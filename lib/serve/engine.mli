@@ -155,7 +155,7 @@ val stats_fields : t -> (string * Telemetry.Json.t) list
 (** The [stats] op's payload: queue/inflight/cache/counter snapshot. *)
 
 val method_of_string : string -> Ppr_core.Driver.meth option
-(** The wire protocol's method names, including ["minibucket:N"]. *)
+(** The wire protocol's method names: {!Ppr_core.Driver.method_of_string}. *)
 
 val chaos_of_spec : string -> Supervise.Chaos.t option
 (** CLI-style fault specs: [op:N], [tuples:K], [seed:S], plus the

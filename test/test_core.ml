@@ -874,8 +874,7 @@ let assignment_rows rel =
 
 let streamed_rows meth db cq =
   let compiled = Driver.prepare meth db cq in
-  let semijoin = match meth with Driver.Minibucket _ -> false | _ -> true in
-  let cur = Exec.stream ~semijoin db cq compiled in
+  let cur = Exec.stream ~semijoin:(Driver.exact_method meth) db cq compiled in
   let schema = Relalg.Cursor.schema cur in
   let rows = ref [] in
   Relalg.Cursor.iter (fun t -> rows := assignment_row schema t :: !rows) cur;
@@ -935,6 +934,81 @@ let prop_stream_limit_prefix =
             && (page.Driver.complete || List.length prows = k)
           | _ -> false)
         [ Driver.Bucket_elimination; Driver.Wcoj; Driver.Ghd ])
+
+(* A streamed binary route runs the materialized executor: on a cyclic
+   query (no semijoin reroute), and on mini-bucket's approximate plans
+   (reroute off), a drained stream and a materialized run under the same
+   limits trip the same guard, charge the same tuples and, when they
+   complete, measure the same intermediates and answer the same set. *)
+let stream_vs_run_methods =
+  [
+    Driver.Straightforward;
+    Driver.Early_projection;
+    Driver.Reorder;
+    Driver.Bucket_elimination;
+    Driver.Hybrid;
+    Driver.Minibucket 2;
+  ]
+
+let cyclic_graph_arbitrary =
+  (* At least as many edges as vertices: never a forest. *)
+  QCheck.make
+    ~print:(Format.asprintf "%a" G.pp)
+    QCheck.Gen.(
+      int_range 3 8 >>= fun n ->
+      int_range n (n * (n - 1) / 2) >>= fun m ->
+      int_range 0 10_000 >>= fun seed -> return (random_graph ~seed ~n ~m))
+
+let stream_vs_run_mismatch meth cq ~max_tuples ~max_total =
+  let measured limit =
+    let limits = Relalg.Limits.create ~max_tuples ~max_total () in
+    let o =
+      Driver.run ?limit ~ctx:(Relalg.Ctx.create ~limits ()) meth coloring_db cq
+    in
+    (o, Relalg.Limits.total_charged limits)
+  in
+  let s, s_charged = measured (Some max_int) and m, m_charged = measured None in
+  let reason o = Option.map Relalg.Limits.describe (Driver.abort_reason o) in
+  let differ what show a b =
+    if a = b then None
+    else Some (Printf.sprintf "%s: stream %s, run %s" what (show a) (show b))
+  in
+  let opt = Option.value ~default:"completed" in
+  List.find_map Fun.id
+    [
+      differ "abort" opt (reason s) (reason m);
+      differ "charged" string_of_int s_charged m_charged;
+      (match (s.Driver.result, m.Driver.result) with
+      | Some sr, Some mr ->
+        List.find_map Fun.id
+          [
+            differ "max_arity" string_of_int s.Driver.max_arity m.Driver.max_arity;
+            differ "max_cardinality" string_of_int s.Driver.max_cardinality
+              m.Driver.max_cardinality;
+            differ "tuples_produced" string_of_int s.Driver.tuples_produced
+              m.Driver.tuples_produced;
+            (if assignment_rows sr = assignment_rows mr then None
+             else Some "answer sets differ");
+          ]
+      | _ -> None);
+    ]
+
+let prop_stream_runs_materialized_executor =
+  qtest ~count:40 "streamed = materialized on binary routes"
+    QCheck.(
+      quad cyclic_graph_arbitrary (int_range 0 1000) (int_range 6 200)
+        (int_range 30 1500))
+    (fun (g, seed, max_tuples, max_total) ->
+      let cq = coloring_query ~mode:(Encode.Fraction 0.4) ~seed g in
+      QCheck.assume
+        (Hypergraphs.Jointree.build (Hypergraphs.Hypergraph.of_query cq) = None);
+      List.for_all
+        (fun meth ->
+          match stream_vs_run_mismatch meth cq ~max_tuples ~max_total with
+          | None -> true
+          | Some what ->
+            QCheck.Test.fail_reportf "%s: %s" (Driver.method_name meth) what)
+        stream_vs_run_methods)
 
 let test_stream_abort_mid_stream () =
   let g = Graphlib.Generators.augmented_ladder 12 in
@@ -1057,6 +1131,28 @@ let test_method_names () =
     (Driver.method_name Driver.Bucket_elimination);
   Alcotest.(check string) "minibucket" "minibucket(3)"
     (Driver.method_name (Driver.Minibucket 3));
+  List.iter
+    (fun meth ->
+      let name = Driver.method_name meth in
+      check_bool (name ^ " round-trips") true
+        (Driver.method_of_string name = Some meth))
+    (Driver.all_paper_methods
+    @ [
+        Driver.Minibucket 1;
+        Driver.Minibucket 3;
+        Driver.Hybrid;
+        Driver.Hybrid_rank 0;
+        Driver.Hybrid_rank 4;
+        Driver.Wcoj;
+        Driver.Ghd;
+      ]);
+  check_bool "minibucket:I spelling" true
+    (Driver.method_of_string "minibucket:2" = Some (Driver.Minibucket 2));
+  List.iter
+    (fun bad ->
+      check_bool (bad ^ " refused") true (Driver.method_of_string bad = None))
+    [ "quantum"; "minibucket:0"; "minibucket(-1)"; "minibucket:2x"; "hybrid#";
+      "naive(dp)"; "" ];
   check_int "five paper methods" 5 (List.length Driver.all_paper_methods)
 
 (* ------------------------------------------------------------------ *)
@@ -1665,6 +1761,7 @@ let () =
         [
           prop_stream_drains_to_materialized;
           prop_stream_limit_prefix;
+          prop_stream_runs_materialized_executor;
           Alcotest.test_case "abort propagates mid-stream" `Quick
             test_stream_abort_mid_stream;
           Alcotest.test_case "streamed outcome fields" `Quick
