@@ -307,6 +307,16 @@ let jobs_arg =
   in
   Term.(ret (const check $ flag))
 
+(* A count option: an integer of at least [least], anything else a
+   usage error. *)
+let count_conv ~least =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= least -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" least s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let make_pool jobs =
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
   if jobs <= 1 then None else Some (Parallel.Pool.create ~num_domains:jobs ())
@@ -650,7 +660,7 @@ let query_cmd =
   let limit_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count_conv ~least:1)) None
       & info [ "limit"; "k" ] ~docv:"K"
           ~doc:
             "Stream the answer and stop after $(docv) tuples — on \
@@ -672,16 +682,16 @@ let query_cmd =
   in
   let page_arg =
     Arg.(
-      value & opt int 0
+      value & opt (count_conv ~least:0) 0
       & info [ "page" ] ~docv:"N"
           ~doc:"With --limit, show the 0-based $(docv)-th page.")
   in
-  (* "X:2,Y:-1" -> ascending weighted-sum comparator over the cursor's
-     schema, with a full-tuple tiebreak so output order is total. *)
-  let rank_of_spec ~namer ~free ~schema spec =
+  (* "X:2,Y:-1" -> ascending weighted-sum comparator over head-order
+     tuples, with a full-tuple tiebreak so output order is total. *)
+  let rank_of_spec ~namer ~free spec =
     let resolve name =
-      match List.find_opt (fun v -> String.equal (namer v) name) free with
-      | Some v -> Relalg.Schema.index schema v
+      match List.find_index (fun v -> String.equal (namer v) name) free with
+      | Some pos -> pos
       | None ->
         failwith
           (Printf.sprintf "--rank: %S is not a free variable of the query"
@@ -743,121 +753,87 @@ let query_cmd =
     let head_name = parsed.Conjunctive.Parse.head_name in
     let namer = parsed.Conjunctive.Parse.namer in
     let free = cq.Conjunctive.Cq.free in
-    let print_rows schema rows =
-      List.iter
-        (fun tup ->
-          Printf.printf "  %s\n"
-            (String.concat ", "
-               (List.map
-                  (fun v ->
-                    string_of_int
-                      (Relalg.Tuple.get tup (Relalg.Schema.index schema v)))
-                  free)))
-        rows
+    let print_row tup =
+      Printf.printf "  %s\n"
+        (String.concat ", " (List.map string_of_int (Relalg.Tuple.to_list tup)))
     in
-    if limit <> None || rank <> None then begin
-      (* Streaming delivery: prepare once, open a cursor, pull a page.
-         On enumeration-friendly routes (acyclic plans, GHD) the first
-         answer arrives after the linear reduction, long before the full
-         result could have materialized. *)
-      if page < 0 then failwith "--page must be >= 0";
-      if page > 0 && limit = None then failwith "--page requires --limit";
-      if show_sql then
+    let streamed = limit <> None || rank <> None in
+    (* Page P of size K is the driver's first (P+1)*K delivered tuples,
+       less the first P*K. *)
+    let want, skip =
+      match limit with
+      | None when page > 0 -> failwith "--page requires --limit"
+      | None -> (None, 0)
+      | Some k when page >= max_int / k ->
+        failwith "--page: (page + 1) * limit overflows"
+      | Some k -> (Some ((page + 1) * k), page * k)
+    in
+    let compiled =
+      if not show_sql then None
+      else if streamed then begin
         prerr_endline "query: --show-sql is ignored when streaming";
-      let t0 = Unix.gettimeofday () in
-      let compiled = Ppr_core.Driver.prepare ?route meth db cq in
-      let cur =
-        Ppr_core.Exec.stream ~ctx ~semijoin:(Ppr_core.Driver.exact_method meth) db
-          cq compiled
-      in
-      let schema = Relalg.Cursor.schema cur in
-      let cmp = Option.map (rank_of_spec ~namer ~free ~schema) rank in
-      let t1 = Unix.gettimeofday () in
-      let first = Relalg.Cursor.next cur in
-      let first_seconds = Unix.gettimeofday () -. t1 in
-      let rows =
-        match (first, cmp, limit) with
-        | None, _, _ -> []
-        | Some hd, None, Some k ->
-          let skip = page * k in
-          if skip = 0 then hd :: Relalg.Cursor.take cur (k - 1)
-          else begin
-            (* Page N in stream order: discard the earlier pages. *)
-            ignore (Relalg.Cursor.take cur (skip - 1));
-            Relalg.Cursor.take cur k
-          end
-        | Some hd, None, None ->
-          (* Unreachable (no rank and no limit is the materialized
-             path), but drain faithfully if it ever is. *)
-          let acc = ref [ hd ] in
-          Relalg.Cursor.iter (fun t -> acc := t :: !acc) cur;
-          List.rev !acc
-        | Some hd, Some cmp, None ->
-          (* Full ranked answer: drain and sort. *)
-          let acc = ref [ hd ] in
-          Relalg.Cursor.iter (fun t -> acc := t :: !acc) cur;
-          List.sort cmp !acc
-        | Some hd, Some cmp, Some k ->
-          (* Ranked page N: the k best of the (N+1)*k-sized heap drain,
-             after the first tuple is merged back in. *)
-          let want = (page + 1) * k in
-          let top = Relalg.Cursor.top_k ~compare:cmp cur want in
-          let rec insert = function
-            | [] -> [ hd ]
-            | x :: tl ->
-              if cmp hd x <= 0 then hd :: x :: tl else x :: insert tl
-          in
-          List.filteri
-            (fun i _ -> i >= page * k && i < want)
-            (insert top)
-      in
-      let more = not (Relalg.Cursor.closed cur) in
-      Relalg.Cursor.close cur;
-      (match free with
-      | [] -> Printf.printf "%s: %b\n" head_name (first <> None)
-      | free_vars ->
-        Printf.printf "%s(%s): %d answer%s%s%s\n" head_name
-          (String.concat ", " (List.map namer free_vars))
-          (List.length rows)
-          (if List.length rows = 1 then "" else "s")
-          (if page > 0 then Printf.sprintf " (page %d)" page else "")
-          (if more then ", more available" else "");
-        print_rows schema rows);
-      Printf.printf
-        "prepared in %.4fs; first answer in %.4fs; page served in %.4fs\n"
-        (t1 -. t0) first_seconds
-        (Unix.gettimeofday () -. t1)
-    end
-    else
-    let compiled = Ppr_core.Driver.prepare ?route meth db cq in
-    (if show_sql then
-       match Ppr_core.Exec.route db cq compiled with
-       | Ppr_core.Exec.Binary plan ->
-         print_string
-           (Sqlgen.Pretty.query
-              (Sqlgen.Translate.of_plan ~namer:parsed.Conjunctive.Parse.namer
-                 cq plan))
-       (* The generic join and the decomposition replace the whole plan
-          tree: there is no binary plan to print SQL for. *)
-       | Ppr_core.Exec.Generic _ ->
-         prerr_endline
-           "query: --show-sql is not available: the gate picked the generic join"
-       | Ppr_core.Exec.Decomposition _ ->
-         prerr_endline
-           "query: --show-sql is not available: the gate picked the decomposition");
-    let result = Ppr_core.Exec.materialize ~ctx db cq compiled in
+        None
+      end
+      else begin
+        let compiled = Ppr_core.Driver.prepare ?route meth db cq in
+        (match Ppr_core.Exec.route db cq compiled with
+        | Ppr_core.Exec.Binary plan ->
+          print_string
+            (Sqlgen.Pretty.query (Sqlgen.Translate.of_plan ~namer cq plan))
+        (* The generic join and the decomposition replace the whole plan
+           tree: there is no binary plan to print SQL for. *)
+        | Ppr_core.Exec.Generic _ ->
+          prerr_endline
+            "query: --show-sql is not available: the gate picked the generic join"
+        | Ppr_core.Exec.Decomposition _ ->
+          prerr_endline
+            "query: --show-sql is not available: the gate picked the decomposition");
+        Some compiled
+      end
+    in
+    let outcome =
+      Ppr_core.Driver.run ?compiled ?route ~ctx ?limit:want
+        ?rank:(Option.map (rank_of_spec ~namer ~free) rank)
+        meth db cq
+    in
+    Option.iter
+      (fun reason -> raise (Relalg.Limits.Abort reason))
+      (Ppr_core.Driver.abort_reason outcome);
+    let result = Option.get outcome.Ppr_core.Driver.result in
     (match free with
     | [] ->
-      Printf.printf "%s: %b\n" head_name
-        (not (Relalg.Relation.is_empty result))
+      Printf.printf "%s: %b\n" head_name (not (Relalg.Relation.is_empty result))
+    | free_vars when streamed ->
+      (* Delivery order: stream order, or ascending rank. *)
+      let rows = max 0 (Relalg.Relation.cardinality result - skip) in
+      Printf.printf "%s(%s): %d answer%s%s%s\n" head_name
+        (String.concat ", " (List.map namer free_vars))
+        rows
+        (if rows = 1 then "" else "s")
+        (if page > 0 then Printf.sprintf " (page %d)" page else "")
+        (if outcome.Ppr_core.Driver.complete then "" else ", more available");
+      let i = ref 0 in
+      Relalg.Relation.iter
+        (fun tup ->
+          if !i >= skip then print_row tup;
+          incr i)
+        result
     | free_vars ->
       Printf.printf "%s(%s): %d answers\n" head_name
         (String.concat ", " (List.map namer free_vars))
         (Relalg.Relation.cardinality result);
       (* Sorted in head order, so every route lists the same rows. *)
-      print_rows
-        (Relalg.Schema.of_list free_vars)
-        (Relalg.Relation.to_sorted_list_in result free_vars))
+      List.iter print_row (Relalg.Relation.to_sorted_list_in result free_vars));
+    if streamed then begin
+      let seconds = function
+        | Some s -> Printf.sprintf "%.4fs" s
+        | None -> "-"
+      in
+      Printf.printf "prepared in %.4fs; first answer in %s; page served in %s\n"
+        outcome.Ppr_core.Driver.compile_seconds
+        (seconds outcome.Ppr_core.Driver.first_answer_seconds)
+        (seconds outcome.Ppr_core.Driver.time_to_k)
+    end
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Datalog-style project-join query.")

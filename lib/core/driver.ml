@@ -243,56 +243,45 @@ let log_src =
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Collect the streamed answer under the requested delivery policy,
-   timing the first pull and the completion of the request. *)
-let collect_stream ~clock ~limit ~rank cur =
+(* Deliver the streamed answer in head order under the requested policy:
+   the first [limit] tuples in stream order, or with [rank] the [limit]
+   least (all of them when [limit] is absent) from a bounded heap over a
+   full drain. Times the first pull and the policy's completion. *)
+let collect_stream ~clock ~limit ~rank ~head cur =
   let t0 = clock () in
   let first_at = ref None in
-  let next () =
-    let r = Relalg.Cursor.next cur in
-    (match r with
-    | Some _ when !first_at = None -> first_at := Some (clock () -. t0)
-    | _ -> ());
-    r
+  (* A binary plan's route emits its own schema's column order. *)
+  let reorder =
+    if Relalg.Schema.equal head (Relalg.Cursor.schema cur) then Fun.id
+    else
+      let pos = Relalg.Schema.positions head (Relalg.Cursor.schema cur) in
+      fun t -> Relalg.Tuple.project t pos
   in
+  let rec pull () =
+    match Relalg.Cursor.next cur with
+    | None -> Seq.Nil
+    | Some t ->
+      if !first_at = None then first_at := Some (clock () -. t0);
+      Seq.Cons (reorder t, pull)
+  in
+  let out =
+    Relalg.Cursor.of_seq ~schema:head
+      ~on_close:(fun () -> Relalg.Cursor.close cur)
+      pull
+  in
+  let k = Option.value limit ~default:max_int in
   let tuples, complete =
-    match (if limit = Some 0 then None else next ()) with
-    | None -> ([], limit <> Some 0 || Relalg.Cursor.next cur = None)
-    | Some t0' -> (
-      match (rank, limit) with
-      | None, None ->
-        (* No policy: drain in stream order. *)
-        let acc = ref [ t0' ] in
-        Relalg.Cursor.iter (fun t -> acc := t :: !acc) cur;
-        (List.rev !acc, true)
-      | None, Some k ->
-        let rest = Relalg.Cursor.take cur (k - 1) in
-        (t0' :: rest, Relalg.Cursor.closed cur)
-      | Some compare, None ->
-        (* Global ranking with no page bound: full drain, full sort. *)
-        let acc = ref [ t0' ] in
-        Relalg.Cursor.iter (fun t -> acc := t :: !acc) cur;
-        (List.sort compare !acc, true)
-      | Some compare, Some k ->
-        (* Ranked page: rank is global, so the stream drains fully, but
-           only the k best survive — a bounded heap over the remainder,
-           then the first tuple merged in. *)
-        let rest = Relalg.Cursor.top_k ~compare cur k in
-        let rec insert = function
-          | [] -> [ t0' ]
-          | x :: tl ->
-            if compare t0' x <= 0 then t0' :: x :: tl else x :: insert tl
-        in
-        let merged = List.filteri (fun i _ -> i < k) (insert rest) in
-        (merged, Relalg.Cursor.yielded cur <= k))
+    match rank with
+    | None ->
+      let page = Relalg.Cursor.take out k in
+      (page, Relalg.Cursor.closed out)
+    | Some compare ->
+      let page = Relalg.Cursor.top_k ~compare out k in
+      (page, Relalg.Cursor.yielded out <= k)
   in
-  Relalg.Cursor.close cur;
+  Relalg.Cursor.close out;
   let time_to_k = clock () -. t0 in
-  let rel =
-    Relalg.Relation.create
-      ~size_hint:(List.length tuples)
-      (Relalg.Cursor.schema cur)
-  in
+  let rel = Relalg.Relation.create ~size_hint:(List.length tuples) head in
   List.iter (fun t -> ignore (Relalg.Relation.add rel t)) tuples;
   (rel, complete, !first_at, Some time_to_k)
 
@@ -360,7 +349,9 @@ let attempt_attrs tried =
    outcome's measurements never mix across runs. *)
 let run ?rng ?feedback ?observer ?compiled ?route ?limit ?rank
     ?(ctx = Relalg.Ctx.null) meth db cq =
-  let limit = Option.map (max 0) limit in
+  (match limit with
+  | Some k when k < 0 -> invalid_arg "Driver.run: limit must be 0 or more"
+  | _ -> ());
   let telemetry = Relalg.Ctx.telemetry ctx in
   let clock = Unix.gettimeofday in
   let name = method_name meth in
@@ -482,7 +473,9 @@ let run ?rng ?feedback ?observer ?compiled ?route ?limit ?rank
                   ~on_attempt ~on_route db cq planned
               in
               let rel, complete, first_at, ttk =
-                collect_stream ~clock ~limit ~rank cur
+                collect_stream ~clock ~limit ~rank
+                  ~head:(Relalg.Schema.of_list cq.Conjunctive.Cq.free)
+                  cur
               in
               (Some rel, complete, first_at, ttk, Completed)
             end

@@ -93,8 +93,11 @@ type outcome = {
           this one field *)
   complete : bool;
       (** whether [result] holds {e every} answer: always under the
-          default policy, and under [limit]/[rank] exactly when the
-          stream was exhausted within the requested page. [false] on
+          default policy; under [rank] exactly when the answer fits the
+          page; under [limit] alone when the stream ended before the
+          page filled — a page that fills exactly at the stream's end
+          reads [false], as the stream is not pulled past the page.
+          [true] always means nothing was left behind. [false] on
           abort *)
   first_answer_seconds : float option;
       (** streamed runs only: delay from opening the cursor to the first
@@ -203,15 +206,20 @@ val run :
 
     With neither [limit] nor [rank] the run materializes the full answer
     through {!Exec.materialize}, along the artifact's route. Either
-    option switches execution to {!Exec.stream}: [limit] pulls at most
-    that many tuples in stream order and stops — on streaming routes the
-    work is O(setup + k), not O(answer) — while [rank] (a total order;
-    include a tuple tiebreak for determinism) drains the stream through
-    a bounded heap and delivers the [limit] least tuples ascending (the
-    full sorted answer when [limit] is absent). Streamed outcomes fill
-    [first_answer_seconds]/[time_to_k] and set [complete] iff nothing
-    was left behind; the semijoin reroute is disabled for {!Minibucket}
-    so its plans stay faithfully approximate.
+    option switches execution to {!Exec.stream}, and the delivered page
+    is in head order (the query's free variables, in order): [limit]
+    pulls at most that many tuples in stream order and stops — on
+    streaming routes the work is O(setup + k), not O(answer) — while
+    [rank] (a total order over head-order tuples; include a tuple
+    tiebreak for determinism) drains the stream through a bounded heap
+    and delivers the [limit] least tuples ascending (the full sorted
+    answer when [limit] is absent). The page's relation lists its
+    tuples in delivery order ({!Relalg.Relation.iter}). Streamed
+    outcomes fill [first_answer_seconds]/[time_to_k] and [complete]; the
+    semijoin reroute is disabled for {!Minibucket} so its plans stay
+    faithfully approximate. This is the one delivery policy: the CLI's
+    [query --limit/--rank/--page] is this call plus page arithmetic.
+    @raise Invalid_argument when [limit] is negative.
 
     [feedback] corrects the cost model during the compile phase (see
     {!compile}); it is unused when [compiled] is supplied. [observer]

@@ -117,24 +117,27 @@ let to_relation c =
   out
 
 (* Bounded max-heap keyed by [compare]: the root is the worst retained
-   tuple, so a better candidate evicts it in O(log k). *)
+   tuple, so a better candidate evicts it in O(log k). The heap grows
+   with the answer, doubling up to [k], so a page size far above the
+   answer's size asks for no more memory than the answer. *)
 let top_k ~compare c k =
   if k <= 0 then begin
     iter ignore c;
     []
   end
   else begin
-    let heap = Array.make k [||] in
+    let heap = ref [||] in
     let size = ref 0 in
     let swap i j =
-      let tmp = heap.(i) in
-      heap.(i) <- heap.(j);
-      heap.(j) <- tmp
+      let h = !heap in
+      let tmp = h.(i) in
+      h.(i) <- h.(j);
+      h.(j) <- tmp
     in
     let rec sift_up i =
       if i > 0 then begin
         let p = (i - 1) / 2 in
-        if compare heap.(i) heap.(p) > 0 then begin
+        if compare !heap.(i) !heap.(p) > 0 then begin
           swap i p;
           sift_up p
         end
@@ -143,8 +146,8 @@ let top_k ~compare c k =
     let rec sift_down i =
       let l = (2 * i) + 1 and r = (2 * i) + 2 in
       let m = ref i in
-      if l < !size && compare heap.(l) heap.(!m) > 0 then m := l;
-      if r < !size && compare heap.(r) heap.(!m) > 0 then m := r;
+      if l < !size && compare !heap.(l) !heap.(!m) > 0 then m := l;
+      if r < !size && compare !heap.(r) !heap.(!m) > 0 then m := r;
       if !m <> i then begin
         swap i !m;
         sift_down !m
@@ -153,14 +156,19 @@ let top_k ~compare c k =
     iter
       (fun tup ->
         if !size < k then begin
-          heap.(!size) <- tup;
+          if !size = Array.length !heap then begin
+            let grown = Array.make (min k (max 16 (2 * !size))) tup in
+            Array.blit !heap 0 grown 0 !size;
+            heap := grown
+          end;
+          !heap.(!size) <- tup;
           incr size;
           sift_up (!size - 1)
         end
-        else if compare tup heap.(0) < 0 then begin
-          heap.(0) <- tup;
+        else if compare tup !heap.(0) < 0 then begin
+          !heap.(0) <- tup;
           sift_down 0
         end)
       c;
-    List.sort compare (Array.to_list (Array.sub heap 0 !size))
+    List.sort compare (Array.to_list (Array.sub !heap 0 !size))
   end

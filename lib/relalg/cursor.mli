@@ -68,5 +68,6 @@ val top_k :
   compare:(Tuple.t -> Tuple.t -> int) -> t -> int -> Tuple.t list
 (** The [k] least tuples under [compare], in ascending order, from a
     full drain of the stream via a bounded max-heap ([O(n log k)]
-    comparisons, [O(k)] space). [compare] must be total — include a
+    comparisons, [O(min(k, n))] space: the heap grows with the answer,
+    so [k = max_int] is a full sort). [compare] must be total — include a
     tuple tiebreak for deterministic output. *)

@@ -26,19 +26,6 @@ let with_fuel fuel t = { t with fuel }
 let with_max_total max_total_tuples t = { t with max_total_tuples }
 let with_max_cardinality max_cardinality t = { t with max_cardinality }
 
-let scale factor t =
-  if factor <= 0.0 then invalid_arg "Budget.scale: factor must be positive";
-  let scale_int n =
-    if n = max_int then max_int
-    else max 1 (int_of_float (float_of_int n *. factor))
-  in
-  {
-    deadline_seconds = Option.map (fun s -> s *. factor) t.deadline_seconds;
-    max_total_tuples = scale_int t.max_total_tuples;
-    max_cardinality = scale_int t.max_cardinality;
-    fuel = scale_int t.fuel;
-  }
-
 let to_limits ?clock t =
   Relalg.Limits.create ~max_tuples:t.max_cardinality
     ~max_total:t.max_total_tuples ~fuel:t.fuel

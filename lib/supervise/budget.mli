@@ -3,8 +3,8 @@
     A [Budget.t] is the policy-level description of how much a run may
     cost; {!to_limits} compiles it into the mechanism-level
     {!Relalg.Limits.t} that the operators tick. Keeping the two separate
-    lets the supervisor re-issue fresh, scaled limits for every rung of
-    the degradation ladder from one immutable spec. *)
+    lets the supervisor re-issue fresh limits for every rung of the
+    degradation ladder from one immutable spec. *)
 
 type t = {
   deadline_seconds : float option;  (** wall clock per attempt; [None] = no deadline *)
@@ -23,11 +23,6 @@ val with_deadline : float -> t -> t
 val with_fuel : int -> t -> t
 val with_max_total : int -> t -> t
 val with_max_cardinality : int -> t -> t
-
-val scale : float -> t -> t
-(** Scale every finite component by the factor (deadline multiplies;
-    integer caps round down but never below 1; unlimited components stay
-    unlimited). Used for per-rung budget scaling down the ladder. *)
 
 val to_limits : ?clock:(unit -> float) -> t -> Relalg.Limits.t
 (** Fresh limits enforcing this budget; the deadline starts counting

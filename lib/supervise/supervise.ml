@@ -6,7 +6,6 @@ type attempt = {
   rung : int;
   meth : Driver.meth;
   budget : Budget.t;
-  backoff_seconds : float;
   outcome : Driver.outcome;
   approximate : bool;
   replanned : bool;
@@ -76,24 +75,10 @@ let default_ladder = function
   | (Driver.Naive _ | Driver.Straightforward | Driver.Minibucket _) as m ->
     [ m ]
 
-(* Exponential backoff with deterministic jitter in [0.5x, 1.5x): rung i's
-   retry waits base * 2^(i-1), scaled by a draw from the seeded rng, so a
-   fleet of supervisors with distinct seeds doesn't retry in lockstep while
-   any single run stays bit-for-bit reproducible. *)
-let backoff ~base ~rng i =
-  if base <= 0.0 || i < 1 then 0.0
-  else
-    base
-    *. Float.pow 2.0 (float_of_int (i - 1))
-    *. (0.5 +. Graphlib.Rng.float rng 1.0)
-
 let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
-    ?ladder ?(budget_scaling = 1.0) ?(backoff_base = 0.0) ?(sleep = false)
-    ?chaos ?clock ?compiled ?overall_deadline_seconds
+    ?ladder ?chaos ?clock ?compiled ?overall_deadline_seconds
     ?(ctx = Relalg.Ctx.null) meth db cq =
   let telemetry = Relalg.Ctx.telemetry ctx in
-  if budget_scaling <= 0.0 then
-    invalid_arg "Supervise.run: budget_scaling must be positive";
   let rungs =
     match ladder with
     | Some (_ :: _ as l) -> l
@@ -122,45 +107,27 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
     | _ -> ( match feedback with Some f -> f key | None -> None)
   in
   let replanned_once = ref false in
-  let backoff_rng =
-    match rng with
-    | Some r -> Graphlib.Rng.split r
-    | None -> Graphlib.Rng.make 0x5eed
-  in
   let wall = match clock with Some c -> c | None -> Unix.gettimeofday in
-  (* The whole supervised run — every rung and every backoff pause — must
-     fit inside the overall deadline: pauses are capped at the remaining
-     time (a large backoff_base must not sleep past the caller's
-     deadline), each rung's budget deadline is clamped to the remainder,
-     and once the remainder hits zero the ladder stops walking. *)
+  (* The whole supervised run must fit inside the overall deadline: each
+     rung's budget deadline is clamped to the remainder, and once the
+     remainder hits zero the ladder stops walking. *)
   let overall = Option.map (fun s -> wall () +. s) overall_deadline_seconds in
   let overall_remaining () =
     Option.map (fun d -> Float.max 0.0 (d -. wall ())) overall
   in
-  let rec go i backoff_spent attempts = function
-    | [] -> (List.rev attempts, None, backoff_spent)
+  let rec go i attempts = function
+    | [] -> (List.rev attempts, None)
     | (m, is_replan) :: rest ->
       let rung_budget =
-        if i = 0 then budget
-        else Budget.scale (Float.pow budget_scaling (float_of_int i)) budget
-      in
-      let pause =
-        let p = backoff ~base:backoff_base ~rng:backoff_rng i in
         match overall_remaining () with
-        | None -> p
-        | Some remaining -> Float.min p remaining
-      in
-      if sleep && pause > 0.0 then Unix.sleepf pause;
-      let rung_budget =
-        match overall_remaining () with
-        | None -> rung_budget
+        | None -> budget
         | Some remaining ->
           let capped =
-            match rung_budget.Budget.deadline_seconds with
+            match budget.Budget.deadline_seconds with
             | Some s -> Float.min s remaining
             | None -> remaining
           in
-          { rung_budget with Budget.deadline_seconds = Some capped }
+          { budget with Budget.deadline_seconds = Some capped }
       in
       let limits = Budget.to_limits ?clock rung_budget in
       (match chaos with Some c -> Chaos.arm c ~attempt:i limits | None -> ());
@@ -214,7 +181,6 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
           rung = i;
           meth = m;
           budget = rung_budget;
-          backoff_seconds = pause;
           outcome;
           approximate = is_approximate m;
           replanned = is_replan;
@@ -232,13 +198,13 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
               (Relalg.Limits.describe a.Driver.reason)));
       (match outcome.Driver.status with
       | Driver.Completed ->
-        (List.rev (attempt :: attempts), Some outcome, backoff_spent +. pause)
+        (List.rev (attempt :: attempts), Some outcome)
       | Driver.Aborted _ -> (
         match overall_remaining () with
         | Some r when r <= 0.0 ->
           (* Out of overall time: stop shedding down the ladder — deeper
              rungs would only trip Deadline on their first poll. *)
-          (List.rev (attempt :: attempts), None, backoff_spent +. pause)
+          (List.rev (attempt :: attempts), None)
         | _ ->
           (* Mid-ladder re-plan (once per ladder, opt-in): the aborted
              attempt measured real intermediate sizes before dying, so a
@@ -264,10 +230,10 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
             end
             else rest
           in
-          go (i + 1) (backoff_spent +. pause) (attempt :: attempts) rest))
+          go (i + 1) (attempt :: attempts) rest))
   in
-  let attempts, result, backoff_spent =
-    go 0 0.0 [] (List.map (fun m -> (m, false)) rungs)
+  let attempts, result =
+    go 0 [] (List.map (fun m -> (m, false)) rungs)
   in
   let rescued = Option.is_some result && List.length attempts > 1 in
   (match telemetry with
@@ -281,7 +247,7 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
     if Option.is_none result then
       Telemetry.Metrics.incr
         (Telemetry.Metrics.counter reg "supervise.exhausted"));
-  let work =
+  let total_seconds =
     List.fold_left
       (fun acc a ->
         acc
@@ -289,18 +255,15 @@ let run ?rng ?feedback ?observer ?(replan = false) ?(budget = Budget.default)
         +. a.outcome.Driver.exec_seconds)
       0.0 attempts
   in
-  { attempts; result; rescued; total_seconds = work +. backoff_spent }
+  { attempts; result; rescued; total_seconds }
 
 let pp_report ppf r =
   List.iter
     (fun a ->
-      Format.fprintf ppf "rung %d: %a%s%s%s@." a.rung Driver.pp_outcome
+      Format.fprintf ppf "rung %d: %a%s%s@." a.rung Driver.pp_outcome
         a.outcome
         (if a.approximate then "  [upper bound]" else "")
-        (if a.replanned then "  [replanned]" else "")
-        (if a.backoff_seconds > 0.0 then
-           Printf.sprintf "  (backoff %.3fs)" a.backoff_seconds
-         else ""))
+        (if a.replanned then "  [replanned]" else ""))
     r.attempts;
   match (r.result, r.rescued) with
   | None, _ ->

@@ -5,8 +5,8 @@
     intermediate cardinality and operator fuel; aborts carry a typed
     {!Relalg.Limits.reason}; and instead of returning nothing, the
     supervisor retries down a {e degradation ladder} of structurally
-    cheaper (or safer) methods, each rung with a freshly scaled budget and
-    a jittered deterministic backoff. Every attempt is recorded in the
+    cheaper (or safer) methods, each rung under a fresh copy of the same
+    budget, at once. Every attempt is recorded in the
     {!report} so experiments can count rescues, not just failures.
 
     This is the "robust plans under uncertainty" concern of
@@ -20,10 +20,9 @@ module Chaos = Chaos
 type attempt = {
   rung : int;  (** 0-based position in the ladder *)
   meth : Ppr_core.Driver.meth;
-  budget : Budget.t;  (** the scaled budget this attempt ran under *)
-  backoff_seconds : float;
-      (** the jittered backoff computed before this attempt (0 for the
-          first attempt, and whenever no backoff base is configured) *)
+  budget : Budget.t;
+      (** the budget this attempt ran under: the caller's, its deadline
+          clamped to what remains of the overall deadline *)
   outcome : Ppr_core.Driver.outcome;
   approximate : bool;
       (** true when the rung's method only guarantees an upper bound
@@ -39,7 +38,7 @@ type report = {
       (** the completed attempt's outcome, [None] when every rung died *)
   rescued : bool;
       (** completed only after at least one aborted attempt *)
-  total_seconds : float;  (** compile + exec + backoff over all attempts *)
+  total_seconds : float;  (** compile + exec over all attempts *)
 }
 
 val is_approximate : Ppr_core.Driver.meth -> bool
@@ -59,9 +58,6 @@ val run :
   ?replan:bool ->
   ?budget:Budget.t ->
   ?ladder:Ppr_core.Driver.meth list ->
-  ?budget_scaling:float ->
-  ?backoff_base:float ->
-  ?sleep:bool ->
   ?chaos:Chaos.t ->
   ?clock:(unit -> float) ->
   ?compiled:Ppr_core.Driver.compiled ->
@@ -72,16 +68,13 @@ val run :
   Conjunctive.Cq.t ->
   report
 (** Run [meth] under [budget] (default {!Budget.default}); on a typed
-    abort, walk the [ladder] (default {!default_ladder}). Rung [i] runs
-    under [Budget.scale (budget_scaling ^ i) budget] (default scaling
-    [1.0], i.e. a fresh identical budget per rung). Before retry [i >= 1]
-    a backoff of [backoff_base * 2^(i-1)], jittered deterministically in
-    [0.5x, 1.5x) from [rng], is recorded — and actually slept only when
-    [sleep] is true (default false: ladder retries are synchronous
-    recomputation, so sleeping only matters for transient external
-    faults). [chaos] arms a fault on the attempts in its scope. [clock]
+    abort, walk the [ladder] (default {!default_ladder}). Every rung runs
+    at once, under fresh limits from the same budget: a retry is a
+    synchronous recomputation by a cheaper method, not a wait for a
+    transient fault. [rng] is handed to every rung's {!Ppr_core.Driver.run}.
+    [chaos] arms a fault on the attempts in its scope. [clock]
     is forwarded to the budget's limits. [ctx] supplies telemetry and
-    pool to every rung; each rung's limits come from its scaled budget,
+    pool to every rung; each rung's limits come from the budget,
     overriding any limits in [ctx]. With telemetry, every rung runs in a
     [supervise.rung] span (attributes: rung index, method, completion
     status or abort reason), rung wall time feeds the
@@ -94,9 +87,8 @@ val run :
     rungs run different methods and always recompile.
 
     [overall_deadline_seconds] bounds the {e whole} supervised run, not
-    one rung: every backoff pause is capped at the time remaining to it
-    (a large [backoff_base] never sleeps past the caller's deadline),
-    each rung's budget deadline is clamped to the remainder, and once
+    one rung: each rung's budget deadline is clamped to the remainder
+    of it, and once
     the remainder reaches zero the ladder stops walking — the serving
     layer's per-request deadline lands here, turning the ladder into
     bounded load-shedding.

@@ -1058,6 +1058,9 @@ let test_driver_stream_outcome () =
     (Driver.result_cardinality z);
   check_bool "no first answer on an empty page" true
     (z.Driver.first_answer_seconds = None);
+  Alcotest.check_raises "a negative limit names no page"
+    (Invalid_argument "Driver.run: limit must be 0 or more") (fun () ->
+      ignore (Driver.run ~limit:(-1) Driver.Bucket_elimination coloring_db cq));
   (* unstreamed runs never fill the streaming fields *)
   let m = Driver.run Driver.Bucket_elimination coloring_db cq in
   check_bool "materialized run is complete" true m.Driver.complete;
@@ -1092,6 +1095,42 @@ let test_driver_rank_topk () =
          (fun kept -> List.for_all (fun d -> cmp kept d <= 0) discarded)
          t_tups)
   | _ -> Alcotest.fail "ranked runs failed"
+
+(* A streamed page is in head order whatever column order its route
+   emits (a cyclic binary plan emits its own schema's): a ranked page
+   under the tuple order is the head-ordered answer's sorted prefix. *)
+let test_driver_rank_head_order () =
+  let cq =
+    (Conjunctive.Parse.query_exn
+       "q(D,B,A) :- edge(A,B), edge(B,C), edge(C,D), edge(D,A), edge(A,C).")
+      .Conjunctive.Parse.query
+  in
+  let free = cq.Conjunctive.Cq.free in
+  List.iter
+    (fun meth ->
+      let full =
+        match (Driver.run meth coloring_db cq).Driver.result with
+        | Some r -> Relation.to_sorted_list_in r free
+        | None -> Alcotest.fail "materialized run failed"
+      in
+      let page =
+        Driver.run ~rank:Relalg.Tuple.compare ~limit:4 meth coloring_db cq
+      in
+      match page.Driver.result with
+      | Some r ->
+        let name = Driver.method_name meth in
+        check_bool (name ^ ": page schema is the head") true
+          (Relalg.Schema.equal (Relation.schema r)
+             (Relalg.Schema.of_list free));
+        check_bool (name ^ ": the sorted answer's prefix") true
+          (List.rev (Relation.fold List.cons r [])
+          = List.filteri (fun i _ -> i < 4) full);
+        check_bool (name ^ ": answers left behind") false page.Driver.complete
+      | None -> Alcotest.fail "ranked page failed")
+    [
+      Driver.Straightforward; Driver.Bucket_elimination; Driver.Wcoj;
+      Driver.Ghd;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1767,6 +1806,8 @@ let () =
           Alcotest.test_case "streamed outcome fields" `Quick
             test_driver_stream_outcome;
           Alcotest.test_case "rank top-k" `Quick test_driver_rank_topk;
+          Alcotest.test_case "ranked page in head order" `Quick
+            test_driver_rank_head_order;
         ] );
       ( "driver",
         [

@@ -355,16 +355,18 @@ let test_forced_routes_agree () =
     [ Ghd.Bucket; Ghd.Generic; Ghd.Ghd ]
 
 let test_supervised_ladder () =
-  (* Ghd sits at the top of its own degradation ladder; an impossible
-     first budget must fall through to a completing rung. *)
+  (* Ghd sits at the top of its own degradation ladder; a first attempt
+     that aborts at its first operator must fall through to a completing
+     rung. *)
   let db, cq = coloring ~mode:Encode.Boolean (Gen.augmented_ladder 3) in
-  let budget = Supervise.Budget.with_fuel 1 Supervise.Budget.default in
   let report =
-    Supervise.run ~rng:(rng 4) ~budget ~budget_scaling:1000.0
+    Supervise.run ~rng:(rng 4)
+      ~chaos:(Supervise.Chaos.at_operator ~attempts:[ 0 ] 1)
       Ppr_core.Driver.Ghd db cq
   in
   check_bool "ladder rescued the query" true
-    (Option.is_some report.Supervise.result)
+    (Option.is_some report.Supervise.result);
+  check_bool "after the first attempt aborted" true report.Supervise.rescued
 
 (* On the forced GHD route the run never materializes a relation wider
    than the predicted plan width. The route joins a bag's cover atoms

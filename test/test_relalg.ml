@@ -695,7 +695,22 @@ let test_cursor_top_k () =
   (* k larger than the stream degrades to a full sort *)
   let c' = Cursor.of_seq ~schema:s2 (List.to_seq (List.map tup rows)) in
   check_int "k past the end returns everything" 5
-    (List.length (Cursor.top_k ~compare:Tuple.compare c' 10))
+    (List.length (Cursor.top_k ~compare:Tuple.compare c' 10));
+  (* the heap grows with the answer: k = max_int over three rows sorts
+     them without asking for k slots *)
+  let three =
+    Cursor.of_seq ~schema:s2
+      (List.to_seq (List.map tup [ [ 9; 0 ]; [ 7; 0 ]; [ 8; 0 ] ]))
+  in
+  Alcotest.(check (list (list int))) "k = max_int is a full sort"
+    [ [ 7; 0 ]; [ 8; 0 ]; [ 9; 0 ] ]
+    (List.map Tuple.to_list (Cursor.top_k ~compare:Tuple.compare three max_int));
+  (* past the first growth step, evicting once k is reached *)
+  let many = List.init 40 (fun i -> [ (i * 17) mod 40; 0 ]) in
+  let c'' = Cursor.of_seq ~schema:s2 (List.to_seq (List.map tup many)) in
+  Alcotest.(check (list (list int))) "k = 25 of 40"
+    (List.init 25 (fun i -> [ i; 0 ]))
+    (List.map Tuple.to_list (Cursor.top_k ~compare:Tuple.compare c'' 25))
 
 let test_cursor_producer_exception_closes () =
   let closes = ref 0 in

@@ -218,20 +218,22 @@ let test_chaos_stall_rescued_by_ladder () =
 (* ------------------------------------------------------------------ *)
 (* Budget                                                              *)
 
-let test_budget_scale () =
+let test_budget_to_limits () =
   let b =
     Supervise.Budget.(
-      with_deadline 2.0 (with_fuel 100 (with_max_total 1000 default)))
+      with_fuel 2 (with_max_cardinality 7 (with_max_total 5 default)))
   in
-  let half = Supervise.Budget.scale 0.5 b in
-  Alcotest.(check (option (float 1e-9)))
-    "deadline scales" (Some 1.0)
-    half.Supervise.Budget.deadline_seconds;
-  check_int "total scales" 500 half.Supervise.Budget.max_total_tuples;
-  check_int "fuel scales" 50 half.Supervise.Budget.fuel;
-  let unl = Supervise.Budget.scale 0.5 Supervise.Budget.unlimited in
-  check_int "unlimited stays unlimited" max_int
-    unl.Supervise.Budget.max_total_tuples
+  let l = Supervise.Budget.to_limits b in
+  check_int "cardinality cap carried over" 7 (Limits.max_tuples l);
+  check_int "tuple budget carried over" 5 (Limits.remaining l);
+  check_int "fuel carried over" 2 (Limits.remaining_fuel l);
+  let u = Supervise.Budget.to_limits Supervise.Budget.unlimited in
+  check_int "unlimited budget" max_int (Limits.remaining u);
+  check_int "unlimited fuel" max_int (Limits.remaining_fuel u);
+  (* each call compiles fresh limits: spending one leaves the next whole *)
+  Limits.charge l 5;
+  check_int "fresh limits per call" 5
+    (Limits.remaining (Supervise.Budget.to_limits b))
 
 (* ------------------------------------------------------------------ *)
 (* The degradation ladder                                              *)
@@ -315,30 +317,20 @@ let test_ladder_walks_every_failing_rung () =
       | _ -> Alcotest.fail "every attempt should record the injected abort")
     report.Supervise.attempts
 
-let test_per_rung_budget_scaling_and_backoff () =
+let test_fresh_budget_per_rung () =
   let budget = Supervise.Budget.with_max_total 1000 Supervise.Budget.default in
   let chaos = Supervise.Chaos.at_operator ~attempts:[ 0; 1 ] 1 in
-  let rng = Graphlib.Rng.make 7 in
   let report =
-    Supervise.run ~rng ~budget ~budget_scaling:0.5 ~backoff_base:0.01 ~chaos
+    Supervise.run ~rng:(Graphlib.Rng.make 7) ~budget ~chaos
       Driver.Bucket_elimination coloring_db pentagon_cq
   in
-  (match report.Supervise.attempts with
-  | first :: second :: third :: _ ->
-    check_int "rung 0 runs under the full budget" 1000
-      first.Supervise.budget.Supervise.Budget.max_total_tuples;
-    check_int "rung 1 runs under half" 500
-      second.Supervise.budget.Supervise.Budget.max_total_tuples;
-    check_int "rung 2 under a quarter" 250
-      third.Supervise.budget.Supervise.Budget.max_total_tuples;
-    Alcotest.(check (float 1e-9))
-      "no backoff before the first attempt" 0.0 first.Supervise.backoff_seconds;
-    check_bool "retries back off with jitter in [0.5x, 1.5x)" true
-      (second.Supervise.backoff_seconds >= 0.005
-      && second.Supervise.backoff_seconds < 0.015
-      && third.Supervise.backoff_seconds >= 0.01
-      && third.Supervise.backoff_seconds < 0.03)
-  | _ -> Alcotest.fail "expected at least three attempts");
+  check_bool "at least three attempts" true
+    (List.length report.Supervise.attempts >= 3);
+  List.iter
+    (fun a ->
+      check_int "every rung runs under the caller's budget" 1000
+        a.Supervise.budget.Supervise.Budget.max_total_tuples)
+    report.Supervise.attempts;
   check_bool "rescued by an unsabotaged rung" true report.Supervise.rescued
 
 let test_deterministic_reports () =
@@ -361,29 +353,35 @@ let test_deterministic_reports () =
 (* ------------------------------------------------------------------ *)
 (* Overall deadlines                                                   *)
 
-let test_backoff_capped_by_overall_deadline () =
-  (* A frozen clock isolates the cap: with 10s of overall deadline and a
-     backoff base of 100s, every recorded pause must be clamped to the
-     remainder instead of the jittered 50-150s it would otherwise be. *)
-  let now = ref 0.0 in
-  let clock () = !now in
+let test_rung_deadline_clamped_by_overall_deadline () =
+  (* A frozen clock isolates the clamp: with 10s of overall deadline
+     left throughout, every rung's budget deadline is the smaller of the
+     caller's deadline and those 10s. *)
+  let clock () = 0.0 in
   let chaos = Supervise.Chaos.at_operator 1 in
-  let report =
-    Supervise.run ~clock ~chaos ~backoff_base:100.0
-      ~overall_deadline_seconds:10.0 Driver.Bucket_elimination coloring_db
-      pentagon_cq
+  let deadlines budget =
+    let report =
+      Supervise.run ~clock ~chaos ~budget ~overall_deadline_seconds:10.0
+        Driver.Bucket_elimination coloring_db pentagon_cq
+    in
+    check_bool "sabotaged everywhere: no result" true
+      (Option.is_none report.Supervise.result);
+    List.map
+      (fun a -> a.Supervise.budget.Supervise.Budget.deadline_seconds)
+      report.Supervise.attempts
   in
-  check_bool "sabotaged everywhere: no result" true
-    (Option.is_none report.Supervise.result);
-  List.iteri
-    (fun i a ->
-      if i > 0 then begin
-        check_bool "retries still back off" true
-          (a.Supervise.backoff_seconds > 0.0);
-        check_bool "no pause ever exceeds the remaining deadline" true
-          (a.Supervise.backoff_seconds <= 10.0 +. 1e-9)
-      end)
-    report.Supervise.attempts
+  let all_equal name expected got =
+    check_bool (name ^ ": every rung ran") true (got <> []);
+    List.iter
+      (Alcotest.(check (option (float 1e-9))) name expected)
+      got
+  in
+  all_equal "no caller deadline: the remainder" (Some 10.0)
+    (deadlines Supervise.Budget.default);
+  all_equal "a longer caller deadline is cut to the remainder" (Some 10.0)
+    (deadlines (Supervise.Budget.with_deadline 60.0 Supervise.Budget.default));
+  all_equal "a shorter caller deadline stands" (Some 3.0)
+    (deadlines (Supervise.Budget.with_deadline 3.0 Supervise.Budget.default))
 
 let test_ladder_stops_at_overall_deadline () =
   (* A stepping clock burns one "second" per read: with a 2s overall
@@ -530,7 +528,8 @@ let () =
             test_chaos_stall_rescued_by_ladder;
         ] );
       ( "budget",
-        [ Alcotest.test_case "scaling" `Quick test_budget_scale ] );
+        [ Alcotest.test_case "compiles to limits" `Quick test_budget_to_limits ]
+      );
       ( "ladder",
         [
           Alcotest.test_case "default cascades" `Quick test_default_ladders;
@@ -540,12 +539,12 @@ let () =
             test_ladder_rescue_matches_reference;
           Alcotest.test_case "exhausts failing rungs" `Quick
             test_ladder_walks_every_failing_rung;
-          Alcotest.test_case "budget scaling and backoff" `Quick
-            test_per_rung_budget_scaling_and_backoff;
+          Alcotest.test_case "fresh budget per rung" `Quick
+            test_fresh_budget_per_rung;
           Alcotest.test_case "deterministic reports" `Quick
             test_deterministic_reports;
-          Alcotest.test_case "backoff capped by overall deadline" `Quick
-            test_backoff_capped_by_overall_deadline;
+          Alcotest.test_case "rung deadline clamped by overall deadline" `Quick
+            test_rung_deadline_clamped_by_overall_deadline;
           Alcotest.test_case "stops at overall deadline" `Quick
             test_ladder_stops_at_overall_deadline;
           Alcotest.test_case "concurrent runs share a registry" `Quick
