@@ -825,14 +825,14 @@ let query_cmd =
       (* Sorted in head order, so every route lists the same rows. *)
       List.iter print_row (Relalg.Relation.to_sorted_list_in result free_vars));
     if streamed then begin
-      let seconds = function
-        | Some s -> Printf.sprintf "%.4fs" s
-        | None -> "-"
-      in
-      Printf.printf "prepared in %.4fs; first answer in %s; page served in %s\n"
-        outcome.Ppr_core.Driver.compile_seconds
-        (seconds outcome.Ppr_core.Driver.first_answer_seconds)
-        (seconds outcome.Ppr_core.Driver.time_to_k)
+      (* In microseconds: on the built-in database every delay is far
+         below a millisecond. *)
+      let micros s = Printf.sprintf "%.0fus" (s *. 1e6) in
+      Printf.printf "prepared in %s; first answer in %s; page served in %s\n"
+        (micros outcome.Ppr_core.Driver.compile_seconds)
+        (Option.fold ~none:"-" ~some:micros
+           outcome.Ppr_core.Driver.first_answer_seconds)
+        (Option.fold ~none:"-" ~some:micros outcome.Ppr_core.Driver.time_to_k)
     end
   in
   Cmd.v

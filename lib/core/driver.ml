@@ -270,20 +270,28 @@ let collect_stream ~clock ~limit ~rank ~head cur =
       pull
   in
   let k = Option.value limit ~default:max_int in
-  let tuples, complete =
+  let tuples =
     match rank with
-    | None ->
-      let page = Relalg.Cursor.take out k in
-      (page, Relalg.Cursor.closed out)
-    | Some compare ->
-      let page = Relalg.Cursor.top_k ~compare out k in
-      (page, Relalg.Cursor.yielded out <= k)
+    | None -> Relalg.Cursor.take out k
+    | Some compare -> Relalg.Cursor.top_k ~compare out k
+  in
+  let time_to_k = clock () -. t0 and first_at = !first_at in
+  (* A ranked page drained the stream. An unranked one pulls once past
+     the page (untimed) to tell whether it ended at the last answer; a
+     guard that trips on that pull leaves it unknown, and the page
+     stands. *)
+  let complete =
+    match rank with
+    | Some _ -> Relalg.Cursor.yielded out <= k
+    | None -> (
+      match Relalg.Cursor.next out with
+      | None -> true
+      | Some _ | (exception Relalg.Limits.Abort _) -> false)
   in
   Relalg.Cursor.close out;
-  let time_to_k = clock () -. t0 in
   let rel = Relalg.Relation.create ~size_hint:(List.length tuples) head in
   List.iter (fun t -> ignore (Relalg.Relation.add rel t)) tuples;
-  (rel, complete, !first_at, Some time_to_k)
+  (rel, complete, first_at, Some time_to_k)
 
 (* The widest relation the GHD-Yannakakis route materializes. It is wider
    than the widest bag: a bag is the join of its cover atoms projected

@@ -94,11 +94,10 @@ type outcome = {
   complete : bool;
       (** whether [result] holds {e every} answer: always under the
           default policy; under [rank] exactly when the answer fits the
-          page; under [limit] alone when the stream ended before the
-          page filled — a page that fills exactly at the stream's end
-          reads [false], as the stream is not pulled past the page.
-          [true] always means nothing was left behind. [false] on
-          abort *)
+          page; under [limit] alone when the stream ends with the page,
+          which one pull past the page tells (a guard that trips on that
+          pull reads [false] and the page stands). [true] always means
+          nothing was left behind. [false] on abort *)
   first_answer_seconds : float option;
       (** streamed runs only: delay from opening the cursor to the first
           answer tuple; [None] on materialized runs and empty results *)

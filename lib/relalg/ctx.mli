@@ -24,15 +24,12 @@ val limits : t -> Limits.t option
 val telemetry : t -> Telemetry.t option
 
 val pool : t -> Parallel.Pool.t option
-(** The domain pool operators may fan work out on. [None] (the default)
-    means strictly sequential execution. Carried in the context so one
+(** The domain pool that the natural join ([Ops.natural_join]) and the
+    sweeps fan work out on; every other operator, the generic join
+    included, runs on the calling domain. [None] (the default) means
+    strictly sequential execution. Carried in the context so one
     [--jobs N] at the entry point reaches every join and sweep. *)
 
 val with_stats : t -> Stats.t -> t
 val with_limits : t -> Limits.t -> t
 val with_telemetry : t -> Telemetry.t -> t
-val with_pool : t -> Parallel.Pool.t -> t
-
-val without_pool : t -> t
-(** Drop the pool: used by code already running on a worker domain that
-    must hand a context to single-domain machinery (e.g. telemetry). *)

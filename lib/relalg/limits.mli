@@ -107,45 +107,9 @@ val max_tuples : t -> int
 val operators_run : t -> int
 val remaining_fuel : t -> int
 
-(** {1 Cross-domain guards}
-
-    [t] is deliberately single-domain (plain mutable fields on the hot
-    path); a parallel operator instead derives a {!Shared.guard} from the
-    owning budget, lets every worker domain charge it with atomic
-    operations, and {!Shared.settle}s back into the owner once the
-    fan-in completes — so typed aborts still fire promptly while workers
-    run, without a lock on the tuple path. *)
-module Shared : sig
-  type guard
-
-  val make : t -> guard
-  (** Snapshot the owner's remaining headroom (the owner must be parked
-      inside the parallel operator until {!settle}). *)
-
-  val charge : guard -> int -> bool
-  (** Account for [n] tuples materialized on the calling domain. Returns
-      [false] once {e any} domain has tripped a guard (tuple budget,
-      cardinality cap, or deadline — polled on every call, so call it
-      every [check_interval] tuples, not per tuple): the caller should
-      stop producing and return. Never raises; the typed abort is
-      delivered by {!settle} on the owning domain. *)
-
-  val fail : guard -> reason -> unit
-  (** Record a failure observed outside {!charge} (first one wins). *)
-
-  val failure : guard -> reason option
-
-  val produced : guard -> int
-  (** Tuples charged so far across all domains. *)
-
-  val settle : guard -> unit
-  (** On the owning domain, after every worker has returned: re-raise the
-      first recorded failure as {!Abort}, or commit the produced total to
-      the owner (check-then-commit, like {!val:charge}). *)
-
-  val check_interval : guard -> int
-  (** The owner's poll interval, for workers to batch their charges by. *)
-end
+(** [t] is single-domain (plain mutable fields on the hot path): a
+    pooled kernel counts its work on the workers and settles it once,
+    with {!charge_rows}, on the submitting domain. *)
 
 val describe : reason -> string
 (** Human-readable diagnostic, e.g. ["wall-clock deadline exceeded"]. *)

@@ -50,7 +50,7 @@ val natural_join : ?ctx:Ctx.t -> Relation.t -> Relation.t -> Relation.t
     result is extended once by exactly that size, and a fill pass writes
     the matches.
 
-    With a pool in the context ([Ctx.with_pool]) and operands at least
+    With a pool in the context ([Ctx.create ~pool]) and operands at least
     [Pool.grain] rows big, the probe side is split into up to
     [Pool.size] contiguous ranges that count and then fill in parallel,
     each range's output rows right after the earlier ranges'. The result

@@ -42,9 +42,8 @@ val evaluate :
     instead, uncharged — so an exhausted run has charged exactly the
     allowance's initial value in bindings (atom scans are charged as
     always, outside it) and leaves it at [0]. On return it holds what
-    was left. A run with an allowance is sequential, as {!iter} is.
-    With the allowance to spare, the answer and the charges are those
-    of a run without one.
+    was left. With the allowance to spare, the answer and the charges
+    are those of a run without one.
 
     [order] defaults to {!Conjunctive.Joingraph.mcs_variable_order} and
     must list every query variable exactly once with the free variables
@@ -54,13 +53,10 @@ val evaluate :
     through [Database.eval_atom] (scan spans, stats, limits), each
     accepted value binding and emitted row charges the context's limits,
     and the whole join runs in an [op.wcoj.join] span with the index
-    build in a nested [op.wcoj.index] span. With a pool in the context
-    (and no telemetry, whose span stack is single-domain, and no
-    [allowance]), the top variable's candidate values are partitioned
-    across the pool's domains; each worker searches its chunk into a
-    private relation under a {!Relalg.Limits.Shared} guard and the owner
-    merges the shards deterministically — tuple-identical to the
-    sequential run.
+    build in a nested [op.wcoj.index] span. The search runs on the
+    calling domain, as {!iter}'s does: a pool in the context is not
+    used, so the rows, their order, the charges and any abort are those
+    of a run without one.
 
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Exhausted when the [allowance] runs out.
@@ -80,8 +76,7 @@ val iter :
     Emissions are duplicate-free and lexicographically ordered along the
     free prefix of [order] — the leapfrog scan visits each depth's
     values strictly increasing — so no dedup state is needed downstream.
-    Strictly sequential: a pool in the context is ignored (partitioned
-    search would reorder and privatize emissions). Setup (atom scans,
+    Sequential, like {!evaluate}. Setup (atom scans,
     trie index) runs inside an [op.wcoj.stream] span; enumeration runs
     outside any span so a consumer suspending mid-stream cannot hold a
     span open. Each accepted binding charges the context's limits and

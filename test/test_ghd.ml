@@ -262,12 +262,12 @@ let prop_matches_bucket =
 (* ------------------------------------------------------------------ *)
 (* Parallel evaluation                                                  *)
 
-let with_pool f =
+let in_pool f =
   let p = Pool.create ~num_domains:4 ~grain:1 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
 let test_parallel_identity () =
-  with_pool @@ fun p ->
+  in_pool @@ fun p ->
   let ctx = Ctx.create ~pool:p () in
   List.iter
     (fun (name, mode, g) ->
@@ -286,7 +286,7 @@ let test_parallel_identity () =
 let prop_parallel_matches_sequential =
   qtest ~count:25 "pool evaluation = sequential (random CQs)"
     graph_arbitrary (fun g ->
-      with_pool @@ fun p ->
+      in_pool @@ fun p ->
       let ctx = Ctx.create ~pool:p () in
       List.for_all
         (fun mode ->

@@ -1,7 +1,8 @@
 (* Tests for the worst-case-optimal generic join: AGM cover soundness,
    the plan gate, and — the load-bearing property — tuple-identical
    output against bucket elimination on fixed and random instances,
-   sequentially and across a domain pool. *)
+   and the jobs=1 answer and charges with a domain pool in the
+   context. *)
 
 open Helpers
 module Agm = Wcoj.Agm
@@ -203,46 +204,83 @@ let prop_matches_bucket =
         [ Encode.Boolean; Encode.Fraction 0.4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation                                                 *)
+(* A pool in the context                                               *)
 
-let with_pool f =
-  let p = Pool.create ~num_domains:4 ~grain:1 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+(* The generic join runs on the calling domain whatever the context
+   carries: with a pool it must deliver the jobs=1 rows in the jobs=1
+   order, charge the same total and trip the same guard. *)
+let pool = Pool.create ~num_domains:4 ~grain:1 ()
 
-let test_parallel_identity () =
-  with_pool @@ fun p ->
-  let ctx = Ctx.create ~pool:p () in
-  List.iter
-    (fun (name, mode, g) ->
-      let db, cq = coloring ~mode g in
-      let seq = Wcoj.evaluate db cq in
-      let par = Wcoj.evaluate ~ctx db cq in
-      check_bool (name ^ ": pool result identical") true
-        (Relation.equal_modulo_order seq par))
-    [
-      ("free dense", Encode.Fraction 0.5, random_graph ~seed:2 ~n:9 ~m:24);
-      ("free sparse", Encode.Fraction 0.5, Gen.path 8);
-      ("bool dense", Encode.Boolean, random_graph ~seed:2 ~n:9 ~m:24);
-      ("bool unsat", Encode.Boolean, random_graph ~seed:4 ~n:7 ~m:21);
-    ]
+let run_with ?pool ~max_tuples ~max_total db cq =
+  let limits = Limits.create ~max_tuples ~max_total () in
+  let result =
+    match Wcoj.evaluate ~ctx:(Ctx.create ?pool ~limits ()) db cq with
+    | r ->
+      let rows = ref [] in
+      Relation.iter (fun t -> rows := t :: !rows) r;
+      Ok (r, List.rev !rows)
+    | exception Limits.Abort reason -> Error reason
+  in
+  (result, Limits.total_charged limits)
 
-let prop_parallel_matches_sequential =
-  qtest ~count:25 "pool evaluation = sequential (random CQs)"
-    graph_arbitrary (fun g ->
-      with_pool @@ fun p ->
-      let ctx = Ctx.create ~pool:p () in
+let same_as_jobs1 ~max_tuples ~max_total db cq =
+  let seq, seq_charged = run_with ~max_tuples ~max_total db cq in
+  let par, par_charged = run_with ~pool ~max_tuples ~max_total db cq in
+  seq_charged = par_charged
+  &&
+  match (seq, par) with
+  | Ok (r, rows), Ok (r', rows') -> Relation.equal r r' && rows = rows'
+  | Error reason, Error reason' -> reason = reason'
+  | _ -> false
+
+let figures_max_tuples = 300_000
+let figures_max_total = 3_000_000
+
+let prop_pool_matches_jobs1 =
+  (* Caps small enough to trip, the figures' caps and the defaults. *)
+  let caps =
+    QCheck.Gen.(
+      pair
+        (oneof
+           [ int_range 1 64; return figures_max_tuples; return 2_000_000 ])
+        (oneof
+           [
+             int_range 0 600; return figures_max_total; return 20_000_000;
+           ]))
+  in
+  qtest ~count:60 "pool = jobs=1: rows, order, charge, abort (random CQs)"
+    QCheck.(pair graph_arbitrary (make caps))
+    (fun (g, (max_tuples, max_total)) ->
       List.for_all
         (fun mode ->
           let db, cq = coloring ~mode g in
-          Relation.equal_modulo_order (Wcoj.evaluate db cq)
-            (Wcoj.evaluate ~ctx db cq))
-        [ Encode.Boolean; Encode.Fraction 0.4 ])
+          same_as_jobs1 ~max_tuples ~max_total db cq)
+        [ Encode.Boolean; Encode.Fraction 0.4; Encode.Fraction 1.0 ])
+
+(* The cells where the pooled shard search disagreed with jobs=1: the
+   ladder of 12 rungs with half its variables free ([ppr run -f ladder
+   -n 12 --free 0.5 -s 3]), whose bindings pass the figures'
+   cardinality cap though its rows do not, and the Boolean ladder of 16
+   rungs, whose shards each searched for their own witness. *)
+let test_pool_ladders () =
+  List.iter
+    (fun (name, mode, rungs) ->
+      let edges = Graphlib.Graph.edges (Gen.ladder rungs) in
+      let cq =
+        Encode.coloring_query ~mode ~rng:(rng (3 + 104729)) ~edges ()
+      in
+      check_bool (name ^ ": pool = jobs=1") true
+        (same_as_jobs1 ~max_tuples:figures_max_tuples
+           ~max_total:figures_max_total coloring_db cq))
+    [
+      ("ladder 12, 50% free", Encode.Fraction 0.5, 12);
+      ("Boolean ladder 16", Encode.Boolean, 16);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The allowance                                                       *)
 
 let test_allowance () =
-  with_pool @@ fun p ->
   List.iter
     (fun (name, mode, g) ->
       let db, cq = coloring ~mode g in
@@ -255,8 +293,8 @@ let test_allowance () =
       let unbounded, total = run () in
       let bindings = total - scans in
       check_bool (name ^ ": the search binds") true (bindings > 0);
-      (* Enough allowance: the same relation and charge, sequential even
-         with a pool, and the rest left over. *)
+      (* Enough allowance: the same relation and charge, with a pool
+         too, and the rest left over. *)
       List.iter
         (fun (extra, pool) ->
           let left = ref (bindings + extra) in
@@ -264,7 +302,7 @@ let test_allowance () =
           check_bool (name ^ ": same relation") true (Relation.equal unbounded r);
           check_int (name ^ ": same charge") total charged;
           check_int (name ^ ": the rest left over") extra !left)
-        [ (0, None); (1, None); (100, None); (0, Some p) ];
+        [ (0, None); (1, None); (100, None); (0, Some pool) ];
       (* One binding short or less: Exhausted, with exactly the allowance
          charged on top of the scans. *)
       List.iter
@@ -302,17 +340,7 @@ let test_abort_propagates () =
     with Limits.Abort _ -> ()
   in
   trip (Limits.create ~max_total:10 ());
-  trip (Limits.create ~max_tuples:3 ());
-  (* Same guards through the pool path: the shared guard must surface
-     the typed abort on the owning domain. *)
-  with_pool (fun p ->
-      try
-        ignore
-          (Wcoj.evaluate
-             ~ctx:(Ctx.create ~pool:p ~limits:(Limits.create ~max_total:10 ()) ())
-             db cq);
-        Alcotest.fail "expected an abort through the pool"
-      with Limits.Abort _ -> ())
+  trip (Limits.create ~max_tuples:3 ())
 
 let test_order_validation () =
   let db, cq = coloring ~mode:Encode.Boolean (Gen.cycle 3) in
@@ -364,10 +392,10 @@ let () =
           prop_matches_bucket;
         ]
         @ gate_sweep_cases );
-      ( "parallel",
+      ( "pool",
         [
-          Alcotest.test_case "pool identity" `Quick test_parallel_identity;
-          prop_parallel_matches_sequential;
+          prop_pool_matches_jobs1;
+          Alcotest.test_case "ladder cells" `Quick test_pool_ladders;
         ] );
       ( "guards",
         [
