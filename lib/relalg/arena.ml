@@ -1,9 +1,9 @@
 (* Columnar tuple arena: every tuple of a relation lives in one flat
-   [int array], row-major — row [i] occupies cells
-   [data.(i*arity) .. data.(i*arity + arity - 1)] — so scans touch memory
-   sequentially and a tuple is named by its row number, not by a boxed
-   array. Dedup is an open-addressing (linear-probing) index whose slots
-   hold [row + 1] (0 = empty); keys are re-read from the arena itself, so
+   off-heap Bigarray of ints, row-major — row [i] occupies cells
+   [i*arity .. i*arity + arity - 1] — so scans touch memory sequentially
+   and a tuple is named by its row number, not by a boxed array. Dedup
+   is an open-addressing (linear-probing) index whose slots hold
+   [row + 1] (0 = empty); keys are re-read from the arena itself, so
    inserting hashes a candidate exactly once and stores nothing but the
    row number.
 
@@ -12,10 +12,14 @@
    the index is allocated on the first [add] or [mem] and caught up
    incrementally from row [indexed] on every later one.
 
-   Cells are copied with plain [int array] loops, never blits: on OCaml 5
-   a blit into a major-heap array runs the write barrier on every cell,
-   while a loop over an array the compiler knows holds ints is a plain
-   store (docs/INTERNALS.md, "Storage layer").
+   Storage is allocated uninitialised ([Bigarray.Array1.create]): the
+   kernels overwrite every cell they claim, so zero-filling it first is
+   wasted work, and the major GC never scans it. Growing and copying move
+   the live prefix with one [Bigarray.Array1.blit], a memmove with no
+   write barrier; cells past the live rows hold whatever the allocator
+   left there (docs/INTERNALS.md, "Storage layer"). Every access site
+   names the type [data], so the compiler emits a plain load or store
+   rather than a generic Bigarray call.
 
    Every arena's data is a malloc chunk, so the layer that owns it sets
    the process's allocator policy, once, as this module initialises
@@ -28,9 +32,21 @@ external set_malloc_policy : unit -> int = "ppr_arena_malloc_policy" [@@noalloc]
 let malloc_policy =
   match set_malloc_policy () with 1 -> Pinned | 0 -> Unsupported | _ -> Refused
 
+type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@inline] get_d (d : data) i = Bigarray.Array1.unsafe_get d i
+let[@inline] set_d (d : data) i v = Bigarray.Array1.unsafe_set d i v
+
+(* Uninitialised storage of [cells] cells. *)
+let alloc cells : data = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout cells
+
+(* Every arena without storage shares one: it has no cell to write, and
+   is replaced wholesale when the arena grows. *)
+let empty = alloc 0
+
 type t = {
   arity : int;
-  mutable data : int array; (* row-major tuple storage, capacity*arity cells *)
+  mutable data : data; (* row-major tuple storage, capacity*arity cells *)
   mutable count : int; (* rows in use *)
   mutable slots : int array; (* row + 1, 0 = empty; [||] until first needed *)
   mutable mask : int; (* Array.length slots - 1 *)
@@ -57,7 +73,7 @@ let hash_row t row =
   let base = row * t.arity in
   let h = ref fnv_seed in
   for j = 0 to t.arity - 1 do
-    h := (!h lxor Array.unsafe_get t.data (base + j)) * fnv_prime
+    h := (!h lxor get_d t.data (base + j)) * fnv_prime
   done;
   !h land max_int
 
@@ -70,7 +86,7 @@ let create ?(size_hint = 16) arity =
   let cap = if size_hint <= 0 then 0 else max 8 size_hint in
   {
     arity;
-    data = Array.make (cap * arity) 0;
+    data = (if cap * arity = 0 then empty else alloc (cap * arity));
     count = 0;
     slots = [||];
     mask = -1;
@@ -79,13 +95,14 @@ let create ?(size_hint = 16) arity =
 
 (* Rows the data array holds without growing; a zero-arity arena stores
    at most the empty tuple. *)
-let capacity t = if t.arity = 0 then 1 else Array.length t.data / t.arity
+let capacity t =
+  if t.arity = 0 then 1 else Bigarray.Array1.dim t.data / t.arity
 
 let row_equals_tuple t row (tup : int array) =
   let base = row * t.arity in
   let rec go j =
     j >= t.arity
-    || Array.unsafe_get t.data (base + j) = Array.unsafe_get tup j && go (j + 1)
+    || get_d t.data (base + j) = Array.unsafe_get tup j && go (j + 1)
   in
   go 0
 
@@ -133,20 +150,29 @@ let mem t tup =
     t.slots.(find_slot t tup (hash_tuple tup)) <> 0
   end
 
-(* Replace [data] by a zeroed array of [cells] cells holding the stored
+(* The first [cells] cells of [d]: a [sub] view only when [d] holds
+   more, since each view is a block of its own. *)
+let prefix (d : data) cells =
+  if Bigarray.Array1.dim d = cells then d else Bigarray.Array1.sub d 0 cells
+
+(* The live prefix of [t]'s storage copied to the front of [data]. A
+   kernel's output is empty when [extend] first sizes it, so that
+   resize copies nothing. *)
+let blit_live t data =
+  let live = t.count * t.arity in
+  if live > 0 then Bigarray.Array1.blit (prefix t.data live) (prefix data live);
+  data
+
+(* Replace [data] by [cells] uninitialised cells holding the stored
    rows. *)
-let resize t cells =
-  let old = t.data and data = Array.make cells 0 in
-  for i = 0 to (t.count * t.arity) - 1 do
-    Array.unsafe_set data i (Array.unsafe_get old i)
-  done;
-  t.data <- data
+let resize t cells = t.data <- blit_live t (alloc cells)
 
 (* Make room in [data] for [rows] rows, at least doubling it and at
    least 8 rows. *)
 let grow_data t rows =
-  if t.arity > 0 && rows * t.arity > Array.length t.data then
-    resize t (max (max rows 8 * t.arity) (2 * Array.length t.data))
+  let cells = Bigarray.Array1.dim t.data in
+  if t.arity > 0 && rows * t.arity > cells then
+    resize t (max (max rows 8 * t.arity) (2 * cells))
 
 let add t (tup : int array) =
   if Array.length tup <> t.arity then
@@ -161,7 +187,7 @@ let add t (tup : int array) =
     let row = t.count in
     let data = t.data and base = row * t.arity in
     for j = 0 to t.arity - 1 do
-      Array.unsafe_set data (base + j) (Array.unsafe_get tup j)
+      set_d data (base + j) (Array.unsafe_get tup j)
     done;
     t.count <- row + 1;
     t.slots.(i) <- row + 1;
@@ -176,14 +202,21 @@ let add t (tup : int array) =
 let extend t n =
   if n < 0 then invalid_arg "Arena.extend: negative row count";
   let rows = t.count + n in
-  if t.arity > 0 && rows * t.arity > Array.length t.data then
+  if t.arity > 0 && rows * t.arity > Bigarray.Array1.dim t.data then
     resize t (rows * t.arity);
   let base = t.count * t.arity in
   t.count <- t.count + n;
   base
 
-let get t row j = t.data.((row * t.arity) + j)
-let read t row = Array.sub t.data (row * t.arity) t.arity
+let get t row j = Bigarray.Array1.get t.data ((row * t.arity) + j)
+
+let read t row =
+  let d = t.data and base = row * t.arity in
+  let tup = Array.make t.arity 0 in
+  for j = 0 to t.arity - 1 do
+    Array.unsafe_set tup j (get_d d (base + j))
+  done;
+  tup
 
 let iter f t =
   for row = 0 to t.count - 1 do
@@ -197,12 +230,12 @@ let fold f t init =
   done;
   !acc
 
+(* The copy's storage holds exactly the live rows: a scan copies a
+   stored relation per atom, and its next [add], if any, doubles it. *)
 let copy t =
+  let live = t.count * t.arity in
   {
-    arity = t.arity;
-    data = Array.copy t.data;
-    count = t.count;
+    t with
+    data = (if live = 0 then empty else blit_live t (alloc live));
     slots = Array.copy t.slots;
-    mask = t.mask;
-    indexed = t.indexed;
   }

@@ -1,12 +1,13 @@
 (** Columnar tuple arena: the storage behind every {!Relation}.
 
     All tuples of a relation are stored contiguously in one flat
-    [int array] (row-major: row [i] occupies cells [i*arity] through
-    [i*arity + arity - 1]) and are addressed by row number. Duplicate
-    elimination uses an open-addressing, linear-probing hash index over
-    row numbers — each slot holds [row + 1], with [0] marking an empty
-    slot — whose keys are re-read from the arena, so an insert hashes its
-    candidate tuple exactly once and allocates nothing.
+    off-heap Bigarray of ints, {!data} (row-major: row [i] occupies
+    cells [i*arity] through [i*arity + arity - 1]), and are addressed by
+    row number. Duplicate elimination uses an open-addressing,
+    linear-probing hash index over row numbers — each slot holds
+    [row + 1], with [0] marking an empty slot — whose keys are re-read
+    from the arena, so an insert hashes its candidate tuple exactly once
+    and allocates nothing.
 
     The index is built lazily. Rows claimed with {!extend} and filled in
     place are not hashed at all; the first {!add} or {!mem} allocates
@@ -20,17 +21,30 @@
 
     The hash function is FNV-1a over the columns, identical to
     {!Tuple.hash}, so a tuple hashes the same in and out of an arena. The
-    index doubles (rehashing from the arena) at 50% load; the data array
-    doubles when full. Zero-arity relations work: the data array stays
-    empty and the arena holds at most the single empty tuple. *)
+    index doubles (rehashing from the arena) at 50% load; the storage
+    doubles when full. Zero-arity relations work: the storage stays
+    empty and the arena holds at most the single empty tuple.
+
+    Storage is allocated uninitialised and lives outside the OCaml heap:
+    no cell is zero-filled, and the major GC does not scan it. Only the
+    cells of rows [0 .. count - 1] are specified; the spare capacity
+    that [create]'s [size_hint] and [add]'s doubling leave past them
+    holds unspecified values until a row is claimed there. A dead
+    arena's storage is freed when the GC finalises it. *)
 
 type t
 
-(** The allocator policy this module sets as it initialises. OCaml 5
-    allocates every block over 256 words with [malloc], so each arena's
-    data and every kernel's scratch array is a malloc chunk, which
-    glibc's dynamic thresholds hand back to the kernel when it is freed;
-    the next output then faults its pages in and zeroes them again. On
+type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Row-major tuple storage. Name this type at every access site
+    ([(d : data)]): an access whose element kind the compiler cannot see
+    is a C call per cell instead of one load or store. *)
+
+(** The allocator policy this module sets as it initialises. Each
+    arena's {!data} is a malloc chunk, and so is every kernel's scratch
+    array over 256 words, which OCaml 5 allocates with [malloc]. glibc's
+    dynamic thresholds hand such chunks back to the kernel when they are
+    freed, and the next output then faults its pages in and has the
+    kernel zero them again. On
     glibc the library pins [M_MMAP_THRESHOLD] at 32 MiB and
     [M_TRIM_THRESHOLD] at 256 MiB, so freed storage stays mapped and is
     reused. Nothing reads the environment and there is no option. *)
@@ -45,7 +59,7 @@ val create : ?size_hint:int -> int -> t
 (** [create ?size_hint arity] — an empty arena for tuples of the given
     arity, with room for [size_hint] rows (default 16, at least 8). A
     [size_hint] of 0 allocates no storage: the first {!extend} sizes it
-    exactly, the first {!add} to 8 rows.
+    exactly, the first {!add} to 8 rows. The storage is uninitialised.
     @raise Invalid_argument on a negative arity. *)
 
 val arity : t -> int
@@ -68,16 +82,19 @@ val iter : (int array -> unit) -> t -> unit
 (** Iterate rows in insertion order, materializing each. *)
 
 val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
+
 val copy : t -> t
+(** An arena with the same rows and index, over storage of its own that
+    holds exactly those rows: only the [count * arity] live cells are
+    copied, with one [Bigarray.Array1.blit]. *)
 
 (** {2 Kernel interface}
 
     Join, semijoin, selection and projection kernels read columns
     straight out of {!data} and write output rows in place, avoiding any
-    per-tuple allocation. Cells are copied with plain [int array] loops:
-    on OCaml 5, [Array.blit] into an array on the major heap runs the
-    write barrier ([caml_modify]) on every cell, while a loop over an
-    array the compiler knows holds ints is a plain store.
+    per-tuple allocation. A read or write of a cell whose array the
+    compiler knows is a {!data} is one load or store: no bounds check
+    with [unsafe_get]/[unsafe_set], no write barrier, no C call.
 
     Operators that cannot produce a duplicate from duplicate-free inputs
     count their output first, claim it with {!extend} and fill it. A
@@ -90,20 +107,21 @@ val copy : t -> t
     ([Ops.dedup]), and then extends and fills exactly those; union goes
     through {!add}. *)
 
-val data : t -> int array
+val data : t -> data
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
-    meaningful; treat as read-only. The array is replaced wholesale when
-    the arena grows, so re-fetch it after any insert. *)
+    specified; treat as read-only. Its length is the capacity times the
+    arity. It is replaced wholesale when the arena grows, so re-fetch it
+    after any insert. *)
 
 val extend : t -> int -> int
 (** [extend t n] adds [n] rows to {!count} at once and returns the base
     offset into {!data} of the first; row [count t - n + i] starts at
-    [base + i * arity t]. When the data array holds fewer than
+    [base + i * arity t]. When the storage holds fewer than
     [count t + n] rows it is first replaced by one of exactly that size,
     with no doubling slack: the caller knows how many rows are coming.
     The caller must fill every cell of the new rows before anything
-    reads them — until then they hold stale or zero cells. The data
-    array is not replaced again until the arena next grows, so disjoint
+    reads them — until then they hold unspecified values. The storage
+    is not replaced again until the arena next grows, so disjoint
     row ranges of the new rows may be filled concurrently from several
     domains: a pooled join fills one probe range's output per range.
     The new rows are left out of the dedup index until the next {!add}

@@ -31,11 +31,20 @@ let charge_new limits rel =
 let guarded_add limits rel tup =
   if Relation.add rel tup then charge_new limits rel
 
+(* A cell of an arena's storage. Every kernel reads and writes arenas
+   through these two: the type they name lets the compiler emit one
+   load or store, where an access to a Bigarray of unknown kind is a C
+   call per cell. *)
+let[@inline] get_d (d : Arena.data) i = Bigarray.Array1.unsafe_get d i
+let[@inline] set_d (d : Arena.data) i v = Bigarray.Array1.unsafe_set d i v
+
+(* The [b] side of a dedup that keeps no column of one. *)
+let no_rows : Arena.data = Bigarray.Array1.create Bigarray.Int Bigarray.C_layout 0
+
 (* Kernels whose output rows are copies of input rows (joins, semijoins,
    selections) count what they keep, then settle and fill it: one
    [Limits.charge_rows] for the whole output, one [Arena.extend], and
-   plain [int array] copy loops — on OCaml 5, a blit into a major-heap
-   array runs the write barrier on every cell. The settle commits the
+   plain copy loops over the arenas' storage. The settle commits the
    same total and raises the same reason as charging row by row, and
    raises before the output is sized or written, so a doomed output
    costs nothing. Fills poll the deadline every [fill_poll_rows] rows. *)
@@ -63,7 +72,7 @@ let keep_rows limits aout src ids n =
   for i = 0 to n - 1 do
     let cell = base + (i * w) and sbase = Array.unsafe_get ids i * w in
     for k = 0 to w - 1 do
-      Array.unsafe_set od (cell + k) (Array.unsafe_get d (sbase + k))
+      set_d od (cell + k) (get_d d (sbase + k))
     done;
     poll_fill limits i
   done
@@ -143,7 +152,7 @@ let hash_key d base cols =
   let h = ref fnv_seed in
   for k = 0 to Array.length cols - 1 do
     h :=
-      (!h lxor Array.unsafe_get d (base + Array.unsafe_get cols k)) * fnv_prime
+      (!h lxor get_d d (base + Array.unsafe_get cols k)) * fnv_prime
   done;
   !h land max_int
 
@@ -151,8 +160,8 @@ let hash_key d base cols =
    [k1] and [k2] respectively. *)
 let rec keys_equal_from k d1 b1 k1 d2 b2 k2 =
   k >= Array.length k1
-  || Array.unsafe_get d1 (b1 + Array.unsafe_get k1 k)
-     = Array.unsafe_get d2 (b2 + Array.unsafe_get k2 k)
+  || get_d d1 (b1 + Array.unsafe_get k1 k)
+     = get_d d2 (b2 + Array.unsafe_get k2 k)
      && keys_equal_from (k + 1) d1 b1 k1 d2 b2 k2
 
 let keys_equal d1 b1 k1 d2 b2 k2 = keys_equal_from 0 d1 b1 k1 d2 b2 k2
@@ -173,7 +182,7 @@ let build_key_index ?(chain_lengths = false) d w key n =
   if Array.length key = 1 then begin
     let k0 = key.(0) in
     for row = 0 to n - 1 do
-      let v = Array.unsafe_get d ((row * w) + k0) in
+      let v = get_d d ((row * w) + k0) in
       let i = ref (hash1 v land mask) in
       let placing = ref true in
       while !placing do
@@ -182,7 +191,7 @@ let build_key_index ?(chain_lengths = false) d w key n =
           Array.unsafe_set slots !i (row + 1);
           placing := false
         end
-        else if Array.unsafe_get d (((s - 1) * w) + k0) = v then begin
+        else if get_d d (((s - 1) * w) + k0) = v then begin
           Array.unsafe_set next row (s - 1);
           if chain_lengths then
             Array.unsafe_set lens row (Array.unsafe_get lens (s - 1) + 1);
@@ -220,12 +229,12 @@ let build_key_index ?(chain_lengths = false) d w key n =
    [base + i * wout] of [od] — and what it copies: all of an [r] row,
    then the [rest_s] columns of an [s] row. *)
 type join_fill = {
-  od : int array;
+  od : Arena.data;
   base : int;
   wout : int;
-  dr : int array;
+  dr : Arena.data;
   wr : int;
-  ds : int array;
+  ds : Arena.data;
   ws : int;
   rest_s : int array;
   limits : Limits.t option;
@@ -253,12 +262,11 @@ let fill_row f row r_row s_row =
   let od = f.od and dr = f.dr and ds = f.ds and rest_s = f.rest_s in
   let cell = f.base + (row * f.wout) and rbase = r_row * f.wr in
   for k = 0 to f.wr - 1 do
-    Array.unsafe_set od (cell + k) (Array.unsafe_get dr (rbase + k))
+    set_d od (cell + k) (get_d dr (rbase + k))
   done;
   let cell = cell + f.wr and sbase = s_row * f.ws in
   for k = 0 to Array.length rest_s - 1 do
-    Array.unsafe_set od (cell + k)
-      (Array.unsafe_get ds (sbase + Array.unsafe_get rest_s k))
+    set_d od (cell + k) (get_d ds (sbase + Array.unsafe_get rest_s k))
   done;
   poll_fill f.limits row
 
@@ -268,8 +276,8 @@ let fill_row f row r_row s_row =
    [prow]'s chain head in [next] ([-1]: no match). *)
 type join_index = {
   build_on_r : bool;
-  db : int array; wb : int; key_b : int array; (* build side *)
-  dp : int array; wp : int; key_p : int array; (* probe side *)
+  db : Arena.data; wb : int; key_b : int array; (* build side *)
+  dp : Arena.data; wp : int; key_p : int array; (* probe side *)
   slots : int array; mask : int; next : int array; lens : int array;
   heads : int array;
 }
@@ -297,13 +305,13 @@ let count_range j lo hi =
   if Array.length key_b = 1 then begin
     let kb0 = key_b.(0) and kp0 = key_p.(0) in
     for prow = lo to hi - 1 do
-      let v = Array.unsafe_get dp ((prow * wp) + kp0) in
+      let v = get_d dp ((prow * wp) + kp0) in
       let i = ref (hash1 v land mask) in
       let probing = ref true in
       while !probing do
         let s = Array.unsafe_get slots !i in
         if s = 0 then probing := false
-        else if Array.unsafe_get db (((s - 1) * wb) + kb0) = v then begin
+        else if get_d db (((s - 1) * wb) + kb0) = v then begin
           Array.unsafe_set heads prow (s - 1);
           size := !size + Array.unsafe_get lens (s - 1);
           probing := false
@@ -627,7 +635,9 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
 
 let dedup ?limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
   let row_ok d w cols row =
-    Array.for_all (fun c -> c >= 0 && c < w && row >= 0 && (row * w) + c < Array.length d) cols
+    Array.for_all
+      (fun c -> c >= 0 && c < w && row >= 0 && (row * w) + c < Bigarray.Array1.dim d)
+      cols
   in
   if Array.length a < n || Array.length h < n || (Array.length kb > 0 && Array.length b < n)
   then invalid_arg "Ops.dedup: fewer than n candidates";
@@ -650,9 +660,9 @@ let gather limits aout ~da ~wa ~db ~wb cols a b kept =
     let bbase = if Array.length b = 0 then 0 else Array.unsafe_get b i * wb in
     for j = 0 to w - 1 do
       let c = Array.unsafe_get cols j in
-      Array.unsafe_set od (cell + j)
-        (if c >= 0 then Array.unsafe_get da (abase + c)
-         else Array.unsafe_get db (bbase - c - 1))
+      set_d od (cell + j)
+        (if c >= 0 then get_d da (abase + c)
+         else get_d db (bbase - c - 1))
     done;
     poll_fill limits i
   done
@@ -672,10 +682,10 @@ let project ?(ctx = Ctx.null) r sub =
     poll_fill limits row
   done;
   let kept =
-    partitioned_dedup limits ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n
+    partitioned_dedup limits ~da ~wa ~ka:positions ~db:no_rows ~wb:0 ~kb:[||] ~a ~b:[||] ~h n
   in
   let out = Relation.create ~size_hint:0 sub in
-  gather limits (Relation.arena out) ~da ~wa ~db:[||] ~wb:0 positions a [||] kept;
+  gather limits (Relation.arena out) ~da ~wa ~db:no_rows ~wb:0 positions a [||] kept;
   note_result stats limits out;
   finish_unary sp r out;
   out

@@ -21,7 +21,8 @@
     natural join, semijoin, antijoin and every selection ([select],
     [inter], [diff]) — count the rows they keep, settle their charges
     with one {!Limits.charge_rows}, claim them with one {!Arena.extend}
-    and fill them with plain int loops, with no dedup probe. Projection
+    and fill them with plain loops over the arenas' storage, with no
+    dedup probe. Projection
     and the fused {!join_project} count too: they record each candidate
     row as its pair of input rows and a hash of its kept columns, find
     each distinct row's first occurrence with {!dedup}, then settle and
@@ -103,15 +104,15 @@ val join_project :
     attributes. *)
 
 val dedup :
-  ?limits:Limits.t -> da:int array -> wa:int -> ka:int array ->
-  db:int array -> wb:int -> kb:int array ->
+  ?limits:Limits.t -> da:Arena.data -> wa:int -> ka:int array ->
+  db:Arena.data -> wb:int -> kb:int array ->
   a:int array -> b:int array -> h:int array -> int -> int
 (** The duplicate elimination under {!project} and {!join_project},
     exposed for its tests. [dedup ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n]
     takes [n] candidate rows: candidate [i] is the [ka] columns of row
-    [a.(i)] of the row-major array [da] (width [wa]) followed by the
-    [kb] columns of row [b.(i)] of [db] (width [wb]); [b] is not read
-    when [kb] is empty. [h.(i)] is its hash: nonnegative, and equal for
+    [a.(i)] of the row-major arena storage [da] (width [wa]) followed by
+    the [kb] columns of row [b.(i)] of [db] (width [wb]); [b] and [db]
+    are not read when [kb] is empty. [h.(i)] is its hash: nonnegative, and equal for
     equal candidates. It keeps the first occurrence of each distinct
     candidate, compacts their pairs to the front of [a] and [b] in
     candidate order, and returns how many it kept; [h] is overwritten.

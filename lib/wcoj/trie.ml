@@ -9,6 +9,10 @@ type t = {
   cells : int array;  (* row-major, rows sorted lexicographically *)
 }
 
+(* A cell of an arena's storage; the type is named so each read is one
+   load, not a generic Bigarray call. *)
+let[@inline] get_d (d : Arena.data) i = Bigarray.Array1.unsafe_get d i
+
 let rows t = t.rows
 let width t = t.width
 let depth_at t l = t.depths.(l)
@@ -25,8 +29,8 @@ let build ~depth_of_var rel =
     (fun a b -> compare (depth_of_var attrs.(a)) (depth_of_var attrs.(b)))
     levels;
   let depths = Array.map (fun c -> depth_of_var attrs.(c)) levels in
-  (* The arena's live prefix is exactly [rows * width] cells. *)
-  let src = Array.sub (Arena.data (Relation.arena rel)) 0 (rows * width) in
+  (* Read the arena in place: its first [rows * width] cells are live. *)
+  let src = Arena.data (Relation.arena rel) in
   let idx = Array.init rows Fun.id in
   let compare_rows a b =
     let ra = a * width and rb = b * width in
@@ -34,7 +38,7 @@ let build ~depth_of_var rel =
       if l = width then 0
       else
         let c = levels.(l) in
-        let d = compare src.(ra + c) src.(rb + c) in
+        let d = Int.compare (get_d src (ra + c)) (get_d src (rb + c)) in
         if d <> 0 then d else go (l + 1)
     in
     go 0
@@ -44,7 +48,7 @@ let build ~depth_of_var rel =
   for i = 0 to rows - 1 do
     let r = idx.(i) * width in
     for l = 0 to width - 1 do
-      cells.((i * width) + l) <- src.(r + levels.(l))
+      cells.((i * width) + l) <- get_d src (r + levels.(l))
     done
   done;
   { depths; width; rows; cells }

@@ -401,6 +401,11 @@ let test_stats_recording () =
 
 module Arena = Relalg.Arena
 
+(* Arena storage holding [cells], for feeding [Ops.dedup] directly. *)
+let data_of_array cells : Arena.data = Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout cells
+
+let no_data = data_of_array [||]
+
 let test_arena_zero_ary () =
   let a = Arena.create 0 in
   check_bool "first add" true (Arena.add a [||]);
@@ -519,7 +524,8 @@ let run_arena_model arity ops =
     let first = Arena.count !a in
     let base = Arena.extend !a n in
     List.iteri
-      (fun i r -> Array.blit r 0 (Arena.data !a) (base + (i * arity)) arity)
+      (fun i r ->
+        Array.iteri (fun j v -> Bigarray.Array1.set (Arena.data !a) (base + (i * arity) + j) v) r)
       fresh;
     model := fresh @ !model;
     filled := fresh @ !filled;
@@ -1153,7 +1159,8 @@ let flat_dedup ~da ~wa ~ka ~db ~wb ~kb n offer =
   let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k) in
   let rec keys_equal k d1 b1 k1 d2 b2 k2 =
     k >= Array.length k1
-    || d1.(b1 + k1.(k)) = d2.(b2 + k2.(k)) && keys_equal (k + 1) d1 b1 k1 d2 b2 k2
+    || Bigarray.Array1.get d1 (b1 + k1.(k)) = Bigarray.Array1.get d2 (b2 + k2.(k))
+       && keys_equal (k + 1) d1 b1 k1 d2 b2 k2
   in
   let slot_len = pow2_at_least (max 16 (2 * n)) 16 in
   let mask = slot_len - 1 and slots = Array.make slot_len 0 in
@@ -1165,10 +1172,10 @@ let flat_dedup ~da ~wa ~ka ~db ~wb ~kb n offer =
       let abase = a * wa and bbase = b * wb in
       let h = ref fnv_seed in
       for k = 0 to Array.length ka - 1 do
-        h := (!h lxor da.(abase + ka.(k))) * fnv_prime
+        h := (!h lxor Bigarray.Array1.get da (abase + ka.(k))) * fnv_prime
       done;
       for k = 0 to Array.length kb - 1 do
-        h := (!h lxor db.(bbase + kb.(k))) * fnv_prime
+        h := (!h lxor Bigarray.Array1.get db (bbase + kb.(k))) * fnv_prime
       done;
       let i = ref (!h land max_int land mask) in
       let probing = ref true in
@@ -1194,12 +1201,13 @@ let flat_project rel positions =
   let ain = Relation.arena rel in
   let da = Arena.data ain and wa = Arena.arity ain and n = Arena.count ain in
   let first_a, _, kept =
-    flat_dedup ~da ~wa ~ka:positions ~db:[||] ~wb:0 ~kb:[||] n (fun add ->
+    flat_dedup ~da ~wa ~ka:positions ~db:no_data ~wb:0 ~kb:[||] n (fun add ->
         for row = 0 to n - 1 do
           add row 0
         done)
   in
-  List.init kept (fun i -> Array.map (fun c -> da.((first_a.(i) * wa) + c)) positions)
+  List.init kept (fun i ->
+      Array.map (fun c -> Bigarray.Array1.get da ((first_a.(i) * wa) + c)) positions)
 
 let rows_of rel = List.init (Relation.cardinality rel) (Arena.read (Relation.arena rel))
 
@@ -1223,10 +1231,10 @@ let candidate_hash kind cols =
 type dedup_case = {
   kind : hash_kind;
   wa : int;
-  da : int array;
+  da : Arena.data;
   ka : int array;
   wb : int;
-  db : int array;
+  db : Arena.data;
   kb : int array;
   pairs : (int * int) array;
 }
@@ -1234,8 +1242,8 @@ type dedup_case = {
 let print_dedup_case c =
   Printf.sprintf "%s; wa %d ka %s (%d rows); wb %d kb %s (%d rows); %d candidates"
     (match c.kind with Spread -> "spread" | Skewed -> "skewed" | Constant -> "constant")
-    c.wa QCheck.Print.(array int c.ka) (Array.length c.da / c.wa)
-    c.wb QCheck.Print.(array int c.kb) (Array.length c.db / c.wb)
+    c.wa QCheck.Print.(array int c.ka) (Bigarray.Array1.dim c.da / c.wa)
+    c.wb QCheck.Print.(array int c.kb) (Bigarray.Array1.dim c.db / c.wb)
     (Array.length c.pairs)
 
 (* Two row arrays over a 2- or 3-value domain, keep sets of 0 to all of
@@ -1254,7 +1262,7 @@ let dedup_case_gen ~small =
       array_repeat (w * rows) (int_range 0 (dom - 1)) >>= fun d ->
       int_range 0 w >>= fun k ->
       shuffle_l (List.init w Fun.id) >>= fun cols ->
-      return (w, d, Array.of_list (List.filteri (fun i _ -> i < k) cols))
+      return (w, data_of_array d, Array.of_list (List.filteri (fun i _ -> i < k) cols))
     in
     frequency [ (3, return Spread); (2, return Skewed); (1, return Constant) ]
     >>= fun kind ->
@@ -1264,7 +1272,7 @@ let dedup_case_gen ~small =
      else if small then int_range 0 2048
      else int_range 20_000 24_000)
     >>= fun n ->
-    let na = Array.length da / wa and nb = Array.length db / wb in
+    let na = Bigarray.Array1.dim da / wa and nb = Bigarray.Array1.dim db / wb in
     array_repeat n (pair (int_range 0 (na - 1)) (int_range 0 (nb - 1))) >>= fun pairs ->
     return { kind; wa; da; ka; wb; db; kb; pairs })
 
@@ -1284,8 +1292,8 @@ let prop_dedup_is_flat ~small =
         Array.map
           (fun (a, b) ->
             candidate_hash c.kind
-              (Array.to_list (Array.map (fun k -> c.da.((a * c.wa) + k)) c.ka)
-              @ Array.to_list (Array.map (fun k -> c.db.((b * c.wb) + k)) c.kb)))
+              (Array.to_list (Array.map (fun k -> Bigarray.Array1.get c.da ((a * c.wa) + k)) c.ka)
+              @ Array.to_list (Array.map (fun k -> Bigarray.Array1.get c.db ((b * c.wb) + k)) c.kb)))
           c.pairs
       in
       let kept =
@@ -1373,13 +1381,13 @@ let test_dedup_skewed () =
    partitions; 18k of them hash into partition 0. *)
 let test_dedup_large_partition () =
   let n = 20_000 in
-  let da = Array.init n Fun.id in
+  let da = data_of_array (Array.init n Fun.id) in
   let a = Array.init n Fun.id in
   let h = Array.init n (fun i -> if i < 18_000 then i else (i lsl 40) lor i) in
-  let kept = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
+  let kept = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:no_data ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
   check_int "all distinct" n kept;
   check_bool "in order" true (a = Array.init n Fun.id);
-  let dedup ~a ~h n = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:[||] ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
+  let dedup ~a ~h n = Ops.dedup ~da ~wa:1 ~ka:[| 0 |] ~db:no_data ~wb:0 ~kb:[||] ~a ~b:[||] ~h n in
   Alcotest.check_raises "a negative hash" (Invalid_argument "Ops.dedup: candidate out of range")
     (fun () -> ignore (dedup ~a:[| 0 |] ~h:[| -1 |] 1));
   Alcotest.check_raises "a row out of range" (Invalid_argument "Ops.dedup: candidate out of range")
@@ -1453,12 +1461,12 @@ let test_dedup_fuel () =
    [add] sizes it, then grows as before. *)
 let test_arena_no_hint () =
   let a = Arena.create ~size_hint:0 3 in
-  check_int "no storage" 0 (Array.length (Arena.data a));
+  check_int "no storage" 0 (Bigarray.Array1.dim (Arena.data a));
   check_bool "mem on empty" false (Arena.mem a [| 1; 2; 3 |]);
   let base = Arena.extend a 2 in
-  check_int "extend sizes it exactly" 6 (Array.length (Arena.data a));
+  check_int "extend sizes it exactly" 6 (Bigarray.Array1.dim (Arena.data a));
   check_int "first row at 0" 0 base;
-  Array.iteri (fun i v -> (Arena.data a).(i) <- v) [| 1; 2; 3; 4; 5; 6 |];
+  Array.iteri (fun i v -> Bigarray.Array1.set (Arena.data a) i v) [| 1; 2; 3; 4; 5; 6 |];
   for k = 0 to 99 do
     check_bool "fresh" true (Arena.add a [| k; k; k + 100 |])
   done;
@@ -1466,11 +1474,37 @@ let test_arena_no_hint () =
   check_int "count" 102 (Arena.count a);
   let b = Arena.create ~size_hint:0 3 in
   check_bool "add to an empty arena" true (Arena.add b [| 1; 2; 3 |]);
-  check_int "first add makes room for 8" 24 (Array.length (Arena.data b));
+  check_int "first add makes room for 8" 24 (Bigarray.Array1.dim (Arena.data b));
   let z = Arena.create ~size_hint:0 0 in
   check_bool "0-ary add" true (Arena.add z [||]);
   check_bool "0-ary duplicate" false (Arena.add z [||]);
   check_int "0-ary count" 1 (Arena.count z)
+
+(* An arena with spare capacity: a size hint of 100 rows and three
+   [add]s leave 97 rows of cells unspecified. Every reader sees exactly
+   the three rows: the relation's iteration, the generic join's trie and
+   a copy, whose storage is its own. *)
+let test_arena_spare_capacity () =
+  let rows = [ [ 3; 1 ]; [ 1; 2 ]; [ 2; 0 ] ] in
+  let rel = Relation.create ~size_hint:100 (Schema.of_list [ 0; 1 ]) in
+  List.iter (fun r -> ignore (Relation.add rel (Tuple.of_list r))) rows;
+  let a = Relation.arena rel in
+  check_int "spare capacity" 200 (Bigarray.Array1.dim (Arena.data a));
+  let seen = ref [] in
+  Relation.iter (fun t -> seen := Tuple.to_list t :: !seen) rel;
+  Alcotest.(check (list (list int))) "Relation.iter" rows (List.rev !seen);
+  let trie = Wcoj.Trie.build ~depth_of_var:Fun.id rel in
+  check_int "trie rows" 3 (Wcoj.Trie.rows trie);
+  Alcotest.(check (list (list int))) "Trie.build" (List.sort compare rows)
+    (List.init 3 (fun row -> List.init 2 (fun level -> Wcoj.Trie.value trie ~level ~row)));
+  let c = Arena.copy a in
+  Alcotest.(check (list (list int))) "Arena.copy" rows
+    (List.rev (Arena.fold (fun t acc -> Array.to_list t :: acc) c []));
+  check_bool "the copy's index" true (Arena.mem c [| 1; 2 |] && not (Arena.mem c [| 0; 0 |]));
+  Bigarray.Array1.set (Arena.data c) 0 99;
+  check_int "a write to the copy" 99 (Arena.get c 0 0);
+  check_int "does not show in the original" 3 (Arena.get a 0 0);
+  check_bool "the copy grows on its own" true (Arena.add c [| 5; 5 |] && not (Arena.mem a [| 5; 5 |]))
 
 (* The allocator policy keeps freed arena storage mapped: 20 rounds of
    eight ~1 MiB arenas, each round dropped and collected, fault fewer
@@ -1493,6 +1527,9 @@ let[@inline never] allocate_arenas () =
     List.init 8 (fun _ ->
         let a = Arena.create ~size_hint:0 4 in
         ignore (Arena.extend a 32_768);
+        (* Fill the claimed rows, as a kernel does: storage is allocated
+           uninitialised, so only writes fault its pages in. *)
+        Bigarray.Array1.fill (Arena.data a) 1;
         a)
   in
   ignore (Sys.opaque_identity arenas)
@@ -1612,6 +1649,7 @@ let () =
         [
           Alcotest.test_case "0-ary tuples" `Quick test_arena_zero_ary;
           Alcotest.test_case "no size hint" `Quick test_arena_no_hint;
+          Alcotest.test_case "spare capacity" `Quick test_arena_spare_capacity;
           Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
           Alcotest.test_case "growth and rehash (70k rows)" `Quick
             test_arena_many_rows;
