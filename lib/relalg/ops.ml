@@ -88,9 +88,10 @@ let span telemetry name =
 
 let fanout_bounds = [| 0.05; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 32.0; 128.0 |]
 
-(* [joined]: the join's size, when a fused kernel projected it without
-   writing it; [out] is then the projection. *)
-let finish_join ?joined sp r s out =
+(* [fused]: the join's size and the matches sent to the dedup, when a
+   fused kernel projected the join without writing it; [out] is then
+   the projection. *)
+let finish_join ?fused sp r s out =
   match sp with
   | None -> ()
   | Some (t, sp) ->
@@ -104,11 +105,15 @@ let finish_join ?joined sp r s out =
          ("arity.out", Telemetry.Attr.Int (Relation.arity out));
          ("hash.probes", Telemetry.Attr.Int (max left right));
        ]
-      @ Option.fold joined ~none:[] ~some:(fun n -> [ ("rows.join", Telemetry.Attr.Int n) ]));
+      @
+      match fused with
+      | None -> []
+      | Some (joined, deduped) ->
+        [ ("rows.join", Telemetry.Attr.Int joined); ("rows.dedup", Telemetry.Attr.Int deduped) ]);
     Telemetry.Metrics.observe
       (Telemetry.Metrics.histogram ~bounds:fanout_bounds (Telemetry.metrics t)
          "ops.join_fanout")
-      (float_of_int (Option.value joined ~default:produced)
+      (float_of_int (match fused with Some (joined, _) -> joined | None -> produced)
       /. float_of_int (max 1 (max left right)));
     Telemetry.stop t sp
 
@@ -462,8 +467,7 @@ let equijoin ?(ctx = Ctx.null) ~on r s =
   out
 
 (* ------------------------------------------------------------------ *)
-(* Dedup kernel: record, partition, link, verify, compact; then settle,
-   fill.
+(* Dedup kernel: record, partition, link, verify; then settle, fill.
 
    Projection collapses rows, so its output size is known only once
    duplicates are found. A candidate row is named by a pair of input
@@ -484,11 +488,12 @@ let equijoin ?(ctx = Ctx.null) ~on r s =
    the first of them is never linked and each later one is. A pass in
    match order then compares each linked candidate with its link,
    reading the candidate's rows in the order the operator walked them,
-   and a last pass compacts the pairs of the candidates that are not
-   duplicates, in match order. So the distinct rows come out in
-   first-occurrence order, and nothing is written until every duplicate
-   is dropped. Every pass polls the deadline every [fill_poll_rows]
-   candidates. *)
+   and marks the duplicates. [project] then compacts the pairs of the
+   other candidates, in match order, and gathers them; [join_project]
+   walks its matches again and skips the marked ones. So the distinct
+   rows come out in first-occurrence order, and nothing is written
+   until every duplicate is dropped. Every pass polls the deadline
+   every [fill_poll_rows] candidates. *)
 
 (* Candidates a partition aims to hold: at most this many on average,
    so its table has at most 4096 slots, 32 KB. *)
@@ -510,8 +515,10 @@ let pair_hash ha hb =
   let h = ((ha * fnv_prime) lxor hb) * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
-(* [dedup] without its argument checks: the operators' own candidates
-   are valid by construction. *)
+(* [dedup] without its argument checks and its compaction (the
+   operators' own candidates are valid by construction): marks each
+   duplicate candidate [i] with [h.(i) < 0], leaves [h.(i) >= 0] on
+   each kept one, and returns how many it kept. *)
 let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
   let bits = partition_bits n in
   let shift = 62 - bits and parts = 1 lsl bits in
@@ -608,20 +615,26 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
     && (let e = index_at k in
         (e < i && same i e) || equals_earlier i (k + 1) hi)
   in
+  let dups = ref 0 in
   for i = 0 to n - 1 do
     let link = Array.unsafe_get h i in
     if link < 0 then begin
       let j = -link - 1 in
-      Array.unsafe_set h i
-        (if same i j
-            || (let q = Array.unsafe_get h j lsr shift in
-                equals_earlier i start.(q) start.(q + 1))
-         then -1
-         else 0)
+      let dup =
+        same i j
+        || (let q = Array.unsafe_get h j lsr shift in
+            equals_earlier i start.(q) start.(q + 1))
+      in
+      if dup then incr dups;
+      Array.unsafe_set h i (if dup then -1 else 0)
     end;
     poll_fill limits i
   done;
-  (* Compact the kept pairs to the front, in match order. *)
+  n - !dups
+
+(* Compact the pairs of the candidates [partitioned_dedup] kept to the
+   front of [a] (and of [b] with [keep_b]), in match order. *)
+let compact limits ~keep_b ~a ~b ~h n =
   let kept = ref 0 in
   for i = 0 to n - 1 do
     if Array.unsafe_get h i >= 0 then begin
@@ -630,8 +643,7 @@ let partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
       incr kept
     end;
     poll_fill limits i
-  done;
-  !kept
+  done
 
 let dedup ?limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
   let row_ok d w cols row =
@@ -645,24 +657,19 @@ let dedup ?limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n =
     if h.(i) < 0 || not (row_ok da wa ka a.(i) && (kb = [||] || row_ok db wb kb b.(i))) then
       invalid_arg "Ops.dedup: candidate out of range"
   done;
-  partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n
+  let kept = partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n in
+  compact limits ~keep_b:(Array.length kb > 0) ~a ~b ~h n;
+  kept
 
-(* Settle the [kept] distinct candidates, pairs [a.(i)] and [b.(i)],
-   into the fresh output [aout] and gather them: output column [j] is
-   column [cols.(j)] of the [a] row, or column [-cols.(j) - 1] of the
-   [b] row when negative. *)
-let gather limits aout ~da ~wa ~db ~wb cols a b kept =
+(* Settle the [kept] distinct rows [a.(0 .. kept - 1)] of [da] (width
+   [wa]) into the fresh output [aout] and gather their [cols]. *)
+let gather limits aout ~da ~wa cols a kept =
   let base = settle limits aout kept in
   let od = Arena.data aout and w = Arena.arity aout in
   for i = 0 to kept - 1 do
-    let cell = base + (i * w) in
-    let abase = Array.unsafe_get a i * wa in
-    let bbase = if Array.length b = 0 then 0 else Array.unsafe_get b i * wb in
+    let cell = base + (i * w) and abase = Array.unsafe_get a i * wa in
     for j = 0 to w - 1 do
-      let c = Array.unsafe_get cols j in
-      set_d od (cell + j)
-        (if c >= 0 then get_d da (abase + c)
-         else get_d db (bbase - c - 1))
+      set_d od (cell + j) (get_d da (abase + Array.unsafe_get cols j))
     done;
     poll_fill limits i
   done
@@ -684,32 +691,115 @@ let project ?(ctx = Ctx.null) r sub =
   let kept =
     partitioned_dedup limits ~da ~wa ~ka:positions ~db:no_rows ~wb:0 ~kb:[||] ~a ~b:[||] ~h n
   in
+  compact limits ~keep_b:false ~a ~b:[||] ~h n;
   let out = Relation.create ~size_hint:0 sub in
-  gather limits (Relation.arena out) ~da ~wa ~db:no_rows ~wb:0 positions a [||] kept;
+  gather limits (Relation.arena out) ~da ~wa positions a kept;
   note_result stats limits out;
   finish_unary sp r out;
   out
 
-(* The fused join's record pass: walk the join's recorded chains in the
-   sequential join's order and record each of its [n] matches' [r] row
-   in [a], [s] row in [b] (only when [kb] keeps a column of [s]) and
-   [pair_hash] in [h]. The build side's kept columns are hashed once per
-   build row ([nbuild] of them), the probe side's once per probe row
-   that matches. *)
-let record_matches limits j ~ka ~kb ~nbuild n =
+(* ------------------------------------------------------------------ *)
+(* Fused join and projection: index, count, settle the join; analyse
+   twins, record, dedup; settle, fill.
+
+   Only a match that can collide with another needs the dedup. When
+   every column the probe side drops is a join key, two different
+   matches with equal projected rows use two different build rows that
+   agree on every kept build column. Say matches [(b1, p1)] and
+   [(b2, p2)] (build row, probe row) project alike. Every kept build
+   column is a column of the projection, so [b1] and [b2] agree on it.
+   If [b1 = b2], then [p1] and [p2] agree on every probe column: on a
+   kept one through the projection, and on a dropped one, a join key,
+   because both equal the one build row there. A relation holds no row
+   twice, so then [p1 = p2], and the two matches are one. So a build
+   row with no twin — no other build row equal on every kept build
+   column — has matches that equal no other match: the kernel writes
+   them straight out. Only the twin matches, those of build rows with a
+   twin, are recorded and deduplicated; one fill pass then walks every
+   match in match order, writing each from its two input rows and
+   skipping the twin matches the dedup marked.
+
+   Every match is a twin match, and the passes are a plain record and
+   dedup, in three cases:
+   - the probe side drops a column that is not a join key, where the
+     argument fails: [s = {(k 1, z 7)}] and [r = {(x 1, k 1), (x 2, k 1)}]
+     project onto [z] as one row, from two matches of one build row;
+   - every build row has a twin, so there is nothing to prune;
+   - the call has at most [partition_rows] matches, where one
+     cache-resident table costs less than the analysis. *)
+
+(* Every build row counts as a twin: [first.(brow) = brow]. *)
+let all_twins nbuild =
+  let first = Array.make (max 1 nbuild) 0 in
+  for brow = 0 to nbuild - 1 do
+    Array.unsafe_set first brow brow
+  done;
+  first
+
+(* The twin analysis over the [nbuild] build rows, with [key] the build
+   side's kept columns and [n] the join's matches: [first.(brow)] is the
+   first build row at or after [brow] on its join chain ([j.next]) that
+   has a twin ([-1]: none), so [first.(brow) = brow] iff [brow] has one.
+   Returns [first] and the number of twin matches. The count pass is
+   done with [j.lens], which is reused. *)
+let twin_matches j ~key ~nbuild ~n =
+  (* [first] starts as the twin index's chains, [-1] ending each: a row
+     with no twin is on no other row's chain and ends its own. *)
+  let _, _, first, _ = build_key_index j.db j.wb key nbuild in
+  for brow = 0 to nbuild - 1 do
+    let t = Array.unsafe_get first brow in
+    if t >= 0 then begin
+      Array.unsafe_set first brow brow;
+      Array.unsafe_set first t t
+    end
+  done;
+  (* A join chain links each row to an earlier one, so an ascending pass
+     sees a row's successor first. [tail.(brow)]: the twin rows on the
+     join chain from [brow] down. *)
+  let tail = j.lens and twins = ref 0 in
+  for brow = 0 to nbuild - 1 do
+    let nx = Array.unsafe_get j.next brow in
+    let rest = if nx >= 0 then Array.unsafe_get tail nx else 0 in
+    if Array.unsafe_get first brow = brow then begin
+      incr twins;
+      Array.unsafe_set tail brow (rest + 1)
+    end
+    else begin
+      Array.unsafe_set first brow (if nx >= 0 then Array.unsafe_get first nx else -1);
+      Array.unsafe_set tail brow rest
+    end
+  done;
+  if !twins = nbuild then (first, n)
+  else begin
+    let m = ref 0 in
+    for prow = 0 to Array.length j.heads - 1 do
+      let head = Array.unsafe_get j.heads prow in
+      if head >= 0 then m := !m + Array.unsafe_get tail head
+    done;
+    (first, !m)
+  end
+
+(* The record pass: walk the join's recorded chains in the sequential
+   join's order and record each of the [m] twin matches' [r] row in [a],
+   [s] row in [b] (only when [kb] keeps a column of [s]) and [pair_hash]
+   in [h]. A twin build row's kept columns are hashed once, a probe
+   row's once if it has a twin match. *)
+let record_matches limits j ~first ~ka ~kb ~nbuild m =
   let build_on_r = j.build_on_r and next = j.next and heads = j.heads in
   let k_build, k_probe = if build_on_r then (ka, kb) else (kb, ka) in
-  let build_hash = Array.make nbuild 0 in
+  let build_hash = Array.make (max 1 nbuild) 0 in
   for brow = 0 to nbuild - 1 do
-    Array.unsafe_set build_hash brow (hash_key j.db (brow * j.wb) k_build);
+    if Array.unsafe_get first brow = brow then
+      Array.unsafe_set build_hash brow (hash_key j.db (brow * j.wb) k_build);
     poll_fill limits brow
   done;
   let keep_b = Array.length kb > 0 in
-  let a = Array.make n 0 and h = Array.make n 0 in
-  let b = if keep_b then Array.make n 0 else [||] in
+  let a = Array.make m 0 and h = Array.make m 0 in
+  let b = if keep_b then Array.make m 0 else [||] in
   let i = ref 0 in
   for prow = 0 to Array.length heads - 1 do
-    let brow = ref (Array.unsafe_get heads prow) in
+    let head = Array.unsafe_get heads prow in
+    let brow = ref (if head >= 0 then Array.unsafe_get first head else -1) in
     if !brow >= 0 then begin
       let hp = hash_key j.dp (prow * j.wp) k_probe in
       while !brow >= 0 do
@@ -726,18 +816,72 @@ let record_matches limits j ~ka ~kb ~nbuild n =
         end;
         poll_fill limits !i;
         incr i;
-        brow := Array.unsafe_get next !brow
+        let nx = Array.unsafe_get next !brow in
+        brow := if nx >= 0 then Array.unsafe_get first nx else -1
       done
     end
   done;
   (a, b, h)
 
+(* Where the fused kernel's fill writes — output row [i] starts at cell
+   [base + i * w] of [od] — and what it copies: output column [c] is
+   column [cols.(c)] of an [r] row of [dr], or column [-cols.(c) - 1] of
+   an [s] row of [ds] when negative. *)
+type projection_fill = {
+  od : Arena.data;
+  base : int;
+  w : int;
+  cols : int array;
+  dr : Arena.data;
+  wr : int;
+  ds : Arena.data;
+  ws : int;
+  limits : Limits.t option;
+}
+
+(* Write the projected match of [r_row] and [s_row] as output row
+   [row]: [fill_row]'s counterpart. *)
+let project_row (f : projection_fill) row r_row s_row =
+  let od = f.od and dr = f.dr and ds = f.ds and cols = f.cols in
+  let cell = f.base + (row * f.w) and rbase = r_row * f.wr and sbase = s_row * f.ws in
+  for k = 0 to f.w - 1 do
+    let c = Array.unsafe_get cols k in
+    set_d od (cell + k) (if c >= 0 then get_d dr (rbase + c) else get_d ds (sbase - c - 1))
+  done;
+  poll_fill f.limits row
+
+(* The fill pass: walk the join's chains in the sequential join's order
+   again and write every match but the twin matches the dedup marked
+   ([h.(t) < 0] for the [t]-th), each straight from its two input
+   rows. *)
+let fill_projection f j ~first ~h =
+  let build_on_r = j.build_on_r and next = j.next and heads = j.heads in
+  let row = ref 0 and t = ref 0 in
+  for prow = 0 to Array.length heads - 1 do
+    let brow = ref (Array.unsafe_get heads prow) in
+    while !brow >= 0 do
+      let b = !brow in
+      let keep =
+        Array.unsafe_get first b <> b
+        || begin
+          let verdict = Array.unsafe_get h !t in
+          incr t;
+          verdict >= 0
+        end
+      in
+      if keep then begin
+        if build_on_r then project_row f !row b prow else project_row f !row prow b;
+        incr row
+      end;
+      brow := Array.unsafe_get next b
+    done
+  done
+
 (* The fused join and projection: [natural_join]'s build index and count
    pass give the join's exact size, which is settled, recorded and
-   reported as the unfused join would be; then the recorded chains are
-   walked once, every match is recorded as its pair of input rows and
-   deduplicated, and only the distinct projected rows are written.
-   Sequential under any pool: the probe side is one range. *)
+   reported as the unfused join would be; then the twin matches are
+   recorded and deduplicated, and only the distinct projected rows are
+   written. Sequential under any pool: the probe side is one range. *)
 let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   let stats = Ctx.stats ctx and limits = Ctx.limits ctx in
   let sp = span (Ctx.telemetry ctx) "op.join.project" in
@@ -764,17 +908,31 @@ let join_project ?(ctx = Ctx.null) ?(on_join = ignore) r s sub =
   let ka = Schema.positions (Schema.restrict sub ~keep:(Schema.mem sr)) sr in
   let kb = Schema.positions (Schema.diff sub sr) ss in
   let nbuild = Arena.count (if j.build_on_r then ar else as_) in
-  let a, b, h = record_matches limits j ~ka ~kb ~nbuild n in
-  let kept = partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n in
+  let sbuild, sprobe = if j.build_on_r then (sr, ss) else (ss, sr) in
+  let first, m =
+    if n <= partition_rows || not (Schema.subset (Schema.diff sprobe sub) common) then
+      (all_twins nbuild, n)
+    else
+      twin_matches j ~nbuild ~n
+        ~key:(Schema.positions (Schema.restrict sbuild ~keep:(Schema.mem sub)) sbuild)
+  in
+  let a, b, h = record_matches limits j ~first ~ka ~kb ~nbuild m in
+  let kept = partitioned_dedup limits ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h m in
   let cols =
     Array.map
       (fun a -> if Schema.mem sr a then Schema.index sr a else -Schema.index ss a - 1)
       (Schema.to_array sub)
   in
   let out = Relation.create ~size_hint:0 sub in
-  gather limits (Relation.arena out) ~da ~wa ~db ~wb cols a b kept;
+  let aout = Relation.arena out in
+  let base = settle limits aout (n - m + kept) in
+  let f =
+    { od = Arena.data aout; base; w = Arena.arity aout; cols; dr = da; wr = wa; ds = db;
+      ws = wb; limits }
+  in
+  fill_projection f j ~first ~h;
   note_result stats limits out;
-  finish_join ~joined:n sp r s out;
+  finish_join ~fused:(n, m) sp r s out;
   out
 
 let project_away ?ctx r dropped =

@@ -26,7 +26,9 @@
     and the fused {!join_project} count too: they record each candidate
     row as its pair of input rows and a hash of its kept columns, find
     each distinct row's first occurrence with {!dedup}, then settle and
-    fill the distinct rows the same way. The settle
+    fill the distinct rows the same way. Projection records every row;
+    the fused kernel records only the matches that can equal another
+    (see {!join_project}) and writes the rest straight out. The settle
     commits the same total and raises the same reason as charging each
     row as it is kept would, before the output is sized or a row
     written; the {!Limits} hook runs after each of its (at most two)
@@ -91,15 +93,27 @@ val join_project :
     would — a fuel tick, {!Limits.charge_rows} [n] (a doomed join raises
     here), one {!Stats.record_join} and a {!Stats.record_relation} of
     arity [|r ∪ s|] and cardinality [n] — and calls [on_join n]. Then,
-    as the projection, it ticks again, records a projection and walks
-    the join's matches once, recording each as its pair of [r] and [s]
-    rows with a hash of its kept columns (each input row's kept columns
-    are hashed once, not each match's), and hands them to {!dedup};
-    only the distinct rows are settled and written. So the stats,
-    charges, fuel and abort reason are the unfused pair's, though the
-    join's [n] rows are charged and recorded but never materialized.
-    It runs sequentially whatever pool the context holds. Traced as
-    [op.join.project], with the join's size as [rows.join].
+    as the projection, it ticks again and records a projection.
+
+    When every column the probe side drops is a join key (the build
+    side is the smaller input, [r] on a tie), two different matches can project onto one row only through
+    two different build rows that agree on every kept build column: a
+    build row's twins. The kernel then indexes the build side's kept
+    columns, and only the twin matches — those of a build row with a
+    twin — are candidates. In three cases every match is a candidate:
+    the probe side drops a column that is not a join key, every build
+    row has a twin, or the join has at most 2048 matches. The kernel
+    walks the join's matches once, recording each candidate as its pair
+    of [r] and [s] rows with a hash of its kept columns (each input
+    row's kept columns are hashed once, not each match's), and the core
+    of {!dedup} marks the candidates that repeat an earlier one. It
+    settles the distinct rows, then one fill pass writes, in match
+    order, every match but the marked candidates, each from its two
+    input rows. So the stats, charges, fuel and abort reason are the
+    unfused pair's, though the join's [n] rows are charged and recorded
+    but never materialized. It runs sequentially whatever pool the
+    context holds. Traced as [op.join.project], with the join's size as
+    [rows.join] and the candidates as [rows.dedup].
     @raise Not_found if [sub] is not a subset of [r]'s and [s]'s
     attributes. *)
 
@@ -107,8 +121,9 @@ val dedup :
   ?limits:Limits.t -> da:Arena.data -> wa:int -> ka:int array ->
   db:Arena.data -> wb:int -> kb:int array ->
   a:int array -> b:int array -> h:int array -> int -> int
-(** The duplicate elimination under {!project} and {!join_project},
-    exposed for its tests. [dedup ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n]
+(** The duplicate elimination under {!project} and {!join_project}
+    (which skips the duplicates as it fills instead of compacting
+    them), exposed for its tests. [dedup ~da ~wa ~ka ~db ~wb ~kb ~a ~b ~h n]
     takes [n] candidate rows: candidate [i] is the [ka] columns of row
     [a.(i)] of the row-major arena storage [da] (width [wa]) followed by
     the [kb] columns of row [b.(i)] of [db] (width [wb]); [b] and [db]

@@ -1033,28 +1033,55 @@ type fused_case = {
 
 let fused_case_gen =
   QCheck.Gen.(
-    let attrs = map (List.filteri (fun i _ -> i < 3)) (shuffle_l [ 0; 1; 2; 3; 4 ]) in
-    let schema =
-      int_range 0 3 >>= fun k -> map (List.filteri (fun i _ -> i < k)) attrs
+    let random =
+      let attrs = map (List.filteri (fun i _ -> i < 3)) (shuffle_l [ 0; 1; 2; 3; 4 ]) in
+      let schema =
+        int_range 0 3 >>= fun k -> map (List.filteri (fun i _ -> i < k)) attrs
+      in
+      let rows attrs =
+        list_size (int_range 0 25) (list_repeat (List.length attrs) (int_range 0 3))
+      in
+      schema >>= fun r_attrs ->
+      schema >>= fun s_attrs ->
+      rows r_attrs >>= fun r_rows ->
+      rows s_attrs >>= fun s_rows ->
+      let union = List.sort_uniq compare (r_attrs @ s_attrs) in
+      shuffle_l union >>= fun order ->
+      int_range 0 (List.length union) >>= fun k ->
+      budget_gen >>= fun budget ->
+      frequency [ (1, int_range 0 2); (3, return max_int) ] >>= fun fuel ->
+      return
+        {
+          r_attrs; r_rows; s_attrs; s_rows;
+          keep = List.filteri (fun i _ -> i < k) order;
+          budget; fuel;
+        }
     in
-    let rows attrs =
-      list_size (int_range 0 25) (list_repeat (List.length attrs) (int_range 0 3))
+    (* [r(0, 1)] joins [s(1, 2)], the build side, over a 3-value key,
+       most often under no cap and in about half the cases in more
+       matches than the dedup's 2048-candidate partition; the keep set
+       picks the fused kernel's path. *)
+    let shaped keeps =
+      let row a b = map2 (fun x y -> [ x; y ]) (int_range 0 a) (int_range 0 b) in
+      list_size (int_range 100 300) (row 199 2) >>= fun r_rows ->
+      list_size (int_range 30 60) (row 2 19) >>= fun s_rows ->
+      oneofl keeps >>= fun keep ->
+      frequency
+        [ (1, budget_gen); (3, return { max_tuples = max_int; max_total = max_int; spent = 0 }) ]
+      >>= fun budget ->
+      frequency [ (1, int_range 0 2); (3, return max_int) ] >>= fun fuel ->
+      return { r_attrs = [ 0; 1 ]; r_rows; s_attrs = [ 1; 2 ]; s_rows; keep; budget; fuel }
     in
-    schema >>= fun r_attrs ->
-    schema >>= fun s_attrs ->
-    rows r_attrs >>= fun r_rows ->
-    rows s_attrs >>= fun s_rows ->
-    let union = List.sort_uniq compare (r_attrs @ s_attrs) in
-    shuffle_l union >>= fun order ->
-    int_range 0 (List.length union) >>= fun k ->
-    budget_gen >>= fun budget ->
-    frequency [ (1, int_range 0 2); (3, return max_int) ] >>= fun fuel ->
-    return
-      {
-        r_attrs; r_rows; s_attrs; s_rows;
-        keep = List.filteri (fun i _ -> i < k) order;
-        budget; fuel;
-      })
+    frequency
+      [
+        (3, random);
+        (* Every build column kept: no twin, no match deduplicated. *)
+        (1, shaped [ [ 0; 1; 2 ]; [ 2; 0; 1 ]; [ 1; 2; 0 ] ]);
+        (* Only the key dropped: build rows equal on column 2 are twins. *)
+        (1, shaped [ [ 0; 2 ]; [ 2; 0 ] ]);
+        (* The probe side drops column 0, no key: every match deduplicated. *)
+        (1, shaped [ [ 2 ]; [ 1; 2 ]; [ 2; 1 ]; [ 1 ]; [] ]);
+      ])
 
 let print_fused_case c =
   Printf.sprintf "r %s = %s; s %s = %s; keep %s; %s; fuel %d"
@@ -1395,21 +1422,84 @@ let test_dedup_large_partition () =
   Alcotest.check_raises "too few candidates" (Invalid_argument "Ops.dedup: fewer than n candidates")
     (fun () -> ignore (dedup ~a:[| 0 |] ~h:[| 0 |] 2))
 
-(* The dedup's passes poll the deadline: a clock that passes the
-   deadline at its [k]-th read, for every [k], makes the fused kernel
-   raise [Deadline] with the total the flat kernel left at a poll in the
-   same phase: nothing before the join's charge, the join's [n] rows
-   from its charge to the projection's settle, and [n] plus the kept
-   rows in the gather. Between the join's charge and the settle the
-   clock is read by the projection's tick, once per 1024 rows of the
-   build-side hash pass, once per 1024 candidates of each of the six
-   passes over the [n] candidates (record, count, scatter, link, verify,
-   compact), and by the settle. *)
-let test_dedup_deadline_polls () =
-  (* 12k matches (build side [s], 2000 rows), 3000 distinct. *)
-  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 500 ])) in
-  let s = relation [ 1; 2 ] (List.init 2000 (fun i -> [ i mod 500; i ])) in
-  let sub = Schema.of_list [ 0 ] in
+(* The fused kernel on a twin-pruned input: 6000 matches, each row of
+   [r(0, 1)] meeting one row of [s(1, 2)], the build side (1000 rows).
+   Projected on [{0, 2}], only the key [1] is dropped. The 500 rows
+   [k < 500] of [s] have no twin on column 2; the other 500 come in
+   twins of five, so 3000 matches are twin matches, and they project
+   onto 600 rows: 3600 distinct rows. *)
+let twin_pruned () =
+  let r = relation [ 0; 1 ] (List.init 6000 (fun i -> [ i / 1000; i mod 1000 ])) in
+  let s =
+    relation [ 1; 2 ]
+      (List.init 1000 (fun k -> [ k; (if k < 500 then k else 10_000 + (k mod 100)) ]))
+  in
+  (r, s, Schema.of_list [ 0; 2 ])
+
+(* [join_project r s sub] against [project (natural_join r s) sub]: the
+   same rows in the same order, with the same charge. Returns the
+   fused span's [rows.join] and [rows.dedup] (the matches sent to the
+   dedup, which names the kernel's path) and the rows kept. *)
+let fused_path r s sub =
+  let sink, spans = Telemetry.Sink.memory () in
+  let t = Telemetry.create sink in
+  let limits = Limits.create () in
+  let out = Ops.join_project ~ctx:(Relalg.Ctx.create ~limits ~telemetry:t ()) r s sub in
+  Telemetry.close t;
+  let unfused_limits = Limits.create () in
+  let ctx = Relalg.Ctx.create ~limits:unfused_limits () in
+  let expected = Ops.project ~ctx (Ops.natural_join ~ctx r s) sub in
+  Alcotest.(check (list (array int))) "the unfused pair's rows, in its order"
+    (rows_of expected) (rows_of out);
+  check_int "the unfused pair's charge" (Limits.total_charged unfused_limits)
+    (Limits.total_charged limits);
+  let attr a =
+    match
+      List.find_map
+        (fun sp ->
+          if Telemetry.Span.name sp = "op.join.project" then Telemetry.Span.attr sp a else None)
+        (spans ())
+    with
+    | Some (Telemetry.Attr.Int n) -> n
+    | _ -> Alcotest.failf "op.join.project has no %s" a
+  in
+  (attr "rows.join", attr "rows.dedup", Relation.cardinality out)
+
+let check_path name (join, dedup, kept) (join', dedup', kept') =
+  check_int (name ^ ": rows.join") join join';
+  check_int (name ^ ": rows.dedup") dedup dedup';
+  check_int (name ^ ": rows kept") kept kept'
+
+(* One fixed case per path of the fused kernel, each past 2048 matches
+   (at most that many take the all-twin path whatever the input). *)
+let test_fused_paths () =
+  (* Every column of the build side [s] is kept, and the probe side
+     drops none: no build row has a twin, no match is deduplicated. *)
+  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 3 ])) in
+  let s = relation [ 1; 2 ] (List.init 6 (fun i -> [ i mod 3; i ])) in
+  check_path "no dedup needed" (6000, 0, 6000) (fused_path r s (Schema.of_list [ 2; 0; 1 ]));
+  (* Twin and non-twin matches, with duplicates among the twins: only
+     the twin matches are deduplicated. *)
+  let r, s, sub = twin_pruned () in
+  check_path "twin-pruned" (6000, 3000, 3600) (fused_path r s sub);
+  (* The probe side [r] drops [x], no join key: both matches of the one
+     build row project onto [z] alike, so every match is deduplicated,
+     though no build row has a twin. The small case takes that path
+     below 2048 matches anyway; the large one by the rule alone. *)
+  let x = 0 and k = 1 and z = 2 in
+  let s = relation [ k; z ] [ [ 1; 7 ] ] in
+  let r = relation [ x; k ] [ [ 1; 1 ]; [ 2; 1 ] ] in
+  check_path "fallback" (2, 2, 1) (fused_path r s (Schema.of_list [ z ]));
+  let s = relation [ k; z ] [ [ 1; 7 ]; [ 2; 8 ] ] in
+  let r = relation [ x; k ] (List.init 3000 (fun i -> [ i; 1 ])) in
+  check_path "fallback past 2048 matches" (3000, 3000, 1)
+    (fused_path r s (Schema.of_list [ z ]))
+
+(* The totals [join_project r s sub] left when it raised [Deadline],
+   under a clock that passes the deadline at its [k]-th read, for each
+   [k] from 1 until the call finishes; the finished call must have
+   charged the join's [n] rows and its [kept] rows and kept those. *)
+let deadline_totals r s sub ~n ~kept =
   let run k =
     (* Reads are counted once the deadline is set. *)
     let reads = ref 0 and armed = ref false in
@@ -1425,7 +1515,6 @@ let test_dedup_deadline_polls () =
     | out -> (None, Limits.total_charged limits, Relation.cardinality out)
     | exception Limits.Abort reason -> (Some reason, Limits.total_charged limits, 0)
   in
-  let n = 12_000 and kept = 3_000 in
   let rec sweep k acc =
     match run k with
     | None, total, card ->
@@ -1436,26 +1525,60 @@ let test_dedup_deadline_polls () =
       check_bool "deadline" true (reason = Limits.Deadline);
       sweep (k + 1) (total :: acc)
   in
-  let totals = sweep 1 [] in
+  sweep 1 []
+
+(* The polls [deadline_totals] saw, by phase: nothing charged before the
+   join's charge, the join's [n] rows from its charge to the
+   projection's settle, and [n] plus the kept rows in the fill. *)
+let check_polls totals ~n ~kept ~between ~fill =
   let count t = List.length (List.filter (( = ) t) totals) in
   check_int "polls before the join's charge" 2 (count 0);
-  check_int "polls between the join's charge and the settle"
-    (1 + (2000 / 1024) + (6 * (n / 1024)) + 1)
-    (count n);
-  check_int "polls in the gather" (kept / 1024) (count (n + kept));
+  check_int "polls between the join's charge and the settle" between (count n);
+  check_int "polls in the fill" fill (count (n + kept));
   check_int "no other total" (List.length totals) (count 0 + count n + count (n + kept))
+
+(* The fused kernel's passes poll the deadline: a clock that passes the
+   deadline at its [k]-th read, for every [k], makes it raise
+   [Deadline] at a poll of each phase. Between the join's charge and
+   the settle the clock is read by the projection's tick, once per 1024
+   rows of the build-side hash pass, once per 1024 candidates of each
+   of the five passes over the [m] candidates (record, count, scatter,
+   link, verify), and by the settle; the fill polls once per 1024 rows
+   it writes. *)
+let test_dedup_deadline_polls () =
+  (* All twin: 12k matches (build side [s], 2000 rows, none of whose
+     columns is kept), all sent to the dedup; 3000 distinct. *)
+  let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 500 ])) in
+  let s = relation [ 1; 2 ] (List.init 2000 (fun i -> [ i mod 500; i ])) in
+  let n = 12_000 and kept = 3_000 in
+  check_polls
+    (deadline_totals r s (Schema.of_list [ 0 ]) ~n ~kept)
+    ~n ~kept
+    ~between:(1 + (2000 / 1024) + (5 * (n / 1024)) + 1)
+    ~fill:(kept / 1024);
+  (* Twin-pruned: 6000 matches, 3000 of them sent to the dedup, 3600
+     distinct; 1000 build rows. *)
+  let r, s, sub = twin_pruned () in
+  let n = 6_000 and m = 3_000 and kept = 3_600 in
+  check_polls (deadline_totals r s sub ~n ~kept) ~n ~kept
+    ~between:(1 + (1000 / 1024) + (5 * (m / 1024)) + 1)
+    ~fill:(kept / 1024)
 
 (* Fuel trips at the projection's tick, after the join's charge and
    before any dedup pass, as it did before the fused kernel
-   partitioned. *)
+   partitioned, on an all-twin input and on a twin-pruned one. *)
 let test_dedup_fuel () =
+  let fuel_trip name r s sub n =
+    let limits = Limits.create ~fuel:1 () in
+    Alcotest.check_raises (name ^ ": fuel") (Limits.Abort Limits.Fuel) (fun () ->
+        ignore (Ops.join_project ~ctx:(Relalg.Ctx.create ~limits ()) r s sub));
+    check_int (name ^ ": the join's rows were charged") n (Limits.total_charged limits)
+  in
   let r = relation [ 0; 1 ] (List.init 3000 (fun i -> [ i; i mod 500 ])) in
   let s = relation [ 1; 2 ] (List.init 2000 (fun i -> [ i mod 500; i ])) in
-  let limits = Limits.create ~fuel:1 () in
-  Alcotest.check_raises "fuel" (Limits.Abort Limits.Fuel) (fun () ->
-      ignore
-        (Ops.join_project ~ctx:(Relalg.Ctx.create ~limits ()) r s (Schema.of_list [ 0 ])));
-  check_int "the join's rows were charged" 12_000 (Limits.total_charged limits)
+  fuel_trip "all twin" r s (Schema.of_list [ 0 ]) 12_000;
+  let r, s, sub = twin_pruned () in
+  fuel_trip "twin-pruned" r s sub 6_000
 
 (* An arena created with no size hint holds no storage until [extend] or
    [add] sizes it, then grows as before. *)
@@ -1642,6 +1765,7 @@ let () =
           Alcotest.test_case "empty keep set" `Quick test_dedup_empty_keep;
           Alcotest.test_case "skewed input" `Quick test_dedup_skewed;
           Alcotest.test_case "one large partition" `Quick test_dedup_large_partition;
+          Alcotest.test_case "fused kernel paths" `Quick test_fused_paths;
           Alcotest.test_case "deadline polls" `Quick test_dedup_deadline_polls;
           Alcotest.test_case "fuel" `Quick test_dedup_fuel;
         ] );

@@ -153,12 +153,18 @@ let test_span_nesting_well_formed () =
       match Span.name s with
       | "op.join.hash" | "op.join.project" ->
         List.iter has [ "rows.out"; "arity.out"; "hash.probes" ];
-        if Span.name s = "op.join.project" then
-          (* The join's size, never written, bounds its projection's. *)
+        if Span.name s = "op.join.project" then begin
+          (* The join's size, never written, bounds its projection's
+             and the matches sent to the dedup. *)
           check_bool "op.join.project has rows.join >= rows.out" true
             (match (int_attr s "rows.join", int_attr s "rows.out") with
             | Some j, Some o -> j >= o
+            | _ -> false);
+          check_bool "op.join.project has rows.dedup <= rows.join" true
+            (match (int_attr s "rows.dedup", int_attr s "rows.join") with
+            | Some d, Some j -> 0 <= d && d <= j
             | _ -> false)
+        end
       | "op.project" -> List.iter has [ "rows.in"; "rows.out"; "arity.out" ]
       | _ -> ())
     spans
