@@ -1058,9 +1058,9 @@ let fused_case_gen =
         }
     in
     (* [r(0, 1)] joins [s(1, 2)], the build side, over a 3-value key,
-       most often under no cap and in about half the cases in more
-       matches than the dedup's 2048-candidate partition; the keep set
-       picks the fused kernel's path. *)
+       most often under no cap and in about a third of the cases in
+       more matches than the dedup's 2048-candidate partition; the keep
+       set picks the fused kernel's path. *)
     let shaped keeps =
       let row a b = map2 (fun x y -> [ x; y ]) (int_range 0 a) (int_range 0 b) in
       list_size (int_range 100 300) (row 199 2) >>= fun r_rows ->
