@@ -1,4 +1,5 @@
 module Relation = Relalg.Relation
+module Arena = Relalg.Arena
 module Schema = Relalg.Schema
 module Tuple = Relalg.Tuple
 module Cursor = Relalg.Cursor
@@ -104,6 +105,12 @@ let kept_schema schema kept =
     invalid_arg "Exec: projection keeps a variable absent from its input";
   target
 
+(* Free [rels], the inputs a plan node consumed, and record the cells
+   they held as the node span's [cells.freed]. *)
+let release_inputs sp rels =
+  let cells = List.fold_left (fun acc rel -> acc + Arena.release (Relation.arena rel)) 0 rels in
+  Option.iter (fun sp -> Telemetry.Span.set_attr sp "cells.freed" (Telemetry.Attr.Int cells)) sp
+
 (* Each plan node runs inside a [plan.*] span (the operator itself adds a
    nested [op.*] span), so a trace mirrors the plan tree: a join node's
    span contains both input subtrees and the join work. [observe] fires
@@ -113,33 +120,53 @@ let kept_schema schema kept =
    A projection of a join runs as one fused kernel ([Ops.join_project]),
    which never writes the join: the [plan.join] span then holds the
    fused [op.join.project] span, and the join node is observed with the
-   join's logical size, before the projection node. *)
+   join's logical size, before the projection node.
+
+   Every input a node reads is its own: a kernel writes a fresh output
+   and [Database.eval_atom] copies the stored relation. So a node
+   releases its inputs as soon as its kernel has returned or raised
+   (or, when an input raised, the inputs already computed), and a
+   run's peak holds the relations of its largest step, not every
+   intermediate it made. The fused projection node has no input of its
+   own: its join node releases the join's. The root's result is the
+   caller's and is never released. *)
 let rec run ?(ctx = Ctx.null) ?observe db plan =
   let note node n = match observe with Some f -> f node n | None -> () in
-  let within name f =
+  (* Run [f] in a [name] span; [f] reads its children through [input],
+     and every input it read is released however [f] exits. *)
+  let node name f =
+    let consume sp =
+      let inputs = ref [] in
+      let input p =
+        let rel = run ~ctx ?observe db p in
+        inputs := rel :: !inputs;
+        rel
+      in
+      Fun.protect ~finally:(fun () -> release_inputs sp !inputs) (fun () -> f input)
+    in
     match Ctx.telemetry ctx with
-    | Some t -> Telemetry.with_span t name (fun _ -> f ())
-    | None -> f ()
+    | Some t -> Telemetry.with_span t name (fun sp -> consume (Some sp))
+    | None -> consume None
   in
   let result =
     match plan with
     | Plan.Atom atom -> Database.eval_atom ~ctx db atom
     | Plan.Join (l, r) ->
-      within "plan.join" (fun () ->
-          let rl = run ~ctx ?observe db l in
-          let rr = run ~ctx ?observe db r in
+      node "plan.join" (fun input ->
+          let rl = input l in
+          let rr = input r in
           Ops.natural_join ~ctx rl rr)
     | Plan.Project ((Plan.Join (l, r) as join), kept) ->
-      within "plan.project" (fun () ->
-          within "plan.join" (fun () ->
-              let rl = run ~ctx ?observe db l in
-              let rr = run ~ctx ?observe db r in
+      node "plan.project" (fun _ ->
+          node "plan.join" (fun input ->
+              let rl = input l in
+              let rr = input r in
               let joined = Schema.union (Relation.schema rl) (Relation.schema rr) in
               Ops.join_project ~ctx ~on_join:(note join) rl rr
                 (kept_schema joined kept)))
     | Plan.Project (sub, kept) ->
-      within "plan.project" (fun () ->
-          let rsub = run ~ctx ?observe db sub in
+      node "plan.project" (fun input ->
+          let rsub = input sub in
           Ops.project ~ctx rsub (kept_schema (Relation.schema rsub) kept))
   in
   note plan (Relation.cardinality result);

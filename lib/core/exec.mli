@@ -143,6 +143,16 @@ val run :
     the other joins may split their probe side across it. Boolean plans
     (empty schema) evaluate to the 0-ary relation containing the empty
     tuple when the join is nonempty and to the empty relation otherwise.
+
+    The executor frees its intermediates: every relation a node reads is
+    its own (a kernel's fresh output, or an atom's copy of the stored
+    relation), and the node releases it ({!Relalg.Arena.release}) as
+    soon as its kernel has returned or raised, so a run holds the
+    inputs and output of its current step, not every intermediate it
+    made. Each [plan.join]/[plan.project] span carries [cells.freed],
+    the cells of the inputs that node released. The returned relation
+    is the caller's and is never released; on an abort, every relation
+    already computed has been released.
     @raise Relalg.Limits.Abort when a resource guard trips.
     @raise Not_found if an atom names an unregistered relation. *)
 

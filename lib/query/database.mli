@@ -21,9 +21,11 @@ val names : t -> string list
 
 val eval_atom : ?ctx:Relalg.Ctx.t -> t -> Cq.atom -> Relalg.Relation.t
 (** Materialize one atom occurrence as a relation over its variables.
-    With telemetry in the context, the materialization runs in an
-    [op.scan] span carrying the relation name and base/output
-    cardinalities.
+    The result is a fresh relation owned by the caller, never the stored
+    one, so the caller may release its arena ({!Relalg.Arena.release})
+    once done with it. With telemetry in the context, the
+    materialization runs in an [op.scan] span carrying the relation
+    name and base/output cardinalities.
     @raise Invalid_argument if the atom's arity does not match the base
     relation's. *)
 

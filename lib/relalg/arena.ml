@@ -15,14 +15,16 @@
    Storage is allocated uninitialised ([Bigarray.Array1.create]): the
    kernels overwrite every cell they claim, so zero-filling it first is
    wasted work, and the major GC never scans it. Growing and copying move
-   the live prefix with one [Bigarray.Array1.blit], a memmove with no
-   write barrier; cells past the live rows hold whatever the allocator
-   left there (docs/INTERNALS.md, "Storage layer"). Every access site
-   names the type [data], so the compiler emits a plain load or store
-   rather than a generic Bigarray call.
+   the live prefix with one memcpy ([blit_cells]), never through a
+   [Bigarray.Array1.sub] view: a view gives the storage a proxy, and
+   proxied storage cannot be freed by hand. Cells past the live rows
+   hold whatever the allocator left there (docs/INTERNALS.md, "Storage
+   layer"). Every access site names the type [data], so the compiler
+   emits a plain load or store rather than a generic Bigarray call.
 
    Every arena's data is a malloc chunk, so the layer that owns it sets
-   the process's allocator policy, once, as this module initialises
+   the process's allocator policy, once, as this module initialises,
+   and [release] frees a chunk as soon as its owner is done with it
    ([arena_stubs.c]; docs/INTERNALS.md, "Memory policy"). *)
 
 type malloc_policy = Pinned | Unsupported | Refused
@@ -150,17 +152,19 @@ let mem t tup =
     t.slots.(find_slot t tup (hash_tuple tup)) <> 0
   end
 
-(* The first [cells] cells of [d]: a [sub] view only when [d] holds
-   more, since each view is a block of its own. *)
-let prefix (d : data) cells =
-  if Bigarray.Array1.dim d = cells then d else Bigarray.Array1.sub d 0 cells
+(* [blit_cells src dst n] copies the first [n] cells of [src] to the
+   front of [dst]; both hold at least [n]. *)
+external blit_cells : data -> data -> int -> unit = "ppr_arena_blit" [@@noalloc]
+
+(* Frees a storage's cells now and leaves it zero-length (arena_stubs.c). *)
+external free_data : data -> unit = "ppr_arena_free" [@@noalloc]
 
 (* The live prefix of [t]'s storage copied to the front of [data]. A
    kernel's output is empty when [extend] first sizes it, so that
    resize copies nothing. *)
 let blit_live t data =
   let live = t.count * t.arity in
-  if live > 0 then Bigarray.Array1.blit (prefix t.data live) (prefix data live);
+  if live > 0 then blit_cells t.data data live;
   data
 
 (* Replace [data] by [cells] uninitialised cells holding the stored
@@ -239,3 +243,15 @@ let copy t =
     data = (if live = 0 then empty else blit_live t (alloc live));
     slots = Array.copy t.slots;
   }
+
+(* The shared [empty] storage is never freed: every arena without
+   storage of its own holds it. *)
+let release t =
+  let live = t.count * t.arity in
+  if t.data != empty then free_data t.data;
+  t.data <- empty;
+  t.count <- 0;
+  t.slots <- [||];
+  t.mask <- -1;
+  t.indexed <- 0;
+  live

@@ -29,8 +29,24 @@
     no cell is zero-filled, and the major GC does not scan it. Only the
     cells of rows [0 .. count - 1] are specified; the spare capacity
     that [create]'s [size_hint] and [add]'s doubling leave past them
-    holds unspecified values until a row is claimed there. A dead
-    arena's storage is freed when the GC finalises it. *)
+    holds unspecified values until a row is claimed there. {!release}
+    frees an arena's storage at once; an arena never released has its
+    storage freed when the GC finalises it.
+
+    {b Ownership.} An arena has one owner: the code that created it, or
+    the caller a function handed a fresh arena to (every kernel in
+    [Ops] returns a fresh output, and [Database.eval_atom] a fresh copy
+    of the stored relation).
+    - Only the owner releases an arena, and only once nothing else will
+      read it.
+    - No raw {!data} value outlives the kernel call that fetched it: a
+      kernel reads and writes it during the call and keeps nothing. A
+      pooled kernel keeps the rule because [Pool.run] returns only
+      after every task has ended, aborts included.
+
+    So once a kernel has returned or raised, its owner may release its
+    inputs: the binary-plan executor ([Exec.run]) releases each
+    intermediate as soon as its consumer's kernel is done with it. *)
 
 type t
 
@@ -44,12 +60,16 @@ type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
     array over 256 words, which OCaml 5 allocates with [malloc]. glibc's
     dynamic thresholds hand such chunks back to the kernel when they are
     freed, and the next output then faults its pages in and has the
-    kernel zero them again. On
-    glibc the library pins [M_MMAP_THRESHOLD] at 32 MiB and
-    [M_TRIM_THRESHOLD] at 256 MiB, so freed storage stays mapped and is
-    reused. Nothing reads the environment and there is no option. *)
+    kernel zero them again. On glibc the library pins
+    [M_MMAP_THRESHOLD] at 32 MiB, sets [M_MMAP_MAX] to 0 so that no
+    chunk, however large, is served by [mmap], and pins
+    [M_TRIM_THRESHOLD] at 256 MiB. Freed storage then stays in the heap
+    and the next allocation of its size reuses it, faulting nothing in;
+    the price is that up to 256 MiB of freed heap stays resident in a
+    long-lived process. Nothing reads the environment and there is no
+    option. *)
 type malloc_policy =
-  | Pinned  (** Both thresholds are set. *)
+  | Pinned  (** All three settings are made. *)
   | Unsupported  (** Not glibc: the allocator's own policy stands. *)
   | Refused  (** glibc's [mallopt] refused a value. *)
 
@@ -86,7 +106,7 @@ val fold : (int array -> 'a -> 'a) -> t -> 'a -> 'a
 val copy : t -> t
 (** An arena with the same rows and index, over storage of its own that
     holds exactly those rows: only the [count * arity] live cells are
-    copied, with one [Bigarray.Array1.blit]. *)
+    copied, with one [memcpy]. *)
 
 (** {2 Kernel interface}
 
@@ -111,7 +131,7 @@ val data : t -> data
 (** The raw row-major storage. Only cells of rows [0 .. count - 1] are
     specified; treat as read-only. Its length is the capacity times the
     arity. It is replaced wholesale when the arena grows, so re-fetch it
-    after any insert. *)
+    after any insert, and freed by {!release}. *)
 
 val extend : t -> int -> int
 (** [extend t n] adds [n] rows to {!count} at once and returns the base
@@ -131,3 +151,13 @@ val extend : t -> int -> int
     already stored. Nothing checks this; breaking it leaves a duplicate
     row that {!count}, {!iter} and every later operator will see.
     @raise Invalid_argument on a negative [n]. *)
+
+val release : t -> int
+(** [release t] frees [t]'s storage at once, leaves [t] empty (no rows,
+    no index) and returns the live cells it held, [count * arity].
+    Releasing again frees nothing and returns 0, and a later {!extend}
+    or {!add} allocates fresh storage. A {!data} value fetched before
+    the release must not be read or written afterwards; it is then a
+    zero-length array. (The arena makes no view of its storage; if a
+    caller made one, the storage is shared with the view and is left to
+    the GC.) Only [t]'s owner may release it (see {b Ownership} above). *)

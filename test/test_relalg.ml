@@ -1629,6 +1629,59 @@ let test_arena_spare_capacity () =
   check_int "does not show in the original" 3 (Arena.get a 0 0);
   check_bool "the copy grows on its own" true (Arena.add c [| 5; 5 |] && not (Arena.mem a [| 5; 5 |]))
 
+(* [release] frees an arena's storage at once and leaves the arena
+   empty. A [data] value fetched before the release reads as zero-length
+   afterwards exactly when the storage was freed there and then, rather
+   than left to the GC: storage that a view shares cannot be. *)
+let test_arena_release () =
+  let rows a = List.rev (Arena.fold (fun t acc -> Array.to_list t :: acc) a []) in
+  let a = Arena.create ~size_hint:0 2 in
+  let base = Arena.extend a 3 in
+  let d = Arena.data a in
+  Array.iteri (fun i v -> Bigarray.Array1.set d (base + i) v) [| 1; 2; 3; 4; 5; 6 |];
+  check_bool "indexed" true (Arena.mem a [| 3; 4 |]);
+  check_int "release returns the live cells" 6 (Arena.release a);
+  check_int "storage freed" 0 (Bigarray.Array1.dim d);
+  check_int "no rows" 0 (Arena.count a);
+  check_int "no storage" 0 (Bigarray.Array1.dim (Arena.data a));
+  check_bool "no index" false (Arena.mem a [| 3; 4 |]);
+  Alcotest.(check (list (list int))) "reads as empty" [] (rows a);
+  check_int "a second release frees nothing" 0 (Arena.release a);
+  check_int "a second release leaves it empty" 0 (Arena.count a);
+  let base = Arena.extend a 2 in
+  check_int "extend after release: first row at 0" 0 base;
+  check_int "extend after release: fresh storage" 4 (Bigarray.Array1.dim (Arena.data a));
+  Array.iteri (fun i v -> Bigarray.Array1.set (Arena.data a) i v) [| 7; 8; 9; 10 |];
+  check_bool "add after extend" true (Arena.add a [| 1; 1 |]);
+  check_bool "extended rows indexed" false (Arena.add a [| 9; 10 |]);
+  Alcotest.(check (list (list int))) "rows after extend" [ [ 7; 8 ]; [ 9; 10 ]; [ 1; 1 ] ] (rows a);
+  check_int "release after extend and add" 6 (Arena.release a);
+  check_bool "add after release" true (Arena.add a [| 5; 6 |]);
+  check_int "add after release: fresh storage for 8 rows" 16 (Bigarray.Array1.dim (Arena.data a));
+  check_bool "add after release: indexed" false (Arena.add a [| 5; 6 |]);
+  Alcotest.(check (list (list int))) "rows after add" [ [ 5; 6 ] ] (rows a);
+  (* Growing through [add] copies the live rows into larger storage; the
+     copy once went through [Bigarray.Array1.sub] views, which left the
+     storage shared and unreleasable. *)
+  let g = Arena.create ~size_hint:8 2 in
+  for k = 0 to 99 do
+    ignore (Arena.add g [| k; k + 1 |])
+  done;
+  let d = Arena.data g in
+  check_int "grown to 128 rows" 256 (Bigarray.Array1.dim d);
+  check_int "grown rows kept" 99 (Arena.get g 99 0);
+  let c = Arena.copy g in
+  check_int "release a grown arena" 200 (Arena.release g);
+  check_int "grown storage freed" 0 (Bigarray.Array1.dim d);
+  check_int "the copy keeps its rows" 100 (Arena.count c);
+  check_bool "the copy's index" true (Arena.mem c [| 42; 43 |]);
+  check_int "release the copy" 200 (Arena.release c);
+  let z = Arena.create 0 in
+  ignore (Arena.add z [||]);
+  check_int "0-ary release: no cells" 0 (Arena.release z);
+  check_int "0-ary release: no rows" 0 (Arena.count z);
+  check_bool "0-ary add after release" true (Arena.add z [||])
+
 (* The allocator policy keeps freed arena storage mapped: 20 rounds of
    eight ~1 MiB arenas, each round dropped and collected, fault fewer
    pages together than the first round alone, which faults its 8 MiB
@@ -1673,11 +1726,42 @@ let test_freed_storage_reused () =
   if rest >= first then
     Alcotest.failf "rounds 2-21 faulted %d pages, round 1 faulted %d" rest first
 
+(* A large output released once read is reused, not refaulted: a
+   42 MiB arena, above glibc's 32 MiB mmap ceiling, is filled and
+   released, then another of the same size is filled. [M_MMAP_MAX 0]
+   serves both from the heap and [release] frees the first at once, so
+   the second reuses its pages: it must fault fewer than 5% of the
+   first's. With either missing, the first is unmapped (or still held)
+   and the second faults all its pages in again. *)
+let fill_arena rows =
+  let a = Arena.create ~size_hint:0 4 in
+  ignore (Arena.extend a rows);
+  Bigarray.Array1.fill (Arena.data a) 1;
+  a
+
+let test_large_output_reused () =
+  if Arena.malloc_policy = Arena.Unsupported then Alcotest.skip ();
+  let rows = 42 * 1024 * 1024 / (4 * 8) in
+  let faults f =
+    match (minor_faults (), f (), minor_faults ()) with
+    | Some b, a, Some e -> (a, e - b)
+    | _ -> Alcotest.skip ()
+  in
+  let first, first_faults = faults (fun () -> fill_arena rows) in
+  ignore (Arena.release first);
+  let second, second_faults = faults (fun () -> fill_arena rows) in
+  ignore (Arena.release second);
+  if 20 * second_faults >= first_faults then
+    Alcotest.failf "the second arena faulted %d pages, the first %d" second_faults first_faults
+
 let () =
   Alcotest.run "relalg"
     [
       ( "memory policy",
-        [ Alcotest.test_case "freed storage reused" `Quick test_freed_storage_reused ] );
+        [
+          Alcotest.test_case "freed storage reused" `Quick test_freed_storage_reused;
+          Alcotest.test_case "large output reused" `Quick test_large_output_reused;
+        ] );
       ( "symbol",
         [
           Alcotest.test_case "roundtrip" `Quick test_symbol_roundtrip;
@@ -1774,6 +1858,7 @@ let () =
           Alcotest.test_case "0-ary tuples" `Quick test_arena_zero_ary;
           Alcotest.test_case "no size hint" `Quick test_arena_no_hint;
           Alcotest.test_case "spare capacity" `Quick test_arena_spare_capacity;
+          Alcotest.test_case "release" `Quick test_arena_release;
           Alcotest.test_case "wide rows" `Quick test_arena_wide_rows;
           Alcotest.test_case "growth and rehash (70k rows)" `Quick
             test_arena_many_rows;

@@ -182,6 +182,90 @@ let test_span_unwinding_marks_spans () =
   check_bool "some span was unwound" true
     (List.exists (fun s -> Span.attr s "unwound" = Some (Attr.Bool true)) spans)
 
+(* ------------------------------------------------------------------ *)
+(* Intermediates freed exactly once                                    *)
+
+(* [Exec.run] releases each node's inputs once its kernel has returned
+   or raised. Every op span that closed wrote a relation of
+   [rows.out * arity.out] cells, and every such relation but the root's
+   result is some plan node's input, so the [cells.freed] that the plan
+   spans carry sum to exactly those cells: an intermediate left to the
+   GC moves the sum. Returns each written relation's cells with the
+   stop time of its op span, and the sum of [cells.freed]. *)
+let cells_written_and_freed spans =
+  let int_attr s a = match Span.attr s a with Some (Attr.Int n) -> n | _ -> 0 in
+  let written =
+    List.filter_map
+      (fun s ->
+        if String.starts_with ~prefix:"op." (Span.name s) && Span.attr s "rows.out" <> None
+        then Some (Span.stop_time s, int_attr s "rows.out" * int_attr s "arity.out")
+        else None)
+      spans
+  in
+  let nodes = List.filter (fun s -> List.mem (Span.name s) [ "plan.join"; "plan.project" ]) spans in
+  List.iter
+    (fun s ->
+      check_bool (Span.name s ^ " carries cells.freed") true (Span.attr s "cells.freed" <> None))
+    nodes;
+  (written, List.fold_left (fun acc s -> acc + int_attr s "cells.freed") 0 nodes)
+
+let traced_exec ?limits plan =
+  let sink, spans = T.Sink.memory () in
+  let t = T.create ~clock:(ticking_clock ()) sink in
+  let result =
+    match Ppr_core.Exec.run ~ctx:(Relalg.Ctx.create ~telemetry:t ?limits ()) coloring_db plan with
+    | r -> Ok r
+    | exception Relalg.Limits.Abort reason -> Error reason
+  in
+  T.close t;
+  (result, spans ())
+
+(* A complete run: the root's kernel closes last and wrote the result,
+   which is never released; the answers are the coloring oracle's. *)
+let check_freed_once name compile g =
+  let cq = coloring_query ~mode:(Conjunctive.Encode.Fraction 0.5) ~seed:7 g in
+  match traced_exec (compile cq) with
+  | Error _, _ -> Alcotest.failf "%s aborted without limits" name
+  | Ok result, spans ->
+    let written, freed = cells_written_and_freed spans in
+    let root = snd (List.fold_left max (neg_infinity, 0) written) in
+    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 written in
+    check_int (name ^ ": the root's kernel wrote the result")
+      (Relalg.Relation.cardinality result * Relalg.Relation.arity result)
+      root;
+    check_bool (name ^ ": intermediates were written") true (total > root);
+    check_int (name ^ ": every intermediate freed once") (total - root) freed;
+    let keep = cq.Conjunctive.Cq.free in
+    Alcotest.(check (list (list int)))
+      (name ^ ": answers") (all_colorings g ~keep)
+      (List.map Relalg.Tuple.to_list (Relalg.Relation.to_sorted_list_in result keep))
+
+let test_intermediates_freed_once () =
+  let g = random_graph ~seed:21 ~n:7 ~m:12 in
+  check_freed_once "straightforward" Ppr_core.Straightforward.compile g;
+  (* Bucket elimination projects each bucket's join through the fused
+     kernel. *)
+  check_freed_once "bucket elimination" (fun cq -> Ppr_core.Bucket.compile cq)
+    (Graphlib.Generators.grid 3 3)
+
+(* Straightforward on [path 18] joins its 18 edges left-deep; the 17th
+   join, which adds the last edge, would hold 3 * 2^17 rows, past the
+   figures' cap of 300,000 (lib/experiments/figures.ml), so the run
+   aborts there. Every relation whose op span closed was freed once:
+   the 16th join's output (3 * 2^16 rows) as the aborted join's input,
+   the last scan with it. *)
+let test_aborted_run_frees_once () =
+  let limits = Relalg.Limits.create ~max_tuples:300_000 ~max_total:3_000_000 () in
+  let plan = Ppr_core.Straightforward.compile (coloring_query (Graphlib.Generators.path 18)) in
+  match traced_exec ~limits plan with
+  | Ok _, _ -> Alcotest.fail "the run fit under the cap"
+  | Error reason, spans ->
+    check_bool "aborted on the cap" true (reason = Relalg.Limits.Cardinality 300_001);
+    let written, freed = cells_written_and_freed spans in
+    let total = List.fold_left (fun acc (_, c) -> acc + c) 0 written in
+    check_bool "intermediates were written" true (total > 0);
+    check_int "every closed op span's relation freed once" total freed
+
 let test_stop_non_open_span_rejected () =
   let sink, _ = T.Sink.memory () in
   let t = T.create sink in
@@ -652,6 +736,10 @@ let () =
             test_span_unwinding_marks_spans;
           Alcotest.test_case "double stop rejected" `Quick
             test_stop_non_open_span_rejected;
+          Alcotest.test_case "intermediates freed once" `Quick
+            test_intermediates_freed_once;
+          Alcotest.test_case "aborted run frees once" `Quick
+            test_aborted_run_frees_once;
           Alcotest.test_case "disabled path same result" `Quick
             test_disabled_path_equals_enabled;
         ] );
