@@ -34,14 +34,7 @@ let add_str buf s =
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
-let variable_signature cq v =
-  let occs = ref [] in
-  List.iter
-    (fun atom ->
-      List.iteri
-        (fun col v' -> if v' = v then occs := (atom.Cq.rel, col) :: !occs)
-        atom.Cq.vars)
-    cq.Cq.atoms;
+let signature_of_occurrences occs =
   let buf = Buffer.create 32 in
   Buffer.add_string buf "var";
   List.iter
@@ -50,8 +43,45 @@ let variable_signature cq v =
       add_str buf rel;
       Buffer.add_char buf '.';
       Buffer.add_string buf (string_of_int col))
-    (List.sort Stdlib.compare !occs);
+    (List.sort
+       (fun (r, c) (r', c') ->
+         match String.compare r r' with 0 -> Int.compare c c' | o -> o)
+       occs);
   Buffer.contents buf
+
+let variable_signature cq v =
+  let occs = ref [] in
+  List.iter
+    (fun atom ->
+      List.iteri
+        (fun col v' -> if v' = v then occs := (atom.Cq.rel, col) :: !occs)
+        atom.Cq.vars)
+    cq.Cq.atoms;
+  signature_of_occurrences !occs
+
+(* Every variable's occurrences from one pass over the atoms; a
+   signature is built the first time it is asked for and kept. *)
+let variable_signatures cq =
+  let occs : (int, (string * int) list) Hashtbl.t = Hashtbl.create 32 in
+  List.iter
+    (fun atom ->
+      List.iteri
+        (fun col v ->
+          let seen = Option.value (Hashtbl.find_opt occs v) ~default:[] in
+          Hashtbl.replace occs v ((atom.Cq.rel, col) :: seen))
+        atom.Cq.vars)
+    cq.Cq.atoms;
+  let built : (int, string) Hashtbl.t = Hashtbl.create 32 in
+  fun v ->
+    match Hashtbl.find_opt built v with
+    | Some s -> s
+    | None ->
+      let s =
+        signature_of_occurrences
+          (Option.value (Hashtbl.find_opt occs v) ~default:[])
+      in
+      Hashtbl.add built v s;
+      s
 
 let atom_signature atom =
   let buf = Buffer.create 32 in

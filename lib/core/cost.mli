@@ -37,6 +37,13 @@ val variable_signature : Conjunctive.Cq.t -> int -> string
     (relation, column) positions where it occurs. Renaming-invariant, so
     corrections transfer across queries joining the same columns. *)
 
+val variable_signatures : Conjunctive.Cq.t -> int -> string
+(** [variable_signatures cq] is {!variable_signature}[ cq] for many
+    variables: one pass over the atoms collects every variable's
+    positions, and each signature is built on first use and kept, so
+    asking for every variable costs one scan of the query, not one
+    scan per variable. *)
+
 val atom_signature : Conjunctive.Cq.atom -> string
 (** The atom's scan signature: relation name plus the repeated-variable
     pattern (which positions are forced equal). *)

@@ -155,7 +155,29 @@ let exact_method = function Minibucket _ -> false | _ -> true
    An aborted run fires [observe] only for the nodes that finished,
    which is a clean post-order prefix, so partial runs still teach the
    store about those nodes. Counts are (+1)-smoothed so empty
-   intermediates stay finite in log space. *)
+   intermediates stay finite in log space.
+
+   One post-order walk, linear in the plan: each node hands its parent
+   its measured cardinality and its sorted schema, so a join finds its
+   shared variables by merging its children's schemas, and each
+   variable's signature is built at most once per harvest. *)
+
+(* Two ascending schemas' shared variables and their union, both
+   ascending. *)
+let rec merge_schemas a b =
+  match (a, b) with
+  | [], s | s, [] -> ([], s)
+  | (x : int) :: a', y :: b' ->
+    if x = y then
+      let shared, union = merge_schemas a' b' in
+      (x :: shared, x :: union)
+    else if x < y then
+      let shared, union = merge_schemas a' b in
+      (shared, x :: union)
+    else
+      let shared, union = merge_schemas a b' in
+      (shared, y :: union)
+
 let harvest_node_observations ~env cq plan cards =
   let n = Array.length cards in
   let idx = ref 0 in
@@ -163,62 +185,49 @@ let harvest_node_observations ~env cq plan cards =
   let emit key measured estimated =
     obs := { Cost.key; measured; estimated } :: !obs
   in
+  let signature = Cost.variable_signatures cq in
+  (* The run stopped before this node: the walk ends here. *)
+  let exception Unfinished in
   let take () =
-    if !idx >= n then None
-    else begin
-      let c = float_of_int cards.(!idx) in
-      incr idx;
-      Some c
-    end
+    if !idx >= n then raise Unfinished;
+    let c = float_of_int cards.(!idx) in
+    incr idx;
+    c
   in
-  let rec walk node =
-    match node with
+  let rec walk = function
     | Plan.Atom atom ->
-      let m = take () in
-      (match m with
-      | Some measured ->
-        let est = Cost.atom_cardinality env atom in
-        emit (Cost.atom_signature atom) (measured +. 1.) (est +. 1.)
-      | None -> ());
-      m
-    | Plan.Join (l, r) -> (
-      match walk l with
-      | None -> None
-      | Some ml -> (
-        match walk r with
-        | None -> None
-        | Some mr -> (
-          match take () with
-          | None -> None
-          | Some measured ->
-            (match
-               List.filter
-                 (fun v -> List.mem v (Plan.schema r))
-                 (Plan.schema l)
-             with
-            | [] -> () (* cartesian: no join-key selectivity to learn *)
-            | shared ->
-              let denom =
-                List.fold_left
-                  (fun acc v -> acc *. Cost.domain_size env v)
-                  1.0 shared
-              in
-              let est = ml *. mr /. denom in
-              let ratio =
-                Cost.clamp_factor ((measured +. 1.) /. (est +. 1.))
-              in
-              let per_var =
-                ratio ** (1. /. float_of_int (List.length shared))
-              in
-              List.iter
-                (fun v -> emit (Cost.variable_signature cq v) per_var 1.0)
-                shared);
-            Some measured)))
-    | Plan.Project (sub, _) -> (
-      match walk sub with None -> None | Some _ -> take ())
+      let measured = take () in
+      let est = Cost.atom_cardinality env atom in
+      emit (Cost.atom_signature atom) (measured +. 1.) (est +. 1.);
+      (measured, List.sort_uniq Int.compare (Conjunctive.Cq.atom_vars atom))
+    | Plan.Join (l, r) ->
+      let ml, sl = walk l in
+      let mr, sr = walk r in
+      let measured = take () in
+      let shared, schema = merge_schemas sl sr in
+      (match shared with
+      | [] -> () (* cartesian: no join-key selectivity to learn *)
+      | _ ->
+        let denom =
+          List.fold_left
+            (fun acc v -> acc *. Cost.domain_size env v)
+            1.0 shared
+        in
+        let est = ml *. mr /. denom in
+        let ratio = Cost.clamp_factor ((measured +. 1.) /. (est +. 1.)) in
+        let per_var = ratio ** (1. /. float_of_int (List.length shared)) in
+        List.iter (fun v -> emit (signature v) per_var 1.0) shared);
+      (measured, schema)
+    | Plan.Project (sub, kept) ->
+      ignore (walk sub);
+      (take (), List.sort_uniq Int.compare kept)
   in
-  ignore (walk plan);
+  (try ignore (walk plan) with Unfinished -> ());
   List.rev !obs
+
+(* Seconds to build a run's observations: tens of microseconds to a few
+   milliseconds, finer than the registry's default buckets. *)
+let harvest_bounds = [| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 1e-2; 0.1; 1.0 |]
 
 let harvest_query_observation ~env cq result =
   match cq.Conjunctive.Cq.atoms with
@@ -554,6 +563,7 @@ let run ?rng ?feedback ?observer ?compiled ?route ?limit ?rank
   (match observer with
   | None -> ()
   | Some emit ->
+    let h0 = clock () in
     let env = lazy (Cost.environment db cq) in
     let node_obs =
       match (streamed, planned, harvest_cards) with
@@ -568,16 +578,19 @@ let run ?rng ?feedback ?observer ?compiled ?route ?limit ?rank
         harvest_query_observation ~env:(Lazy.force env) cq r
       | _ -> []
     in
-    match node_obs @ query_obs with
-    | [] -> ()
-    | observations ->
-      (match telemetry with
-      | None -> ()
-      | Some t ->
+    let observations = node_obs @ query_obs in
+    (match telemetry with
+    | None -> ()
+    | Some t ->
+      let reg = Telemetry.metrics t in
+      Telemetry.Metrics.observe
+        (Telemetry.Metrics.histogram ~bounds:harvest_bounds reg
+           "driver.feedback.harvest_seconds")
+        (clock () -. h0);
+      if observations <> [] then
         Telemetry.Metrics.incr
-          (Telemetry.Metrics.counter (Telemetry.metrics t)
-             "driver.feedback.harvests"));
-      emit observations);
+          (Telemetry.Metrics.counter reg "driver.feedback.harvests"));
+    if observations <> [] then emit observations);
   Log.debug (fun m ->
       m "%s: executed in %.4fs (attempt %s%s; %s)" name (!t2 -. t1)
         (attempt_label !tried)

@@ -229,8 +229,13 @@ val run :
     survives an abort), plus a query-level observation under the query
     signature when the run completed with the full answer. Streamed
     ([limit]/[rank]) runs harvest only the query-level observation,
-    since partial pulls measure delivery, not selectivity. Each nonempty
-    emission counts on [driver.feedback.harvests]. *)
+    since partial pulls measure delivery, not selectivity. The per-node
+    harvest is one post-order pass over the plan, linear in it: each
+    node hands its parent its cardinality and sorted schema, and each
+    variable's signature is built at most once. With telemetry, the
+    time to build a run's observations (the observer's own work not
+    included) lands in the [driver.feedback.harvest_seconds] histogram,
+    and each nonempty emission counts on [driver.feedback.harvests]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One line per run; an incomplete (page-limited) result cardinality is

@@ -1671,6 +1671,89 @@ let prop_fused_observations =
           = seen (fun observe -> unfused_run ~observe db plan))
         binary_methods)
 
+(* The harvest a run hands its observer equals the reference walk
+   ([Reference_harvest]) over the node cardinalities the executor reports
+   for the same plan under the same caps: the same keys in the same order
+   and the same float bits, the prefix of an aborted run included, on
+   acyclic and cyclic queries with random free sets. Under PPR_JOBS above
+   1 the driver's runs go through a pool of that width. *)
+let harvest_mismatch ?pool ~max_tuples ~max_total meth db cq compiled =
+  let limits () = Relalg.Limits.create ~max_tuples ~max_total () in
+  let harvested = ref [] in
+  let o =
+    Driver.run ~compiled
+      ~observer:(fun obs -> harvested := !harvested @ obs)
+      ~ctx:(Relalg.Ctx.create ?pool ~limits:(limits ()) ())
+      meth db cq
+  in
+  let env = Cost.environment db cq in
+  let nodes =
+    match compiled with
+    | Driver.Plan plan ->
+      let cards = ref [] in
+      (try
+         ignore
+           (Exec.run
+              ~ctx:(Relalg.Ctx.create ~limits:(limits ()) ())
+              ~observe:(fun _ n -> cards := n :: !cards)
+              db plan)
+       with Relalg.Limits.Abort _ -> ());
+      Reference_harvest.node_observations ~env cq plan (Array.of_list (List.rev !cards))
+    | _ -> []
+  in
+  let query =
+    match (o.Driver.status, o.Driver.result) with
+    | Driver.Completed, Some r -> Reference_harvest.query_observation ~env cq r
+    | _ -> []
+  in
+  let bits { Cost.key; measured; estimated } =
+    (key, Int64.bits_of_float measured, Int64.bits_of_float estimated)
+  in
+  if List.map bits !harvested = List.map bits (nodes @ query) then None
+  else
+    Some
+      (Printf.sprintf "%d observations harvested, %d in the reference"
+         (List.length !harvested)
+         (List.length (nodes @ query)))
+
+let harvest_arbitrary =
+  QCheck.make
+    ~print:(fun (g, seed, free, (max_tuples, max_total)) ->
+      Format.asprintf "%a seed=%d free=%.2f max_tuples=%d max_total=%d" G.pp g seed
+        free max_tuples max_total)
+    QCheck.Gen.(
+      int_range 3 8 >>= fun n ->
+      int_range (n - 1) (n * (n - 1) / 2) >>= fun m ->
+      int_range 0 10_000 >>= fun seed ->
+      oneofl [ 0.; 0.25; 0.5; 1. ] >>= fun free ->
+      int_range 6 400 >>= fun max_tuples ->
+      int_range 20 4000 >>= fun max_total ->
+      return (random_graph ~seed ~n ~m, seed, free, (max_tuples, max_total)))
+
+let test_harvest_matches_reference () =
+  let pool =
+    match Option.bind (Sys.getenv_opt "PPR_JOBS") (fun s -> int_of_string_opt (String.trim s)) with
+    | Some jobs when jobs > 1 -> Some (Parallel.Pool.create ~num_domains:jobs ~grain:1 ())
+    | _ -> None
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Parallel.Pool.shutdown pool)
+  @@ fun () ->
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:150 ~name:"harvest = reference walk" harvest_arbitrary
+       (fun (g, seed, free, (max_tuples, max_total)) ->
+         let mode = if free = 0. then Encode.Boolean else Encode.Fraction free in
+         let cq = coloring_query ~mode ~seed g in
+         List.for_all
+           (fun meth ->
+             let compiled = Driver.prepare ~rng:(rng seed) meth coloring_db cq in
+             match
+               harvest_mismatch ?pool ~max_tuples ~max_total meth coloring_db cq compiled
+             with
+             | None -> true
+             | Some what ->
+               QCheck.Test.fail_reportf "%s: %s" (Driver.method_name meth) what)
+           (binary_methods @ Driver.[ Wcoj; Ghd ])))
+
 let () =
   Alcotest.run "core"
     [
@@ -1732,6 +1815,11 @@ let () =
           Alcotest.test_case "skipped on replay" `Quick test_attempt_skipped_on_replay;
           Alcotest.test_case "skipped: exec span label" `Quick test_attempt_skipped_label;
           prop_fused_observations;
+        ] );
+      ( "feedback harvest",
+        [
+          Alcotest.test_case "harvest = reference walk" `Quick
+            test_harvest_matches_reference;
         ] );
       ( "method agreement",
         [

@@ -1314,6 +1314,12 @@ let test_server_end_to_end () =
   check_bool "metrics dump mentions serving counters" true
     (match Wire.field metrics "metrics" with
     | Some (Json.String text) -> contains text "serve.requests"
+    | _ -> false);
+  (* The query above ran unstreamed, so its run harvested feedback and
+     timed the harvest. *)
+  check_bool "metrics dump times the feedback harvest" true
+    (match Wire.field metrics "metrics" with
+    | Some (Json.String text) -> contains text "driver.feedback.harvest_seconds"
     | _ -> false)
 
 let test_server_bounds_line_length () =
